@@ -16,7 +16,6 @@ type t = {
   externals : string -> Psg.external_class option;
   callee_saved_filter : bool;
   jobs : int;
-  phase_sched : [ `Fifo | `Scc ];
   reused_routines : int;
   warm_capture : Warm.routine_art array option;
 }
@@ -72,93 +71,24 @@ let record_stage timer stage f =
 let c_reused = Spike_obs.Metrics.counter "warm.routines.reused"
 let c_rebuilt = Spike_obs.Metrics.counter "warm.routines.rebuilt"
 
-(* The condensation schedule both phases share.  Built once per run —
-   it only depends on the call graph — and timed as its own stage so the
-   bench can show it is amortized by the iteration savings. *)
-let build_sched ~phase_sched ~pool ~timer psg =
-  match phase_sched with
-  | `Fifo -> None
-  | `Scc -> Some (record_stage timer stage_sched (fun () -> Sched.make ~pool psg))
-
-let run_cold ~branch_nodes ~externals ~callee_saved_filter ~jobs ~phase_sched
-    ~pool ~timer program =
-  let routines = Program.routines program in
-  let cfgs =
-    record_stage timer stage_cfg_build (fun () ->
-        Pool.parallel_map_array pool
-          (fun r -> Spike_obs.Trace.with_span "cfg.build" (fun () -> Cfg.build r))
-          routines)
+(* One pipeline for every run: per-routine front-end artifacts come from
+   the plan when present and are rebuilt when not — a cold run is the
+   all-rebuild plan {!Warm.cold}.  After the rebuild, {!Warm.solutions}
+   lifts the cached solutions of any rebuilt routine whose equation system
+   turned out unchanged; both phases then restart only the remaining dirty
+   routines, restoring converged values outside the invalidation cones the
+   planners close.  When no solution is reused at all, the cones would
+   cover every node, so the phases run cold and the planning is skipped. *)
+let run ?(branch_nodes = true) ?(externals = fun _ -> None)
+    ?(callee_saved_filter = true) ?jobs ?warm ?(capture = false) program =
+  let jobs =
+    match jobs with Some j -> max 1 (min j 64) | None -> Pool.default_jobs ()
   in
-  let defuses, entry_filters =
-    record_stage timer stage_init (fun () ->
-        let defuses =
-          Pool.parallel_map_array pool
-            (fun cfg ->
-              Spike_obs.Trace.with_span "defuse.compute" (fun () ->
-                  Defuse.compute cfg))
-            cfgs
-        in
-        let filters =
-          if callee_saved_filter then
-            Pool.parallel_init pool (Array.length cfgs) (fun r ->
-                Spike_obs.Trace.with_span "callee_saved.filter" (fun () ->
-                    Callee_saved.saved_and_restored routines.(r) cfgs.(r)))
-          else Array.map (fun _ -> Regset.empty) cfgs
-        in
-        (defuses, filters))
-  in
-  let psg =
-    record_stage timer stage_psg_build (fun () ->
-        Psg_build.build ~branch_nodes ~entry_filters ~externals ~pool program
-          cfgs defuses)
-  in
-  if Spike_obs.Metrics.enabled () then begin
-    let stats = Psg_stats.of_psg psg in
-    List.iter (fun (c, get) -> Spike_obs.Metrics.add c (get stats)) psg_counters
-  end;
-  (* Phases 1 and 2 are global fixpoints over the whole PSG; under the
-     SCC schedule they run one call-graph component at a time, with
-     independent components dispatched to the pool. *)
-  let sched = build_sched ~phase_sched ~pool ~timer psg in
-  let phase1_iterations, call_classes =
-    record_stage timer stage_phase1 (fun () ->
-        let iterations = Phase1.run ?sched psg in
-        (iterations, Summary.extract_call_classes psg))
-  in
-  let phase2_iterations, summaries =
-    record_stage timer stage_phase2 (fun () ->
-        let iterations = Phase2.run ?sched psg in
-        (iterations, Summary.extract psg call_classes))
-  in
-  {
-    program;
-    cfgs;
-    defuses;
-    psg;
-    call_classes;
-    summaries;
-    timer;
-    phase1_iterations;
-    phase2_iterations;
-    branch_nodes;
-    externals;
-    callee_saved_filter;
-    jobs;
-    phase_sched;
-    reused_routines = 0;
-    warm_capture = None;
-  }
-
-(* The incremental path: per-routine front-end artifacts come from the
-   plan when present, are rebuilt when not.  After the rebuild,
-   {!Warm.solutions} lifts the cached solutions of any rebuilt routine
-   whose equation system turned out unchanged; both phases then restart
-   only the remaining dirty routines, restoring converged values outside
-   the invalidation cones the planners close.  With an all-cold plan the
-   cones cover every node, so this degenerates to the cold run — which is
-   how [capture]-only runs keep bit-identical results. *)
-let run_warm ~branch_nodes ~externals ~callee_saved_filter ~jobs ~phase_sched
-    ~pool ~timer ~(plan : Warm.plan) ~capture program =
+  let plan = match warm with Some p -> p | None -> Warm.cold program in
+  Pool.with_pool ~jobs @@ fun pool ->
+  let timer = Timer.create () in
+  Spike_obs.Metrics.incr c_runs;
+  Spike_obs.Metrics.add c_routines (Program.routine_count program);
   let routines = Program.routines program in
   let n = Array.length routines in
   let reused_routines = Warm.reused plan in
@@ -171,8 +101,7 @@ let run_warm ~branch_nodes ~externals ~callee_saved_filter ~jobs ~phase_sched
             match art r with
             | Some a -> a.Warm.a_cfg
             | None ->
-                Spike_obs.Trace.with_span "cfg.build" (fun () ->
-                    Cfg.build routines.(r))))
+                Spike_obs.Trace.with_span "cfg.build" (fun () -> Cfg.build routines.(r))))
   in
   let defuses, entry_filters =
     record_stage timer stage_init (fun () ->
@@ -205,8 +134,8 @@ let run_warm ~branch_nodes ~externals ~callee_saved_filter ~jobs ~phase_sched
               | Some a -> a.Warm.a_local
               | None ->
                   Spike_obs.Trace.with_span "psg.local_pass" (fun () ->
-                      Psg_build.local_pass ~branch_nodes ~resolve_targets r
-                        cfgs.(r) defuses.(r)))
+                      Psg_build.local_pass ~branch_nodes ~resolve_targets r cfgs.(r)
+                        defuses.(r)))
         in
         let psg =
           Spike_obs.Trace.with_span "psg.stitch" (fun () ->
@@ -224,34 +153,51 @@ let run_warm ~branch_nodes ~externals ~callee_saved_filter ~jobs ~phase_sched
     Spike_obs.Trace.with_span "warm.lift" (fun () ->
         Warm.solutions plan ~program ~locals ~filters:entry_filters)
   in
-  let sched = build_sched ~phase_sched ~pool ~timer psg in
-  let phase1_iterations, call_classes, p1_nodes, p1_cr =
-    record_stage timer stage_phase1 (fun () ->
-        let w1 =
-          Spike_obs.Trace.with_span "warm.phase1_plan" (fun () ->
-              Warm.phase1_plan psg ~sols ~node_offset ~call_offset)
-        in
-        let iterations = Phase1.run ~warm:w1 ?sched psg in
-        let p1_nodes, p1_cr = Warm.snapshot_phase1 psg in
-        (iterations, Summary.extract_call_classes psg, p1_nodes, p1_cr))
+  let reuse = Array.exists Option.is_some sols in
+  (* The condensation schedule both phases share depends only on the call
+     graph.  It is built on first use, as its own stage, so a phase whose
+     invalidation cone is empty never pays for it.  A phase's warm plan is
+     timed with the phase but built before the schedule is forced. *)
+  let sched = lazy (record_stage timer stage_sched (fun () -> Sched.make ~pool psg)) in
+  let sched_for cone =
+    match cone with
+    | Some cone when not (Array.exists Fun.id cone) -> None
+    | _ -> Some (Lazy.force sched)
   in
+  let plan_phase stage span f =
+    if reuse then Some (Timer.record timer stage (fun () -> Spike_obs.Trace.with_span span f))
+    else None
+  in
+  let w1 =
+    plan_phase stage_phase1 "warm.phase1_plan" (fun () ->
+        Warm.phase1_plan psg ~sols ~node_offset ~call_offset)
+  in
+  let sched1 = sched_for (Option.map (fun w -> w.Phase1.cone) w1) in
+  let phase1_iterations, call_classes, p1 =
+    record_stage timer stage_phase1 (fun () ->
+        let iterations = Phase1.run ?warm:w1 ?sched:sched1 psg in
+        let p1 = if reuse || capture then Some (Warm.snapshot_phase1 psg) else None in
+        (iterations, Summary.extract_call_classes psg, p1))
+  in
+  let w2 =
+    Option.bind p1 (fun (_, p1_cr) ->
+        plan_phase stage_phase2 "warm.phase2_plan" (fun () ->
+            Warm.phase2_plan psg ~sols ~exit_seeds ~node_offset ~call_offset ~p1_cr))
+  in
+  let sched2 = sched_for (Option.map (fun w -> w.Phase2.cone) w2) in
   let phase2_iterations, summaries =
     record_stage timer stage_phase2 (fun () ->
-        let w2 =
-          Spike_obs.Trace.with_span "warm.phase2_plan" (fun () ->
-              Warm.phase2_plan psg ~sols ~exit_seeds ~node_offset ~call_offset
-                ~p1_cr)
-        in
-        let iterations = Phase2.run ~warm:w2 ?sched psg in
+        let iterations = Phase2.run ?warm:w2 ?sched:sched2 psg in
         (iterations, Summary.extract psg call_classes))
   in
   let warm_capture =
-    if not capture then None
-    else
-      Some
-        (Spike_obs.Trace.with_span "warm.capture" (fun () ->
-             Warm.capture ~cfgs ~defuses ~filters:entry_filters ~locals ~p1_nodes
-               ~p1_cr ~p2_live:(Warm.snapshot_live psg) ~node_offset ~call_offset))
+    match p1 with
+    | Some (p1_nodes, p1_cr) when capture ->
+        Some
+          (Spike_obs.Trace.with_span "warm.capture" (fun () ->
+               Warm.capture ~cfgs ~defuses ~filters:entry_filters ~locals ~p1_nodes
+                 ~p1_cr ~p2_live:(Warm.snapshot_live psg) ~node_offset ~call_offset))
+    | _ -> None
   in
   {
     program;
@@ -267,36 +213,13 @@ let run_warm ~branch_nodes ~externals ~callee_saved_filter ~jobs ~phase_sched
     externals;
     callee_saved_filter;
     jobs;
-    phase_sched;
     reused_routines;
     warm_capture;
   }
 
-let run ?(branch_nodes = true) ?(externals = fun _ -> None)
-    ?(callee_saved_filter = true) ?jobs ?(phase_sched = `Scc) ?warm
-    ?(capture = false) program =
-  let jobs =
-    match jobs with Some j -> max 1 (min j 64) | None -> Pool.default_jobs ()
-  in
-  Pool.with_pool ~jobs (fun pool ->
-      let timer = Timer.create () in
-      Spike_obs.Metrics.incr c_runs;
-      Spike_obs.Metrics.add c_routines (Program.routine_count program);
-      match (warm, capture) with
-      | None, false ->
-          run_cold ~branch_nodes ~externals ~callee_saved_filter ~jobs
-            ~phase_sched ~pool ~timer program
-      | _ ->
-          let plan =
-            match warm with Some p -> p | None -> Warm.cold program
-          in
-          run_warm ~branch_nodes ~externals ~callee_saved_filter ~jobs
-            ~phase_sched ~pool ~timer ~plan ~capture program)
-
 let rerun t program =
   run ~branch_nodes:t.branch_nodes ~externals:t.externals
-    ~callee_saved_filter:t.callee_saved_filter ~jobs:t.jobs
-    ~phase_sched:t.phase_sched program
+    ~callee_saved_filter:t.callee_saved_filter ~jobs:t.jobs program
 
 let summary_of t name = Summary.find t.summaries t.program name
 let site_class t info = Summary.site_class t.psg t.call_classes info

@@ -36,9 +36,8 @@ type t = {
   externals : string -> Psg.external_class option;
   callee_saved_filter : bool;
   jobs : int;
-      (** parallelism degree the front-end stages and (under the SCC
-          schedule) the phase fixpoints ran with *)
-  phase_sched : [ `Fifo | `Scc ];  (** configuration, for {!rerun} *)
+      (** parallelism degree the front-end stages and the phase
+          fixpoints ran with *)
   reused_routines : int;
       (** routines whose front-end artifacts came from the warm plan *)
   warm_capture : Warm.routine_art array option;
@@ -50,7 +49,9 @@ val stage_init : string
 val stage_psg_build : string
 
 val stage_sched : string
-(** Building the {!Sched} condensation schedule (SCC mode only). *)
+(** Building the {!Sched} condensation schedule.  Only recorded when some
+    phase has work to do: a warm run whose invalidation cones are both
+    empty never builds the schedule. *)
 
 val stage_phase1 : string
 val stage_phase2 : string
@@ -60,7 +61,6 @@ val run :
   ?externals:(string -> Psg.external_class option) ->
   ?callee_saved_filter:bool ->
   ?jobs:int ->
-  ?phase_sched:[ `Fifo | `Scc ] ->
   ?warm:Warm.plan ->
   ?capture:bool ->
   Program.t ->
@@ -78,29 +78,25 @@ val run :
     [Domain.recommended_domain_count] clamped; explicit values are clamped
     to [[1, 64]]) is the number of domains the per-routine front-end
     stages — CFG build, initialization and the PSG local pass — run on,
-    and, under the SCC schedule, the number of domains independent
-    call-graph components of the phase 1 / phase 2 fixpoints are
-    dispatched to.  Results are bit-identical for every [jobs] value.
-    With [jobs > 1], [externals] is called concurrently and must be
-    thread-safe.  Stage times recorded in [timer] are wall-clock, so a
-    parallel stage reports its elapsed time, not the sum over domains.
-
-    [phase_sched] (default [`Scc]) selects the phase fixpoint driver:
-    [`Scc] processes call-graph SCCs in condensation order ({!Sched}) and
-    is both faster (callee summaries are converged before any caller
-    reads them) and parallel; [`Fifo] is the single-worklist baseline,
-    kept for measurement and differential testing.  Both converge to the
-    same unique fixpoint, so summaries are bit-identical across drivers
-    and [jobs] values.
+    and the number of domains independent call-graph components of the
+    phase 1 / phase 2 fixpoints are dispatched to ({!Sched}).  Each phase
+    equation system has a unique fixpoint, so results are bit-identical
+    for every [jobs] value.  With [jobs > 1], [externals] is called
+    concurrently and must be thread-safe.  Stage times recorded in
+    [timer] are wall-clock, so a parallel stage reports its elapsed time,
+    not the sum over domains.
 
     [warm] supplies a {!Warm.plan} of per-routine artifacts from an
     earlier run of the {e same} program configuration (modulo the edits
     that dirtied some routines): clean routines skip CFG build,
     initialization and the PSG local pass, and both phases re-converge
     only their invalidation cones.  Results are guaranteed bit-identical
-    to a cold run; an all-cold plan {!Warm.cold} {e is} a cold run.  The
-    caller is responsible for only reusing artifacts whose inputs are
-    unchanged — that is what {!Spike_store} fingerprints enforce.
+    to a cold run.  Omitted, it defaults to the all-cold plan
+    {!Warm.cold}: every run goes through the same pipeline, and a run in
+    which no routine's solution is reused skips the invalidation cones
+    and runs both phases cold.  The caller is responsible for only
+    reusing artifacts whose inputs are unchanged — that is what
+    {!Spike_store} fingerprints enforce.
 
     [capture] (default [false]) additionally snapshots this run's
     per-routine artifacts into [warm_capture], ready to persist. *)

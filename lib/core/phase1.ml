@@ -146,7 +146,6 @@ let recompute (psg : Psg.t) (node : Psg.node) =
   end
 
 let run ?warm ?sched (psg : Psg.t) =
-  let n = Psg.node_count psg in
   let nodes = psg.nodes and edges = psg.edges in
   let in_cone =
     match warm with None -> fun _ -> true | Some w -> fun id -> w.cone.(id)
@@ -255,251 +254,72 @@ let run ?warm ?sched (psg : Psg.t) =
     || Regset.lo_bits reader.must_def land lnot sd_lo <> 0
     || Regset.hi_bits reader.must_def land lnot sd_hi <> 0
   in
-  match sched with
-  | Some s ->
-      (* --- SCC-condensation schedule --------------------------------------
-         Components of the call-graph condensation in topological order,
-         callees first: when a component starts, every summary it imports
-         (entry nodes of callee components) is already converged, so its
-         call-return edges are seeded once with final values and the
-         fixpoint only iterates on intra-component cycles — CFG loops and
-         mutual recursion.  A changed entry node re-queues only the
-         component's own call sites; cross-component callers see the
-         converged entry when their component seeds.
+  (* --- SCC-condensation schedule ------------------------------------------
+     Components of the call-graph condensation in topological order,
+     callees first: when a component starts, every summary it imports
+     (entry nodes of callee components) is already converged, so its
+     call-return edges are seeded once with final values and the fixpoint
+     only iterates on intra-component cycles — CFG loops and mutual
+     recursion.  A changed entry node re-queues only the component's own
+     call sites; cross-component callers see the converged entry when
+     their component seeds.
 
-         The drain follows Bourdoncle's recursive iteration strategy over
-         the weak topological order in [comp_nodes_p1]: marked nodes pop
-         in WTO order; on entering a knot its head pos is stacked, and
-         when the sweep reaches the knot's end with the head re-marked —
-         only a dependency cycle, which must pass through the head, can
-         re-mark it — the sweep resumes from the head.  Inner knots
-         therefore converge before outer ones re-test, and a knot's
-         readers pop exactly once, seeing final values, instead of once
-         per lattice-ascent step of the knot.  A FIFO drain instead
-         re-pops a node once per wave of its upstream changes — that is
-         the iteration count gap the bench records. *)
-      let comp_of_node = s.Sched.comp_of_node in
-      let dirty =
-        match warm with
-        | None -> fun _ -> true
-        | Some w ->
-            (* Only components intersecting the invalidation cone can
-               change; the rest keep their restored solutions, and the
-               schedule skips them. *)
-            let d = Array.make s.Sched.scc.Scc.count false in
-            Array.iteri (fun id inside -> if inside then d.(comp_of_node.(id)) <- true) w.cone;
-            fun c -> d.(c)
-      in
-      let run_comp marked c =
-        let order = s.Sched.comp_nodes_p1.(c) in
-        let cend = s.Sched.comp_cend_p1.(c) in
-        let len = Array.length order in
-        let iterations = ref 0 in
-        let mark id =
-          if Bytes.unsafe_get marked id = '\000' then begin
-            Spike_obs.Metrics.incr c_pushes;
-            Bytes.unsafe_set marked id '\001'
-          end
-        in
-        Array.iter
-          (fun ci ->
-            let info = psg.calls.(ci) in
-            if in_cone info.call_node then ignore (update_cr_edge info))
-          s.Sched.comp_calls.(c);
-        Array.iter
-          (fun id ->
-            match nodes.(id).kind with
-            | Psg.Exit _ | Psg.Unknown_exit _ -> ()
-            | Psg.Entry _ | Psg.Call _ | Psg.Return _ | Psg.Branch _ ->
-                if in_cone id then mark id)
-          order;
-        (* Pop a marked node: recompute, mark its readers. *)
-        let process id =
-          Bytes.unsafe_set marked id '\000';
-          incr iterations;
-          let node = nodes.(id) in
-          if Spike_obs.Metrics.enabled () then
-            Spike_obs.Metrics.incr pop_counters.(kind_index node.kind);
-          if recompute psg node then begin
-            let in_edges = psg.in_edges.(id) in
-            for j = 0 to Array.length in_edges - 1 do
-              let e = edges.(Array.unsafe_get in_edges j) in
-              if affects e then mark e.src
-            done;
-            match node.kind with
-            | Psg.Entry { routine; _ } ->
-                List.iter
-                  (fun call_index ->
-                    let info = psg.calls.(call_index) in
-                    if comp_of_node.(info.call_node) = c then
-                      if update_cr_edge info && affects edges.(info.cr_edge)
-                      then mark info.call_node)
-                  psg.callers_of.(routine)
-            | Psg.Exit _ | Psg.Call _ | Psg.Return _ | Psg.Branch _
-            | Psg.Unknown_exit _ ->
-                ()
-          end
-        in
-        (* WTO interpreter.  The stack holds the open structures:
-           head-knots (snap = -1; reaching the end with the head
-           re-marked — only a cycle through the head re-marks it —
-           resumes the sweep after the head) and flat regions (snap =
-           pop count at last entry; pops since mean a cross-routine mark
-           went backward, so the region sweeps again).  [fi] walks the
-           flat-region list; re-sweeps rewind it so interior regions
-           re-enter. *)
-        let flat = s.Sched.comp_flat_p1.(c) in
-        let stk_pos = Array.make (max len 1) 0 in
-        let stk_end = Array.make (max len 1) 0 in
-        let stk_snap = Array.make (max len 1) 0 in
-        let stk_fi = Array.make (max len 1) 0 in
-        let sp = ref 0 in
-        let fi = ref 0 in
-        let inflat = ref 0 in
-        let k = ref 0 in
-        while !k < len || !sp > 0 do
-          if !sp > 0 && !k = Array.unsafe_get stk_end (!sp - 1) then begin
-            let t = !sp - 1 in
-            let pos = Array.unsafe_get stk_pos t in
-            if Array.unsafe_get stk_snap t < 0 then begin
-              let hid = Array.unsafe_get order pos in
-              if Bytes.unsafe_get marked hid = '\001' then begin
-                process hid;
-                fi := Array.unsafe_get stk_fi t;
-                k := pos + 1
-              end
-              else decr sp
-            end
-            else if !iterations > Array.unsafe_get stk_snap t then begin
-              stk_snap.(t) <- !iterations;
-              fi := Array.unsafe_get stk_fi t;
-              k := pos
-            end
-            else begin
-              decr sp;
-              decr inflat
-            end
-          end
-          else if
-            2 * !fi < Array.length flat && Array.unsafe_get flat (2 * !fi) = !k
-          then begin
-            stk_pos.(!sp) <- !k;
-            stk_end.(!sp) <- Array.unsafe_get flat ((2 * !fi) + 1);
-            stk_snap.(!sp) <- !iterations;
-            incr fi;
-            stk_fi.(!sp) <- !fi;
-            incr sp;
-            incr inflat
-          end
-          else begin
-            let i = !k in
-            let ce = Array.unsafe_get cend i in
-            let id = Array.unsafe_get order i in
-            if Bytes.unsafe_get marked id = '\001' then process id;
-            if ce = 0 || !inflat > 0 then incr k
-            else begin
-              stk_pos.(!sp) <- i;
-              stk_end.(!sp) <- ce;
-              stk_snap.(!sp) <- -1;
-              stk_fi.(!sp) <- !fi;
-              incr sp;
-              k := i + 1
-            end
-          end
-        done;
-        !iterations
-      in
-      let iterations =
-        Spike_obs.Trace.with_span "phase1.fixpoint" @@ fun () ->
-        Sched.run s ~rev:false ~dirty run_comp
-      in
-      Spike_obs.Metrics.add c_iterations iterations;
-      iterations
-  | None ->
-      (* --- FIFO baseline ---------------------------------------------------
-         One global worklist; kept as the measurement baseline for the
-         SCC schedule and exercised by the equivalence tests. *)
-      let worklist = Workset.create n in
-      let push id =
+     Each component drains over the weak topological order in
+     [comp_nodes_p1] ({!Sched.drain}): a knot's readers pop exactly once,
+     seeing its final values, instead of once per lattice-ascent step of
+     the knot. *)
+  let run_comp (s : Sched.t) marked c =
+    let comp_of_node = s.comp_of_node in
+    let order = s.comp_nodes_p1.(c) in
+    let mark id =
+      if Bytes.unsafe_get marked id = '\000' then begin
         Spike_obs.Metrics.incr c_pushes;
-        Workset.push worklist id
-      in
-      (* Seed with everything that has outgoing edges (sinks are fixed), in
-         callee-before-caller routine order and sink-to-source order within a
-         routine, so the first sweep already approximates the fixpoint.  The
-         result is order-independent (each pop recomputes its node from
-         scratch), so when a warm cone covers only a sliver of the graph the
-         ordering work is skipped and the cone is pushed in id order. *)
-      let small_cone =
-        match warm with
-        | None -> false
-        | Some w ->
-            let c = ref 0 in
-            Array.iter (fun b -> if b then incr c) w.cone;
-            !c * 8 < n
-      in
-      if small_cone then
-        Array.iter
-          (fun (node : Psg.node) ->
-            match node.kind with
-            | Psg.Exit _ | Psg.Unknown_exit _ -> ()
-            | Psg.Entry _ | Psg.Call _ | Psg.Return _ | Psg.Branch _ ->
-                if in_cone node.id then push node.id)
-          nodes
-      else begin
-        let nodes_by_routine =
-          Array.make (Spike_ir.Program.routine_count psg.program) []
-        in
-        Array.iter
-          (fun (node : Psg.node) ->
-            match node.kind with
-            | Psg.Exit _ | Psg.Unknown_exit _ -> ()
-            | Psg.Entry _ | Psg.Call _ | Psg.Return _ | Psg.Branch _ ->
-                let r = Psg.node_routine node.kind in
-                nodes_by_routine.(r) <- node.id :: nodes_by_routine.(r))
-          nodes;
-        List.iter
-          (fun r ->
-            List.iter (fun id -> if in_cone id then push id) nodes_by_routine.(r))
-          (Psg.callee_first_order psg)
-      end;
-      let iterations = ref 0 in
-      (* Seed every resolved call-return edge once: external-only target lists
-         have no entry node to trigger the first update.  Outside a warm cone
-         the edge was restored to its converged label and every target entry
-         it reads is converged too (an in-cone target entry forces the call
-         node into the cone), so the recomputation would be a no-op. *)
-      Array.iter
-        (fun (info : Psg.call_info) ->
-          if in_cone info.call_node then ignore (update_cr_edge info))
-        psg.calls;
-      let () =
-        Spike_obs.Trace.with_span "phase1.fixpoint" @@ fun () ->
-        while not (Workset.is_empty worklist) do
-          let id = Workset.pop worklist in
-          incr iterations;
-          let node = nodes.(id) in
-          if Spike_obs.Metrics.enabled () then
-            Spike_obs.Metrics.incr pop_counters.(kind_index node.kind);
-          if recompute psg node then begin
-            let in_edges = psg.in_edges.(id) in
-            for k = 0 to Array.length in_edges - 1 do
-              push edges.(Array.unsafe_get in_edges k).src
-            done;
-            match node.kind with
-            | Psg.Entry { routine; _ } ->
-                (* The routine's summary changed: refresh every call-return
-                   edge that imports it. *)
-                List.iter
-                  (fun call_index ->
-                    let info = psg.calls.(call_index) in
-                    if update_cr_edge info then push info.call_node)
-                  psg.callers_of.(routine)
-            | Psg.Exit _ | Psg.Call _ | Psg.Return _ | Psg.Branch _
-            | Psg.Unknown_exit _ ->
-                ()
-          end
-        done
-      in
-      Spike_obs.Metrics.add c_iterations !iterations;
-      !iterations
+        Bytes.unsafe_set marked id '\001'
+      end
+    in
+    Array.iter
+      (fun ci ->
+        let info = psg.calls.(ci) in
+        if in_cone info.call_node then ignore (update_cr_edge info))
+      s.comp_calls.(c);
+    Array.iter
+      (fun id ->
+        match nodes.(id).kind with
+        | Psg.Exit _ | Psg.Unknown_exit _ -> ()
+        | Psg.Entry _ | Psg.Call _ | Psg.Return _ | Psg.Branch _ ->
+            if in_cone id then mark id)
+      order;
+    (* Recompute a popped node, mark its readers. *)
+    let process id =
+      let node = nodes.(id) in
+      if Spike_obs.Metrics.enabled () then
+        Spike_obs.Metrics.incr pop_counters.(kind_index node.kind);
+      if recompute psg node then begin
+        let in_edges = psg.in_edges.(id) in
+        for j = 0 to Array.length in_edges - 1 do
+          let e = edges.(Array.unsafe_get in_edges j) in
+          if affects e then mark e.src
+        done;
+        match node.kind with
+        | Psg.Entry { routine; _ } ->
+            List.iter
+              (fun call_index ->
+                let info = psg.calls.(call_index) in
+                if comp_of_node.(info.call_node) = c then
+                  if update_cr_edge info && affects edges.(info.cr_edge) then
+                    mark info.call_node)
+              psg.callers_of.(routine)
+        | Psg.Exit _ | Psg.Call _ | Psg.Return _ | Psg.Branch _ | Psg.Unknown_exit _
+          ->
+            ()
+      end
+    in
+    Sched.drain ~order ~cend:s.comp_cend_p1.(c) ~flat:s.comp_flat_p1.(c) marked
+      process
+  in
+  let iterations =
+    Spike_obs.Trace.with_span "phase1.fixpoint" @@ fun () ->
+    Sched.run ?sched psg ~rev:false ~cone:(Option.map (fun w -> w.cone) warm) run_comp
+  in
+  Spike_obs.Metrics.add c_iterations iterations;
+  iterations

@@ -133,201 +133,74 @@ let run ?warm ?sched (psg : Psg.t) =
     end
     else false
   in
-  match sched with
-  | Some s ->
-      (* --- SCC-condensation schedule --------------------------------------
-         Reverse topological order: callers first.  When a component
-         starts, the liveness it imports — return-node sets of calling
-         components, read through [return_links] — is already converged,
-         so a changed return node only re-queues exits of its own
-         component (mutual recursion); cross-component exits pick up the
-         final values when their component seeds.
+  (* --- SCC-condensation schedule ------------------------------------------
+     Reverse topological order: callers first.  When a component starts,
+     the liveness it imports — return-node sets of calling components,
+     read through [return_links] — is already converged, so a changed
+     return node only re-queues exits of its own component (mutual
+     recursion); cross-component exits pick up the final values when their
+     component seeds.
 
-         The drain is the same Bourdoncle WTO interpreter as {!Phase1},
-         over [comp_nodes_p2]: dependency knots of the phase 2 graph (a
-         node reads its out-edge targets, an exit node the return points
-         of its intra-component callers) iterate until their heads are
-         stable, innermost first, so readers pop exactly once. *)
-      let comp_of_node = s.Sched.comp_of_node in
-      let dirty =
-        match warm with
-        | None -> fun _ -> true
-        | Some w ->
-            let d = Array.make s.Sched.scc.Scc.count false in
-            Array.iteri (fun id inside -> if inside then d.(comp_of_node.(id)) <- true) w.cone;
-            fun c -> d.(c)
-      in
-      let run_comp marked c =
-        let order = s.Sched.comp_nodes_p2.(c) in
-        let cend = s.Sched.comp_cend_p2.(c) in
-        let len = Array.length order in
-        let iterations = ref 0 in
-        let mark id =
-          if Bytes.unsafe_get marked id = '\000' then begin
-            Spike_obs.Metrics.incr c_pushes;
-            Bytes.unsafe_set marked id '\001'
-          end
-        in
-        Array.iter (fun id -> if in_cone id then mark id) order;
-        (* A liveness change only alters a reader that would gain bits
-           through the edge — liveness is a union, so a contribution the
-           reader already covers is a provable no-op re-pop. *)
-        let affects (e : Psg.edge) =
-          let dst = nodes.(e.dst) and reader = nodes.(e.src) in
-          let mu_lo =
-            Regset.lo_bits e.e_may_use
-            lor (Regset.lo_bits dst.may_use
-                land lnot (Regset.lo_bits e.e_must_def))
-          and mu_hi =
-            Regset.hi_bits e.e_may_use
-            lor (Regset.hi_bits dst.may_use
-                land lnot (Regset.hi_bits e.e_must_def))
-          in
-          mu_lo land lnot (Regset.lo_bits reader.may_use) <> 0
-          || mu_hi land lnot (Regset.hi_bits reader.may_use) <> 0
-        in
-        let process id =
-          Bytes.unsafe_set marked id '\000';
-          incr iterations;
-          let node = nodes.(id) in
-          if Spike_obs.Metrics.enabled () then
-            Spike_obs.Metrics.incr pop_counters.(kind_index node.kind);
-          if recompute id node then begin
-            let in_edges = psg.in_edges.(id) in
-            for j = 0 to Array.length in_edges - 1 do
-              let e = edges.(Array.unsafe_get in_edges j) in
-              if affects e then mark e.src
-            done;
-            List.iter
-              (fun exit_node ->
-                if
-                  comp_of_node.(exit_node) = c
-                  && (Regset.lo_bits node.may_use
-                      land lnot (Regset.lo_bits nodes.(exit_node).may_use)
-                      <> 0
-                     || Regset.hi_bits node.may_use
-                        land lnot (Regset.hi_bits nodes.(exit_node).may_use)
-                        <> 0)
-                then mark exit_node)
-              exit_nodes_of_return.(id)
-          end
-        in
-        (* Same WTO interpreter as {!Phase1}. *)
-        let flat = s.Sched.comp_flat_p2.(c) in
-        let stk_pos = Array.make (max len 1) 0 in
-        let stk_end = Array.make (max len 1) 0 in
-        let stk_snap = Array.make (max len 1) 0 in
-        let stk_fi = Array.make (max len 1) 0 in
-        let sp = ref 0 in
-        let fi = ref 0 in
-        let inflat = ref 0 in
-        let k = ref 0 in
-        while !k < len || !sp > 0 do
-          if !sp > 0 && !k = Array.unsafe_get stk_end (!sp - 1) then begin
-            let t = !sp - 1 in
-            let pos = Array.unsafe_get stk_pos t in
-            if Array.unsafe_get stk_snap t < 0 then begin
-              let hid = Array.unsafe_get order pos in
-              if Bytes.unsafe_get marked hid = '\001' then begin
-                process hid;
-                fi := Array.unsafe_get stk_fi t;
-                k := pos + 1
-              end
-              else decr sp
-            end
-            else if !iterations > Array.unsafe_get stk_snap t then begin
-              stk_snap.(t) <- !iterations;
-              fi := Array.unsafe_get stk_fi t;
-              k := pos
-            end
-            else begin
-              decr sp;
-              decr inflat
-            end
-          end
-          else if
-            2 * !fi < Array.length flat && Array.unsafe_get flat (2 * !fi) = !k
-          then begin
-            stk_pos.(!sp) <- !k;
-            stk_end.(!sp) <- Array.unsafe_get flat ((2 * !fi) + 1);
-            stk_snap.(!sp) <- !iterations;
-            incr fi;
-            stk_fi.(!sp) <- !fi;
-            incr sp;
-            incr inflat
-          end
-          else begin
-            let i = !k in
-            let ce = Array.unsafe_get cend i in
-            let id = Array.unsafe_get order i in
-            if Bytes.unsafe_get marked id = '\001' then process id;
-            if ce = 0 || !inflat > 0 then incr k
-            else begin
-              stk_pos.(!sp) <- i;
-              stk_end.(!sp) <- ce;
-              stk_snap.(!sp) <- -1;
-              stk_fi.(!sp) <- !fi;
-              incr sp;
-              k := i + 1
-            end
-          end
-        done;
-        !iterations
-      in
-      let iterations =
-        Spike_obs.Trace.with_span "phase2.fixpoint" @@ fun () ->
-        Sched.run s ~rev:true ~dirty run_comp
-      in
-      Spike_obs.Metrics.add c_iterations iterations;
-      iterations
-  | None ->
-      let worklist = Workset.create n in
-      let push id =
+     The drain is the same WTO interpreter as {!Phase1}, over
+     [comp_nodes_p2]: dependency knots of the phase 2 graph (a node reads
+     its out-edge targets, an exit node the return points of its
+     intra-component callers) iterate until their heads are stable,
+     innermost first, so readers pop exactly once. *)
+  let run_comp (s : Sched.t) marked c =
+    let comp_of_node = s.comp_of_node in
+    let order = s.comp_nodes_p2.(c) in
+    let mark id =
+      if Bytes.unsafe_get marked id = '\000' then begin
         Spike_obs.Metrics.incr c_pushes;
-        Workset.push worklist id
+        Bytes.unsafe_set marked id '\001'
+      end
+    in
+    Array.iter (fun id -> if in_cone id then mark id) order;
+    (* A liveness change only alters a reader that would gain bits through
+       the edge — liveness is a union, so a contribution the reader already
+       covers is a provable no-op re-pop. *)
+    let affects (e : Psg.edge) =
+      let dst = nodes.(e.dst) and reader = nodes.(e.src) in
+      let mu_lo =
+        Regset.lo_bits e.e_may_use
+        lor (Regset.lo_bits dst.may_use land lnot (Regset.lo_bits e.e_must_def))
+      and mu_hi =
+        Regset.hi_bits e.e_may_use
+        lor (Regset.hi_bits dst.may_use land lnot (Regset.hi_bits e.e_must_def))
       in
-      (* Liveness flows caller-to-callee: seed callers first (reverse of the
-         callee-first order), sinks before sources within each routine.  As in
-         {!Phase1}, the fixpoint is order-independent, so a small warm cone is
-         pushed directly in id order and the ordering work skipped. *)
-      let small_cone =
-        match warm with
-        | None -> false
-        | Some w ->
-            let c = ref 0 in
-            Array.iter (fun b -> if b then incr c) w.cone;
-            !c * 8 < n
-      in
-      if small_cone then
-        Array.iter (fun (node : Psg.node) -> if in_cone node.id then push node.id) nodes
-      else begin
-        let nodes_by_routine = Array.make (Program.routine_count program) [] in
-        Array.iter
-          (fun (node : Psg.node) ->
-            let r = Psg.node_routine node.kind in
-            nodes_by_routine.(r) <- node.id :: nodes_by_routine.(r))
-          nodes;
+      mu_lo land lnot (Regset.lo_bits reader.may_use) <> 0
+      || mu_hi land lnot (Regset.hi_bits reader.may_use) <> 0
+    in
+    let process id =
+      let node = nodes.(id) in
+      if Spike_obs.Metrics.enabled () then
+        Spike_obs.Metrics.incr pop_counters.(kind_index node.kind);
+      if recompute id node then begin
+        let in_edges = psg.in_edges.(id) in
+        for j = 0 to Array.length in_edges - 1 do
+          let e = edges.(Array.unsafe_get in_edges j) in
+          if affects e then mark e.src
+        done;
         List.iter
-          (fun r -> List.iter (fun id -> if in_cone id then push id) nodes_by_routine.(r))
-          (List.rev (Psg.callee_first_order psg))
-      end;
-      let iterations = ref 0 in
-      let () =
-        Spike_obs.Trace.with_span "phase2.fixpoint" @@ fun () ->
-        while not (Workset.is_empty worklist) do
-          let id = Workset.pop worklist in
-          incr iterations;
-          let node = nodes.(id) in
-          if Spike_obs.Metrics.enabled () then
-            Spike_obs.Metrics.incr pop_counters.(kind_index node.kind);
-          if recompute id node then begin
-            let in_edges = psg.in_edges.(id) in
-            for k = 0 to Array.length in_edges - 1 do
-              push edges.(Array.unsafe_get in_edges k).src
-            done;
-            List.iter push exit_nodes_of_return.(id)
-          end
-        done
-      in
-      Spike_obs.Metrics.add c_iterations !iterations;
-      !iterations
+          (fun exit_node ->
+            if
+              comp_of_node.(exit_node) = c
+              && (Regset.lo_bits node.may_use
+                  land lnot (Regset.lo_bits nodes.(exit_node).may_use)
+                  <> 0
+                 || Regset.hi_bits node.may_use
+                    land lnot (Regset.hi_bits nodes.(exit_node).may_use)
+                    <> 0)
+            then mark exit_node)
+          exit_nodes_of_return.(id)
+      end
+    in
+    Sched.drain ~order ~cend:s.comp_cend_p2.(c) ~flat:s.comp_flat_p2.(c) marked
+      process
+  in
+  let iterations =
+    Spike_obs.Trace.with_span "phase2.fixpoint" @@ fun () ->
+    Sched.run ?sched psg ~rev:true ~cone:(Option.map (fun w -> w.cone) warm) run_comp
+  in
+  Spike_obs.Metrics.add c_iterations iterations;
+  iterations

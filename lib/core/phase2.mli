@@ -23,8 +23,8 @@
 type warm = {
   cone : bool array;
       (** node id [->] the node is inside the invalidation cone: it
-          restarts from its constant liveness seed and is put on the
-          worklist *)
+          restarts from its constant liveness seed and is marked for
+          recomputation *)
   restore : int array;
       (** previously converged liveness, packed as two 32-bit halves per
           node id, installed for nodes outside the cone *)
@@ -37,9 +37,10 @@ type warm = {
 val run : ?warm:warm -> ?sched:Sched.t -> Psg.t -> int
 (** Runs to convergence, mutating node [may_use] sets in place.  Returns
     the number of node recomputations performed.  [warm] restricts
-    initialization and worklist seeding to the invalidation cone.
+    initialization and seeding to the invalidation cone.
 
-    [sched] runs the fixpoint one call-graph SCC at a time in
-    caller-first (reverse topological) order; see {!Phase1.run} for the
-    contract — the solution is unique, so serial, parallel and FIFO modes
+    The fixpoint runs one call-graph SCC at a time in caller-first
+    (reverse topological) order over [sched], built serially on demand
+    when omitted and the cone is non-empty; see {!Phase1.run} for the
+    contract — the solution is unique, so serial, parallel and warm runs
     all converge to bit-identical liveness. *)

@@ -123,11 +123,5 @@ val call_scc : t -> Scc.t
     interprocedural phases.  Computed iteratively; safe on call chains of
     any depth. *)
 
-val callee_first_order : t -> int list
-(** Routine indices in callee-before-caller order ({!Scc.topological} of
-    {!call_scc}; cycles broken by component membership).  Seeding phase
-    1's worklist in this order — and phase 2's in the reverse — makes the
-    fixpoints settle in near one sweep on call-graph DAGs. *)
-
 val pp_node : t -> Format.formatter -> node -> unit
 val pp : Format.formatter -> t -> unit

@@ -216,7 +216,7 @@ let make ?pool (psg : Psg.t) =
 
 let jobs t = match t.pool with None -> 1 | Some pool -> Pool.jobs pool
 
-let run t ~rev ~dirty f =
+let execute t ~rev ~dirty f =
   let count = t.scc.Scc.count in
   let scratch () = Bytes.make (max (Array.length t.comp_of_node) 1) '\000' in
   match t.pool with
@@ -276,3 +276,95 @@ let run t ~rev ~dirty f =
           end
         done;
       !total
+
+let run ?sched psg ~rev ~cone f =
+  match cone with
+  | Some cone when not (Array.exists Fun.id cone) -> 0
+  | _ ->
+      let t = match sched with Some t -> t | None -> make psg in
+      (* Only components intersecting the invalidation cone can change;
+         the rest keep their restored solutions and are skipped. *)
+      let dirty =
+        match cone with
+        | None -> fun _ -> true
+        | Some cone ->
+            let d = Array.make t.scc.Scc.count false in
+            Array.iteri
+              (fun id inside -> if inside then d.(t.comp_of_node.(id)) <- true)
+              cone;
+            fun c -> d.(c)
+      in
+      execute t ~rev ~dirty (f t)
+
+(* The WTO interpreter.  The stack holds the open structures: head-knots
+   (snap = -1; reaching the end with the head re-marked — only a cycle
+   through the head re-marks it — resumes the sweep after the head) and
+   flat regions (snap = pop count at last entry; pops since mean a
+   cross-routine mark went backward, so the region sweeps again).  [fi]
+   walks the flat-region list; re-sweeps rewind it so interior regions
+   re-enter. *)
+let drain ~order ~cend ~flat marked process =
+  let len = Array.length order in
+  let pops = ref 0 in
+  let pop id =
+    Bytes.unsafe_set marked id '\000';
+    incr pops;
+    process id
+  in
+  let stk_pos = Array.make (max len 1) 0 in
+  let stk_end = Array.make (max len 1) 0 in
+  let stk_snap = Array.make (max len 1) 0 in
+  let stk_fi = Array.make (max len 1) 0 in
+  let sp = ref 0 in
+  let fi = ref 0 in
+  let inflat = ref 0 in
+  let k = ref 0 in
+  while !k < len || !sp > 0 do
+    if !sp > 0 && !k = Array.unsafe_get stk_end (!sp - 1) then begin
+      let t = !sp - 1 in
+      let pos = Array.unsafe_get stk_pos t in
+      if Array.unsafe_get stk_snap t < 0 then begin
+        let hid = Array.unsafe_get order pos in
+        if Bytes.unsafe_get marked hid = '\001' then begin
+          pop hid;
+          fi := Array.unsafe_get stk_fi t;
+          k := pos + 1
+        end
+        else decr sp
+      end
+      else if !pops > Array.unsafe_get stk_snap t then begin
+        stk_snap.(t) <- !pops;
+        fi := Array.unsafe_get stk_fi t;
+        k := pos
+      end
+      else begin
+        decr sp;
+        decr inflat
+      end
+    end
+    else if 2 * !fi < Array.length flat && Array.unsafe_get flat (2 * !fi) = !k then begin
+      stk_pos.(!sp) <- !k;
+      stk_end.(!sp) <- Array.unsafe_get flat ((2 * !fi) + 1);
+      stk_snap.(!sp) <- !pops;
+      incr fi;
+      stk_fi.(!sp) <- !fi;
+      incr sp;
+      incr inflat
+    end
+    else begin
+      let i = !k in
+      let ce = Array.unsafe_get cend i in
+      let id = Array.unsafe_get order i in
+      if Bytes.unsafe_get marked id = '\001' then pop id;
+      if ce = 0 || !inflat > 0 then incr k
+      else begin
+        stk_pos.(!sp) <- i;
+        stk_end.(!sp) <- ce;
+        stk_snap.(!sp) <- -1;
+        stk_fi.(!sp) <- !fi;
+        incr sp;
+        k := i + 1
+      end
+    end
+  done;
+  !pops

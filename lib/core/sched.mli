@@ -6,16 +6,15 @@
     cross-routine dependence structure of either phase is exactly the
     call-graph condensation.  Processing components in topological order
     (reversed for phase 2) and iterating only {e inside} each component
-    replaces the global FIFO sweeps with one bounded fixpoint per
-    component: cross-component inputs are already converged when a
-    component starts, by the schedule.
+    gives one bounded fixpoint per component: cross-component inputs are
+    already converged when a component starts, by the schedule.
 
     Because each phase's equation system is monotone over a finite
     lattice, its fixpoint is unique — so the values a component converges
     to do not depend on when or where it ran.  That is what makes the
     parallel mode (independent components dispatched to pool workers as
     their dependencies complete) bit-identical to the serial one, and
-    both to the FIFO baseline. *)
+    both to the independent reference solver. *)
 
 open Spike_support
 
@@ -62,11 +61,20 @@ val make : ?pool:Pool.t -> Psg.t -> t
 val jobs : t -> int
 (** Parallelism degree the executor will use (1 without a pool). *)
 
-val run : t -> rev:bool -> dirty:(int -> bool) -> (Bytes.t -> int -> int) -> int
-(** [run t ~rev ~dirty f] executes [f scratch c] once for every component
-    [c] with [dirty c] true — in topological order ([rev:false],
+val run :
+  ?sched:t ->
+  Psg.t ->
+  rev:bool ->
+  cone:bool array option ->
+  (t -> Bytes.t -> int -> int) ->
+  int
+(** [run ?sched psg ~rev ~cone f] executes [f t scratch c] once for every
+    component [c] holding a node of the invalidation [cone] (every
+    component when [cone] is [None]) — in topological order ([rev:false],
     successors first: phase 1) or reverse ([rev:true]: phase 2) — and
-    returns the sum of the results (the phase's iteration total).
+    returns the sum of the results (the phase's iteration total).  [t] is
+    [sched], or, when omitted, a serial schedule built with {!make}.  An
+    empty cone returns 0 without building anything.
 
     [scratch] is an all-zero mark bitset of [Psg.node_count] bytes for
     the component's rank-ordered sweeps; [f] must return it all-zero (a
@@ -78,3 +86,16 @@ val run : t -> rev:bool -> dirty:(int -> bool) -> (Bytes.t -> int -> int) -> int
     — the phase drivers do — and the sum is accumulated atomically.  Each
     component's drain is deterministic, so the sum is identical for every
     [jobs] value. *)
+
+val drain :
+  order:int array -> cend:int array -> flat:int array -> Bytes.t -> (int -> unit) -> int
+(** [drain ~order ~cend ~flat marked process] sweeps one component's weak
+    topological order (a [comp_nodes_*], [comp_cend_*], [comp_flat_*]
+    triple) following Bourdoncle's recursive iteration strategy: each
+    node marked in [marked] is unmarked and handed to [process], which
+    may mark further nodes of the component.  On entering a head-knot its
+    position is stacked; reaching the knot's end with the head re-marked
+    resumes the sweep after the head, so inner knots converge before
+    outer ones re-test.  A flat region is swept again until a pass pops
+    nothing.  Returns the number of pops; [marked] is all-zero on
+    return. *)

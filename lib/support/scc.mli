@@ -43,14 +43,5 @@ val compute : succs:int array array -> t
     dropped from the condensation.  O(V + E) plus the sort of the
     condensation adjacency. *)
 
-val is_trivial : t -> bool
-(** No component has more than one member — the graph is acyclic. *)
-
 val largest : t -> int
 (** Size of the largest component; 0 when the graph is empty. *)
-
-val topological : t -> int list
-(** The vertices, component by component in [0 .. count - 1] order —
-    successors before predecessors (for a call graph: callees before
-    callers), with [members] order inside a component, so the whole list
-    approximates a global DFS postorder. *)

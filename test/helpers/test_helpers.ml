@@ -89,3 +89,29 @@ let figure2_program () =
   let p3 = routine "P3" [ (None, li r1 3); (None, call "P2"); (None, ret) ] in
   let main = routine "main" [ (None, call "P1"); (None, call "P3"); (None, ret) ] in
   program ~main:"main" [ main; p1; p2; p3 ]
+
+(* Mutually recursive even/odd with a conditional escape: main calls even,
+   even and odd call each other, and each base case defines one of R2/R3. *)
+let even_odd_program () =
+  let even =
+    routine "even"
+      [
+        (None, beq r1 "base");
+        (None, call "odd");
+        (None, ret);
+        (Some "base", li r2 1);
+        (None, ret);
+      ]
+  in
+  let odd =
+    routine "odd"
+      [
+        (None, beq r1 "base");
+        (None, call "even");
+        (None, ret);
+        (Some "base", li r3 1);
+        (None, ret);
+      ]
+  in
+  let main = routine "main" [ (None, call "even"); (None, ret) ] in
+  program ~main:"main" [ main; even; odd ]

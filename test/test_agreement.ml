@@ -1,7 +1,8 @@
 (* Cross-validation of the PSG analysis:
 
    1. Exact agreement with the brute-force reference fixpoint
-      (spike_reference) on call classes and liveness.
+      (spike_reference) on call classes and liveness, and a byte-identical
+      PSG whether the phase fixpoints run on one domain or four.
    2. Conservativeness of the context-insensitive supergraph liveness:
       it must contain the PSG's meet-over-valid-paths liveness.
    3. Branch nodes change graph size, never the solution.
@@ -33,7 +34,10 @@ let workloads () =
   List.map Generator.generate (variants @ seeds)
 
 let check_program_agreement p =
-  let analysis = Analysis.run p in
+  let analysis = Analysis.run ~jobs:1 p in
+  let parallel = Analysis.run ~jobs:4 p in
+  let dump (a : Analysis.t) = Format.asprintf "%a" Psg.pp a.Analysis.psg in
+  Alcotest.(check string) "PSG at jobs 1 and 4" (dump analysis) (dump parallel);
   let reference = Spike_reference.Reference.run p in
   Program.iter
     (fun r (routine : Routine.t) ->
@@ -63,8 +67,20 @@ let check_program_agreement p =
         s.Summary.live_at_exit)
     p
 
+let example path =
+  Spike_asm.Parser.program_of_file
+    (if Sys.file_exists ("../" ^ path) then "../" ^ path else path)
+
 let test_reference_agreement () =
-  check_program_agreement (figure2_program ());
+  List.iter check_program_agreement
+    [
+      figure2_program ();
+      even_odd_program ();
+      example "examples/fact.s";
+      example "examples/mutual.s";
+      Generator.generate
+        { Params.default with Params.seed = 5; routines = 60; target_instructions = 3000 };
+    ];
   List.iter check_program_agreement (workloads ())
 
 let check_supergraph_conservative p =

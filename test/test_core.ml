@@ -261,29 +261,7 @@ let test_unknown_site_class () =
 (* --- Recursion ------------------------------------------------------------ *)
 
 let test_recursion_converges () =
-  (* Mutually recursive even/odd with a conditional escape. *)
-  let even =
-    routine "even"
-      [
-        (None, beq r1 "base");
-        (None, call "odd");
-        (None, ret);
-        (Some "base", li r2 1);
-        (None, ret);
-      ]
-  in
-  let odd =
-    routine "odd"
-      [
-        (None, beq r1 "base");
-        (None, call "even");
-        (None, ret);
-        (Some "base", li r3 1);
-        (None, ret);
-      ]
-  in
-  let main = routine "main" [ (None, call "even"); (None, ret) ] in
-  let analysis = Analysis.run (program ~main:"main" [ main; even; odd ]) in
+  let analysis = Analysis.run (even_odd_program ()) in
   let even_class = (Option.get (Analysis.summary_of analysis "even")).Summary.call_class in
   check_restricted "even may-kill r2 r3" ~over:(rs [ r1; r2; r3 ])
     (rs [ r2; r3 ])
@@ -306,10 +284,10 @@ let test_recursion_converges () =
     analysis.Analysis.call_classes
 
 let test_deep_call_chain () =
-  (* A 100_000-deep linear call chain.  The callee-first traversal and
-     the call-graph SCC pass walk one DFS path the full depth of the
-     program here — a recursive implementation would need a native stack
-     frame per routine, so both are required to be iterative. *)
+  (* A 100_000-deep linear call chain.  The call-graph SCC pass and the
+     schedule built on it walk one DFS path the full depth of the program
+     here — a recursive implementation would need a native stack frame per
+     routine, so both are required to be iterative. *)
   let depth = 100_000 in
   let name i = Printf.sprintf "f%d" i in
   let routines =
@@ -322,57 +300,41 @@ let test_deep_call_chain () =
   (* The leaf's definition propagates the whole way up as a may-kill. *)
   let c = (Option.get (Analysis.summary_of a (name 0))).Summary.call_class in
   check_restricted "chain killed" ~over:(rs [ r2 ]) (rs [ r2 ]) c.Summary.killed;
-  let order = Psg.callee_first_order a.Analysis.psg in
-  Alcotest.(check int) "traversal covers every routine" depth (List.length order);
   let scc = Psg.call_scc a.Analysis.psg in
+  Alcotest.(check int) "components cover every routine" depth
+    (Array.fold_left (fun n m -> n + Array.length m) 0 scc.Scc.members);
   Alcotest.(check int) "chain is acyclic" depth scc.Scc.count
 
 let test_fifo_scc_schedules_agree () =
-  (* The FIFO worklist and the SCC-condensation schedule must reach the
-     same (unique) fixpoint — same summaries, call classes and PSG sets —
-     on straight-line call structure and on recursion knots alike. *)
-  let even =
-    routine "even"
-      [
-        (None, beq r1 "base");
-        (None, call "odd");
-        (None, ret);
-        (Some "base", li r2 1);
-        (None, ret);
-      ]
-  in
-  let odd =
-    routine "odd"
-      [
-        (None, beq r1 "base");
-        (None, call "even");
-        (None, ret);
-        (Some "base", li r3 1);
-        (None, ret);
-      ]
-  in
-  let main = routine "main" [ (None, call "even"); (None, ret) ] in
+  (* The phases called without [~sched] — the entry point that once ran a
+     global FIFO worklist and now builds a serial schedule on demand, as
+     perfbench's FIFO replay calls it — must reach the same (unique)
+     fixpoint as [Analysis.run]'s stage-built schedule: same call classes,
+     PSG sets and iteration counts, on straight-line calls and on a
+     recursion knot alike. *)
   List.iter
     (fun (label, p) ->
-      let fifo = Analysis.run ~phase_sched:`Fifo p in
-      let scc = Analysis.run ~phase_sched:`Scc p in
+      let a = Analysis.run p in
+      let psg = Psg_build.build p a.Analysis.cfgs a.Analysis.defuses in
+      let it1 = Phase1.run psg in
+      let classes = Summary.extract_call_classes psg in
+      let it2 = Phase2.run psg in
       Alcotest.(check string)
         (label ^ ": identical PSG solutions")
-        (Format.asprintf "%a" Psg.pp fifo.Analysis.psg)
-        (Format.asprintf "%a" Psg.pp scc.Analysis.psg);
+        (Format.asprintf "%a" Psg.pp a.Analysis.psg)
+        (Format.asprintf "%a" Psg.pp psg);
+      Alcotest.(check int) (label ^ ": phase 1 iterations") a.Analysis.phase1_iterations it1;
+      Alcotest.(check int) (label ^ ": phase 2 iterations") a.Analysis.phase2_iterations it2;
       Array.iteri
         (fun r (c : Summary.call_class) ->
-          let d = scc.Analysis.call_classes.(r) in
-          Alcotest.check regset (label ^ ": used") c.Summary.used d.Summary.used;
-          Alcotest.check regset (label ^ ": defined") c.Summary.defined
-            d.Summary.defined;
-          Alcotest.check regset (label ^ ": killed") c.Summary.killed
-            d.Summary.killed)
-        fifo.Analysis.call_classes)
-    [
-      ("figure2", figure2_program ());
-      ("mutual recursion", program ~main:"main" [ main; even; odd ]);
-    ]
+          let d = a.Analysis.call_classes.(r) in
+          Alcotest.check regset (label ^ ": used") d.Summary.used c.Summary.used;
+          Alcotest.check regset (label ^ ": defined") d.Summary.defined
+            c.Summary.defined;
+          Alcotest.check regset (label ^ ": killed") d.Summary.killed
+            c.Summary.killed)
+        classes)
+    [ ("figure2", figure2_program ()); ("mutual recursion", even_odd_program ()) ]
 
 (* --- Analysis determinism / misc ------------------------------------------ *)
 

@@ -188,9 +188,17 @@ let test_memory_equivalence () =
           Alcotest.(check (option string))
             (name ^ ": not degraded") None replanned.Store.degraded;
           let warm = Analysis.run ~jobs ~warm:replanned.Store.plan mutated in
-          Alcotest.(check string)
-            (Printf.sprintf "%s: replan warm = cold at jobs=%d" name jobs)
-            (render cold) (render warm))
+          let tag what = Printf.sprintf "%s: %s at jobs=%d" name what jobs in
+          Alcotest.(check string) (tag "replan warm = cold") (render cold) (render warm);
+          (* The schedule is built on demand: exactly when some phase has
+             a non-empty cone, i.e. re-converges anything at all. *)
+          let iterations = warm.Analysis.phase1_iterations + warm.Analysis.phase2_iterations in
+          Alcotest.(check bool)
+            (tag "schedule built iff a cone is non-empty")
+            (iterations > 0)
+            (List.mem_assoc Analysis.stage_sched (Timer.stages warm.Analysis.timer));
+          if String.equal name "identity" then
+            Alcotest.(check int) (tag "no edit re-converges nothing") 0 iterations)
         jobs_matrix)
     mutations;
   (* A session retained under one configuration refuses to warm another. *)
@@ -361,7 +369,29 @@ let test_missing_store_is_cold () =
   Alcotest.(check (option string)) "missing file is not a degradation" None
     loaded.Store.degraded;
   Alcotest.(check int) "no degradation counted" 0 counted;
-  Alcotest.(check int) "all misses" (Program.routine_count program) loaded.Store.misses
+  Alcotest.(check int) "all misses" (Program.routine_count program) loaded.Store.misses;
+  (* Every run goes through one pipeline: the plan of a missing store, the
+     all-cold plan, capture-only and a plain run are the same cold run. *)
+  List.iter
+    (fun (name, p) ->
+      let cold = Analysis.run ~jobs:1 p in
+      let dump (a : Analysis.t) = Format.asprintf "%a" Psg.pp a.Analysis.psg in
+      List.iter
+        (fun (how, (a : Analysis.t)) ->
+          let tag what = Printf.sprintf "%s, %s: %s" name how what in
+          Alcotest.(check string) (tag "PSG") (dump cold) (dump a);
+          Alcotest.(check string) (tag "summaries") (render cold) (render a);
+          Alcotest.(check int) (tag "phase 1 iterations")
+            cold.Analysis.phase1_iterations a.Analysis.phase1_iterations;
+          Alcotest.(check int) (tag "phase 2 iterations")
+            cold.Analysis.phase2_iterations a.Analysis.phase2_iterations;
+          Alcotest.(check int) (tag "nothing reused") 0 a.Analysis.reused_routines)
+        [
+          ("capture", Analysis.run ~jobs:1 ~capture:true p);
+          ("Warm.cold", Analysis.run ~jobs:1 ~warm:(Warm.cold p) p);
+          ("missing store", Analysis.run ~jobs:1 ~warm:(Store.load ~dir p).Store.plan p);
+        ])
+    [ ("figure2", figure2_program ()); ("synth", program) ]
 
 let test_save_is_atomic () =
   (* A save must leave no temp droppings next to the store. *)

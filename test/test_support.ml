@@ -1,5 +1,5 @@
 (* Unit and property tests for the support library: register sets, PRNG,
-   vectors, worksets, timers. *)
+   vectors, SCCs, pools, timers. *)
 
 open Spike_support
 
@@ -147,87 +147,6 @@ let test_vec () =
   Vec.clear v;
   Alcotest.(check bool) "clear" true (Vec.is_empty v)
 
-(* --- Workset ------------------------------------------------------------ *)
-
-let test_workset () =
-  let w = Workset.create 10 in
-  Alcotest.(check bool) "fresh empty" true (Workset.is_empty w);
-  Workset.push w 3;
-  Workset.push w 7;
-  Workset.push w 3;
-  (* deduplicated *)
-  Alcotest.(check int) "dedup length" 2 (Workset.length w);
-  Alcotest.(check int) "fifo 1" 3 (Workset.pop w);
-  Workset.push w 3;
-  (* re-push after pop is allowed *)
-  Alcotest.(check int) "fifo 2" 7 (Workset.pop w);
-  Alcotest.(check int) "fifo 3" 3 (Workset.pop w);
-  Alcotest.check_raises "pop empty" (Invalid_argument "Workset.pop: empty") (fun () ->
-      ignore (Workset.pop w));
-  (* Wraparound: run many cycles through a small ring. *)
-  let w = Workset.create 4 in
-  for round = 0 to 99 do
-    Workset.push w (round mod 4);
-    Workset.push w ((round + 1) mod 4);
-    ignore (Workset.pop w);
-    ignore (Workset.pop w)
-  done;
-  Alcotest.(check bool) "drained" true (Workset.is_empty w)
-
-let test_workset_bounds () =
-  let w = Workset.create 4 in
-  Alcotest.check_raises "push above capacity"
-    (Invalid_argument "Workset.push: id 4 out of range [0, 4)") (fun () ->
-      Workset.push w 4);
-  Alcotest.check_raises "push negative"
-    (Invalid_argument "Workset.push: id -1 out of range [0, 4)") (fun () ->
-      Workset.push w (-1));
-  (* The failed pushes must not have corrupted the set. *)
-  Workset.push w 3;
-  Alcotest.(check int) "still usable" 3 (Workset.pop w)
-
-let test_workset_wraparound_requeue () =
-  (* Drive the write cursor all the way around a full-capacity ring while
-     re-queueing each popped id immediately: the head/tail wrap must keep
-     FIFO order and the membership bitmap exact. *)
-  let n = 5 in
-  let w = Workset.create n in
-  for id = 0 to n - 1 do
-    Workset.push w id
-  done;
-  for round = 0 to (7 * n) - 1 do
-    let id = Workset.pop w in
-    Alcotest.(check int)
-      (Printf.sprintf "fifo cycle at round %d" round)
-      (round mod n) id;
-    (* push-after-pop: the id was cleared from the bitmap by the pop, so
-       the re-queue must succeed (and land at the tail). *)
-    Workset.push w id;
-    Alcotest.(check int) "ring stays full" n (Workset.length w)
-  done;
-  (* A queued id must still be rejected as a duplicate after wrapping. *)
-  Workset.push w 2;
-  Alcotest.(check int) "duplicate rejected after wrap" n (Workset.length w)
-
-let test_workset_capacity_clear () =
-  let w = Workset.create 8 in
-  Alcotest.(check int) "capacity" 8 (Workset.capacity w);
-  Workset.push w 1;
-  Workset.push w 5;
-  Workset.push w 7;
-  Workset.clear w;
-  Alcotest.(check bool) "clear empties" true (Workset.is_empty w);
-  Alcotest.(check int) "length after clear" 0 (Workset.length w);
-  (* clear must also reset membership: the cleared ids can re-enter. *)
-  Workset.push w 5;
-  Workset.push w 1;
-  Alcotest.(check int) "re-push after clear" 2 (Workset.length w);
-  Alcotest.(check int) "fifo after clear" 5 (Workset.pop w);
-  Alcotest.(check int) "fifo after clear 2" 1 (Workset.pop w);
-  (* Clearing an empty set is a no-op. *)
-  Workset.clear w;
-  Alcotest.(check bool) "clear empty" true (Workset.is_empty w)
-
 (* --- Scc ----------------------------------------------------------------- *)
 
 let arbitrary_digraph =
@@ -346,28 +265,6 @@ let scc_properties =
                    preds)
                (Array.init scc.Scc.count Fun.id)
                scc.Scc.preds);
-      qcheck_scc "topological respects cross-component edges" (fun succs ->
-          let scc = Scc.compute ~succs in
-          let n = Array.length succs in
-          let order = Scc.topological scc in
-          let pos = Array.make n (-1) in
-          List.iteri (fun k v -> pos.(v) <- k) order;
-          List.length order = n
-          && Array.for_all (fun p -> p >= 0) pos
-          && begin
-               let ok = ref true in
-               Array.iteri
-                 (fun u ds ->
-                   Array.iter
-                     (fun v ->
-                       if
-                         scc.Scc.comp_of.(u) <> scc.Scc.comp_of.(v)
-                         && pos.(v) > pos.(u)
-                       then ok := false)
-                     ds)
-                 succs;
-               !ok
-             end);
     ]
 
 let test_scc_basics () =
@@ -376,7 +273,6 @@ let test_scc_basics () =
   let succs = [| [| 1 |]; [| 0; 2 |]; [| 3 |]; [| 2 |]; [||] |] in
   let scc = Scc.compute ~succs in
   Alcotest.(check int) "count" 3 scc.Scc.count;
-  Alcotest.(check bool) "not trivial" false (Scc.is_trivial scc);
   Alcotest.(check int) "largest" 2 (Scc.largest scc);
   Alcotest.(check bool) "pair together"
     true
@@ -386,8 +282,6 @@ let test_scc_basics () =
   (* {0,1} calls into {2,3}: callee numbered first. *)
   Alcotest.(check bool) "callee first" true
     (scc.Scc.comp_of.(2) < scc.Scc.comp_of.(0));
-  let acyclic = Scc.compute ~succs:[| [| 1 |]; [| 2 |]; [||] |] in
-  Alcotest.(check bool) "chain trivial" true (Scc.is_trivial acyclic);
   let empty = Scc.compute ~succs:[||] in
   Alcotest.(check int) "empty graph" 0 empty.Scc.count;
   Alcotest.(check int) "empty largest" 0 (Scc.largest empty)
@@ -399,7 +293,6 @@ let test_scc_deep_chain () =
   let succs = Array.init n (fun v -> if v + 1 < n then [| v + 1 |] else [||]) in
   let scc = Scc.compute ~succs in
   Alcotest.(check int) "one component per vertex" n scc.Scc.count;
-  Alcotest.(check bool) "trivial" true (Scc.is_trivial scc);
   (* The sink of every edge gets the smaller number. *)
   Alcotest.(check int) "sink numbered 0" 0 scc.Scc.comp_of.(n - 1);
   Alcotest.(check int) "source numbered last" (n - 1) scc.Scc.comp_of.(0);
@@ -579,14 +472,6 @@ let () =
           Alcotest.test_case "chance balance" `Quick test_prng_chance_balance;
         ] );
       ("vec", [ Alcotest.test_case "operations" `Quick test_vec ]);
-      ( "workset",
-        [
-          Alcotest.test_case "fifo + dedup + ring" `Quick test_workset;
-          Alcotest.test_case "out-of-range push" `Quick test_workset_bounds;
-          Alcotest.test_case "wraparound + push-after-pop" `Quick
-            test_workset_wraparound_requeue;
-          Alcotest.test_case "capacity and clear" `Quick test_workset_capacity_clear;
-        ] );
       ( "scc",
         Alcotest.test_case "basics" `Quick test_scc_basics
         :: Alcotest.test_case "deep chain and giant cycle" `Quick test_scc_deep_chain
