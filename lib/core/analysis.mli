@@ -13,7 +13,7 @@
     {!Spike_obs.Metrics}) collection is enabled, each stage is also
     recorded as a span — with per-routine sub-spans on the lane of the
     pool domain that ran them — and the registry accumulates worklist,
-    per-edge-dataflow, PSG-composition and heap-gauge metrics; the
+    edge-dataflow, PSG-composition and heap-gauge metrics; the
     [phase1.iterations] / [phase2.iterations] counters match the
     [phase1_iterations] / [phase2_iterations] fields exactly.  Disabled
     collection costs one branch per probe. *)

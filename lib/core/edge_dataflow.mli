@@ -1,19 +1,26 @@
-(** The Figure-6 dataflow that labels one flow-summary edge.
+(** The Figure-6 dataflow that labels flow-summary edges.
 
-    Given the CFG subgraph made of the basic blocks on the paths a
-    flow-summary edge [E = (N_X, N_Y)] represents, this solver computes for
-    every subgraph block [B] the sets
+    The paper labels each flow-summary edge [E = (N_X, N_Y)] by dataflow
+    over the CFG subgraph of the blocks on X-to-Y paths.  This solver runs
+    once per {e sink} instead: over the sink block's {e backward region},
+    the sink plus every block that reaches it without passing through
+    another cut block.  For every region block [B] it computes
 
     - [MAY-USE_IN[B]]: registers used before defined on some path from the
-      start of [B] to the location of [N_Y];
+      start of [B] to the sink;
     - [MAY-DEF_IN[B]]: registers defined on some such path;
     - [MUST-DEF_IN[B]]: registers defined on all such paths.
 
-    The edge label is then read off at the source's location.  The sink
-    block's OUT sets are the boundary (all empty); meets are taken over the
-    successors {e inside the subgraph} only, matching the paper's
-    construction where the subgraph contains exactly the blocks and arcs on
-    X-to-Y paths. *)
+    The sink block's OUT sets are the boundary (all empty); meets are taken
+    over the successors inside the region only.
+
+    Every edge into the sink reads its label off this one solution at its
+    source's location.  The labels are the per-edge ones: let [R] be the
+    region and [F] the source's cut-free forward reach.  Every block of
+    [R ∩ F] other than the sink is a non-cut block, so all its successors
+    lie in [F]; the edge's subgraph [R ∩ F] is therefore closed under
+    successors inside [R], and the fixpoint on [R] restricts exactly to the
+    fixpoint on the subgraph. *)
 
 open Spike_support
 open Spike_cfg
@@ -37,11 +44,11 @@ val apply_block : def:Regset.t -> ubd:Regset.t -> sets -> sets
 type solution
 
 type scratch = solution
-(** Preallocated routine-sized working storage for {!solve}: the
-    block-to-slot position map and the IN-set table, generation-stamped so
-    reuse across the edges of one routine costs no per-edge reset or
-    rehash.  One scratch serves one routine's edges sequentially; give
-    each domain of a parallel build its own. *)
+(** Preallocated routine-sized working storage for {!solve}: the region
+    buffer, the block-to-slot position map and the IN-set table,
+    generation-stamped so reuse across the sinks of one routine costs no
+    per-solve reset or rehash.  One scratch serves one routine's sinks
+    sequentially; give each domain of a parallel build its own. *)
 
 val create_scratch : nblocks:int -> scratch
 (** Scratch for a routine of [nblocks] basic blocks. *)
@@ -51,23 +58,24 @@ val solve :
   cfg:Cfg.t ->
   defuse:Defuse.t ->
   rpo_position:int array ->
-  blocks:int array ->
+  is_cut:(int -> bool) ->
   sink:int ->
   unit ->
   solution
-(** [solve ~cfg ~defuse ~rpo_position ~blocks ~sink ()] runs the dataflow
-    to fixpoint over the subgraph [blocks] (which must contain [sink]).
-    [rpo_position.(b)] is block [b]'s index in the routine's reverse
-    postorder; it only affects convergence speed.  Every non-sink subgraph
-    block must have at least one successor inside the subgraph.
+(** [solve ~cfg ~defuse ~rpo_position ~is_cut ~sink ()] collects the
+    backward region of block [sink] — [sink] plus every predecessor chain
+    of blocks [b] with [not (is_cut b)] — and runs the dataflow to fixpoint
+    over it.  [rpo_position.(b)] is block [b]'s index in the routine's
+    reverse postorder; it only affects convergence speed.
 
-    [blocks] is sorted in place into evaluation order.  When [scratch] is
-    supplied the returned solution aliases it and is invalidated by the
-    next [solve] on the same scratch — read the label off before solving
-    the next edge.  Without [scratch] a fresh one is allocated. *)
+    When [scratch] is supplied the returned solution aliases it and is
+    invalidated by the next [solve] on the same scratch — read every label
+    off before solving the next sink.  Without [scratch] a fresh one is
+    allocated. *)
 
 val in_of : solution -> int -> sets
-(** IN sets of a subgraph block.
-    @raise Invalid_argument if the block is not in the subgraph. *)
+(** IN sets of a region block.
+    @raise Invalid_argument if the block is not in the region. *)
 
 val mem : solution -> int -> bool
+(** Whether a block is in the region. *)

@@ -7,9 +7,9 @@ open Spike_cfg
    with cores:
 
    - a {e local pass}, run per routine (in parallel when a pool is given):
-     node and edge discovery, per-edge subgraph collection and the Figure-6
-     dataflow that labels flow-summary edges — everything that reads only
-     the routine's own CFG and DEF/UBD sets.  Ids produced here are
+     node and edge discovery and the Figure-6 dataflow that labels
+     flow-summary edges (one solve per sink block) — everything that reads
+     only the routine's own CFG and DEF/UBD sets.  Ids produced here are
      routine-local, assigned in exactly the order the former single-loop
      builder produced them;
 
@@ -130,88 +130,72 @@ let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
   let rpo = Cfg.reverse_postorder cfg in
   let rpo_position = Array.make nblocks 0 in
   Array.iteri (fun pos b -> rpo_position.(b) <- pos) rpo;
-  (* Stamped visited maps and dataflow scratch, reused across this
-     routine's edges. *)
-  let fwd_stamp = Array.make nblocks (-1) and bwd_stamp = Array.make nblocks (-1) in
-  let stamp = ref 0 in
-  let scratch = Edge_dataflow.create_scratch ~nblocks in
-  (* Forward reach from a source, stopping at cut blocks.  Returns the
-     sinks reached; marks fwd_stamp. *)
-  let forward_reach source =
-    incr stamp;
-    let s = !stamp in
+  (* Forward reach from source [i], stopping at cut blocks: one (source,
+     sink node, sink block) flow per sink reached, in discovery order.  The
+     stamp visits each block once per source, so no sink is found twice. *)
+  let fwd_stamp = Array.make nblocks (-1) in
+  let forward_reach i source =
     let sinks = ref [] in
     let rec visit b =
-      if fwd_stamp.(b) <> s then begin
-        fwd_stamp.(b) <- s;
+      if fwd_stamp.(b) <> i then begin
+        fwd_stamp.(b) <- i;
         match sink_of_block.(b) with
-        | Some sink -> if not (List.mem (sink, b) !sinks) then sinks := (sink, b) :: !sinks
+        | Some sink -> sinks := (source, sink, b) :: !sinks
         | None -> Array.iter visit cfg.blocks.(b).succs
       end
     in
     (match source.mode with
     | At_block_start -> visit source.src_block
     | After_block -> Array.iter visit cfg.blocks.(source.src_block).succs);
-    (s, List.rev !sinks)
+    List.rev !sinks
   in
-  (* Backward reach from a sink block, not crossing other cuts.  Marks
-     bwd_stamp; memoised per sink block. *)
-  let bwd_cache = Hashtbl.create 8 in
-  let backward_reach sink_block =
-    match Hashtbl.find_opt bwd_cache sink_block with
-    | Some (s, blocks) -> (s, blocks)
-    | None ->
-        incr stamp;
-        let s = !stamp in
-        let collected = Vec.create () in
-        let rec visit b =
-          if bwd_stamp.(b) <> s then begin
-            bwd_stamp.(b) <- s;
-            Vec.push collected b;
-            Array.iter
-              (fun p -> if sink_of_block.(p) = None then visit p)
-              cfg.blocks.(b).preds
-          end
+  let flows =
+    Array.of_list (List.concat (List.mapi forward_reach (List.rev !sources)))
+  in
+  (* One Figure-6 solve per distinct sink block, over the sink's backward
+     region; every edge into that sink reads its label off the shared
+     solution (see Edge_dataflow for why the labels are the per-edge
+     ones).  Labels land in [labels] so edges are emitted in discovery
+     order below, whatever order the sinks are solved in. *)
+  let into_sink = Array.make nblocks [] in
+  Array.iteri
+    (fun i (_, _, sink_block) -> into_sink.(sink_block) <- i :: into_sink.(sink_block))
+    flows;
+  let labels = Array.make (Array.length flows) Edge_dataflow.top_must in
+  let scratch = Edge_dataflow.create_scratch ~nblocks in
+  let is_cut b = Option.is_some sink_of_block.(b) in
+  (* An entry or return node sits at the start of its block.  A branch
+     node sits after the block's instructions: its label merges the IN
+     sets of the dispatch targets inside the region. *)
+  let label_at solution source =
+    match source.mode with
+    | At_block_start -> Edge_dataflow.in_of solution source.src_block
+    | After_block ->
+        Array.fold_left
+          (fun acc succ ->
+            if Edge_dataflow.mem solution succ then
+              Edge_dataflow.join acc (Edge_dataflow.in_of solution succ)
+            else acc)
+          Edge_dataflow.top_must cfg.blocks.(source.src_block).succs
+  in
+  Array.iteri
+    (fun sink_block flow_ids ->
+      if flow_ids <> [] then begin
+        let solution =
+          Edge_dataflow.solve ~scratch ~cfg ~defuse ~rpo_position ~is_cut
+            ~sink:sink_block ()
         in
-        visit sink_block;
-        let blocks = Vec.to_array collected in
-        Hashtbl.replace bwd_cache sink_block (s, blocks);
-        (s, blocks)
-  in
-  List.iter
-    (fun source ->
-      let fwd_s, sinks = forward_reach source in
-      List.iter
-        (fun (sink_node, sink_block) ->
-          let _bwd_s, bwd_blocks = backward_reach sink_block in
-          (* The subgraph of this edge: blocks on source-to-sink paths. *)
-          let subgraph =
-            Array.of_list
-              (List.filter
-                 (fun b -> fwd_stamp.(b) = fwd_s)
-                 (Array.to_list bwd_blocks))
-          in
-          let solution =
-            Edge_dataflow.solve ~scratch ~cfg ~defuse ~rpo_position ~blocks:subgraph
-              ~sink:sink_block ()
-          in
-          let label =
-            match source.mode with
-            | At_block_start -> Edge_dataflow.in_of solution source.src_block
-            | After_block ->
-                (* The branch node sits after the block's instructions:
-                   its label merges the IN sets of the dispatch
-                   targets inside the subgraph. *)
-                Array.fold_left
-                  (fun acc succ ->
-                    if Edge_dataflow.mem solution succ then
-                      Edge_dataflow.join acc (Edge_dataflow.in_of solution succ)
-                    else acc)
-                  Edge_dataflow.top_must cfg.blocks.(source.src_block).succs
-          in
-          ignore (new_edge Psg.Flow source.src_node sink_node label))
-        sinks)
-    (List.rev !sources);
+        List.iter
+          (fun i ->
+            let source, _, _ = flows.(i) in
+            labels.(i) <- label_at solution source)
+          flow_ids
+      end)
+    into_sink;
+  Array.iteri
+    (fun i (source, sink_node, _) ->
+      ignore (new_edge Psg.Flow source.src_node sink_node labels.(i)))
+    flows;
   {
     l_kinds = Vec.to_array kinds;
     l_edges = Vec.to_array edges;

@@ -8,8 +8,9 @@
     crosses them.  A flow-summary edge is produced from source [S] (entry,
     return or branch node) to sink [T] (call, exit, unknown-exit or branch
     node) whenever a control-flow path connects their locations without
-    crossing another cut; its label is computed by {!Edge_dataflow} over
-    the subgraph of blocks on such paths.
+    crossing another cut; its label is the Figure-6 dataflow over the
+    blocks on such paths, read off one {!Edge_dataflow} solve per sink
+    block that all of the sink's edges share.
 
     With [branch_nodes = false] multiway branches are ordinary control
     flow, reproducing the quadratic edge blow-up measured in Table 4.

@@ -115,3 +115,171 @@ let even_odd_program () =
   in
   let main = routine "main" [ (None, call "even"); (None, ret) ] in
   program ~main:"main" [ main; even; odd ]
+
+(* --- Per-edge label oracle ------------------------------------------------ *)
+
+(* The paper's Figure-6 construction, one flow-summary edge at a time: for
+   every (source, sink) pair, the edge's subgraph is the source's cut-free
+   forward reach intersected with the sink's cut-free backward reach, and
+   the dataflow is solved on that subgraph alone.  The PSG builder solves
+   once per sink over the whole backward region instead; this oracle is
+   what its labels must equal.  Deliberately naive: boolean membership
+   arrays, block-order sweeps, no shared state between edges. *)
+module Label_oracle = struct
+  open Spike_cfg
+  open Spike_core
+
+  type edge = {
+    src : Psg.node_kind;
+    dst : Psg.node_kind;
+    label : Edge_dataflow.sets;
+    subgraph : int list;  (** the edge's blocks, ascending *)
+  }
+
+  let label_equal (a : Edge_dataflow.sets) (b : Edge_dataflow.sets) =
+    Regset.equal a.may_use b.may_use
+    && Regset.equal a.may_def b.may_def
+    && Regset.equal a.must_def b.must_def
+
+  (* Flow edges of routine [r] in the builder's emission order: sources
+     in entry-then-block order, each source's sinks in depth-first
+     discovery order. *)
+  let flow_edges ~branch_nodes r (cfg : Cfg.t) defuse =
+    let nblocks = Cfg.block_count cfg in
+    let sink_of_block = Array.make nblocks None in
+    (* (node, first block, paths start after the block's instructions) *)
+    let sources = ref [] in
+    List.iter
+      (fun (label, block) ->
+        sources := (Psg.Entry { routine = r; label }, block, false) :: !sources)
+      cfg.entry_blocks;
+    Array.iter
+      (fun (b : Cfg.block) ->
+        match b.ending with
+        | Cfg.Ends_ret -> sink_of_block.(b.id) <- Some (Psg.Exit { routine = r; block = b.id })
+        | Cfg.Ends_jump_unknown ->
+            sink_of_block.(b.id) <- Some (Psg.Unknown_exit { routine = r; block = b.id })
+        | Cfg.Ends_call _ ->
+            let return_block = b.succs.(0) in
+            sink_of_block.(b.id) <- Some (Psg.Call { routine = r; block = b.id });
+            sources :=
+              (Psg.Return { routine = r; call_block = b.id; block = return_block },
+               return_block, false)
+              :: !sources
+        | Cfg.Ends_switch when branch_nodes ->
+            let node = Psg.Branch { routine = r; block = b.id } in
+            sink_of_block.(b.id) <- Some node;
+            sources := (node, b.id, true) :: !sources
+        | Cfg.Ends_switch | Cfg.Ends_plain -> ())
+      cfg.blocks;
+    let is_cut b = Option.is_some sink_of_block.(b) in
+    let forward (block, after) =
+      let seen = Array.make nblocks false and sinks = ref [] in
+      let rec visit b =
+        if not seen.(b) then begin
+          seen.(b) <- true;
+          if is_cut b then sinks := b :: !sinks
+          else Array.iter visit cfg.blocks.(b).succs
+        end
+      in
+      if after then Array.iter visit cfg.blocks.(block).succs else visit block;
+      (seen, List.rev !sinks)
+    in
+    let backward sink =
+      let seen = Array.make nblocks false in
+      let rec visit b =
+        if not seen.(b) then begin
+          seen.(b) <- true;
+          Array.iter (fun p -> if not (is_cut p) then visit p) cfg.blocks.(b).preds
+        end
+      in
+      visit sink;
+      seen
+    in
+    let solve ~inside ~sink =
+      let ins = Array.make nblocks Edge_dataflow.top_must in
+      let out_of b =
+        if b = sink then Edge_dataflow.empty
+        else
+          Array.fold_left
+            (fun acc s -> if inside.(s) then Edge_dataflow.join acc ins.(s) else acc)
+            Edge_dataflow.top_must cfg.blocks.(b).succs
+      in
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        for b = 0 to nblocks - 1 do
+          if inside.(b) then begin
+            let next =
+              Edge_dataflow.apply_block ~def:(Defuse.def defuse b)
+                ~ubd:(Defuse.ubd defuse b) (out_of b)
+            in
+            if not (label_equal next ins.(b)) then begin
+              ins.(b) <- next;
+              changed := true
+            end
+          end
+        done
+      done;
+      ins
+    in
+    List.concat_map
+      (fun (src, block, after) ->
+        let reach, sinks = forward (block, after) in
+        List.map
+          (fun sink ->
+            let region = backward sink in
+            let inside = Array.init nblocks (fun b -> reach.(b) && region.(b)) in
+            let ins = solve ~inside ~sink in
+            let label =
+              if after then
+                Array.fold_left
+                  (fun acc s -> if inside.(s) then Edge_dataflow.join acc ins.(s) else acc)
+                  Edge_dataflow.top_must cfg.blocks.(block).succs
+              else ins.(block)
+            in
+            {
+              src;
+              dst = Option.get sink_of_block.(sink);
+              label;
+              subgraph = List.filter (fun b -> inside.(b)) (List.init nblocks Fun.id);
+            })
+          sinks)
+      (List.rev !sources)
+
+  (* The first disagreement between the PSG's flow edges and the oracle's
+     in each routine, in edge order; [[]] when they agree. *)
+  let mismatches ~branch_nodes program =
+    let cfgs = Array.map Cfg.build (Program.routines program) in
+    let defuses = Array.map Defuse.compute cfgs in
+    let psg = Psg_build.build ~branch_nodes program cfgs defuses in
+    let built = Array.make (Array.length cfgs) [] in
+    Array.iter
+      (fun (e : Psg.edge) ->
+        if e.ekind = Psg.Flow then begin
+          let src = psg.nodes.(e.src).kind in
+          let r = Psg.node_routine src in
+          built.(r) <-
+            ( src,
+              psg.nodes.(e.dst).kind,
+              { Edge_dataflow.may_use = e.e_may_use; may_def = e.e_may_def;
+                must_def = e.e_must_def } )
+            :: built.(r)
+        end)
+      psg.edges;
+    List.concat
+      (List.init (Array.length cfgs) (fun r ->
+           let name = (Program.get program r).Routine.name in
+           let expected = flow_edges ~branch_nodes r cfgs.(r) defuses.(r) in
+           let got = List.rev built.(r) in
+           if List.length expected <> List.length got then
+             [ Printf.sprintf "%s: %d flow edges, oracle has %d" name
+                 (List.length got) (List.length expected) ]
+           else
+             let agree (o, (src, dst, label)) =
+               o.src = src && o.dst = dst && label_equal o.label label
+             in
+             match List.find_index (fun pair -> not (agree pair)) (List.combine expected got) with
+             | Some i -> [ Printf.sprintf "%s: flow edge %d differs from the oracle" name i ]
+             | None -> []))
+end

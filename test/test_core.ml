@@ -1,6 +1,7 @@
-(* Core analysis units: the per-edge dataflow, callee-saved save/restore
-   detection, PSG statistics, call-site summary merging, and analysis
-   behaviour on recursion, multiple entries, and unknown calls. *)
+(* Core analysis units: the Figure-6 edge dataflow and its per-edge
+   oracle, callee-saved save/restore detection, PSG statistics, call-site
+   summary merging, and analysis behaviour on recursion, multiple entries,
+   and unknown calls. *)
 
 open Spike_support
 open Spike_isa
@@ -43,7 +44,7 @@ let test_edge_dataflow_algebra () =
   Alcotest.check regset "in may_def" (rs [ 2; 3; 4 ]) inn.Edge_dataflow.may_def;
   Alcotest.check regset "in must_def" (rs [ 2; 3; 4 ]) inn.Edge_dataflow.must_def
 
-(* A loop inside a flow-summary edge subgraph: Figure 6 must converge. *)
+(* A loop inside a sink's backward region: Figure 6 must converge. *)
 let test_edge_dataflow_loop () =
   let g =
     routine "g"
@@ -59,10 +60,10 @@ let test_edge_dataflow_loop () =
   let rpo = Spike_cfg.Cfg.reverse_postorder cfg in
   let rpo_position = Array.make (Spike_cfg.Cfg.block_count cfg) 0 in
   Array.iteri (fun i b -> rpo_position.(b) <- i) rpo;
-  let blocks = Array.init (Spike_cfg.Cfg.block_count cfg) Fun.id in
   let exit_block = List.hd (Spike_cfg.Cfg.exit_blocks cfg) in
   let sol =
-    Edge_dataflow.solve ~cfg ~defuse ~rpo_position ~blocks ~sink:exit_block ()
+    Edge_dataflow.solve ~cfg ~defuse ~rpo_position ~is_cut:(fun _ -> false)
+      ~sink:exit_block ()
   in
   let at_entry = Edge_dataflow.in_of sol 0 in
   check_restricted "loop may_use" ~over:(rs [ r1; r2 ])
@@ -71,6 +72,139 @@ let test_edge_dataflow_loop () =
   check_restricted "loop must_def" ~over:(rs [ r1; r2 ])
     (rs [ r2 ])
     at_entry.Edge_dataflow.must_def
+
+(* --- Flow-edge labels against the per-edge oracle -------------------------- *)
+
+let leaf = routine "g" [ (None, li r0 1); (None, ret) ]
+
+(* The PSG's flow-edge labels, solved once per sink over its backward
+   region, must equal the per-edge construction's with and without branch
+   nodes.  Returns the oracle's edges (with branch nodes) for shape checks. *)
+let oracle_agrees routines =
+  let p = program ~main:"main" routines in
+  List.iter
+    (fun branch_nodes ->
+      match Label_oracle.mismatches ~branch_nodes p with
+      | [] -> ()
+      | problems ->
+          Alcotest.failf "branch_nodes=%b: %s" branch_nodes (String.concat "; " problems))
+    [ true; false ];
+  let r = Option.get (Spike_ir.Program.find_index p "main") in
+  let cfg = Spike_cfg.Cfg.build (Spike_ir.Program.get p r) in
+  (cfg, Label_oracle.flow_edges ~branch_nodes:true r cfg (Spike_cfg.Defuse.compute cfg))
+
+let has_edge edges src dst =
+  List.exists (fun (e : Label_oracle.edge) -> e.src = src && e.dst = dst) edges
+
+(* The return point of the first call is itself a call block: its return
+   node's only edge runs to the call node at the same block. *)
+let test_labels_return_ends_in_call () =
+  let _, edges =
+    oracle_agrees
+      [
+        routine "main"
+          [ (None, li r1 1); (None, call "g"); (None, use r1); (None, call "g");
+            (None, li r2 2); (None, ret) ];
+        leaf;
+      ]
+  in
+  (* blocks: 0 = li; call   1 = use; call   2 = li; ret *)
+  Alcotest.(check bool) "return -> call at the same block" true
+    (has_edge edges
+       (Psg.Return { routine = 0; call_block = 0; block = 1 })
+       (Psg.Call { routine = 0; block = 1 }))
+
+(* A switch whose arms are: itself (a self-loop), a call block (another
+   cut), and a plain block running to the exit. *)
+let test_labels_switch_arms () =
+  let _, edges =
+    oracle_agrees
+      [
+        routine "main"
+          [
+            (None, li r1 0);
+            (Some "head", switch r1 [ "head"; "arm_call"; "arm_plain" ]);
+            (Some "arm_call", call "g");
+            (None, br "head");
+            (Some "arm_plain", li r2 2);
+            (None, use r1);
+            (None, ret);
+          ];
+        leaf;
+      ]
+  in
+  let branch = Psg.Branch { routine = 0; block = 1 } in
+  Alcotest.(check bool) "branch -> itself" true (has_edge edges branch branch);
+  Alcotest.(check bool) "branch -> call arm" true
+    (has_edge edges branch (Psg.Call { routine = 0; block = 2 }))
+
+(* A secondary entry at a loop head: its paths run around the loop. *)
+let test_labels_entry_in_loop () =
+  let _, edges =
+    oracle_agrees
+      [
+        routine ~entries:[ "main$a"; "main$b" ] "main"
+          [
+            (Some "main$a", li r1 1);
+            (Some "main$b", use r2);
+            (None, li r3 1);
+            (None, bne r1 "main$b");
+            (None, ret);
+          ];
+      ]
+  in
+  Alcotest.(check bool) "looping entry reaches the exit" true
+    (List.exists
+       (fun (e : Label_oracle.edge) ->
+         e.src = Psg.Entry { routine = 0; label = "main$b" }
+         && List.length e.subgraph > 1)
+       edges)
+
+(* One exit reached from the entry and from a call's return point, along
+   different blocks: the exit's backward region is strictly larger than
+   either edge's subgraph, and both labels still match the oracle. *)
+let test_labels_shared_sink () =
+  let cfg, edges =
+    oracle_agrees
+      [
+        routine "main"
+          [
+            (None, li r1 1);
+            (None, bne r1 "join");
+            (None, call "g");
+            (None, li r3 2);
+            (None, br "join");
+            (Some "join", use r2);
+            (None, ret);
+          ];
+        leaf;
+      ]
+  in
+  let exit_block = List.hd (Spike_cfg.Cfg.exit_blocks cfg) in
+  let into_exit =
+    List.filter
+      (fun (e : Label_oracle.edge) -> e.dst = Psg.Exit { routine = 0; block = exit_block })
+      edges
+  in
+  Alcotest.(check int) "two edges into the exit" 2 (List.length into_exit);
+  let defuse = Spike_cfg.Defuse.compute cfg in
+  let rpo_position = Array.make (Spike_cfg.Cfg.block_count cfg) 0 in
+  Array.iteri (fun i b -> rpo_position.(b) <- i) (Spike_cfg.Cfg.reverse_postorder cfg);
+  let is_cut b = cfg.Spike_cfg.Cfg.blocks.(b).Spike_cfg.Cfg.ending <> Spike_cfg.Cfg.Ends_plain in
+  let sol = Edge_dataflow.solve ~cfg ~defuse ~rpo_position ~is_cut ~sink:exit_block () in
+  let region =
+    List.filter (Edge_dataflow.mem sol) (List.init (Spike_cfg.Cfg.block_count cfg) Fun.id)
+  in
+  List.iter
+    (fun (e : Label_oracle.edge) ->
+      Alcotest.(check bool) "region strictly contains the subgraph" true
+        (List.for_all (fun b -> List.mem b region) e.subgraph
+        && List.length region > List.length e.subgraph))
+    into_exit;
+  match into_exit with
+  | [ a; b ] ->
+      Alcotest.(check bool) "the two subgraphs differ" true (a.subgraph <> b.subgraph)
+  | _ -> assert false
 
 (* --- Callee_saved --------------------------------------------------------- *)
 
@@ -388,6 +522,11 @@ let () =
         [
           Alcotest.test_case "algebra" `Quick test_edge_dataflow_algebra;
           Alcotest.test_case "loop convergence" `Quick test_edge_dataflow_loop;
+          Alcotest.test_case "oracle: return block ends in a call" `Quick
+            test_labels_return_ends_in_call;
+          Alcotest.test_case "oracle: switch arms" `Quick test_labels_switch_arms;
+          Alcotest.test_case "oracle: entry in a loop" `Quick test_labels_entry_in_loop;
+          Alcotest.test_case "oracle: shared sink region" `Quick test_labels_shared_sink;
         ] );
       ( "callee-saved",
         [

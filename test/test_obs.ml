@@ -163,6 +163,40 @@ let test_analysis_metrics_jobs_invariant () =
   Alcotest.(check bool) "analysis.runs counted" true
     (count snap1 "analysis.runs" = 1)
 
+(* The edge labelling solves once per distinct sink block, not once per
+   flow edge: [edge_dataflow.solves] equals the number of distinct flow
+   edge sinks (each sink node sits at its own cut block), falls strictly
+   below the flow-edge count on a call-dense program, and is the same at
+   jobs=1 and jobs=4. *)
+let test_one_solve_per_sink () =
+  let p =
+    Generator.generate
+      {
+        Params.default with
+        Params.seed = 7;
+        routines = 30;
+        target_instructions = 2500;
+        calls_per_routine = 6.0;
+      }
+  in
+  let solves jobs =
+    Metrics.enable ();
+    let a = Analysis.run ~jobs p in
+    let snap = Metrics.snapshot () in
+    Metrics.disable ();
+    (a.Analysis.psg, count snap "edge_dataflow.solves")
+  in
+  let psg, solves1 = solves 1 in
+  let _, solves4 = solves 4 in
+  let sinks = Hashtbl.create 64 in
+  Array.iter
+    (fun (e : Psg.edge) -> if e.Psg.ekind = Psg.Flow then Hashtbl.replace sinks e.Psg.dst ())
+    psg.Psg.edges;
+  Alcotest.(check int) "one solve per distinct sink" (Hashtbl.length sinks) solves1;
+  Alcotest.(check bool) "fewer solves than flow edges" true
+    (solves1 < Psg.flow_edge_count psg);
+  Alcotest.(check int) "solves at jobs=4" solves1 solves4
+
 (* --- Exported artifacts -------------------------------------------------- *)
 
 let stage_names =
@@ -293,6 +327,7 @@ let () =
         [
           Alcotest.test_case "pool counters jobs-invariant" `Quick
             test_counters_jobs_invariant;
+          Alcotest.test_case "one edge solve per sink" `Quick test_one_solve_per_sink;
           Alcotest.test_case "analysis counters jobs-invariant" `Quick
             test_analysis_metrics_jobs_invariant;
         ] );

@@ -146,6 +146,47 @@ let prop_opt_preserves_outcome =
           true
       | _, _ -> false)
 
+(* Flow-edge labels come from one Figure-6 solve per sink block; they must
+   equal the per-edge construction's, with and without branch nodes and
+   with guarded and unguarded calls. *)
+let labels_match_oracle p =
+  let check branch_nodes =
+    match Test_helpers.Label_oracle.mismatches ~branch_nodes p with
+    | [] -> true
+    | problems ->
+        QCheck.Test.fail_reportf "branch_nodes=%b: %s" branch_nodes
+          (String.concat "; " problems)
+  in
+  check true && check false
+
+let prop_labels_match_oracle =
+  QCheck.Test.make ~name:"flow-edge labels = per-edge oracle" ~count:40
+    (QCheck.pair arbitrary_params QCheck.bool) (fun (params, guard_calls) ->
+      labels_match_oracle
+        (Generator.generate { params with Params.guard_calls }))
+
+(* The same on small instances of the switch-dense calibrated shapes
+   (Table 4 edge reduction of 10% or more). *)
+let arbitrary_switch_dense =
+  let rows =
+    List.filter
+      (fun (r : Calibrate.paper_row) -> r.Calibrate.edge_reduction_pct >= 10.0)
+      Calibrate.benchmarks
+  in
+  let open QCheck.Gen in
+  let gen =
+    pair (oneofl rows) (int_bound 1_000_000) >|= fun (row, seed) ->
+    let scale = Float.min 0.05 (40.0 /. float_of_int row.Calibrate.routines) in
+    (row.Calibrate.name, { (Calibrate.params_of ~scale row) with Params.seed })
+  in
+  let print (name, (p : Params.t)) = Printf.sprintf "%s seed=%d" name p.Params.seed in
+  QCheck.make ~print gen
+
+let prop_calibrated_labels_match_oracle =
+  QCheck.Test.make ~name:"calibrated flow-edge labels = per-edge oracle" ~count:20
+    arbitrary_switch_dense (fun (_, params) ->
+      labels_match_oracle (Generator.generate params))
+
 (* External-summary files must round-trip through their concrete syntax:
    the sets are rebuilt from rendered register names, so this exercises
    name/of_name agreement for every register, empty sets, and inputs that
@@ -205,6 +246,8 @@ let () =
             prop_generated_valid;
             prop_psg_equals_reference;
             prop_branch_nodes_invariant;
+            prop_labels_match_oracle;
+            prop_calibrated_labels_match_oracle;
             prop_asm_roundtrip;
             prop_summaries_roundtrip;
             prop_opt_preserves_outcome;
