@@ -217,9 +217,35 @@ let run ?(branch_nodes = true) ?(externals = fun _ -> None)
     warm_capture;
   }
 
+(* A rerun keys reuse on physical identity ({!Warm.of_previous}).  When no
+   routine changed, the previous result already is the new program's: the
+   CFGs, PSG and summaries were built from the very same routines. *)
 let rerun t program =
-  run ~branch_nodes:t.branch_nodes ~externals:t.externals
-    ~callee_saved_filter:t.callee_saved_filter ~jobs:t.jobs program
+  let old = t.program in
+  let n = Program.routine_count program in
+  let unchanged =
+    Program.routine_count old = n
+    && String.equal (Program.main old) (Program.main program)
+    && Array.for_all2 ( == ) (Program.routines old) (Program.routines program)
+  in
+  if unchanged then
+    {
+      t with
+      program;
+      timer = Timer.create ();
+      phase1_iterations = 0;
+      phase2_iterations = 0;
+      reused_routines = n;
+    }
+  else
+    let warm =
+      match t.warm_capture with
+      | Some arts -> Warm.of_previous ~old_program:old ~arts program
+      | None -> Warm.cold program
+    in
+    run ~branch_nodes:t.branch_nodes ~externals:t.externals
+      ~callee_saved_filter:t.callee_saved_filter ~jobs:t.jobs ~warm ~capture:true
+      program
 
 let summary_of t name = Summary.find t.summaries t.program name
 let site_class t info = Summary.site_class t.psg t.call_classes info

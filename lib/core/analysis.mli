@@ -103,8 +103,25 @@ val run :
 
 val rerun : t -> Program.t -> t
 (** Re-analyse a transformed program under the same configuration
-    (branch nodes, external summaries) — what the optimizer uses between
-    passes. *)
+    (branch nodes, external summaries, callee-saved filter, jobs) — what
+    the optimizer uses between passes.  The result is bit-identical to a
+    cold {!run} of the program.  A rerun that runs captures its artifacts
+    ([warm_capture]), so the next rerun can reuse them.
+
+    The rerun is warm: a routine physically equal ([==]) to the routine
+    at the same index of [t.program] reuses its captured artifacts, and
+    every other routine is rebuilt with its old artifact as a lift donor
+    ({!Warm.of_previous}).  Physical identity is a sound key because the
+    optimizer's passes never mutate a routine in place and return each
+    routine they leave alone physically shared; the configuration is
+    carried in [t], so call resolution cannot change behind the key.
+
+    It falls back to a cold run when [t] has no [warm_capture] (a plain
+    {!run}), or when the routine count, the name at some index or the
+    [main] routine differ from [t.program]'s.  When every routine is
+    physically unchanged, nothing runs: the result is [t] for the new
+    program, with [reused_routines] equal to the routine count, zero
+    phase iterations and an empty timer. *)
 
 val summary_of : t -> string -> Summary.t option
 (** Summary of a routine by name. *)

@@ -36,6 +36,63 @@ let cold program =
 let reused plan =
   Array.fold_left (fun n a -> if a = None then n else n + 1) 0 plan.arts
 
+(* Internal routines this fragment's calls may target — remembered so that
+   if this routine is later edited or deleted, those callees' exit nodes
+   can be re-seeded (a return-link contribution may have vanished). *)
+let callee_names program (l : Psg_build.local) =
+  Array.fold_left
+    (fun acc (c : Psg_build.local_call) ->
+      match c.lc_targets with
+      | None -> acc
+      | Some targets ->
+          List.fold_left
+            (fun acc -> function
+              | Psg.Target_external _ -> acc
+              | Psg.Target_routine r ->
+                  (Program.get program r).Routine.name :: acc)
+            acc targets)
+    [] l.l_calls
+  |> List.sort_uniq String.compare
+
+let main_index program =
+  match Program.find_index program (Program.main program) with
+  | Some i -> i
+  | None -> assert false (* guaranteed by Program.make *)
+
+(* The optimizer's passes return every routine they leave alone physically
+   shared, and never mutate one in place, so [==] on routines is an exact
+   "inputs unchanged" test — provided routine indices, names and [main]
+   line up, which is what call resolution and the exit seeds depend on
+   beyond the routine itself. *)
+let of_previous ~old_program ~arts program =
+  let n = Program.routine_count program in
+  let same_shape =
+    Program.routine_count old_program = n
+    && Array.length arts = n
+    && String.equal (Program.main old_program) (Program.main program)
+    && Array.for_all2
+         (fun (a : Routine.t) (b : Routine.t) -> String.equal a.name b.name)
+         (Program.routines old_program) (Program.routines program)
+  in
+  let plan = cold program in
+  if same_shape then begin
+    let main = main_index program in
+    for r = 0 to n - 1 do
+      let old = Program.get old_program r in
+      if Program.get program r == old then plan.arts.(r) <- Some arts.(r)
+      else
+        plan.donors.(r) <-
+          Some
+            {
+              d_art = arts.(r);
+              d_callees = callee_names old_program arts.(r).a_local;
+              d_exported = old.Routine.exported;
+              d_is_main = r = main;
+            }
+    done
+  end;
+  plan
+
 (* --- Solution lifting -------------------------------------------------
 
    The content fingerprint that guards [plan.arts] is over-sensitive for
@@ -59,11 +116,7 @@ let local_equal (a : Psg_build.local) (b : Psg_build.local) = a = b
 
 let solutions plan ~program ~locals ~filters =
   let n = Program.routine_count program in
-  let main_index =
-    match Program.find_index program (Program.main program) with
-    | Some i -> i
-    | None -> assert false (* guaranteed by Program.make *)
-  in
+  let main_index = main_index program in
   let sols = Array.copy plan.arts in
   let exit_seeds = Array.copy plan.exit_seeds in
   let force_exits callees =

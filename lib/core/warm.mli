@@ -82,6 +82,23 @@ val cold : Program.t -> plan
 val reused : plan -> int
 (** Number of routines whose front-end artifacts the plan reuses. *)
 
+val callee_names : Program.t -> Psg_build.local -> string list
+(** The internal routines a fragment's calls may target, by name (sorted,
+    without duplicates), with routine indices read in [program] — a
+    donor's {!donor.d_callees}. *)
+
+val of_previous :
+  old_program:Program.t -> arts:routine_art array -> Program.t -> plan
+(** The plan for re-analysing a transformed [program] from the artifacts
+    [arts] captured on [old_program]: a routine physically equal ([==])
+    to [old_program]'s routine at the same index reuses its artifact, and
+    every other routine becomes a lift donor with the old artifact and
+    exported/main flags.  The key is sound only for transformations that
+    never mutate a routine in place and return each untouched routine
+    physically shared, as the optimizer's passes do.  When the routine
+    count, the name at some index or [main] differ, call resolution may
+    differ too, and the result is {!cold}. *)
+
 val solutions :
   plan ->
   program:Program.t ->

@@ -50,10 +50,10 @@ let eliminate_round (analysis : Analysis.t) =
   in
   (program, !removed)
 
-let eliminate analysis =
+let eliminate ~rerun analysis =
   let rec loop analysis total =
     let program, removed = eliminate_round analysis in
     if removed = 0 then (program, total)
-    else loop (Analysis.rerun analysis program) (total + removed)
+    else loop (rerun analysis program) (total + removed)
   in
   loop analysis 0

@@ -14,7 +14,12 @@ val find_dead : Analysis.t -> Liveness.t -> routine:int -> int list
 (** Indexes of dead instructions in one routine (one elimination round:
     removing them can expose more). *)
 
-val eliminate : Analysis.t -> (Spike_ir.Program.t * int)
-(** Remove dead instructions program-wide, re-running the analysis and
-    repeating until a fixpoint.  Returns the optimized program and the
-    total number of instructions removed. *)
+val eliminate :
+  rerun:(Analysis.t -> Spike_ir.Program.t -> Analysis.t) ->
+  Analysis.t ->
+  Spike_ir.Program.t * int
+(** Remove dead instructions program-wide, re-analysing with [rerun]
+    (normally {!Analysis.rerun}) and repeating until a fixpoint.  Returns
+    the optimized program and the total number of instructions removed.
+    Each round returns the routines it found nothing dead in physically
+    shared, so a warm {!Analysis.rerun} reuses their analysis. *)

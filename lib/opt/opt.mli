@@ -4,7 +4,8 @@
     callee-saved save/restore elimination (Fig. 1(d)), and interprocedural
     dead-code elimination to fixpoint (Fig. 1(a)/(b)), re-running the
     dataflow analysis between passes so later passes see summaries of the
-    already-transformed program. *)
+    already-transformed program.  Each rerun is warm ({!Analysis.rerun}):
+    only the routines a pass rewrote are rebuilt. *)
 
 open Spike_core
 
@@ -15,6 +16,9 @@ type report = {
   dead_instructions_removed : int;  (** 1(a)/(b) and exposed dead code *)
   instructions_before : int;
   instructions_after : int;
+  reanalyses : int;  (** {!Analysis.rerun} calls between passes *)
+  routines_rebuilt : int;
+      (** routines those reruns re-analysed rather than reused, summed *)
 }
 
 val pp_report : Format.formatter -> report -> unit

@@ -304,24 +304,6 @@ let read_body ~routine:(r : int) ~(current : Routine.t) ~resolve body :
   { Warm.a_cfg = cfg; a_defuse = defuse; a_filter = filter; a_local = local;
     a_phase1; a_cr; a_phase2 }
 
-(* Internal routines this fragment's calls may target — remembered so that
-   if this routine is later edited or deleted, those callees' exit nodes
-   can be re-seeded (a return-link contribution may have vanished). *)
-let callee_names program (l : Psg_build.local) =
-  Array.fold_left
-    (fun acc (c : Psg_build.local_call) ->
-      match c.lc_targets with
-      | None -> acc
-      | Some targets ->
-          List.fold_left
-            (fun acc -> function
-              | Psg.Target_external _ -> acc
-              | Psg.Target_routine r ->
-                  (Program.get program r).Routine.name :: acc)
-            acc targets)
-    [] l.l_calls
-  |> List.sort_uniq String.compare
-
 (* --- File format ---------------------------------------------------------
 
    magic(8) version config_key(16) checksum(8) payload_len payload
@@ -517,7 +499,7 @@ let save ~dir (a : Analysis.t) =
       Codec.write_bool payload routine.Routine.exported;
       Codec.write_bool payload (r = main_index);
       Codec.write_list Codec.write_string payload
-        (callee_names program art.a_local);
+        (Warm.callee_names program art.a_local);
       Buffer.clear body_buf;
       write_body program body_buf art;
       Codec.write_int payload (Buffer.length body_buf);
@@ -582,7 +564,7 @@ let retain (a : Analysis.t) =
       Hashtbl.replace entries routine.Routine.name
         {
           t_fp = Fingerprint.routine ~externals program routine;
-          t_callees = callee_names program art.a_local;
+          t_callees = Warm.callee_names program art.a_local;
           t_art = art;
           t_routine = r;
         })

@@ -283,3 +283,22 @@ module Label_oracle = struct
              | Some i -> [ Printf.sprintf "%s: flow edge %d differs from the oracle" name i ]
              | None -> []))
 end
+
+(* The optimizer's pass sequence with every re-analysis cold — a naive
+   oracle for {!Spike_opt.Opt.run}, whose reruns reuse the analysis of
+   every routine a pass left untouched. *)
+module Cold_opt = struct
+  open Spike_core
+  open Spike_opt
+
+  let rerun (a : Analysis.t) program =
+    Analysis.run ~branch_nodes:a.branch_nodes ~externals:a.externals
+      ~callee_saved_filter:a.callee_saved_filter ~jobs:a.jobs program
+
+  let optimize (a : Analysis.t) =
+    let program, _ = Spill.apply a in
+    let a = rerun a program in
+    let program, _ = Save_restore.apply a in
+    let a = rerun a program in
+    fst (Dead_code.eliminate ~rerun a)
+end

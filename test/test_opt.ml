@@ -172,6 +172,163 @@ let test_optimized_soundness () =
             (Format.asprintf "%a" Spike_interp.Oracle.pp_violation v))
     [ 3; 17; 23 ]
 
+(* --- Warm reruns ------------------------------------------------------------- *)
+
+let render_summaries (a : Analysis.t) =
+  Format.asprintf "%a"
+    (fun ppf -> Array.iter (Format.fprintf ppf "%a@." Summary.pp))
+    a.Analysis.summaries
+
+let dump_psg (a : Analysis.t) = Format.asprintf "%a" Psg.pp a.Analysis.psg
+
+let class_equal (x : Summary.call_class) (y : Summary.call_class) =
+  Regset.equal x.used y.used && Regset.equal x.defined y.defined
+  && Regset.equal x.killed y.killed
+
+(* A rerun must be bit-identical to a cold analysis of the same program. *)
+let check_equals_cold tag (a : Analysis.t) =
+  let cold = Cold_opt.rerun a a.Analysis.program in
+  Alcotest.(check string) (tag ^ ": PSG") (dump_psg cold) (dump_psg a);
+  Alcotest.(check bool)
+    (tag ^ ": call classes") true
+    (Array.for_all2 class_equal cold.Analysis.call_classes a.Analysis.call_classes);
+  Alcotest.(check string) (tag ^ ": summaries") (render_summaries cold) (render_summaries a)
+
+(* Routines of [program] physically shared with [old] at the same index. *)
+let unchanged_routines old program =
+  if Program.routine_count old <> Program.routine_count program then 0
+  else
+    Seq.fold_left
+      (fun n r -> if Program.get old r == Program.get program r then n + 1 else n)
+      0
+      (Seq.init (Program.routine_count program) Fun.id)
+
+let printed = Spike_asm.Printer.to_string
+
+(* Opt.run's pass sequence, one rerun at a time, each checked against a
+   cold run; then Opt.run itself against the cold-rerun oracle. *)
+let check_warm_reruns tag (a0 : Analysis.t) =
+  let reruns = ref 0 and rebuilt = ref 0 and reused = ref 0 in
+  let rerun (a : Analysis.t) program =
+    incr reruns;
+    let tag = Printf.sprintf "%s, rerun %d" tag !reruns in
+    let warm = Analysis.rerun a program in
+    let n = Program.routine_count program in
+    let unchanged = unchanged_routines a.Analysis.program program in
+    (* Without captured artifacts only a no-op rerun reuses anything. *)
+    let expected = if unchanged = n || a.Analysis.warm_capture <> None then unchanged else 0 in
+    Alcotest.(check int) (tag ^ ": reused routines") expected warm.Analysis.reused_routines;
+    check_equals_cold tag warm;
+    rebuilt := !rebuilt + n - warm.Analysis.reused_routines;
+    reused := !reused + warm.Analysis.reused_routines;
+    warm
+  in
+  let program, _ = Spill.apply a0 in
+  let a = rerun a0 program in
+  let program, _ = Save_restore.apply a in
+  let a = rerun a program in
+  let stepped, _ = Dead_code.eliminate ~rerun a in
+  if !reused = 0 then Alcotest.failf "%s: no rerun reused a routine" tag;
+  let optimized, report = Opt.run a0 in
+  let oracle = printed (Cold_opt.optimize a0) in
+  Alcotest.(check string) (tag ^ ": stepped = cold-rerun oracle") oracle (printed stepped);
+  Alcotest.(check string) (tag ^ ": Opt.run = cold-rerun oracle") oracle (printed optimized);
+  Alcotest.(check int) (tag ^ ": reanalyses") !reruns report.Opt.reanalyses;
+  Alcotest.(check int) (tag ^ ": routines rebuilt") !rebuilt report.Opt.routines_rebuilt
+
+let small_vortex seed =
+  let row = Option.get (Spike_synth.Calibrate.find "vortex") in
+  let p = Spike_synth.Calibrate.params_of ~scale:0.04 row in
+  Spike_synth.Generator.generate
+    { p with Spike_synth.Params.seed; guard_calls = true; unknown_jump_prob = 0.0 }
+
+let test_warm_rerun_equals_cold () =
+  let programs =
+    List.map
+      (fun seed ->
+        ( Printf.sprintf "synth %d" seed,
+          Spike_synth.Generator.generate { Spike_synth.Params.default with seed } ))
+      [ 1; 7; 23 ]
+    @ [ ("vortex", small_vortex 1) ]
+  in
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun jobs ->
+          (* A plain run captures nothing, so its first rerun is cold; a
+             captured one is warm from the first rerun on. *)
+          check_warm_reruns (Printf.sprintf "%s, jobs %d" name jobs) (Analysis.run ~jobs p);
+          check_warm_reruns
+            (Printf.sprintf "%s, jobs %d, captured" name jobs)
+            (Analysis.run ~jobs ~capture:true p))
+        [ 1; 4 ])
+    programs
+
+let lifted () =
+  match Spike_obs.Metrics.find (Spike_obs.Metrics.snapshot ()) "warm.solutions.lifted" with
+  | Some (Spike_obs.Metrics.Count n) -> n
+  | _ -> 0
+
+let test_cold_fallbacks () =
+  let p = Spike_synth.Generator.generate { Spike_synth.Params.default with seed = 5 } in
+  let routines = Program.routines p in
+  let n = Array.length routines in
+  let main = Program.main p in
+  let other = if routines.(0).Routine.name = main then 1 else 0 in
+  let remake ?(main = main) routines = Program.make ~main (Array.to_list routines) in
+  (* Re-allocating a routine's instruction array keeps it structurally
+     equal but breaks physical identity. *)
+  let fresh r = { r with Routine.insns = Array.copy r.Routine.insns } in
+  let with_fresh k = remake (Array.mapi (fun i r -> if i = k then fresh r else r) routines) in
+  let captured = Analysis.run ~jobs:1 ~capture:true p in
+  let cold_case name (a : Analysis.t) program =
+    let warm = Analysis.rerun a program in
+    Alcotest.(check int) (name ^ ": reused routines") 0 warm.Analysis.reused_routines;
+    check_equals_cold name warm
+  in
+  cold_case "uncaptured input" (Analysis.run ~jobs:1 p) (with_fresh other);
+  cold_case "routine added" captured
+    (remake
+       (Array.append routines
+          [| routine "added$leaf" [ (None, li Reg.t0 1); (None, ret) ] |]));
+  cold_case "routine renamed" captured
+    (remake
+       (Array.mapi
+          (fun i r -> if i = other then { r with Routine.name = r.Routine.name ^ "$renamed" } else r)
+          routines));
+  cold_case "routines reordered" captured
+    (remake (Array.init n (fun i -> routines.(n - 1 - i))));
+  cold_case "main changed" captured (remake ~main:routines.(other).Routine.name routines);
+  (* A structurally equal routine is rebuilt, and its solution is lifted
+     from the donor: nothing is left to re-converge. *)
+  Spike_obs.Metrics.enable ();
+  let before = lifted () in
+  let warm = Analysis.rerun captured (with_fresh other) in
+  let lifts = lifted () - before in
+  Spike_obs.Metrics.disable ();
+  Alcotest.(check int) "fresh copy: reused routines" (n - 1) warm.Analysis.reused_routines;
+  Alcotest.(check int) "fresh copy: lifted" 1 lifts;
+  Alcotest.(check (pair int int))
+    "fresh copy: no iterations" (0, 0)
+    (warm.Analysis.phase1_iterations, warm.Analysis.phase2_iterations);
+  check_equals_cold "fresh copy" warm;
+  (* A rewrite that drops a call fails the lift; the callee, untouched
+     itself, lost its only caller, so its exit must re-converge. *)
+  let c = routine "c" [ (None, li Reg.t1 1); (None, ret) ] in
+  let caller body = routine "a" ([ (None, li Reg.t0 1) ] @ body @ [ (None, use Reg.t0); (None, ret) ]) in
+  let main_r = routine "main" [ (None, call "a"); (None, ret) ] in
+  let before = Analysis.run ~jobs:1 ~capture:true (program ~main:"main" [ main_r; caller [ (None, call "c") ]; c ]) in
+  let dropped =
+    Analysis.rerun before (program ~main:"main" [ main_r; caller [ (None, Insn.Nop) ]; c ])
+  in
+  Alcotest.(check int) "call dropped: reused routines" 2 dropped.Analysis.reused_routines;
+  check_equals_cold "call dropped" dropped;
+  (* Nothing changed at all: the previous result is returned as is. *)
+  let same = Analysis.rerun captured (remake routines) in
+  Alcotest.(check bool) "no-op: PSG shared" true (same.Analysis.psg == captured.Analysis.psg);
+  Alcotest.(check int) "no-op: reused routines" n same.Analysis.reused_routines;
+  check_equals_cold "no-op" same
+
 let () =
   Alcotest.run "opt"
     [
@@ -186,5 +343,10 @@ let () =
         [
           Alcotest.test_case "semantics preserved" `Quick test_semantics_preserved;
           Alcotest.test_case "optimized still sound" `Quick test_optimized_soundness;
+        ] );
+      ( "warm",
+        [
+          Alcotest.test_case "warm rerun = cold run" `Slow test_warm_rerun_equals_cold;
+          Alcotest.test_case "cold fallbacks" `Quick test_cold_fallbacks;
         ] );
     ]

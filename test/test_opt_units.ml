@@ -149,7 +149,7 @@ let test_dead_code_keeps_stores_and_sp () =
   in
   let main = routine "main" [ (None, call "f"); (None, ret) ] in
   let p = program ~main:"main" [ main; f ] in
-  let optimized, _ = Dead_code.eliminate (Analysis.run p) in
+  let optimized, _ = Dead_code.eliminate ~rerun:Analysis.rerun (Analysis.run p) in
   let f' = Option.get (Program.find optimized "f") in
   let count pred = Array.fold_left (fun n i -> if pred i then n + 1 else n) 0 f'.Routine.insns in
   Alcotest.(check int) "store kept" 1
@@ -172,7 +172,7 @@ let test_dead_code_cascades () =
   in
   let main = routine "main" [ (None, call "f"); (None, ret) ] in
   let p = program ~main:"main" [ main; f ] in
-  let optimized, removed = Dead_code.eliminate (Analysis.run p) in
+  let optimized, removed = Dead_code.eliminate ~rerun:Analysis.rerun (Analysis.run p) in
   Alcotest.(check int) "all three removed" 3 removed;
   let f' = Option.get (Program.find optimized "f") in
   Alcotest.(check int) "only ret left" 1 (Routine.instruction_count f')
