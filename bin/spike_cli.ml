@@ -12,9 +12,18 @@ open Spike_support
 open Spike_ir
 open Spike_core
 
+let c_asm_bytes = Spike_obs.Metrics.counter "asm.bytes"
+
+(* Reading and parsing is span [asm.parse], validation [ir.validate]: the
+   front end's share of a traced command. *)
 let load_program path =
-  let program = Spike_asm.Parser.program_of_file path in
-  match Validate.check program with
+  let program =
+    Spike_obs.Trace.with_span "asm.parse" (fun () ->
+        let source = In_channel.with_open_bin path In_channel.input_all in
+        Spike_obs.Metrics.add c_asm_bytes (String.length source);
+        Spike_asm.Parser.program_of_string source)
+  in
+  match Spike_obs.Trace.with_span "ir.validate" (fun () -> Validate.check program) with
   | Ok () -> program
   | Error problems ->
       Format.eprintf "%s: ill-formed program:@." path;
@@ -250,11 +259,12 @@ let opt_cmd =
                ~externals:(load_externals externals) ?jobs program))
     in
     Format.printf "%a@." Spike_opt.Opt.pp_report report;
-    (match output with
-    | Some path ->
-        Spike_asm.Printer.to_file path optimized;
-        Format.printf "wrote %s@." path
-    | None -> Format.printf "@.%a@." Spike_asm.Printer.pp_program optimized);
+    Spike_obs.Trace.with_span "asm.print" (fun () ->
+        match output with
+        | Some path ->
+            Spike_asm.Printer.to_file path optimized;
+            Format.printf "wrote %s@." path
+        | None -> Format.printf "@.%a@." Spike_asm.Printer.pp_program optimized);
     obs_finish obs
   in
   let output =

@@ -1,136 +1,218 @@
+open Spike_support
 open Spike_isa
 open Spike_ir
+module L = Lexer
 
 exception Error of { line : int; message : string }
 
-let fail line fmt = Format.kasprintf (fun message -> raise (Error { line; message })) fmt
+let fail c fmt =
+  Format.kasprintf (fun message -> raise (Error { line = L.line c; message })) fmt
 
-let reg line name =
-  match Reg.of_name name with
-  | Some r -> r
-  | None -> fail line "unknown register %s" name
+type mnemonic =
+  | Li
+  | Lda
+  | Mov
+  | Ldq
+  | Stq
+  | Br
+  | Jmp
+  | Bsr
+  | Jsr
+  | Ret
+  | Nop
+  | Switch
+  | Binop of Insn.binop
+  | Bcond of Insn.cond
+  | Unknown
 
-(* Parse one instruction from its token list. *)
-let instruction line tokens =
-  let module L = Lexer in
-  let reg = reg line in
-  match tokens with
-  | [ L.Ident "li"; L.Ident d; L.Comma; L.Int imm ] -> Insn.Li { dst = reg d; imm }
-  | [ L.Ident "lda"; L.Ident d; L.Comma; L.Int offset; L.Lparen; L.Ident b; L.Rparen ] ->
-      Insn.Lda { dst = reg d; base = reg b; offset }
-  | [ L.Ident "mov"; L.Ident s; L.Comma; L.Ident d ] -> Insn.Mov { dst = reg d; src = reg s }
-  | [ L.Ident "ldq"; L.Ident d; L.Comma; L.Int offset; L.Lparen; L.Ident b; L.Rparen ] ->
-      Insn.Load { dst = reg d; base = reg b; offset }
-  | [ L.Ident "stq"; L.Ident s; L.Comma; L.Int offset; L.Lparen; L.Ident b; L.Rparen ] ->
-      Insn.Store { src = reg s; base = reg b; offset }
-  | [ L.Ident "br"; L.Ident target ] -> Insn.Br { target }
-  | [ L.Ident "jmp"; L.Lparen; L.Ident r; L.Rparen ] -> Insn.Jump_unknown { target = reg r }
-  | [ L.Ident "bsr"; L.Ident ra; L.Comma; L.Ident name ] when ra = "ra" ->
-      Insn.Call { callee = Insn.Direct name }
-  | [ L.Ident "jsr"; L.Ident ra; L.Comma; L.Lparen; L.Ident r; L.Rparen ] when ra = "ra" ->
-      Insn.Call { callee = Insn.Indirect (reg r, None) }
-  | L.Ident "jsr" :: L.Ident ra :: L.Comma :: L.Lparen :: L.Ident r :: L.Rparen
-    :: L.Comma :: L.Lbracket :: rest
-    when ra = "ra" ->
-      let rec names acc = function
-        | [ L.Ident n; L.Rbracket ] -> List.rev (n :: acc)
-        | L.Ident n :: L.Comma :: rest -> names (n :: acc) rest
-        | _ -> fail line "malformed jsr target list"
-      in
-      Insn.Call { callee = Insn.Indirect (reg r, Some (names [] rest)) }
-  | [ L.Ident "ret" ] -> Insn.Ret
-  | [ L.Ident "nop" ] -> Insn.Nop
-  | L.Ident "switch" :: L.Ident r :: L.Comma :: L.Lbracket :: rest ->
-      let rec labels acc = function
-        | [ L.Ident l; L.Rbracket ] -> List.rev (l :: acc)
-        | L.Ident l :: L.Comma :: rest -> labels (l :: acc) rest
-        | _ -> fail line "malformed switch table"
-      in
-      Insn.Switch { index = reg r; table = Array.of_list (labels [] rest) }
-  | [ L.Ident m; L.Ident s1; L.Comma; L.Ident s2; L.Comma; L.Ident d ] -> (
-      match Insn.binop_of_name m with
-      | Some op -> Insn.Binop { op; dst = reg d; src1 = reg s1; src2 = Insn.Reg (reg s2) }
-      | None -> fail line "unknown mnemonic %s" m)
-  | [ L.Ident m; L.Ident s1; L.Comma; L.Int i; L.Comma; L.Ident d ] -> (
-      match Insn.binop_of_name m with
-      | Some op -> Insn.Binop { op; dst = reg d; src1 = reg s1; src2 = Insn.Imm i }
-      | None -> fail line "unknown mnemonic %s" m)
-  | [ L.Ident m; L.Ident s; L.Comma; L.Ident target ] -> (
-      match Insn.cond_of_name m with
-      | Some cond -> Insn.Bcond { cond; src = reg s; target }
-      | None -> fail line "unknown mnemonic %s" m)
-  | L.Ident m :: _ -> fail line "cannot parse %s instruction" m
-  | _ -> fail line "expected an instruction"
+let mnemonics =
+  let table = Name_key.Table.create 64 in
+  let add name m = Name_key.Table.replace table (Name_key.of_string name) m in
+  List.iter
+    (fun (name, m) -> add name m)
+    [ ("li", Li); ("lda", Lda); ("mov", Mov); ("ldq", Ldq); ("stq", Stq); ("br", Br);
+      ("jmp", Jmp); ("bsr", Bsr); ("jsr", Jsr); ("ret", Ret); ("nop", Nop);
+      ("switch", Switch) ];
+  List.iter (fun op -> add (Insn.binop_name op) (Binop op)) Insn.binops;
+  List.iter (fun cond -> add (Insn.cond_name cond) (Bcond cond)) Insn.conds;
+  table
+
+let mnemonic c =
+  match Name_key.Table.find mnemonics (L.key c 0) with
+  | m -> m
+  | exception Not_found -> Unknown
+
+let reg c i =
+  match Reg.of_key (L.key c i) with
+  | r -> r
+  | exception Not_found -> fail c "unknown register %s" (L.text c i)
+
+(* Line shapes, as token kinds.  Array literals allocate, so they are
+   built once here. *)
+let reg_imm = L.[| Ident; Ident; Comma; Int |]
+let reg_mem = L.[| Ident; Ident; Comma; Int; Lparen; Ident; Rparen |]
+let reg_ident = L.[| Ident; Ident; Comma; Ident |]
+let one_ident = L.[| Ident; Ident |]
+let bare = L.[| Ident |]
+let jmp_reg = L.[| Ident; Lparen; Ident; Rparen |]
+let jsr_reg = L.[| Ident; Ident; Comma; Lparen; Ident; Rparen |]
+let jsr_list = L.[| Ident; Ident; Comma; Lparen; Ident; Rparen; Comma; Lbracket |]
+let switch_list = L.[| Ident; Ident; Comma; Lbracket |]
+let binop_reg = L.[| Ident; Ident; Comma; Ident; Comma; Ident |]
+let binop_imm = L.[| Ident; Ident; Comma; Int; Comma; Ident |]
+let directive = L.[| Directive |]
+let directive_name = L.[| Directive; Ident |]
+let exported_routine = L.[| Directive; Ident; Directive |]
+let label_def = L.[| Ident; Colon |]
+
+(* [NAME ("," NAME)* "]"] from token [i] to the end of the line. *)
+let names c i ~malformed =
+  let n = L.length c in
+  let rec go i acc =
+    if i + 2 = n && L.kind c i = L.Ident && L.kind c (i + 1) = L.Rbracket then
+      List.rev (L.text c i :: acc)
+    else if i + 1 < n && L.kind c i = L.Ident && L.kind c (i + 1) = L.Comma then
+      go (i + 2) (L.text c i :: acc)
+    else fail c "%s" malformed
+  in
+  go i []
+
+(* One instruction line.  The mnemonic's own forms are tried first; any
+   other line of a binop or conditional-branch shape names an unknown
+   mnemonic.  Registers are resolved in source order, so the first bad
+   one is reported. *)
+let instruction c =
+  if L.kind c 0 <> L.Ident then fail c "expected an instruction";
+  let m = mnemonic c in
+  match m with
+  | Li when L.shape c reg_imm -> Insn.Li { dst = reg c 1; imm = L.int c 3 }
+  | Lda when L.shape c reg_mem ->
+      let dst = reg c 1 in
+      Insn.Lda { dst; base = reg c 5; offset = L.int c 3 }
+  | Ldq when L.shape c reg_mem ->
+      let dst = reg c 1 in
+      Insn.Load { dst; base = reg c 5; offset = L.int c 3 }
+  | Stq when L.shape c reg_mem ->
+      let src = reg c 1 in
+      Insn.Store { src; base = reg c 5; offset = L.int c 3 }
+  | Mov when L.shape c reg_ident ->
+      let src = reg c 1 in
+      Insn.Mov { dst = reg c 3; src }
+  | Br when L.shape c one_ident -> Insn.Br { target = L.text c 1 }
+  | Jmp when L.shape c jmp_reg -> Insn.Jump_unknown { target = reg c 2 }
+  | Bsr when L.shape c reg_ident && L.is c 1 "ra" ->
+      Insn.Call { callee = Insn.Direct (L.text c 3) }
+  | Jsr when L.shape c jsr_reg && L.is c 1 "ra" ->
+      Insn.Call { callee = Insn.Indirect (reg c 4, None) }
+  | Jsr when L.starts_with c jsr_list && L.is c 1 "ra" ->
+      let r = reg c 4 in
+      let targets = names c 8 ~malformed:"malformed jsr target list" in
+      Insn.Call { callee = Insn.Indirect (r, Some targets) }
+  | Ret when L.shape c bare -> Insn.Ret
+  | Nop when L.shape c bare -> Insn.Nop
+  | Switch when L.starts_with c switch_list ->
+      let index = reg c 1 in
+      let table = names c 4 ~malformed:"malformed switch table" in
+      Insn.Switch { index; table = Array.of_list table }
+  | _ ->
+      if L.shape c binop_reg || L.shape c binop_imm then
+        match m with
+        | Binop op ->
+            let src1 = reg c 1 in
+            let src2 = if L.kind c 3 = L.Int then Insn.Imm (L.int c 3) else Insn.Reg (reg c 3) in
+            Insn.Binop { op; dst = reg c 5; src1; src2 }
+        | _ -> fail c "unknown mnemonic %s" (L.text c 0)
+      else if L.shape c reg_ident then
+        match m with
+        | Bcond cond -> Insn.Bcond { cond; src = reg c 1; target = L.text c 3 }
+        | _ -> fail c "unknown mnemonic %s" (L.text c 0)
+      else fail c "cannot parse %s instruction" (L.text c 0)
 
 type partial_routine = {
   name : string;
   exported : bool;
   mutable entries : string list; (* reversed *)
   mutable labels : (string * int) list; (* reversed *)
-  mutable insns : Insn.t list; (* reversed *)
+  defined : (string, unit) Hashtbl.t; (* the labels, to reject duplicates *)
 }
 
-let parse_lines lines =
-  let module L = Lexer in
+let parse c =
   let main = ref None in
   let routines = ref [] (* reversed *) in
   let current = ref None in
-  let finish_current line =
-    match !current with
-    | None -> fail line ".end without .routine"
-    | Some p ->
-        let insns = Array.of_list (List.rev p.insns) in
-        let entries =
-          match List.rev p.entries with
-          | [] ->
-              let l = p.name ^ "$entry" in
-              if not (List.mem_assoc l p.labels) then p.labels <- (l, 0) :: p.labels;
-              [ l ]
-          | declared -> declared
-        in
-        let routine =
-          Routine.make ~exported:p.exported ~name:p.name ~entries
-            ~labels:(List.rev p.labels) insns
-        in
-        routines := routine :: !routines;
-        current := None
+  (* The current routine's instructions; its length is the index the next
+     label names. *)
+  let insns = Vec.create () in
+  let finish p =
+    let entries =
+      match List.rev p.entries with
+      | [] ->
+          let l = p.name ^ "$entry" in
+          if not (Hashtbl.mem p.defined l) then p.labels <- (l, 0) :: p.labels;
+          [ l ]
+      | declared -> declared
+    in
+    let routine =
+      Routine.make ~exported:p.exported ~name:p.name ~entries
+        ~labels:(List.rev p.labels) (Vec.to_array insns)
+    in
+    routines := routine :: !routines;
+    Vec.clear insns;
+    current := None
   in
-  List.iter
-    (fun (line, tokens) ->
-      match (tokens, !current) with
-      | [ L.Directive "main"; L.Ident name ], None -> (
-          match !main with
-          | None -> main := Some name
-          | Some _ -> fail line "duplicate .main directive")
-      | L.Directive "routine" :: L.Ident name :: rest, None ->
-          let exported =
-            match rest with
-            | [] -> false
-            | [ L.Directive "exported" ] -> true
-            | _ -> fail line "malformed .routine directive"
-          in
-          current := Some { name; exported; entries = []; labels = []; insns = [] }
-      | [ L.Directive "end" ], Some _ -> finish_current line
-      | [ L.Directive "entry"; L.Ident label ], Some p ->
-          p.entries <- label :: p.entries
-      | [ L.Ident label; L.Colon ], Some p ->
-          if List.mem_assoc label p.labels then fail line "duplicate label %s" label
-          else p.labels <- (label, List.length p.insns) :: p.labels
-      | _, Some p -> p.insns <- instruction line tokens :: p.insns
-      | _, None -> fail line "expected .main or .routine")
-    lines;
+  let outside () =
+    if L.shape c directive_name && L.is c 0 "main" then
+      match !main with
+      | None -> main := Some (L.text c 1)
+      | Some _ -> fail c "duplicate .main directive"
+    else if L.starts_with c directive_name && L.is c 0 "routine" then begin
+      let exported =
+        if L.length c = 2 then false
+        else if L.shape c exported_routine && L.is c 2 "exported" then true
+        else fail c "malformed .routine directive"
+      in
+      current :=
+        Some
+          {
+            name = L.text c 1;
+            exported;
+            entries = [];
+            labels = [];
+            defined = Hashtbl.create 16;
+          }
+    end
+    else fail c "expected .main or .routine"
+  in
+  let inside p =
+    if L.shape c directive && L.is c 0 "end" then finish p
+    else if L.shape c directive_name && L.is c 0 "entry" then
+      p.entries <- L.text c 1 :: p.entries
+    else if L.shape c label_def then begin
+      let label = L.text c 0 in
+      if Hashtbl.mem p.defined label then fail c "duplicate label %s" label;
+      Hashtbl.add p.defined label ();
+      p.labels <- (label, Vec.length insns) :: p.labels
+    end
+    else Vec.push insns (instruction c)
+  in
+  while L.next_line c do
+    match !current with None -> outside () | Some p -> inside p
+  done;
   (match !current with
-  | Some p -> fail 0 "routine %s not closed with .end" p.name
+  | Some p -> raise (Error { line = 0; message = Printf.sprintf "routine %s not closed with .end" p.name })
   | None -> ());
   match !main with
-  | None -> fail 0 "missing .main directive"
-  | Some main -> Program.make ~main (List.rev !routines)
+  | None -> raise (Error { line = 0; message = "missing .main directive" })
+  | Some main -> (
+      match Program.make ~main (List.rev !routines) with
+      | program -> program
+      | exception Invalid_argument message -> raise (Error { line = 0; message }))
 
 let program_of_string source =
-  match parse_lines (Lexer.tokenize source) with
+  let c = L.create source in
+  match parse c with
   | program -> program
-  | exception Lexer.Error { line; message } -> raise (Error { line; message })
-  | exception Invalid_argument message -> raise (Error { line = 0; message })
+  | exception L.Error { line; message } -> raise (Error { line; message })
 
 let program_of_file path =
   let ic = open_in_bin path in

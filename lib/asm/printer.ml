@@ -1,15 +1,22 @@
 open Spike_ir
 
-(* Routine.pp already prints the exact concrete syntax; the program printer
-   adds the .main header.  Keeping the syntax in one place (Routine.pp /
-   Insn.pp) is what makes the round-trip guarantee cheap to maintain. *)
+(* The syntax is written once, into a Buffer, by Insn.to_buffer,
+   Routine.to_buffer and Program.to_buffer; every printer here goes
+   through that one writer, which is what keeps the round-trip guarantee
+   cheap to maintain. *)
 
+let to_buffer p =
+  (* The calibrated shapes print about 18 bytes per instruction, labels
+     and directives included. *)
+  let b = Buffer.create ((24 * Program.instruction_count p) + 256) in
+  Program.to_buffer b p;
+  b
+
+let to_string p = Buffer.contents (to_buffer p)
 let pp_program = Program.pp
-let to_string p = Format.asprintf "%a" pp_program p
 
 let to_file path p =
+  let b = to_buffer p in
   let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  pp_program ppf p;
-  Format.pp_print_flush ppf ();
+  Buffer.output_buffer oc b;
   close_out oc

@@ -4,26 +4,35 @@ open Spike_core
 
 exception Error of { line : int; message : string }
 
-let fail line fmt = Format.kasprintf (fun message -> raise (Error { line; message })) fmt
+let fail_at line fmt = Format.kasprintf (fun message -> raise (Error { line; message })) fmt
 
-let reg line name =
-  match Reg.of_name name with
-  | Some r -> r
-  | None -> fail line "unknown register %s" name
+module L = Lexer
 
-(* [used = { a0 , a1 }] — the brace list may be empty. *)
-let set_line line tokens =
-  let module L = Lexer in
-  match tokens with
-  | L.Ident field :: L.Equals :: L.Lbrace :: rest ->
-      let rec members acc = function
-        | [ L.Rbrace ] -> acc
-        | [ L.Ident n; L.Rbrace ] -> Regset.add (reg line n) acc
-        | L.Ident n :: L.Comma :: rest -> members (Regset.add (reg line n) acc) rest
-        | _ -> fail line "malformed register set"
-      in
-      (field, members Regset.empty rest)
-  | _ -> fail line "expected '<field> = { ... }'"
+let fail c fmt = fail_at (L.line c) fmt
+
+let reg c i =
+  match Reg.of_key (L.key c i) with
+  | r -> r
+  | exception Not_found -> fail c "unknown register %s" (L.text c i)
+
+let set_prefix = L.[| Ident; Equals; Lbrace |]
+let directive = L.[| Directive |]
+let directive_name = L.[| Directive; Ident |]
+
+(* [used = { a0 , a1 }] — the brace list may be empty, and may end in a
+   comma. *)
+let set_line c =
+  if not (L.starts_with c set_prefix) then fail c "expected '<field> = { ... }'";
+  let n = L.length c in
+  let rec members i acc =
+    if i + 1 = n && L.kind c i = L.Rbrace then acc
+    else if i + 2 = n && L.kind c i = L.Ident && L.kind c (i + 1) = L.Rbrace then
+      Regset.add (reg c i) acc
+    else if i + 1 < n && L.kind c i = L.Ident && L.kind c (i + 1) = L.Comma then
+      members (i + 2) (Regset.add (reg c i) acc)
+    else fail c "malformed register set"
+  in
+  members 3 Regset.empty
 
 type partial = {
   name : string;
@@ -32,51 +41,45 @@ type partial = {
   mutable killed : Regset.t option;
 }
 
-let of_string source =
-  let module L = Lexer in
+let parse c =
   let entries = ref [] in
   let current = ref None in
-  let finish line =
+  let finish p =
+    let field what = function
+      | Some s -> s
+      | None -> fail c "summary %s is missing its %s set" p.name what
+    in
+    let x_used = field "used" p.used in
+    let x_defined = field "defined" p.defined in
+    let x_killed = field "killed" p.killed in
+    entries := (p.name, { Psg.x_used; x_defined; x_killed }) :: !entries;
+    current := None
+  in
+  while L.next_line c do
     match !current with
-    | None -> fail line ".end without .summary"
+    | None ->
+        if L.shape c directive_name && L.is c 0 "summary" then
+          current := Some { name = L.text c 1; used = None; defined = None; killed = None }
+        else fail c "expected .summary"
     | Some p ->
-        let field what = function
-          | Some s -> s
-          | None -> fail line "summary %s is missing its %s set" p.name what
-        in
-        entries :=
-          ( p.name,
-            {
-              Psg.x_used = field "used" p.used;
-              x_defined = field "defined" p.defined;
-              x_killed = field "killed" p.killed;
-            } )
-          :: !entries;
-        current := None
-  in
-  let lines =
-    match Lexer.tokenize source with
-    | lines -> lines
-    | exception Lexer.Error { line; message } -> raise (Error { line; message })
-  in
-  List.iter
-    (fun (line, tokens) ->
-      match (tokens, !current) with
-      | [ L.Directive "summary"; L.Ident name ], None ->
-          current := Some { name; used = None; defined = None; killed = None }
-      | [ L.Directive "end" ], Some _ -> finish line
-      | _, Some p -> (
-          match set_line line tokens with
-          | "used", s -> p.used <- Some s
-          | "defined", s -> p.defined <- Some s
-          | "killed", s -> p.killed <- Some s
-          | field, _ -> fail line "unknown field %s" field)
-      | _, None -> fail line "expected .summary")
-    lines;
+        if L.shape c directive && L.is c 0 "end" then finish p
+        else begin
+          let set = set_line c in
+          if L.is c 0 "used" then p.used <- Some set
+          else if L.is c 0 "defined" then p.defined <- Some set
+          else if L.is c 0 "killed" then p.killed <- Some set
+          else fail c "unknown field %s" (L.text c 0)
+        end
+  done;
   (match !current with
-  | Some p -> fail 0 "summary %s not closed with .end" p.name
+  | Some p -> fail_at 0 "summary %s not closed with .end" p.name
   | None -> ());
   List.rev !entries
+
+let of_string source =
+  match parse (L.create source) with
+  | entries -> entries
+  | exception L.Error { line; message } -> raise (Error { line; message })
 
 let of_file path =
   let ic = open_in_bin path in

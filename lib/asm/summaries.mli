@@ -25,7 +25,9 @@ open Spike_core
 exception Error of { line : int; message : string }
 
 val of_string : string -> (string * Psg.external_class) list
-(** Parse a summary file.  @raise Error with the offending 1-based line. *)
+(** Parse a summary file through the same {!Lexer} cursor as programs.
+    @raise Error with the first offending 1-based line (0 for a summary
+    not closed by the end of the input). *)
 
 val of_file : string -> (string * Psg.external_class) list
 

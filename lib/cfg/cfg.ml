@@ -41,22 +41,20 @@ let build (routine : Routine.t) =
   assert (len > 0);
   (* Leaders: first instruction, every labelled branch target / entry, and
      every instruction following a block-ending instruction. *)
+  (* Label positions, first binding first (as Routine.label_index); the
+     routine is validated, so every entry and target is defined. *)
+  let positions = Hashtbl.create 16 in
+  List.iter
+    (fun (l, i) -> if not (Hashtbl.mem positions l) then Hashtbl.add positions l i)
+    routine.labels;
+  let label_index l = Hashtbl.find positions l in
   let leader = Array.make len false in
   leader.(0) <- true;
   let mark i = if i < len then leader.(i) <- true in
-  List.iter (fun entry ->
-      match Routine.label_index routine entry with
-      | Some i -> mark i
-      | None -> assert false)
-    routine.entries;
+  List.iter (fun entry -> mark (label_index entry)) routine.entries;
   Array.iteri
     (fun i insn ->
-      List.iter
-        (fun l ->
-          match Routine.label_index routine l with
-          | Some j -> mark j
-          | None -> assert false)
-        (Insn.branch_targets insn);
+      List.iter (fun l -> mark (label_index l)) (Insn.branch_targets insn);
       if Insn.ends_block insn then mark (i + 1))
     insns;
   (* Partition into blocks. *)
@@ -79,16 +77,17 @@ let build (routine : Routine.t) =
   in
   let block_at insn_index = block_of_insn.(insn_index) in
   let target_block l =
-    match Routine.label_index routine l with
-    | Some i ->
-        assert (i < len);
-        block_at i
-    | None -> assert false
+    let i = label_index l in
+    assert (i < len);
+    block_at i
   in
-  (* Successors from each block's final instruction. *)
+  (* Successors from each block's final instruction.  A block's arcs are
+     added together, so [added.(dst) = src] marks a duplicate arc. *)
   let succs = Array.make nblocks [] and preds = Array.make nblocks [] in
+  let added = Array.make nblocks (-1) in
   let add_arc src dst =
-    if not (List.mem dst succs.(src)) then begin
+    if added.(dst) <> src then begin
+      added.(dst) <- src;
       succs.(src) <- dst :: succs.(src);
       preds.(dst) <- src :: preds.(dst)
     end
@@ -118,12 +117,7 @@ let build (routine : Routine.t) =
       ranges
   in
   let entry_blocks =
-    List.map
-      (fun entry ->
-        match Routine.label_index routine entry with
-        | Some i -> (entry, block_at i)
-        | None -> assert false)
-      routine.entries
+    List.map (fun entry -> (entry, block_at (label_index entry))) routine.entries
   in
   { routine; blocks; block_of_insn; entry_blocks }
 

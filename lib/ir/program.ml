@@ -65,6 +65,17 @@ let callee_summary_targets p callee =
       if List.exists Option.is_none indices || names = [] then None
       else Some (List.filter_map Fun.id indices)
 
+let to_buffer b p =
+  Buffer.add_string b ".main ";
+  Buffer.add_string b p.main;
+  Buffer.add_string b "\n\n";
+  Array.iter
+    (fun r ->
+      Routine.to_buffer b r;
+      Buffer.add_char b '\n')
+    p.routines
+
 let pp ppf p =
-  Format.fprintf ppf ".main %s@.@." p.main;
-  Array.iter (fun r -> Format.fprintf ppf "%a@." Routine.pp r) p.routines
+  let b = Buffer.create 4096 in
+  to_buffer b p;
+  Format.pp_print_string ppf (Buffer.contents b)

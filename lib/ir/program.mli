@@ -30,8 +30,13 @@ val callees_of : t -> Routine.t -> string list
 (** Names of routines in [t] called directly by the given routine
     (deduplicated, program order). *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the full assembly listing: a [.main] directive and a blank
+    line, then each routine's {!Routine.to_buffer} listing followed by a
+    blank line. *)
+
 val pp : Format.formatter -> t -> unit
-(** Full assembly listing, starting with a [.main] directive. *)
+(** {!to_buffer}'s listing. *)
 
 val callee_summary_targets : t -> Insn.callee -> int list option
 (** Indices of the routines a call may target: [Some []] never happens;

@@ -24,16 +24,35 @@ let instruction_count r = Array.length r.insns
 let exit_count r =
   Array.fold_left (fun n insn -> match insn with Insn.Ret -> n + 1 | _ -> n) 0 r.insns
 
-let pp ppf r =
-  Format.fprintf ppf ".routine %s%s@." r.name (if r.exported then " .exported" else "");
-  List.iter (fun entry -> Format.fprintf ppf ".entry %s@." entry) r.entries;
+(* Labels are emitted in index order, those sharing an index in list order;
+   a label outside [0 .. length] is not printed. *)
+let to_buffer b r =
+  let str = Buffer.add_string b in
+  str ".routine ";
+  str r.name;
+  if r.exported then str " .exported";
+  str "\n";
+  List.iter (fun entry -> str ".entry "; str entry; str "\n") r.entries;
+  let pending = ref (List.stable_sort (fun (_, i) (_, j) -> Int.compare i j) r.labels) in
   let labels_at i =
-    List.filter_map (fun (l, j) -> if i = j then Some l else None) r.labels
+    let rec go = function
+      | (_, j) :: rest when j < i -> go rest
+      | (l, j) :: rest when j = i -> str l; str ":\n"; go rest
+      | rest -> rest
+    in
+    pending := go !pending
   in
   Array.iteri
     (fun i insn ->
-      List.iter (fun l -> Format.fprintf ppf "%s:@." l) (labels_at i);
-      Format.fprintf ppf "  %a@." Insn.pp insn)
+      labels_at i;
+      str "  ";
+      Insn.to_buffer b insn;
+      str "\n")
     r.insns;
-  List.iter (fun l -> Format.fprintf ppf "%s:@." l) (labels_at (Array.length r.insns));
-  Format.fprintf ppf ".end@."
+  labels_at (Array.length r.insns);
+  str ".end\n"
+
+let pp ppf r =
+  let b = Buffer.create 1024 in
+  to_buffer b r;
+  Format.pp_print_string ppf (Buffer.contents b)

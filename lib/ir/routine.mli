@@ -40,5 +40,10 @@ val instruction_count : t -> int
 val exit_count : t -> int
 (** Number of [ret] instructions. *)
 
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the assembly listing: the [.routine] header, [.entry]
+    directives, labels and indented instructions, and [.end], each line
+    ending in a newline. *)
+
 val pp : Format.formatter -> t -> unit
-(** Assembly-style listing with labels and directives. *)
+(** {!to_buffer}'s listing. *)

@@ -5,25 +5,23 @@ let check_routine (r : Routine.t) =
   let report fmt = Format.kasprintf (fun s -> problems := (r.name ^ ": " ^ s) :: !problems) fmt in
   let len = Array.length r.insns in
   if len = 0 then report "empty routine body";
-  (* Labels: unique, within [0 .. len]. *)
-  let seen = Hashtbl.create 16 in
+  (* Labels: unique, within [0 .. len].  [index] maps each label to its
+     first binding, as Routine.label_index does. *)
+  let index = Hashtbl.create 16 in
   List.iter
     (fun (l, i) ->
-      if Hashtbl.mem seen l then report "duplicate label %s" l;
-      Hashtbl.replace seen l ();
+      if Hashtbl.mem index l then report "duplicate label %s" l
+      else Hashtbl.add index l i;
       if i < 0 || i > len then report "label %s out of bounds (%d)" l i)
     r.labels;
-  let defined l = List.mem_assoc l r.labels in
-  let target_ok l =
-    match Routine.label_index r l with Some i -> i < len | None -> false
-  in
   Array.iteri
     (fun i insn ->
       List.iter
         (fun l ->
-          if not (defined l) then report "instruction %d branches to undefined label %s" i l
-          else if not (target_ok l) then
-            report "instruction %d branches to end-of-routine label %s" i l)
+          match Hashtbl.find_opt index l with
+          | None -> report "instruction %d branches to undefined label %s" i l
+          | Some j ->
+              if j >= len then report "instruction %d branches to end-of-routine label %s" i l)
         (Insn.branch_targets insn);
       match insn with
       | Insn.Switch { table; _ } when Array.length table = 0 ->
@@ -35,7 +33,7 @@ let check_routine (r : Routine.t) =
     r.insns;
   List.iter
     (fun entry ->
-      match Routine.label_index r entry with
+      match Hashtbl.find_opt index entry with
       | None -> report "entry %s is not a defined label" entry
       | Some i -> if i >= len then report "entry %s points past the routine body" entry)
     r.entries;
@@ -45,7 +43,5 @@ let check_routine (r : Routine.t) =
   List.rev !problems
 
 let check p =
-  let problems =
-    Array.fold_left (fun acc r -> acc @ check_routine r) [] (Program.routines p)
-  in
+  let problems = List.concat_map check_routine (Array.to_list (Program.routines p)) in
   match problems with [] -> Ok () | _ :: _ -> Error problems

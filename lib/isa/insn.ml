@@ -81,44 +81,58 @@ let binop_table =
     (Xor, "xor"); (Sll, "sll"); (Srl, "srl"); (Cmpeq, "cmpeq"); (Cmplt, "cmplt");
     (Cmple, "cmple") ]
 
+let binops = List.map fst binop_table
 let binop_name op = List.assoc op binop_table
 let binop_of_name s =
   List.find_map (fun (op, name) -> if String.equal name s then Some op else None) binop_table
 
 let cond_table = [ (Eq, "beq"); (Ne, "bne"); (Lt, "blt"); (Le, "ble"); (Gt, "bgt"); (Ge, "bge") ]
+let conds = List.map fst cond_table
 let cond_name c = List.assoc c cond_table
 let cond_of_name s =
   List.find_map (fun (c, name) -> if String.equal name s then Some c else None) cond_table
 
-let pp ppf insn =
-  let reg = Reg.name in
+let to_buffer b insn =
+  let str = Buffer.add_string b in
+  let reg r = str (Reg.name r) in
+  let int n = str (string_of_int n) in
+  let comma () = str ", " in
+  let names = function
+    | [] -> ()
+    | first :: rest ->
+        str first;
+        List.iter (fun n -> comma (); str n) rest
+  in
   match insn with
-  | Li { dst; imm } -> Format.fprintf ppf "li %s, %d" (reg dst) imm
+  | Li { dst; imm } -> str "li "; reg dst; comma (); int imm
   | Lda { dst; base; offset } ->
-      Format.fprintf ppf "lda %s, %d(%s)" (reg dst) offset (reg base)
-  | Mov { dst; src } -> Format.fprintf ppf "mov %s, %s" (reg src) (reg dst)
-  | Binop { op; dst; src1; src2 } -> (
-      match src2 with
-      | Reg r -> Format.fprintf ppf "%s %s, %s, %s" (binop_name op) (reg src1) (reg r) (reg dst)
-      | Imm i -> Format.fprintf ppf "%s %s, %d, %s" (binop_name op) (reg src1) i (reg dst))
+      str "lda "; reg dst; comma (); int offset; str "("; reg base; str ")"
+  | Mov { dst; src } -> str "mov "; reg src; comma (); reg dst
+  | Binop { op; dst; src1; src2 } ->
+      str (binop_name op); str " "; reg src1; comma ();
+      (match src2 with Reg r -> reg r | Imm i -> int i);
+      comma (); reg dst
   | Load { dst; base; offset } ->
-      Format.fprintf ppf "ldq %s, %d(%s)" (reg dst) offset (reg base)
+      str "ldq "; reg dst; comma (); int offset; str "("; reg base; str ")"
   | Store { src; base; offset } ->
-      Format.fprintf ppf "stq %s, %d(%s)" (reg src) offset (reg base)
-  | Br { target } -> Format.fprintf ppf "br %s" target
-  | Bcond { cond; src; target } ->
-      Format.fprintf ppf "%s %s, %s" (cond_name cond) (reg src) target
+      str "stq "; reg src; comma (); int offset; str "("; reg base; str ")"
+  | Br { target } -> str "br "; str target
+  | Bcond { cond; src; target } -> str (cond_name cond); str " "; reg src; comma (); str target
   | Switch { index; table } ->
-      Format.fprintf ppf "switch %s, [%s]" (reg index)
-        (String.concat ", " (Array.to_list table))
-  | Jump_unknown { target } -> Format.fprintf ppf "jmp (%s)" (reg target)
+      str "switch "; reg index; str ", ["; names (Array.to_list table); str "]"
+  | Jump_unknown { target } -> str "jmp ("; reg target; str ")"
   | Call { callee } -> (
       match callee with
-      | Direct name -> Format.fprintf ppf "bsr ra, %s" name
-      | Indirect (r, None) -> Format.fprintf ppf "jsr ra, (%s)" (reg r)
-      | Indirect (r, Some names) ->
-          Format.fprintf ppf "jsr ra, (%s), [%s]" (reg r) (String.concat ", " names))
-  | Ret -> Format.pp_print_string ppf "ret"
-  | Nop -> Format.pp_print_string ppf "nop"
+      | Direct name -> str "bsr ra, "; str name
+      | Indirect (r, None) -> str "jsr ra, ("; reg r; str ")"
+      | Indirect (r, Some targets) ->
+          str "jsr ra, ("; reg r; str "), ["; names targets; str "]")
+  | Ret -> str "ret"
+  | Nop -> str "nop"
 
-let to_string insn = Format.asprintf "%a" pp insn
+let to_string insn =
+  let b = Buffer.create 32 in
+  to_buffer b insn;
+  Buffer.contents b
+
+let pp ppf insn = Format.pp_print_string ppf (to_string insn)

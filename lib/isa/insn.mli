@@ -86,12 +86,23 @@ val falls_through : t -> bool
 (** True when control may continue to the next instruction: ordinary
     instructions, failed conditional branches, and calls (which return). *)
 
+val binops : binop list
+(** Every binary operation. *)
+
 val binop_name : binop -> string
 val binop_of_name : string -> binop option
+
+val conds : cond list
+(** Every branch condition. *)
+
 val cond_name : cond -> string
 val cond_of_name : string -> cond option
 
-val pp : Format.formatter -> t -> unit
-(** Assembly rendering, e.g. [addq t0, t1, v0] or [bsr ra, fact]. *)
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the assembly rendering, e.g. [addq t0, t1, v0] or
+    [bsr ra, fact], without a newline.  This is the one definition of the
+    instruction syntax: {!pp}, {!to_string} and the program printer all
+    write through it. *)
 
+val pp : Format.formatter -> t -> unit
 val to_string : t -> string

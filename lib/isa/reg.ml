@@ -49,23 +49,29 @@ let integer_names =
      "s3"; "s4"; "s5"; "fp"; "a0"; "a1"; "a2"; "a3"; "a4"; "a5"; "t8"; "t9";
      "t10"; "t11"; "ra"; "pv"; "at"; "gp"; "sp"; "zero" |]
 
+let names =
+  Array.init count (fun r ->
+      if is_integer r then integer_names.(r) else "f" ^ string_of_int (r - 32))
+
 let name r =
-  if is_integer r then integer_names.(r)
-  else if is_float r then "f" ^ string_of_int (r - 32)
+  if r >= 0 && r < count then names.(r)
   else invalid_arg (Printf.sprintf "Reg.name: %d" r)
 
-let name_table =
-  let table = Hashtbl.create 128 in
-  for r = 0 to count - 1 do
-    Hashtbl.replace table (name r) r
-  done;
+let by_key =
+  let table = Name_key.Table.create 128 in
+  let add s r = Name_key.Table.replace table (Name_key.of_string s) r in
+  Array.iteri (fun r s -> add s r) names;
   (* Raw spellings accepted by the parser. *)
   for r = 0 to 31 do
-    Hashtbl.replace table ("r" ^ string_of_int r) r;
-    Hashtbl.replace table ("$" ^ string_of_int r) r
+    add ("r" ^ string_of_int r) r;
+    add ("$" ^ string_of_int r) r
   done;
   table
 
-let of_name s = Hashtbl.find_opt name_table s
+let of_key key = Name_key.Table.find by_key key
+
+let of_name s =
+  match of_key (Name_key.of_string s) with r -> Some r | exception Not_found -> None
+
 let pp ppf r = Format.pp_print_string ppf (name r)
 let all = List.init count Fun.id

@@ -302,3 +302,214 @@ module Cold_opt = struct
     let a = rerun a program in
     fst (Dead_code.eliminate ~rerun a)
 end
+
+(* The assembly front end as it was before the cursor lexer: split the
+   source into lines, lex every line into a token list, then pattern-match
+   the lists.  A naive oracle for {!Spike_asm.Parser}, which lexes and
+   parses in one pass over the string.  Both accept exactly the same
+   inputs and build the same programs; only the line of an error may
+   differ, because this oracle lexes the whole file before parsing (a
+   later lexical error wins over an earlier syntax error). *)
+module Line_parser = struct
+  open Spike_isa
+  open Spike_ir
+
+  exception Error of { line : int; message : string }
+
+  type token =
+    | Ident of string
+    | Int of int
+    | Directive of string
+    | Comma
+    | Colon
+    | Lparen
+    | Rparen
+    | Lbracket
+    | Rbracket
+    | Lbrace
+    | Rbrace
+    | Equals
+
+  let fail line fmt = Format.kasprintf (fun message -> raise (Error { line; message })) fmt
+
+  let is_ident_start c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = '$'
+
+  let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
+  let is_digit c = c >= '0' && c <= '9'
+
+  let tokenize_line line_number line =
+    let n = String.length line in
+    let tokens = ref [] in
+    let emit t = tokens := t :: !tokens in
+    let rec scan i =
+      if i >= n then ()
+      else
+        let c = line.[i] in
+        let punct t =
+          emit t;
+          scan (i + 1)
+        in
+        match c with
+        | ' ' | '\t' | '\r' -> scan (i + 1)
+        | '#' -> ()
+        | ',' -> punct Comma
+        | ':' -> punct Colon
+        | '(' -> punct Lparen
+        | ')' -> punct Rparen
+        | '[' -> punct Lbracket
+        | ']' -> punct Rbracket
+        | '{' -> punct Lbrace
+        | '}' -> punct Rbrace
+        | '=' -> punct Equals
+        | '.' ->
+            let j = ref (i + 1) in
+            while !j < n && is_ident_char line.[!j] do
+              incr j
+            done;
+            if !j = i + 1 then fail line_number "expected directive name after '.'";
+            emit (Directive (String.sub line (i + 1) (!j - i - 1)));
+            scan !j
+        | _ when is_digit c || (c = '-' && i + 1 < n && is_digit line.[i + 1]) ->
+            let j = ref (if c = '-' then i + 1 else i) in
+            while !j < n && is_digit line.[!j] do
+              incr j
+            done;
+            let text = String.sub line i (!j - i) in
+            (match int_of_string_opt text with
+            | Some v -> emit (Int v)
+            | None -> fail line_number "integer %s out of range" text);
+            scan !j
+        | _ when is_ident_start c ->
+            let j = ref i in
+            while !j < n && is_ident_char line.[!j] do
+              incr j
+            done;
+            emit (Ident (String.sub line i (!j - i)));
+            scan !j
+        | _ -> fail line_number "unexpected character %C" c
+    in
+    scan 0;
+    List.rev !tokens
+
+  let tokenize source =
+    String.split_on_char '\n' source
+    |> List.mapi (fun i line -> (i + 1, tokenize_line (i + 1) line))
+    |> List.filter (fun (_, tokens) -> tokens <> [])
+
+  let reg line name =
+    match Reg.of_name name with
+    | Some r -> r
+    | None -> fail line "unknown register %s" name
+
+  let instruction line tokens =
+    let reg = reg line in
+    match tokens with
+    | [ Ident "li"; Ident d; Comma; Int imm ] -> Insn.Li { dst = reg d; imm }
+    | [ Ident "lda"; Ident d; Comma; Int offset; Lparen; Ident b; Rparen ] ->
+        Insn.Lda { dst = reg d; base = reg b; offset }
+    | [ Ident "mov"; Ident s; Comma; Ident d ] -> Insn.Mov { dst = reg d; src = reg s }
+    | [ Ident "ldq"; Ident d; Comma; Int offset; Lparen; Ident b; Rparen ] ->
+        Insn.Load { dst = reg d; base = reg b; offset }
+    | [ Ident "stq"; Ident s; Comma; Int offset; Lparen; Ident b; Rparen ] ->
+        Insn.Store { src = reg s; base = reg b; offset }
+    | [ Ident "br"; Ident target ] -> Insn.Br { target }
+    | [ Ident "jmp"; Lparen; Ident r; Rparen ] -> Insn.Jump_unknown { target = reg r }
+    | [ Ident "bsr"; Ident "ra"; Comma; Ident name ] -> Insn.Call { callee = Insn.Direct name }
+    | [ Ident "jsr"; Ident "ra"; Comma; Lparen; Ident r; Rparen ] ->
+        Insn.Call { callee = Insn.Indirect (reg r, None) }
+    | Ident "jsr" :: Ident "ra" :: Comma :: Lparen :: Ident r :: Rparen :: Comma :: Lbracket
+      :: rest ->
+        let rec names acc = function
+          | [ Ident n; Rbracket ] -> List.rev (n :: acc)
+          | Ident n :: Comma :: rest -> names (n :: acc) rest
+          | _ -> fail line "malformed jsr target list"
+        in
+        Insn.Call { callee = Insn.Indirect (reg r, Some (names [] rest)) }
+    | [ Ident "ret" ] -> Insn.Ret
+    | [ Ident "nop" ] -> Insn.Nop
+    | Ident "switch" :: Ident r :: Comma :: Lbracket :: rest ->
+        let rec labels acc = function
+          | [ Ident l; Rbracket ] -> List.rev (l :: acc)
+          | Ident l :: Comma :: rest -> labels (l :: acc) rest
+          | _ -> fail line "malformed switch table"
+        in
+        Insn.Switch { index = reg r; table = Array.of_list (labels [] rest) }
+    | [ Ident m; Ident s1; Comma; Ident s2; Comma; Ident d ] -> (
+        match Insn.binop_of_name m with
+        | Some op -> Insn.Binop { op; dst = reg d; src1 = reg s1; src2 = Insn.Reg (reg s2) }
+        | None -> fail line "unknown mnemonic %s" m)
+    | [ Ident m; Ident s1; Comma; Int i; Comma; Ident d ] -> (
+        match Insn.binop_of_name m with
+        | Some op -> Insn.Binop { op; dst = reg d; src1 = reg s1; src2 = Insn.Imm i }
+        | None -> fail line "unknown mnemonic %s" m)
+    | [ Ident m; Ident s; Comma; Ident target ] -> (
+        match Insn.cond_of_name m with
+        | Some cond -> Insn.Bcond { cond; src = reg s; target }
+        | None -> fail line "unknown mnemonic %s" m)
+    | Ident m :: _ -> fail line "cannot parse %s instruction" m
+    | _ -> fail line "expected an instruction"
+
+  type partial_routine = {
+    name : string;
+    exported : bool;
+    mutable entries : string list; (* reversed *)
+    mutable labels : (string * int) list; (* reversed *)
+    mutable insns : Insn.t list; (* reversed *)
+  }
+
+  let parse_lines lines =
+    let main = ref None in
+    let routines = ref [] in
+    let current = ref None in
+    let finish p =
+      let entries =
+        match List.rev p.entries with
+        | [] ->
+            let l = p.name ^ "$entry" in
+            if not (List.mem_assoc l p.labels) then p.labels <- (l, 0) :: p.labels;
+            [ l ]
+        | declared -> declared
+      in
+      routines :=
+        Routine.make ~exported:p.exported ~name:p.name ~entries
+          ~labels:(List.rev p.labels)
+          (Array.of_list (List.rev p.insns))
+        :: !routines;
+      current := None
+    in
+    List.iter
+      (fun (line, tokens) ->
+        match (tokens, !current) with
+        | [ Directive "main"; Ident name ], None -> (
+            match !main with
+            | None -> main := Some name
+            | Some _ -> fail line "duplicate .main directive")
+        | Directive "routine" :: Ident name :: rest, None ->
+            let exported =
+              match rest with
+              | [] -> false
+              | [ Directive "exported" ] -> true
+              | _ -> fail line "malformed .routine directive"
+            in
+            current := Some { name; exported; entries = []; labels = []; insns = [] }
+        | [ Directive "end" ], Some p -> finish p
+        | [ Directive "entry"; Ident label ], Some p -> p.entries <- label :: p.entries
+        | [ Ident label; Colon ], Some p ->
+            if List.mem_assoc label p.labels then fail line "duplicate label %s" label
+            else p.labels <- (label, List.length p.insns) :: p.labels
+        | _, Some p -> p.insns <- instruction line tokens :: p.insns
+        | _, None -> fail line "expected .main or .routine")
+      lines;
+    (match !current with
+    | Some p -> fail 0 "routine %s not closed with .end" p.name
+    | None -> ());
+    match !main with
+    | None -> fail 0 "missing .main directive"
+    | Some main -> Program.make ~main (List.rev !routines)
+
+  let program_of_string source =
+    match parse_lines (tokenize source) with
+    | program -> program
+    | exception Invalid_argument message -> raise (Error { line = 0; message })
+end

@@ -97,6 +97,75 @@ let test_errors () =
   (* no .main *)
   expect_error ~line:3 ".main m\n.routine m\n.routine n\n.end\n.end\n"
 
+let expect_message ~line ~message text =
+  match Spike_asm.Parser.program_of_string text with
+  | _ -> Alcotest.failf "expected %S at line %d" message line
+  | exception Spike_asm.Parser.Error e ->
+      Alcotest.(check (pair int string)) "error" (line, message) (e.line, e.message)
+
+let single_insn text =
+  let p = Spike_asm.Parser.program_of_string text in
+  (Option.get (Program.find p "m")).Routine.insns.(0)
+
+let in_routine body = ".main m\n.routine m\n" ^ body ^ "\n  ret\n.end\n"
+let insn_testable = Alcotest.testable Insn.pp ( = )
+
+(* Edge cases of the cursor lexer: line endings, comments glued to tokens,
+   the integer range, raw register spellings, names longer than a packed
+   name key, and errors reported at the first offending line. *)
+let test_lexer_edges () =
+  let crlf = ".main m\r\n.routine m\r\n  li t0, 1\r\n  ret\r\n.end\r\n" in
+  Alcotest.(check int) "CRLF" 2
+    (Program.instruction_count (Spike_asm.Parser.program_of_string crlf));
+  expect_error ~line:3 ".main m\r\n.routine m\r\n  li xyzzy, 1\r\n.end\r\n";
+  Alcotest.(check int) "no trailing newline" 1
+    (Program.instruction_count
+       (Spike_asm.Parser.program_of_string ".main m\n.routine m\n  ret\n.end"));
+  expect_message ~line:5 ~message:"expected .main or .routine"
+    ".main m\n.routine m\n  ret\n.end\nbogus";
+  let glued =
+    ".main m#c\n.routine m .exported#c\n.entry e#c\ne:#c\n  ret#c\n.end#c\n"
+  in
+  (match Program.find (Spike_asm.Parser.program_of_string glued) "m" with
+  | Some r ->
+      Alcotest.(check (list string)) "entry after comment" [ "e" ] r.Routine.entries;
+      Alcotest.(check (list (pair string int))) "label before comment" [ ("e", 0) ]
+        r.Routine.labels;
+      Alcotest.(check bool) "exported before comment" true r.Routine.exported
+  | None -> Alcotest.fail "routine lost");
+  let li imm = Insn.Li { dst = Reg.t0; imm } in
+  Alcotest.check insn_testable "min_int" (li min_int)
+    (single_insn (in_routine "  li t0, -4611686018427387904"));
+  Alcotest.check insn_testable "max_int" (li max_int)
+    (single_insn (in_routine "  li t0, 4611686018427387903"));
+  expect_message ~line:3 ~message:"integer 4611686018427387904 out of range"
+    (in_routine "  li t0, 4611686018427387904");
+  expect_message ~line:3 ~message:"integer -4611686018427387905 out of range"
+    (in_routine "  li t0, -4611686018427387905");
+  Alcotest.check insn_testable "19 digits" (li 1_000_000_000_000_000_000)
+    (single_insn (in_routine "  li t0, 1000000000000000000"));
+  Alcotest.check insn_testable "22 digits, leading zeros" (li (-42))
+    (single_insn (in_routine "  li t0, -0000000000000000000042"));
+  Alcotest.check insn_testable "raw spellings"
+    (Insn.Mov { dst = Reg.t4; src = Reg.t4 })
+    (single_insn (in_routine "  mov r5, $5"));
+  expect_message ~line:3 ~message:"unknown register r05" (in_routine "  mov r05, t0");
+  expect_message ~line:3 ~message:"unknown register t0xxxxxxx"
+    (in_routine "  li t0xxxxxxx, 1");
+  expect_message ~line:3 ~message:"unknown register zeroooooo"
+    (in_routine "  mov t0, zeroooooo");
+  expect_message ~line:3 ~message:"unknown mnemonic cmpeqxyz"
+    (in_routine "  cmpeqxyz t0, t1, t2");
+  expect_message ~line:3 ~message:"unknown mnemonic switchxx"
+    (in_routine "  switchxx t0, l");
+  expect_message ~line:3 ~message:"cannot parse switchxx instruction"
+    (in_routine "  switchxx t0, [l]");
+  expect_message ~line:3 ~message:"expected an instruction" (in_routine ".main n");
+  (* The first offending line in source order wins, even when a later
+     line holds a lexical error. *)
+  expect_message ~line:1 ~message:"expected .main or .routine" "bogus\n.main m\n@\n";
+  expect_message ~line:2 ~message:"unexpected character '@'" ".main m\n@\nbogus\n"
+
 let test_comments_and_blank_lines () =
   let text =
     "# leading comment\n\n.main m   # trailing\n.routine m\n  li t0, 3 # imm\n\n  \
@@ -112,6 +181,46 @@ let test_file_io () =
   let p' = Spike_asm.Parser.program_of_file path in
   Sys.remove path;
   if not (program_eq p p') then Alcotest.fail "file roundtrip mismatch"
+
+(* Insn.to_buffer, Routine.to_buffer and Program.to_buffer are the one
+   definition of the syntax; every other printer must write the same text. *)
+let test_printers_agree () =
+  let buffer write x =
+    let b = Buffer.create 64 in
+    write b x;
+    Buffer.contents b
+  in
+  let check_program p =
+    Array.iter
+      (fun (r : Routine.t) ->
+        Array.iter
+          (fun insn ->
+            Alcotest.(check string) "Insn.to_string" (buffer Insn.to_buffer insn)
+              (Insn.to_string insn);
+            Alcotest.(check string) "Insn.pp" (buffer Insn.to_buffer insn)
+              (Format.asprintf "%a" Insn.pp insn))
+          r.insns;
+        Alcotest.(check string) "Routine.pp" (buffer Routine.to_buffer r)
+          (Format.asprintf "%a" Routine.pp r))
+      (Program.routines p);
+    Alcotest.(check string) "Printer.to_string" (buffer Program.to_buffer p)
+      (Spike_asm.Printer.to_string p);
+    Alcotest.(check string) "Printer.pp_program" (buffer Program.to_buffer p)
+      (Format.asprintf "%a" Spike_asm.Printer.pp_program p)
+  in
+  check_program (Program.make ~main:"sink" [ kitchen_sink ]);
+  check_program (Spike_synth.Generator.generate { Spike_synth.Params.default with seed = 5 });
+  (* The concrete text: labels print in index order (list order within an
+     index), and a label past the end prints before [.end]. *)
+  let r =
+    Routine.make ~exported:true ~name:"f" ~entries:[ "e"; "b" ]
+      ~labels:[ ("b", 1); ("e", 0); ("c", 1); ("end", 2) ]
+      [| Insn.Switch { index = Reg.a0; table = [| "b"; "c" |] }; Insn.Ret |]
+  in
+  Alcotest.(check string) "listing"
+    ".main f\n\n.routine f .exported\n.entry e\n.entry b\ne:\n  switch a0, [b, c]\nb:\nc:\n  \
+     ret\nend:\n.end\n\n"
+    (Spike_asm.Printer.to_string (Program.make ~main:"f" [ r ]))
 
 (* The parser must be total: any input either parses or raises its own
    Error — never an unexpected exception. *)
@@ -141,10 +250,12 @@ let () =
           Alcotest.test_case "multi-entry + exported" `Quick test_multi_entry_and_exports;
           Alcotest.test_case "generated programs" `Quick test_generated_roundtrip;
           Alcotest.test_case "file io" `Quick test_file_io;
+          Alcotest.test_case "printers agree" `Quick test_printers_agree;
         ] );
       ( "errors",
         [
           Alcotest.test_case "positions" `Quick test_errors;
+          Alcotest.test_case "lexer edge cases" `Quick test_lexer_edges;
           Alcotest.test_case "comments and blanks" `Quick test_comments_and_blank_lines;
           Alcotest.test_case "fuzz totality" `Quick test_fuzz_totality;
         ] );

@@ -131,6 +131,91 @@ let prop_asm_roundtrip =
       let p' = Spike_asm.Parser.program_of_string text in
       String.equal text (Spike_asm.Printer.to_string p'))
 
+(* The cursor parser against the line-list oracle it replaced. *)
+let line_parse text =
+  match Test_helpers.Line_parser.program_of_string text with
+  | p -> Some p
+  | exception Test_helpers.Line_parser.Error _ -> None
+
+let cursor_parse text =
+  match Spike_asm.Parser.program_of_string text with
+  | p -> Some p
+  | exception Spike_asm.Parser.Error _ -> None
+
+let same_parse text =
+  match (cursor_parse text, line_parse text) with
+  | Some a, Some b ->
+      String.equal (Spike_asm.Printer.to_string a) (Spike_asm.Printer.to_string b)
+      || QCheck.Test.fail_reportf "parsers build different programs from:\n%s" text
+  | None, None -> true
+  | Some _, None -> QCheck.Test.fail_reportf "only the cursor parser accepts:\n%s" text
+  | None, Some _ -> QCheck.Test.fail_reportf "only the line parser accepts:\n%s" text
+
+let prop_cursor_equals_line_parser =
+  QCheck.Test.make ~name:"cursor parser = line parser" ~count:40
+    (QCheck.triple arbitrary_params QCheck.bool QCheck.bool)
+    (fun (params, guard_calls, unknown_jumps) ->
+      let unknown_jump_prob = if unknown_jumps then 0.3 else 0.0 in
+      let p = Generator.generate { params with Params.guard_calls; unknown_jump_prob } in
+      let text = Spike_asm.Printer.to_string p in
+      Option.is_some (cursor_parse text) && same_parse text)
+
+(* Seeded damage to a program's text: byte flips (to the syntax's own
+   characters or to any byte), a deleted or duplicated line, and
+   truncation, one to three at a time. *)
+let stray_tokens = [| "ra"; "t0"; "r5"; "$31"; ","; "7"; "-1"; "("; ")"; "["; "]"; ":"; ".end"; "x" |]
+
+let edit_line text i edit =
+  String.split_on_char '\n' text
+  |> List.mapi (fun j line -> if j = i then edit line else [ line ])
+  |> List.concat |> String.concat "\n"
+
+let line_count text = List.length (String.split_on_char '\n' text)
+
+let damage g text =
+  let alphabet = "abtsvr$0159-_.,:()[]{}=# \t\r\n" in
+  let step text =
+    let n = String.length text in
+    match Prng.int g 4 with
+    | 0 when n > 0 ->
+        let b = Bytes.of_string text in
+        Bytes.set b (Prng.int g n)
+          (if Prng.bool g then alphabet.[Prng.int g (String.length alphabet)]
+           else Char.chr (Prng.int g 256));
+        Bytes.to_string b
+    | 1 -> edit_line text (Prng.int g (line_count text)) (fun _ -> [])
+    | 2 -> edit_line text (Prng.int g (line_count text)) (fun line -> [ line; line ])
+    | _ -> String.sub text 0 (Prng.int g (n + 1))
+  in
+  let rec go k text = if k = 0 then text else go (k - 1) (step text) in
+  go (1 + Prng.int g 3) text
+
+(* Both parsers accept or both reject damaged text; and every line of a
+   program, with one stray token appended, in turn. *)
+let prop_damaged_text_same_verdict =
+  QCheck.Test.make ~name:"cursor parser = line parser on damaged text" ~count:50
+    (QCheck.pair (QCheck.int_bound 1_000_000) QCheck.bool) (fun (seed, unknown_jumps) ->
+      let g = Prng.create seed in
+      let p =
+        Generator.generate
+          {
+            Params.default with
+            Params.seed;
+            routines = 3;
+            target_instructions = 60;
+            unknown_jump_prob = (if unknown_jumps then 0.3 else 0.0);
+            guard_calls = not unknown_jumps;
+          }
+      in
+      let text = Spike_asm.Printer.to_string p in
+      let stray line =
+        [ line ^ " " ^ stray_tokens.(Prng.int g (Array.length stray_tokens)) ]
+      in
+      List.for_all (fun _ -> same_parse (damage g text)) (List.init 30 Fun.id)
+      && List.for_all
+           (fun i -> same_parse (edit_line text i stray))
+           (List.init (line_count text) Fun.id))
+
 let prop_opt_preserves_outcome =
   QCheck.Test.make ~name:"optimizations preserve the exit status" ~count:25
     arbitrary_params (fun params ->
@@ -249,6 +334,8 @@ let () =
             prop_labels_match_oracle;
             prop_calibrated_labels_match_oracle;
             prop_asm_roundtrip;
+            prop_cursor_equals_line_parser;
+            prop_damaged_text_same_verdict;
             prop_summaries_roundtrip;
             prop_opt_preserves_outcome;
             prop_dynamic_soundness;
