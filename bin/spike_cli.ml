@@ -14,6 +14,12 @@ open Spike_core
 
 let c_asm_bytes = Spike_obs.Metrics.counter "asm.bytes"
 
+(* A malformed input file is a usage error like an ill-formed program:
+   [FILE:LINE: message] on stderr and exit 2, never an uncaught exception. *)
+let input_error path line message =
+  Format.eprintf "%s:%d: %s@." path line message;
+  exit 2
+
 (* Reading and parsing is span [asm.parse], validation [ir.validate]: the
    front end's share of a traced command. *)
 let load_program path =
@@ -21,7 +27,10 @@ let load_program path =
     Spike_obs.Trace.with_span "asm.parse" (fun () ->
         let source = In_channel.with_open_bin path In_channel.input_all in
         Spike_obs.Metrics.add c_asm_bytes (String.length source);
-        Spike_asm.Parser.program_of_string source)
+        match Spike_asm.Parser.program_of_string source with
+        | program -> program
+        | exception Spike_asm.Parser.Error { line; message } ->
+            input_error path line message)
   in
   match Spike_obs.Trace.with_span "ir.validate" (fun () -> Validate.check program) with
   | Ok () -> program
@@ -44,7 +53,11 @@ let externals_arg =
 
 let load_externals = function
   | None -> fun _ -> None
-  | Some path -> Spike_asm.Summaries.lookup (Spike_asm.Summaries.of_file path)
+  | Some path -> (
+      match Spike_asm.Summaries.of_file path with
+      | entries -> Spike_asm.Summaries.lookup entries
+      | exception Spike_asm.Summaries.Error { line; message } ->
+          input_error path line message)
 
 let branch_nodes_arg =
   Arg.(

@@ -20,16 +20,19 @@ let directive = L.[| Directive |]
 let directive_name = L.[| Directive; Ident |]
 
 (* [used = { a0 , a1 }] — the brace list may be empty, and may end in a
-   comma. *)
+   comma.  The hardwired zeros are accepted and dropped, as
+   {!Insn.use_of} drops them from instructions: they never carry dataflow,
+   and [f31] is outside the {!Regset} universe. *)
 let set_line c =
   if not (L.starts_with c set_prefix) then fail c "expected '<field> = { ... }'";
   let n = L.length c in
+  let member i acc = Regset.union (Insn.use_of (reg c i)) acc in
   let rec members i acc =
     if i + 1 = n && L.kind c i = L.Rbrace then acc
     else if i + 2 = n && L.kind c i = L.Ident && L.kind c (i + 1) = L.Rbrace then
-      Regset.add (reg c i) acc
+      member i acc
     else if i + 1 < n && L.kind c i = L.Ident && L.kind c (i + 1) = L.Comma then
-      members (i + 2) (Regset.add (reg c i) acc)
+      members (i + 2) (member i acc)
     else fail c "malformed register set"
   in
   members 3 Regset.empty

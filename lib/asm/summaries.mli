@@ -18,7 +18,8 @@
 
     Unlisted registers are not used/defined/killed; the sets must describe
     the external routine as seen by a caller (after its own callee-saved
-    save/restores). *)
+    save/restores).  The hardwired zeros [zero] and [f31] may be listed but
+    are dropped: they never carry dataflow. *)
 
 open Spike_core
 

@@ -44,8 +44,8 @@ let kind_index : Psg.node_kind -> int = function
 
 type warm = {
   cone : bool array;
-  restore : int array;  (** packed, 6 words per node *)
-  cr_restore : int array;  (** packed, 6 words per call *)
+  restore : Regset.t array;  (** packed, 3 sets per node *)
+  cr_restore : Regset.t array;  (** packed, 3 sets per call *)
 }
 
 let cold_init (node : Psg.node) =
@@ -82,12 +82,10 @@ let cold_cr_init (edges : Psg.edge array) (info : Psg.call_info) =
       e.e_may_def <- info.call_def;
       e.e_must_def <- Regset.full
 
-let full = 0xFFFF_FFFF
-
-(* Recompute [node]'s three sets from its outgoing edges (unboxed meet:
-   union for the MAY halves, intersection for MUST-DEF); returns whether
-   anything changed.  Reads only the node's own routine — every PSG edge
-   is intra-routine — so concurrent recomputations in different call-graph
+(* Recompute [node]'s three sets from its outgoing edges (meet: union for
+   the MAY sets, intersection for MUST-DEF); returns whether anything
+   changed.  Reads only the node's own routine — every PSG edge is
+   intra-routine — so concurrent recomputations in different call-graph
    components never race. *)
 let recompute (psg : Psg.t) (node : Psg.node) =
   let nodes = psg.nodes and edges = psg.edges in
@@ -95,52 +93,34 @@ let recompute (psg : Psg.t) (node : Psg.node) =
   let n_out = Array.length out in
   if n_out = 0 then false
   else begin
-    let mu_lo = ref 0 and mu_hi = ref 0 in
-    let md_lo = ref 0 and md_hi = ref 0 in
-    let sd_lo = ref full and sd_hi = ref full in
+    let mu = ref Regset.empty and md = ref Regset.empty and sd = ref Regset.full in
     for k = 0 to n_out - 1 do
       let e = edges.(Array.unsafe_get out k) in
       let dst = nodes.(e.dst) in
-      let e_sd_lo = Regset.lo_bits e.e_must_def
-      and e_sd_hi = Regset.hi_bits e.e_must_def in
-      mu_lo :=
-        !mu_lo
-        lor Regset.lo_bits e.e_may_use
-        lor (Regset.lo_bits dst.may_use land lnot e_sd_lo);
-      mu_hi :=
-        !mu_hi
-        lor Regset.hi_bits e.e_may_use
-        lor (Regset.hi_bits dst.may_use land lnot e_sd_hi);
-      md_lo := !md_lo lor Regset.lo_bits e.e_may_def lor Regset.lo_bits dst.may_def;
-      md_hi := !md_hi lor Regset.hi_bits e.e_may_def lor Regset.hi_bits dst.may_def;
-      sd_lo := !sd_lo land (e_sd_lo lor Regset.lo_bits dst.must_def);
-      sd_hi := !sd_hi land (e_sd_hi lor Regset.hi_bits dst.must_def)
+      mu :=
+        Regset.union !mu (Regset.union e.e_may_use (Regset.diff dst.may_use e.e_must_def));
+      md := Regset.union !md (Regset.union e.e_may_def dst.may_def);
+      sd := Regset.inter !sd (Regset.union e.e_must_def dst.must_def)
     done;
     (* §3.4: a routine's saved-and-restored callee-saved registers are
        invisible to its callers. *)
     (match node.kind with
     | Psg.Entry { routine; _ } ->
         let mask = psg.entry_filter.(routine) in
-        let m_lo = lnot (Regset.lo_bits mask) and m_hi = lnot (Regset.hi_bits mask) in
-        mu_lo := !mu_lo land m_lo;
-        mu_hi := !mu_hi land m_hi;
-        md_lo := !md_lo land m_lo;
-        md_hi := !md_hi land m_hi;
-        sd_lo := !sd_lo land m_lo;
-        sd_hi := !sd_hi land m_hi
+        mu := Regset.diff !mu mask;
+        md := Regset.diff !md mask;
+        sd := Regset.diff !sd mask
     | Psg.Exit _ | Psg.Call _ | Psg.Return _ | Psg.Branch _ | Psg.Unknown_exit _ -> ());
     let changed =
-      !mu_lo <> Regset.lo_bits node.may_use
-      || !mu_hi <> Regset.hi_bits node.may_use
-      || !md_lo <> Regset.lo_bits node.may_def
-      || !md_hi <> Regset.hi_bits node.may_def
-      || !sd_lo <> Regset.lo_bits node.must_def
-      || !sd_hi <> Regset.hi_bits node.must_def
+      not
+        (Regset.equal !mu node.may_use
+        && Regset.equal !md node.may_def
+        && Regset.equal !sd node.must_def)
     in
     if changed then begin
-      node.may_use <- Regset.of_bits ~lo:!mu_lo ~hi:!mu_hi;
-      node.may_def <- Regset.of_bits ~lo:!md_lo ~hi:!md_hi;
-      node.must_def <- Regset.of_bits ~lo:!sd_lo ~hi:!sd_hi
+      node.may_use <- !mu;
+      node.may_def <- !md;
+      node.must_def <- !sd
     end;
     changed
   end
@@ -159,12 +139,10 @@ let run ?warm ?sched (psg : Psg.t) =
         else
           match warm with
           | Some w ->
-              let o = node.id * 6 in
-              node.may_use <- Regset.of_bits ~lo:w.restore.(o) ~hi:w.restore.(o + 1);
-              node.may_def <-
-                Regset.of_bits ~lo:w.restore.(o + 2) ~hi:w.restore.(o + 3);
-              node.must_def <-
-                Regset.of_bits ~lo:w.restore.(o + 4) ~hi:w.restore.(o + 5)
+              let o = node.id * 3 in
+              node.may_use <- w.restore.(o);
+              node.may_def <- w.restore.(o + 1);
+              node.must_def <- w.restore.(o + 2)
           | None -> assert false)
       nodes;
     Array.iteri
@@ -174,13 +152,10 @@ let run ?warm ?sched (psg : Psg.t) =
           match warm with
           | Some w ->
               let e = edges.(info.cr_edge) in
-              let o = i * 6 in
-              e.e_may_use <-
-                Regset.of_bits ~lo:w.cr_restore.(o) ~hi:w.cr_restore.(o + 1);
-              e.e_may_def <-
-                Regset.of_bits ~lo:w.cr_restore.(o + 2) ~hi:w.cr_restore.(o + 3);
-              e.e_must_def <-
-                Regset.of_bits ~lo:w.cr_restore.(o + 4) ~hi:w.cr_restore.(o + 5)
+              let o = i * 3 in
+              e.e_may_use <- w.cr_restore.(o);
+              e.e_may_def <- w.cr_restore.(o + 1);
+              e.e_must_def <- w.cr_restore.(o + 2)
           | None -> assert false)
       psg.calls
   in
@@ -235,24 +210,13 @@ let run ?warm ?sched (psg : Psg.t) =
      once the bits circulating a dependency knot have saturated. *)
   let affects (e : Psg.edge) =
     let dst = nodes.(e.dst) and reader = nodes.(e.src) in
-    let e_sd_lo = Regset.lo_bits e.e_must_def
-    and e_sd_hi = Regset.hi_bits e.e_must_def in
-    let mu_lo =
-      Regset.lo_bits e.e_may_use
-      lor (Regset.lo_bits dst.may_use land lnot e_sd_lo)
-    and mu_hi =
-      Regset.hi_bits e.e_may_use
-      lor (Regset.hi_bits dst.may_use land lnot e_sd_hi)
-    and md_lo = Regset.lo_bits e.e_may_def lor Regset.lo_bits dst.may_def
-    and md_hi = Regset.hi_bits e.e_may_def lor Regset.hi_bits dst.may_def
-    and sd_lo = e_sd_lo lor Regset.lo_bits dst.must_def
-    and sd_hi = e_sd_hi lor Regset.hi_bits dst.must_def in
-    mu_lo land lnot (Regset.lo_bits reader.may_use) <> 0
-    || mu_hi land lnot (Regset.hi_bits reader.may_use) <> 0
-    || md_lo land lnot (Regset.lo_bits reader.may_def) <> 0
-    || md_hi land lnot (Regset.hi_bits reader.may_def) <> 0
-    || Regset.lo_bits reader.must_def land lnot sd_lo <> 0
-    || Regset.hi_bits reader.must_def land lnot sd_hi <> 0
+    let mu = Regset.union e.e_may_use (Regset.diff dst.may_use e.e_must_def)
+    and md = Regset.union e.e_may_def dst.may_def
+    and sd = Regset.union e.e_must_def dst.must_def in
+    not
+      (Regset.subset mu reader.may_use
+      && Regset.subset md reader.may_def
+      && Regset.subset reader.must_def sd)
   in
   (* --- SCC-condensation schedule ------------------------------------------
      Components of the call-graph condensation in topological order,

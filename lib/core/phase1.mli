@@ -22,13 +22,13 @@ type warm = {
   cone : bool array;
       (** node id [->] the node is inside the invalidation cone: it gets
           the cold initialization and is marked for recomputation *)
-  restore : int array;
-      (** previously converged (MAY-USE, MAY-DEF, MUST-DEF), packed as six
-          32-bit halves per node id, installed verbatim for nodes outside
-          the cone *)
-  cr_restore : int array;
-      (** previously converged call-return edge labels, packed as six
-          halves per call index, installed when the call node is outside
+  restore : Spike_support.Regset.t array;
+      (** previously converged (MAY-USE, MAY-DEF, MUST-DEF), packed as three
+          consecutive sets per node id, installed verbatim for nodes
+          outside the cone *)
+  cr_restore : Spike_support.Regset.t array;
+      (** previously converged call-return edge labels, packed as three
+          sets per call index, installed when the call node is outside
           the cone *)
 }
 (** A warm start.  Soundness precondition (established by

@@ -26,7 +26,7 @@ let kind_index : Psg.node_kind -> int = function
   | Psg.Branch _ -> 4
   | Psg.Unknown_exit _ -> 5
 
-type warm = { cone : bool array; restore : int array  (** packed, 2 words per node *) }
+type warm = { cone : bool array; restore : Regset.t array }
 
 let run ?warm ?sched (psg : Psg.t) =
   let n = Psg.node_count psg in
@@ -60,11 +60,7 @@ let run ?warm ?sched (psg : Psg.t) =
       node.may_use <-
         (if in_cone node.id then seed.(node.id)
          else
-           match warm with
-           | Some w ->
-               Regset.of_bits ~lo:w.restore.(node.id * 2)
-                 ~hi:w.restore.((node.id * 2) + 1)
-           | None -> assert false))
+           match warm with Some w -> w.restore.(node.id) | None -> assert false))
     nodes;
   (* Return-to-exit links: an exit node's liveness accumulates the liveness
      of every return point the routine can return to.  Only in-cone exits
@@ -105,33 +101,23 @@ let run ?warm ?sched (psg : Psg.t) =
      component runs under the SCC schedule) is stable, so concurrent
      component fixpoints never race. *)
   let recompute id (node : Psg.node) =
-    let live_lo = ref (Regset.lo_bits seed.(id))
-    and live_hi = ref (Regset.hi_bits seed.(id)) in
+    let live = ref seed.(id) in
     let out = psg.out_edges.(id) in
     for k = 0 to Array.length out - 1 do
       let e = edges.(Array.unsafe_get out k) in
       let dst = nodes.(e.dst) in
-      live_lo :=
-        !live_lo
-        lor Regset.lo_bits e.e_may_use
-        lor (Regset.lo_bits dst.may_use land lnot (Regset.lo_bits e.e_must_def));
-      live_hi :=
-        !live_hi
-        lor Regset.hi_bits e.e_may_use
-        lor (Regset.hi_bits dst.may_use land lnot (Regset.hi_bits e.e_must_def))
+      live :=
+        Regset.union !live
+          (Regset.union e.e_may_use (Regset.diff dst.may_use e.e_must_def))
     done;
     List.iter
-      (fun ret ->
-        live_lo := !live_lo lor Regset.lo_bits nodes.(ret).may_use;
-        live_hi := !live_hi lor Regset.hi_bits nodes.(ret).may_use)
+      (fun ret -> live := Regset.union !live nodes.(ret).may_use)
       return_links.(id);
-    if
-      !live_lo <> Regset.lo_bits node.may_use || !live_hi <> Regset.hi_bits node.may_use
-    then begin
-      node.may_use <- Regset.of_bits ~lo:!live_lo ~hi:!live_hi;
+    if Regset.equal !live node.may_use then false
+    else begin
+      node.may_use <- !live;
       true
     end
-    else false
   in
   (* --- SCC-condensation schedule ------------------------------------------
      Reverse topological order: callers first.  When a component starts,
@@ -161,15 +147,10 @@ let run ?warm ?sched (psg : Psg.t) =
        covers is a provable no-op re-pop. *)
     let affects (e : Psg.edge) =
       let dst = nodes.(e.dst) and reader = nodes.(e.src) in
-      let mu_lo =
-        Regset.lo_bits e.e_may_use
-        lor (Regset.lo_bits dst.may_use land lnot (Regset.lo_bits e.e_must_def))
-      and mu_hi =
-        Regset.hi_bits e.e_may_use
-        lor (Regset.hi_bits dst.may_use land lnot (Regset.hi_bits e.e_must_def))
-      in
-      mu_lo land lnot (Regset.lo_bits reader.may_use) <> 0
-      || mu_hi land lnot (Regset.hi_bits reader.may_use) <> 0
+      not
+        (Regset.subset
+           (Regset.union e.e_may_use (Regset.diff dst.may_use e.e_must_def))
+           reader.may_use)
     in
     let process id =
       let node = nodes.(id) in
@@ -185,12 +166,7 @@ let run ?warm ?sched (psg : Psg.t) =
           (fun exit_node ->
             if
               comp_of_node.(exit_node) = c
-              && (Regset.lo_bits node.may_use
-                  land lnot (Regset.lo_bits nodes.(exit_node).may_use)
-                  <> 0
-                 || Regset.hi_bits node.may_use
-                    land lnot (Regset.hi_bits nodes.(exit_node).may_use)
-                    <> 0)
+              && not (Regset.subset node.may_use nodes.(exit_node).may_use)
             then mark exit_node)
           exit_nodes_of_return.(id)
       end

@@ -25,9 +25,9 @@ type warm = {
       (** node id [->] the node is inside the invalidation cone: it
           restarts from its constant liveness seed and is marked for
           recomputation *)
-  restore : int array;
-      (** previously converged liveness, packed as two 32-bit halves per
-          node id, installed for nodes outside the cone *)
+  restore : Spike_support.Regset.t array;
+      (** previously converged liveness, one set per node id, installed
+          for nodes outside the cone *)
 }
 (** A warm start; see {!Phase1.warm} for the contract.  Phase-2 influence
     additionally flows from a return node to the exit nodes of every

@@ -7,9 +7,9 @@ type routine_art = {
   a_defuse : Defuse.t;
   a_filter : Regset.t;
   a_local : Psg_build.local;
-  a_phase1 : int array;
-  a_cr : int array;
-  a_phase2 : int array;
+  a_phase1 : Regset.t array;
+  a_cr : Regset.t array;
+  a_phase2 : Regset.t array;
 }
 
 type donor = {
@@ -190,10 +190,10 @@ let mark_in_edge_sources (psg : Psg.t) mark id =
     mark psg.edges.(in_edges.(k)).src
   done
 
-(* Packed-word restores: [stride] words per element, dirty slots left
-   zero (they are inside the cone and never read). *)
+(* Packed restores: [stride] sets per element, dirty slots left empty
+   (they are inside the cone and never read). *)
 let restore_of_sols sols ~offset ~stride ~total ~get =
-  let restore = Array.make (total * stride) 0 in
+  let restore = Array.make (total * stride) Regset.empty in
   Array.iteri
     (fun r art ->
       match art with
@@ -227,10 +227,10 @@ let phase1_plan (psg : Psg.t) ~sols ~node_offset ~call_offset =
   {
     Phase1.cone;
     restore =
-      restore_of_sols sols ~offset:node_offset ~stride:6 ~total:n
+      restore_of_sols sols ~offset:node_offset ~stride:3 ~total:n
         ~get:(fun a -> a.a_phase1);
     cr_restore =
-      restore_of_sols sols ~offset:call_offset ~stride:6
+      restore_of_sols sols ~offset:call_offset ~stride:3
         ~total:(Array.length psg.calls) ~get:(fun a -> a.a_cr);
   }
 
@@ -264,15 +264,13 @@ let phase2_plan (psg : Psg.t) ~sols ~exit_seeds ~node_offset ~call_offset ~p1_cr
             match art with
             | None -> ()
             | Some art ->
-                let ncalls = Array.length art.a_cr / 6 in
+                let ncalls = Array.length art.a_cr / 3 in
                 for k = 0 to ncalls - 1 do
                   let ci = call_offset.(r) + k in
-                  let same = ref true in
-                  for j = 0 to 5 do
-                    if p1_cr.((ci * 6) + j) <> art.a_cr.((k * 6) + j) then
-                      same := false
-                  done;
-                  if not !same then mark psg.calls.(ci).call_node
+                  let same j =
+                    Regset.equal p1_cr.((ci * 3) + j) art.a_cr.((k * 3) + j)
+                  in
+                  if not (same 0 && same 1 && same 2) then mark psg.calls.(ci).call_node
                 done)
           sols;
         (* Routines that may have lost (or gained) a caller: their exit
@@ -287,26 +285,22 @@ let phase2_plan (psg : Psg.t) ~sols ~exit_seeds ~node_offset ~call_offset ~p1_cr
   {
     Phase2.cone;
     restore =
-      restore_of_sols sols ~offset:node_offset ~stride:2 ~total:n
+      restore_of_sols sols ~offset:node_offset ~stride:1 ~total:n
         ~get:(fun a -> a.a_phase2);
   }
 
-let pack_sets3 a i x y z =
-  let o = i * 6 in
-  a.(o) <- Regset.lo_bits x;
-  a.(o + 1) <- Regset.hi_bits x;
-  a.(o + 2) <- Regset.lo_bits y;
-  a.(o + 3) <- Regset.hi_bits y;
-  a.(o + 4) <- Regset.lo_bits z;
-  a.(o + 5) <- Regset.hi_bits z
+let pack_sets3 (a : Regset.t array) i x y z =
+  let o = i * 3 in
+  a.(o) <- x;
+  a.(o + 1) <- y;
+  a.(o + 2) <- z
 
 let snapshot_phase1 (psg : Psg.t) =
-  let n = Psg.node_count psg in
-  let nodes = Array.make (n * 6) 0 in
+  let nodes = Array.make (Psg.node_count psg * 3) Regset.empty in
   Array.iter
     (fun (nd : Psg.node) -> pack_sets3 nodes nd.id nd.may_use nd.may_def nd.must_def)
     psg.nodes;
-  let cr = Array.make (Array.length psg.calls * 6) 0 in
+  let cr = Array.make (Array.length psg.calls * 3) Regset.empty in
   Array.iteri
     (fun i (info : Psg.call_info) ->
       let e = psg.edges.(info.cr_edge) in
@@ -315,13 +309,7 @@ let snapshot_phase1 (psg : Psg.t) =
   (nodes, cr)
 
 let snapshot_live (psg : Psg.t) =
-  let live = Array.make (Psg.node_count psg * 2) 0 in
-  Array.iter
-    (fun (nd : Psg.node) ->
-      live.(nd.id * 2) <- Regset.lo_bits nd.may_use;
-      live.((nd.id * 2) + 1) <- Regset.hi_bits nd.may_use)
-    psg.nodes;
-  live
+  Array.map (fun (nd : Psg.node) -> nd.may_use) psg.nodes
 
 let capture ~cfgs ~defuses ~filters ~locals ~p1_nodes ~p1_cr ~p2_live ~node_offset
     ~call_offset =
@@ -334,8 +322,8 @@ let capture ~cfgs ~defuses ~filters ~locals ~p1_nodes ~p1_cr ~p2_live ~node_offs
         a_defuse = defuses.(r);
         a_filter = filters.(r);
         a_local = local;
-        a_phase1 = Array.sub p1_nodes (node_offset.(r) * 6) (nlen * 6);
-        a_cr = Array.sub p1_cr (call_offset.(r) * 6) (clen * 6);
-        a_phase2 = Array.sub p2_live (node_offset.(r) * 2) (nlen * 2);
+        a_phase1 = Array.sub p1_nodes (node_offset.(r) * 3) (nlen * 3);
+        a_cr = Array.sub p1_cr (call_offset.(r) * 3) (clen * 3);
+        a_phase2 = Array.sub p2_live node_offset.(r) nlen;
       })
     locals

@@ -32,23 +32,23 @@ open Spike_support
 open Spike_ir
 open Spike_cfg
 
-(** Converged solutions are kept {e packed}: flat [int] arrays of raw
-    32-bit register-set halves, six words per (MAY-USE, MAY-DEF,
-    MUST-DEF) triple and two per single set.  Unboxed arrays make the
-    snapshot, the store round-trip and the warm restore straight word
-    copies — no allocation, no write barriers. *)
+(** Converged solutions are kept {e packed}: flat arrays of register
+    sets, three consecutive sets per (MAY-USE, MAY-DEF, MUST-DEF) triple
+    and one per single set.  A {!Regset.t} is an immediate int, so these
+    are one word per set and the snapshot, the store round-trip and the
+    warm restore are straight word copies — no allocation, no write
+    barriers. *)
 
 type routine_art = {
   a_cfg : Cfg.t;
   a_defuse : Defuse.t;
   a_filter : Regset.t;  (** §3.4 saved-and-restored callee-saved set *)
   a_local : Psg_build.local;
-  a_phase1 : int array;
-      (** local node id [->] converged phase-1 triple, packed 6 words *)
-  a_cr : int array;
-      (** local call index [->] converged call-return label, packed 6 words *)
-  a_phase2 : int array;
-      (** local node id [->] converged liveness, packed 2 words *)
+  a_phase1 : Regset.t array;
+      (** local node id [->] converged phase-1 triple, packed 3 sets *)
+  a_cr : Regset.t array;
+      (** local call index [->] converged call-return label, packed 3 sets *)
+  a_phase2 : Regset.t array;  (** local node id [->] converged liveness *)
 }
 
 type donor = {
@@ -133,7 +133,7 @@ val phase2_plan :
   exit_seeds:bool array ->
   node_offset:int array ->
   call_offset:int array ->
-  p1_cr:int array ->
+  p1_cr:Regset.t array ->
   Phase2.warm
 (** The phase-2 cone and restore.  Seeds: the solution-dirty routines'
     nodes, the call nodes whose just-converged call-return labels
@@ -142,13 +142,13 @@ val phase2_plan :
     return-to-exit links.  Call after phase 1 (and after
     {!snapshot_phase1}). *)
 
-val snapshot_phase1 : Psg.t -> int array * int array
-(** Packed copies of the per-node solutions (6 words per node) and
-    per-call call-return edge labels (6 words per call); take it between
+val snapshot_phase1 : Psg.t -> Regset.t array * Regset.t array
+(** Packed copies of the per-node solutions (3 sets per node) and
+    per-call call-return edge labels (3 sets per call); take it between
     the phases, before phase 2 overwrites MAY-USE. *)
 
-val snapshot_live : Psg.t -> int array
-(** Packed per-node MAY-USE copies (2 words per node); take it after
+val snapshot_live : Psg.t -> Regset.t array
+(** Per-node MAY-USE copies (one set per node); take it after
     phase 2. *)
 
 val capture :
@@ -156,9 +156,9 @@ val capture :
   defuses:Defuse.t array ->
   filters:Regset.t array ->
   locals:Psg_build.local array ->
-  p1_nodes:int array ->
-  p1_cr:int array ->
-  p2_live:int array ->
+  p1_nodes:Regset.t array ->
+  p1_cr:Regset.t array ->
+  p2_live:Regset.t array ->
   node_offset:int array ->
   call_offset:int array ->
   routine_art array

@@ -1,6 +1,6 @@
 open Spike_support
 
-let zero_regs = Regset.of_list [ Reg.zero; Reg.fzero ]
+let zero_regs = Regset.singleton Reg.zero
 
 let callee_saved =
   let integer = [ Reg.s0; Reg.s1; Reg.s2; Reg.s3; Reg.s4; Reg.s5; Reg.fp; Reg.sp ] in

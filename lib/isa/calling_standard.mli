@@ -13,7 +13,9 @@
 open Spike_support
 
 val zero_regs : Regset.t
-(** The hardwired zero registers; excluded from every dataflow set. *)
+(** The hardwired zero register [zero] inside the {!Regset} universe;
+    excluded from every dataflow set.  [f31], the other hardwired zero, is
+    outside the universe altogether. *)
 
 val callee_saved : Regset.t
 (** [s0 .. s5], [fp], [sp], [f2 .. f9]: preserved across calls. *)

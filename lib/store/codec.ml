@@ -88,48 +88,23 @@ let read_string r =
   if n < 0 then corrupt "negative string length at %d" r.cur;
   read_raw r n
 
-let add_u32 w v =
-  Buffer.add_char w (Char.unsafe_chr (v land 0xff));
-  Buffer.add_char w (Char.unsafe_chr ((v lsr 8) land 0xff));
-  Buffer.add_char w (Char.unsafe_chr ((v lsr 16) land 0xff));
-  Buffer.add_char w (Char.unsafe_chr ((v lsr 24) land 0xff))
-
-let read_u32 r =
-  need r 4;
-  let b i = Char.code (String.unsafe_get r.buf (r.cur + i)) in
-  let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-  r.cur <- r.cur + 4;
-  v
-
+(* A register set is one little-endian 64-bit word: bit [r] is register
+   [r].  Bit 63 (register 63, outside {!Regset}'s universe) is always
+   written clear, so a word with it set is corrupt, not a set to
+   truncate. *)
 let write_regset w s =
-  add_u32 w (Regset.lo_bits s);
-  add_u32 w (Regset.hi_bits s)
+  Buffer.add_int64_le w (Int64.logand (Int64.of_int (Regset.to_int s)) Int64.max_int)
 
-(* Decoded register sets are immutable and extremely repetitive (a few
-   dozen distinct values cover most of a program), so a direct-mapped
-   cache shares one record per recurring value.  Sharing avoids both the
-   allocation and — because the cached record is already on the major
-   heap — the write-barrier traffic of storing a fresh minor-heap record
-   into a major-heap array, which otherwise dominates decoding.  Sound
-   because {!Regset.t} is immutable; single-domain like the rest of the
-   store. *)
-let memo_bits = 12
-let memo : Regset.t array = Array.make (1 lsl memo_bits) Regset.empty
-
-let memo_regset ~lo ~hi =
-  let slot = (lo lxor (hi * 0x9e3779b1)) land ((1 lsl memo_bits) - 1) in
-  let c = Array.unsafe_get memo slot in
-  if Regset.lo_bits c = lo && Regset.hi_bits c = hi then c
-  else begin
-    let s = Regset.of_bits ~lo ~hi in
-    Array.unsafe_set memo slot s;
-    s
-  end
+let read_regset_at buf pos =
+  let v = String.get_int64_le buf pos in
+  if Int64.compare v 0L < 0 then corrupt "register set word with bit 63 set at %d" pos;
+  Regset.of_int (Int64.to_int v)
 
 let read_regset r =
-  let lo = read_u32 r in
-  let hi = read_u32 r in
-  memo_regset ~lo ~hi
+  need r 8;
+  let s = read_regset_at r.buf r.cur in
+  r.cur <- r.cur + 8;
+  s
 
 let write_option f w = function
   | None -> write_bool w false
@@ -172,13 +147,6 @@ let read_array f r =
     a
   end
 
-let unsafe_u32 buf pos =
-  let b i = Char.code (String.unsafe_get buf (pos + i)) in
-  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-
-let read_regset_at buf pos =
-  memo_regset ~lo:(unsafe_u32 buf pos) ~hi:(unsafe_u32 buf (pos + 4))
-
 let write_regset_array w a =
   write_int w (Array.length a);
   Array.iter (fun s -> write_regset w s) a
@@ -188,27 +156,11 @@ let read_regset_array r =
   if n < 0 || n > (r.stop - r.cur) / 8 then
     corrupt "bad regset array length %d at %d" n r.cur;
   let buf = r.buf and pos = r.cur in
-  let a = Array.init n (fun i -> read_regset_at buf (pos + (i * 8))) in
-  r.cur <- pos + (n * 8);
-  a
-
-(* Packed unsigned-32 arrays: the converged-solution payloads live as
-   flat int arrays (each register set two consecutive words), so they
-   round-trip without boxing anything. *)
-let write_u32_array w a =
-  write_int w (Array.length a);
-  Array.iter (fun v -> add_u32 w v) a
-
-let read_u32_array r =
-  let n = read_int r in
-  if n < 0 || n > (r.stop - r.cur) / 4 then
-    corrupt "bad u32 array length %d at %d" n r.cur;
-  let buf = r.buf and pos = r.cur in
-  let a = Array.make n 0 in
+  let a = Array.make n Regset.empty in
   for i = 0 to n - 1 do
-    Array.unsafe_set a i (unsafe_u32 buf (pos + (i * 4)))
+    Array.unsafe_set a i (read_regset_at buf (pos + (i * 8)))
   done;
-  r.cur <- pos + (n * 4);
+  r.cur <- pos + (n * 8);
   a
 
 let write_sets3_array w a =

@@ -8,8 +8,8 @@
     straight-line.
 
     Integers use zigzag LEB128 (small magnitudes, either sign, are one
-    byte); register sets are their two raw 32-bit halves; strings and
-    containers are length-prefixed. *)
+    byte); a register set is one raw little-endian 64-bit word whose bit
+    63 must be clear; strings and containers are length-prefixed. *)
 
 type writer = Buffer.t
 
@@ -40,7 +40,11 @@ val write_raw : writer -> string -> unit
 val read_raw : reader -> int -> string
 
 val write_regset : writer -> Spike_support.Regset.t -> unit
+
 val read_regset : reader -> Spike_support.Regset.t
+(** Raises {!Corrupt} on a word with bit 63 set: register 63 is outside
+    {!Spike_support.Regset}'s universe, so such a word was never written
+    by {!write_regset}. *)
 
 (** {2 Containers} *)
 
@@ -64,13 +68,10 @@ val read_array : (reader -> 'a) -> reader -> 'a array
     going through [read_array read_regset]. *)
 
 val write_regset_array : writer -> Spike_support.Regset.t array -> unit
+(** Length-prefixed, then one word per set.  Also the encoding of the
+    warm plan's packed converged solutions. *)
+
 val read_regset_array : reader -> Spike_support.Regset.t array
-
-val write_u32_array : writer -> int array -> unit
-(** Flat array of unsigned 32-bit values — the packed form the warm plan
-    keeps converged solutions in.  Values must fit 32 bits. *)
-
-val read_u32_array : reader -> int array
 
 val write_sets3_array :
   writer ->

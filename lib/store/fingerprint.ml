@@ -3,7 +3,7 @@ open Spike_isa
 open Spike_ir
 open Spike_core
 
-let format_version = 1
+let format_version = 2
 
 let config_key ~branch_nodes ~callee_saved_filter =
   let b = Buffer.create 32 in
@@ -54,9 +54,7 @@ let fold_string l s =
 
 let fold_bool l b = fold l (if b then 1 else 0)
 
-let fold_regset l s =
-  fold l (Regset.lo_bits s);
-  fold l (Regset.hi_bits s)
+let fold_regset l s = fold l (Regset.to_int s)
 
 let add_operand b = function
   | Insn.Reg r ->

@@ -173,9 +173,9 @@ let write_body program w (art : Warm.routine_art) =
   Codec.write_regset_array w art.a_defuse.Defuse.ubd;
   Codec.write_regset w art.a_filter;
   write_local program w art.a_local;
-  Codec.write_u32_array w art.a_phase1;
-  Codec.write_u32_array w art.a_cr;
-  Codec.write_u32_array w art.a_phase2
+  Codec.write_regset_array w art.a_phase1;
+  Codec.write_regset_array w art.a_cr;
+  Codec.write_regset_array w art.a_phase2
 
 let check_node_id nnodes id =
   if id < 0 || id >= nnodes then corrupt "node id %d out of %d" id nnodes
@@ -292,13 +292,13 @@ let read_body ~routine:(r : int) ~(current : Routine.t) ~resolve body :
     { Psg_build.l_kinds = kinds; l_edges = edges; l_calls = calls; l_entry;
       l_exit; l_unknown }
   in
-  let a_phase1 = Codec.read_u32_array rd in
-  let a_cr = Codec.read_u32_array rd in
-  let a_phase2 = Codec.read_u32_array rd in
+  let a_phase1 = Codec.read_regset_array rd in
+  let a_cr = Codec.read_regset_array rd in
+  let a_phase2 = Codec.read_regset_array rd in
   if
-    Array.length a_phase1 <> nnodes * 6
-    || Array.length a_cr <> Array.length calls * 6
-    || Array.length a_phase2 <> nnodes * 2
+    Array.length a_phase1 <> nnodes * 3
+    || Array.length a_cr <> Array.length calls * 3
+    || Array.length a_phase2 <> nnodes
   then corrupt "solution length mismatch";
   if not (Codec.at_end rd) then corrupt "trailing bytes in entry body";
   { Warm.a_cfg = cfg; a_defuse = defuse; a_filter = filter; a_local = local;
@@ -416,6 +416,9 @@ let load ~dir ?(branch_nodes = true) ?(externals = fun _ -> None)
                       Hashtbl.replace claimed routine.name ();
                       incr hits
                   | exception Codec.Corrupt reason ->
+                      (* Counted like a whole-file corruption, but only
+                         this routine is rebuilt. *)
+                      Spike_obs.Metrics.incr c_degradations;
                       Printf.eprintf
                         "spike-store: undecodable entry for %s (%s), \
                          rebuilding it\n\

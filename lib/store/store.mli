@@ -16,7 +16,9 @@
     checksum, and bounds-checked decoding via {!Codec}), logged to
     [stderr], counted on the [store.degradations] counter, and degraded
     to an all-cold plan.  A single undecodable entry in an otherwise
-    healthy file dirties only its own routine.
+    healthy file — say, a register-set word with bit 63 set — dirties only
+    its own routine; it is logged and counted on [store.degradations]
+    too, but [degraded] stays [None].
 
     Cross-run index drift is handled by storing routine {e names}:
     call-target indices inside cached fragments are remapped to the

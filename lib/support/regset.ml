@@ -1,13 +1,14 @@
-(* Two immediate 32-bit halves.  OCaml ints are 63-bit on 64-bit platforms,
-   so each half fits with room to spare; [mask32] keeps complements from
-   leaking into the unused high bits. *)
+(* One immediate int: bit [r] is register [r], for [r] in [0 .. 62].  An
+   OCaml int on a 64-bit platform has exactly 63 bits, so every int is a
+   valid set, [full] is [-1], and no operation needs a mask.  Register 63
+   ([f31], hardwired zero) never carries dataflow and is outside the
+   universe. *)
 
-type t = { lo : int; hi : int }
+type t = int
 
-let bits = 64
-let mask32 = 0xFFFF_FFFF
-let empty = { lo = 0; hi = 0 }
-let full = { lo = mask32; hi = mask32 }
+let bits = 63
+let empty = 0
+let full = -1
 
 let check r =
   if r < 0 || r >= bits then
@@ -15,35 +16,34 @@ let check r =
 
 let singleton r =
   check r;
-  if r < 32 then { lo = 1 lsl r; hi = 0 } else { lo = 0; hi = 1 lsl (r - 32) }
+  1 lsl r
 
 let add r s =
   check r;
-  if r < 32 then { s with lo = s.lo lor (1 lsl r) }
-  else { s with hi = s.hi lor (1 lsl (r - 32)) }
+  s lor (1 lsl r)
 
 let remove r s =
   check r;
-  if r < 32 then { s with lo = s.lo land lnot (1 lsl r) }
-  else { s with hi = s.hi land lnot (1 lsl (r - 32)) }
+  s land lnot (1 lsl r)
 
 let mem r s =
   check r;
-  if r < 32 then s.lo land (1 lsl r) <> 0 else s.hi land (1 lsl (r - 32)) <> 0
+  s land (1 lsl r) <> 0
 
-let union a b = { lo = a.lo lor b.lo; hi = a.hi lor b.hi }
-let inter a b = { lo = a.lo land b.lo; hi = a.hi land b.hi }
-let diff a b = { lo = a.lo land lnot b.lo; hi = a.hi land lnot b.hi }
-let complement a = { lo = mask32 land lnot a.lo; hi = mask32 land lnot a.hi }
-let equal a b = a.lo = b.lo && a.hi = b.hi
+let union a b = a lor b
+let inter a b = a land b
+let diff a b = a land lnot b
+let complement a = lnot a
+let equal (a : t) b = a = b
 
-let compare a b =
-  let c = Int.compare a.hi b.hi in
-  if c <> 0 then c else Int.compare a.lo b.lo
+(* Unsigned: flipping the sign bit (register 62) maps the unsigned order
+   onto the signed one, so sets order by registers 62 .. 32, then
+   31 .. 0 — the order of the former (hi, lo) pair. *)
+let compare a b = Int.compare (a lxor min_int) (b lxor min_int)
 
-let subset a b = a.lo land lnot b.lo = 0 && a.hi land lnot b.hi = 0
-let disjoint a b = a.lo land b.lo = 0 && a.hi land b.hi = 0
-let is_empty s = s.lo = 0 && s.hi = 0
+let subset a b = a land lnot b = 0
+let disjoint a b = a land b = 0
+let is_empty s = s = 0
 
 let popcount32 x =
   let x = x - ((x lsr 1) land 0x5555_5555) in
@@ -51,15 +51,16 @@ let popcount32 x =
   let x = (x + (x lsr 4)) land 0x0F0F_0F0F in
   (x * 0x0101_0101) lsr 24 land 0xFF
 
-let cardinal s = popcount32 s.lo + popcount32 s.hi
+let cardinal s = popcount32 (s land 0xFFFF_FFFF) + popcount32 (s lsr 32)
 
 let iter f s =
-  for r = 0 to 31 do
-    if s.lo land (1 lsl r) <> 0 then f r
-  done;
-  for r = 0 to 31 do
-    if s.hi land (1 lsl r) <> 0 then f (r + 32)
-  done
+  let rec go r s =
+    if s <> 0 then begin
+      if s land 1 <> 0 then f r;
+      go (r + 1) (s lsr 1)
+    end
+  in
+  go 0 s
 
 let fold f s init =
   let acc = ref init in
@@ -73,16 +74,14 @@ let filter p s = fold (fun r acc -> if p r then add r acc else acc) s empty
 let choose s =
   if is_empty s then None
   else
-    let rec first n = if mem n s then n else first (n + 1) in
+    let rec first n = if s land (1 lsl n) <> 0 then n else first (n + 1) in
     Some (first 0)
 
 let of_list rs = List.fold_left (fun s r -> add r s) empty rs
 let to_list s = List.rev (fold (fun r acc -> r :: acc) s [])
-let hash s = (s.hi * 0x9E3779B1) lxor s.lo
-
-let lo_bits s = s.lo
-let hi_bits s = s.hi
-let of_bits ~lo ~hi = { lo = lo land mask32; hi = hi land mask32 }
+let hash s = s lxor (s lsr 32)
+let to_int s = s
+let of_int w = w
 
 let pp ?(name = fun r -> "r" ^ string_of_int r) ppf s =
   let members = to_list s in

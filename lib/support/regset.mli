@@ -1,16 +1,22 @@
-(** Dense bitsets over the 64 machine registers.
+(** Dense bitsets over the 63 registers that can carry dataflow.
 
     A value of type {!t} represents a set of register numbers in the range
-    [0 .. 63].  The representation is two immediate 32-bit halves, so every
-    set operation is a handful of machine instructions and no allocation
-    beyond the result record.  These sets are the currency of the whole
+    [0 .. 62] as one immediate OCaml int: bit [r] is register [r].  Every
+    set operation is a single machine instruction or two, nothing
+    allocates, and a record field or array slot holding a set is written
+    without the write barrier.  These sets are the currency of the whole
     analysis: DEF/UBD per basic block, the MUST-DEF / MAY-DEF / MAY-USE
-    labels on PSG edges, and the per-routine summary sets. *)
+    labels on PSG edges, and the per-routine summary sets.
 
-type t
+    Register 63 ([f31]) is outside the universe: like [zero] ([$31]) it is
+    hardwired to zero, and [Insn.def_of]/[Insn.use_of] keep both out
+    of every DEF/USE set, so the 63 bits of an OCaml int are exactly
+    enough.  Adding register 63 raises. *)
+
+type t [@@immediate]
 
 val bits : int
-(** Number of representable registers (64). *)
+(** Number of representable registers (63). *)
 
 val empty : t
 val full : t
@@ -30,6 +36,9 @@ val complement : t -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+(** Total order on the bit words read as unsigned: register 62 is the most
+    significant bit, register 0 the least. *)
+
 val subset : t -> t -> bool
 (** [subset a b] is [true] iff every member of [a] is a member of [b]. *)
 
@@ -54,21 +63,12 @@ val to_list : t -> int list
 
 val hash : t -> int
 
-(** {2 Unboxed access}
+val to_int : t -> int
+(** The bit word: bit [r] is set iff register [r] is a member.  For the
+    store's codec and the fingerprint. *)
 
-    The interprocedural phases recompute millions of node sets; going
-    through allocated set values there costs more than the bit arithmetic
-    itself.  These accessors expose the two 32-bit halves so hot loops can
-    work on plain ints and re-box once per node. *)
-
-val lo_bits : t -> int
-(** Bits of registers [0 .. 31]. *)
-
-val hi_bits : t -> int
-(** Bits of registers [32 .. 63]. *)
-
-val of_bits : lo:int -> hi:int -> t
-(** Inverse of [lo_bits]/[hi_bits]; masks each half to 32 bits. *)
+val of_int : int -> t
+(** Inverse of {!to_int}; every int is a valid set. *)
 
 val pp : ?name:(int -> string) -> Format.formatter -> t -> unit
 (** Prints as [{r1, r5}]; [name] overrides the default ["r<n>"] rendering. *)

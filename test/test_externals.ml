@@ -176,6 +176,32 @@ let test_reference_agreement_with_externals () =
       | [] -> ()))
     analysis.Analysis.call_classes
 
+(* The hardwired zeros may be named in a summary file.  They are dropped
+   — [f31] could not even be held by a register set — so the file analyses
+   exactly like the same file without them. *)
+let test_hardwired_zeros_dropped () =
+  let with_zeros =
+    ".summary memcpy\n  used = {a0, zero, a1, a2, f31}\n  defined = {v0, f31}\n\
+     \  killed = {zero, v0, t0, t1, ra, f31}\n.end\n"
+  and without =
+    ".summary memcpy\n  used = {a0, a1, a2}\n  defined = {v0}\n\
+     \  killed = {v0, t0, t1, ra}\n.end\n"
+  in
+  let lookup text = Spike_asm.Summaries.(lookup (of_string text)) in
+  let parsed = Option.get (lookup with_zeros "memcpy") in
+  check_regset "used" memcpyish.Psg.x_used parsed.Psg.x_used;
+  check_regset "defined" memcpyish.Psg.x_defined parsed.Psg.x_defined;
+  check_regset "killed" memcpyish.Psg.x_killed parsed.Psg.x_killed;
+  let render (a : Analysis.t) =
+    Format.asprintf "%a"
+      (fun ppf -> Array.iter (fun s -> Format.fprintf ppf "%a@." Summary.pp s))
+      a.Analysis.summaries
+  in
+  let p = caller_program () in
+  Alcotest.(check string) "same summaries"
+    (render (Analysis.run ~externals:(lookup without) p))
+    (render (Analysis.run ~externals:(lookup with_zeros) p))
+
 let () =
   Alcotest.run "externals"
     [
@@ -183,6 +209,8 @@ let () =
         [
           Alcotest.test_case "parse + roundtrip" `Quick test_summaries_parse;
           Alcotest.test_case "errors" `Quick test_summaries_errors;
+          Alcotest.test_case "hardwired zeros dropped" `Quick
+            test_hardwired_zeros_dropped;
         ] );
       ( "analysis",
         [

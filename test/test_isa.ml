@@ -115,6 +115,22 @@ let test_mnemonic_roundtrips () =
       | Some _ | None -> Alcotest.failf "cond %s roundtrip" (Insn.cond_name c))
     [ Insn.Eq; Insn.Ne; Insn.Lt; Insn.Le; Insn.Gt; Insn.Ge ]
 
+(* [f31] is register 63: the one register a {!Regset} cannot hold.  It
+   never needs to, because the DEF/USE of a hardwired zero is empty. *)
+let test_fzero_outside_universe () =
+  Alcotest.(check int) "fzero is register 63" 63 Reg.fzero;
+  Alcotest.check_raises "Regset.add fzero raises"
+    (Invalid_argument "Regset: register 63 out of range")
+    (fun () -> ignore (Regset.add Reg.fzero Regset.empty));
+  Alcotest.check regset "def_of fzero" Regset.empty (Insn.def_of Reg.fzero);
+  Alcotest.check regset "use_of fzero" Regset.empty (Insn.use_of Reg.fzero);
+  Alcotest.check regset "def_of zero" Regset.empty (Insn.def_of Reg.zero);
+  Alcotest.check regset "mov fzero, fzero" Regset.empty
+    (Regset.union
+       (Insn.defs (Insn.Mov { dst = Reg.fzero; src = Reg.fzero }))
+       (Insn.uses (Insn.Mov { dst = Reg.fzero; src = Reg.fzero })));
+  Alcotest.check regset "zero_regs" (rs [ Reg.zero ]) Calling_standard.zero_regs
+
 (* --- Calling standard ------------------------------------------------------ *)
 
 let test_calling_standard () =
@@ -144,7 +160,12 @@ let test_calling_standard () =
 let () =
   Alcotest.run "isa"
     [
-      ("reg", [ Alcotest.test_case "names" `Quick test_reg_names ]);
+      ( "reg",
+        [
+          Alcotest.test_case "names" `Quick test_reg_names;
+          Alcotest.test_case "f31 outside the regset universe" `Quick
+            test_fzero_outside_universe;
+        ] );
       ( "insn",
         [
           Alcotest.test_case "defs/uses" `Quick test_defs_uses;

@@ -358,6 +358,48 @@ let test_robustness () =
        (fun v -> v = Spike_obs.Metrics.Count (Program.routine_count program))
        (Spike_obs.Metrics.find snapshot "store.load.hits"))
 
+(* A register-set word with bit 63 set cannot come from the writer —
+   register 63 is outside the universe — so it is corruption even under a
+   valid checksum.  The file's last eight bytes are the last routine's
+   last phase-2 set; setting its top bit and re-sealing the checksum
+   (magic(8) version(1) config(16) checksum(8) payload_len payload) must
+   dirty that one routine, count a degradation and raise nothing. *)
+let test_bit63_word () =
+  let program = gen ~seed:47 () in
+  let n = Program.routine_count program in
+  let cold = Analysis.run program in
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> cleanup dir) @@ fun () ->
+  Store.save ~dir (Analysis.run ~capture:true program);
+  let data = In_channel.with_open_bin (store_path dir) In_channel.input_all in
+  let b = Bytes.of_string data in
+  let last = Bytes.length b - 1 in
+  Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lor 0x80));
+  let payload_pos =
+    (* the payload length is a varint after the checksum *)
+    let rec skip i =
+      if Char.code (Bytes.get b i) land 0x80 = 0 then i + 1 else skip (i + 1)
+    in
+    skip 33
+  in
+  let sum =
+    Codec.checksum (Bytes.unsafe_to_string b) ~pos:payload_pos
+      ~len:(Bytes.length b - payload_pos)
+  in
+  Bytes.set_int64_le b 25 sum;
+  Out_channel.with_open_bin (store_path dir) (fun oc -> Out_channel.output_bytes oc b);
+  Spike_obs.Metrics.enable ();
+  let loaded = Store.load ~dir program in
+  let counted = degradations () in
+  Spike_obs.Metrics.disable ();
+  Alcotest.(check int) "counted" 1 counted;
+  Alcotest.(check (option string)) "the file as a whole is healthy" None
+    loaded.Store.degraded;
+  Alcotest.(check int) "one routine rebuilt" 1 loaded.Store.invalidated;
+  Alcotest.(check int) "the rest reused" (n - 1) loaded.Store.hits;
+  let warm = Analysis.run ~warm:loaded.Store.plan program in
+  Alcotest.(check string) "still correct" (render cold) (render warm)
+
 let test_missing_store_is_cold () =
   let program = gen ~seed:45 () in
   let dir = fresh_dir () in
@@ -418,6 +460,7 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "corrupt files degrade to cold" `Slow test_robustness;
+          Alcotest.test_case "register word with bit 63 degrades" `Quick test_bit63_word;
           Alcotest.test_case "missing store is a plain cold start" `Quick
             test_missing_store_is_cold;
           Alcotest.test_case "save leaves no temp files" `Quick test_save_is_atomic;

@@ -7,10 +7,26 @@ let regset_testable = Alcotest.testable (Regset.pp ?name:None) Regset.equal
 
 (* --- Regset ------------------------------------------------------------ *)
 
-let arbitrary_regset =
-  QCheck.map
-    (fun (lo, hi) -> Regset.of_bits ~lo ~hi)
-    (QCheck.pair QCheck.int QCheck.int)
+(* The model: a set is a 63-entry [bool array], entry [r] for register
+   [r].  Random sets are built from a random model through [of_list], so
+   every law below also exercises [add]. *)
+type model = bool array
+
+let of_model (m : model) =
+  Regset.of_list (List.filter (fun r -> m.(r)) (List.init Regset.bits Fun.id))
+
+let model_of s : model = Array.init Regset.bits (fun r -> Regset.mem r s)
+
+let arbitrary_model =
+  QCheck.make
+    ~print:(fun m -> Regset.to_string (of_model m))
+    QCheck.Gen.(
+      (* Mix sparse, dense and uniform sets so that [full]-like and
+         near-empty words both occur. *)
+      float_range 0.0 1.0 >>= fun density ->
+      array_repeat Regset.bits (map (fun x -> x < density) (float_range 0.0 1.0)))
+
+let arbitrary_regset = QCheck.map ~rev:model_of of_model arbitrary_model
 
 let qcheck_regset name law = QCheck.Test.make ~name ~count:500 arbitrary_regset law
 
@@ -21,6 +37,54 @@ let qcheck_regset3 name law =
   QCheck.Test.make ~name ~count:500
     (QCheck.triple arbitrary_regset arbitrary_regset arbitrary_regset)
     law
+
+let qcheck_model2 name law =
+  QCheck.Test.make ~name ~count:500 (QCheck.pair arbitrary_model arbitrary_model)
+    (fun (ma, mb) -> law ma mb (of_model ma) (of_model mb))
+
+let members (m : model) = List.filter (fun r -> m.(r)) (List.init Regset.bits Fun.id)
+
+(* The order of the former two-word representation: registers 32 .. 62 as
+   an unsigned high word first, then registers 0 .. 31. *)
+let model_compare (ma : model) (mb : model) =
+  let word m lo hi =
+    let w = ref 0 in
+    for r = hi downto lo do
+      w := (!w lsl 1) lor if m.(r) then 1 else 0
+    done;
+    !w
+  in
+  match Int.compare (word ma 32 62) (word mb 32 62) with
+  | 0 -> Int.compare (word ma 0 31) (word mb 0 31)
+  | c -> c
+
+let agrees op ma mb s =
+  Regset.equal s (of_model (Array.init Regset.bits (fun r -> op ma.(r) mb.(r))))
+
+let regset_model =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      qcheck_model2 "model union" (fun ma mb a b ->
+          agrees ( || ) ma mb (Regset.union a b));
+      qcheck_model2 "model inter" (fun ma mb a b ->
+          agrees ( && ) ma mb (Regset.inter a b));
+      qcheck_model2 "model diff" (fun ma mb a b ->
+          agrees (fun x y -> x && not y) ma mb (Regset.diff a b));
+      qcheck_model2 "model complement" (fun ma mb a _ ->
+          agrees (fun x _ -> not x) ma mb (Regset.complement a));
+      qcheck_model2 "model subset" (fun ma mb a b ->
+          Regset.subset a b = Array.for_all2 (fun x y -> (not x) || y) ma mb);
+      qcheck_model2 "model disjoint" (fun ma mb a b ->
+          Regset.disjoint a b = Array.for_all2 (fun x y -> not (x && y)) ma mb);
+      qcheck_model2 "model membership and cardinal" (fun ma _ a _ ->
+          model_of a = ma && Regset.cardinal a = List.length (members ma));
+      qcheck_model2 "model iter order" (fun ma _ a _ ->
+          let seen = ref [] in
+          Regset.iter (fun r -> seen := r :: !seen) a;
+          List.rev !seen = members ma);
+      qcheck_model2 "model compare is the (hi, lo) order" (fun ma mb a b ->
+          Int.compare (Regset.compare a b) 0 = model_compare ma mb);
+    ]
 
 let regset_properties =
   List.map QCheck_alcotest.to_alcotest
@@ -54,28 +118,35 @@ let regset_properties =
       qcheck_regset "cardinal = length of to_list" (fun a ->
           Regset.cardinal a = List.length (Regset.to_list a));
       qcheck_regset "bits roundtrip" (fun a ->
-          Regset.equal a
-            (Regset.of_bits ~lo:(Regset.lo_bits a) ~hi:(Regset.hi_bits a)));
+          Regset.equal a (Regset.of_int (Regset.to_int a))
+          && Regset.to_int a
+             = List.fold_left (fun w r -> w lor (1 lsl r)) 0 (Regset.to_list a));
       qcheck_regset2 "compare consistent with equal" (fun (a, b) ->
           Regset.compare a b = 0 = Regset.equal a b);
     ]
 
 let test_regset_basics () =
-  Alcotest.(check int) "bits" 64 Regset.bits;
+  Alcotest.(check int) "bits" 63 Regset.bits;
   Alcotest.(check bool) "empty is empty" true (Regset.is_empty Regset.empty);
-  Alcotest.(check int) "full cardinal" 64 (Regset.cardinal Regset.full);
-  let s = Regset.of_list [ 0; 31; 32; 63 ] in
+  Alcotest.(check int) "full cardinal" 63 (Regset.cardinal Regset.full);
+  Alcotest.(check int) "full is every bit" (-1) (Regset.to_int Regset.full);
+  let s = Regset.of_list [ 0; 31; 32; 62 ] in
   Alcotest.(check bool) "mem 0" true (Regset.mem 0 s);
-  Alcotest.(check bool) "mem 63" true (Regset.mem 63 s);
+  Alcotest.(check bool) "mem 62" true (Regset.mem 62 s);
   Alcotest.(check bool) "not mem 1" false (Regset.mem 1 s);
-  Alcotest.(check (list int)) "sorted members" [ 0; 31; 32; 63 ] (Regset.to_list s);
-  Alcotest.(check regset_testable) "remove" (Regset.of_list [ 0; 31; 63 ])
+  Alcotest.(check (list int)) "sorted members" [ 0; 31; 32; 62 ] (Regset.to_list s);
+  Alcotest.(check regset_testable) "remove" (Regset.of_list [ 0; 31; 62 ])
     (Regset.remove 32 s);
   Alcotest.(check (option int)) "choose" (Some 0) (Regset.choose s);
   Alcotest.(check (option int)) "choose empty" None (Regset.choose Regset.empty);
   Alcotest.(check regset_testable) "filter"
-    (Regset.of_list [ 32; 63 ])
+    (Regset.of_list [ 32; 62 ])
     (Regset.filter (fun r -> r >= 32) s);
+  Alcotest.(check bool) "register 62 sorts highest" true
+    (Regset.compare (Regset.singleton 62) (Regset.of_list [ 0; 61 ]) > 0);
+  Alcotest.check_raises "register 63 is outside the universe"
+    (Invalid_argument "Regset: register 63 out of range")
+    (fun () -> ignore (Regset.singleton 63));
   Alcotest.check_raises "out of range" (Invalid_argument "Regset: register 64 out of range")
     (fun () -> ignore (Regset.singleton 64));
   Alcotest.(check string) "printing" "{r1, r33}"
@@ -465,7 +536,8 @@ let () =
   Alcotest.run "support"
     [
       ( "regset",
-        Alcotest.test_case "basics" `Quick test_regset_basics :: regset_properties );
+        (Alcotest.test_case "basics" `Quick test_regset_basics :: regset_properties)
+        @ regset_model );
       ( "prng",
         [
           Alcotest.test_case "determinism and bounds" `Quick test_prng;
