@@ -20,13 +20,16 @@ let directive = L.[| Directive |]
 let directive_name = L.[| Directive; Ident |]
 
 (* [used = { a0 , a1 }] — the brace list may be empty, and may end in a
-   comma.  The hardwired zeros are accepted and dropped, as
-   {!Insn.use_of} drops them from instructions: they never carry dataflow,
-   and [f31] is outside the {!Regset} universe. *)
+   comma.  The hardwired zeros are accepted and dropped, as instructions'
+   DEF/USE sets drop them: they never carry dataflow, and [f31] is outside
+   the {!Regset} universe. *)
 let set_line c =
   if not (L.starts_with c set_prefix) then fail c "expected '<field> = { ... }'";
   let n = L.length c in
-  let member i acc = Regset.union (Insn.use_of (reg c i)) acc in
+  let member i acc =
+    let r = reg c i in
+    if Reg.is_zero r then acc else Regset.add r acc
+  in
   let rec members i acc =
     if i + 1 = n && L.kind c i = L.Rbrace then acc
     else if i + 2 = n && L.kind c i = L.Ident && L.kind c (i + 1) = L.Rbrace then

@@ -60,14 +60,6 @@ type t =
   | Ret
   | Nop
 
-val def_of : Reg.t -> Regset.t
-(** The DEF set of writing one register: empty for the hardwired zeros,
-    which is what keeps [f31] (register 63) outside the {!Regset}
-    universe. *)
-
-val use_of : Reg.t -> Regset.t
-(** The USE set of reading one register; empty for the hardwired zeros. *)
-
 val defs : t -> Regset.t
 (** Registers written by the instruction, as seen at the instruction itself
     (a call defines [ra]; the callee's effect is modelled separately by the

@@ -22,13 +22,22 @@ let add r s =
   check r;
   s lor (1 lsl r)
 
+(* No set holds register 63, so asking for it, or removing it, is
+   answered without raising: callers test raw instruction operands, and a
+   store of [f31] is an ordinary instruction. *)
 let remove r s =
-  check r;
-  s land lnot (1 lsl r)
+  if r = bits then s
+  else begin
+    check r;
+    s land lnot (1 lsl r)
+  end
 
 let mem r s =
-  check r;
-  s land (1 lsl r) <> 0
+  r <> bits
+  && begin
+       check r;
+       s land (1 lsl r) <> 0
+     end
 
 let union a b = a lor b
 let inter a b = a land b

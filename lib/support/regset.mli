@@ -9,9 +9,10 @@
     labels on PSG edges, and the per-routine summary sets.
 
     Register 63 ([f31]) is outside the universe: like [zero] ([$31]) it is
-    hardwired to zero, and [Insn.def_of]/[Insn.use_of] keep both out
+    hardwired to zero, and [Insn.defs]/[Insn.uses] keep both out
     of every DEF/USE set, so the 63 bits of an OCaml int are exactly
-    enough.  Adding register 63 raises. *)
+    enough.  Adding register 63 raises; [mem 63] is [false] and
+    [remove 63] is the identity, since no set can hold it. *)
 
 type t [@@immediate]
 
@@ -26,8 +27,15 @@ val singleton : int -> t
     @raise Invalid_argument if [r] is outside [0 .. bits - 1]. *)
 
 val add : int -> t -> t
+(** @raise Invalid_argument if [r] is outside [0 .. bits - 1]. *)
+
 val remove : int -> t -> t
+(** [remove 63 s] is [s].
+    @raise Invalid_argument if [r] is outside [0 .. bits]. *)
+
 val mem : int -> t -> bool
+(** [mem 63 s] is [false]: register 63 is in no set.
+    @raise Invalid_argument if [r] is outside [0 .. bits]. *)
 
 val union : t -> t -> t
 val inter : t -> t -> t

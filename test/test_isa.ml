@@ -122,9 +122,12 @@ let test_fzero_outside_universe () =
   Alcotest.check_raises "Regset.add fzero raises"
     (Invalid_argument "Regset: register 63 out of range")
     (fun () -> ignore (Regset.add Reg.fzero Regset.empty));
-  Alcotest.check regset "def_of fzero" Regset.empty (Insn.def_of Reg.fzero);
-  Alcotest.check regset "use_of fzero" Regset.empty (Insn.use_of Reg.fzero);
-  Alcotest.check regset "def_of zero" Regset.empty (Insn.def_of Reg.zero);
+  Alcotest.(check bool) "mem fzero" false (Regset.mem Reg.fzero Regset.full);
+  Alcotest.check regset "remove fzero" Regset.full (Regset.remove Reg.fzero Regset.full);
+  Alcotest.check regset "store fzero uses" (rs [ Reg.sp ])
+    (Insn.uses (Insn.Store { src = Reg.fzero; base = Reg.sp; offset = 0 }));
+  Alcotest.check regset "load into fzero defs" Regset.empty
+    (Insn.defs (Insn.Load { dst = Reg.fzero; base = Reg.sp; offset = 0 }));
   Alcotest.check regset "mov fzero, fzero" Regset.empty
     (Regset.union
        (Insn.defs (Insn.Mov { dst = Reg.fzero; src = Reg.fzero }))

@@ -329,6 +329,71 @@ let test_cold_fallbacks () =
   Alcotest.(check int) "no-op: reused routines" n same.Analysis.reused_routines;
   check_equals_cold "no-op" same
 
+(* [stq f31, off(sp)] zeroes a stack slot.  f31 is outside the register-set
+   universe, and both the callee-saved scan of an entry block and the
+   spill search before a call test a store's source register directly, so
+   such a store must be an ordinary instruction to both.  It is: the
+   program analyses and optimises exactly like the one storing [zero]. *)
+let fzero_program zero =
+  Spike_asm.Parser.program_of_string
+    (Printf.sprintf
+       ".main main
+        .routine main .exported
+       \  lda sp, -16(sp)
+       \  stq ra, 0(sp)
+       \  stq %s, 8(sp)
+       \  li a0, 4
+       \  bsr ra, f
+       \  ldq t0, 8(sp)
+       \  addq v0, t0, v0
+       \  stq %s, 8(sp)
+       \  bsr ra, f
+       \  ldq t1, 8(sp)
+       \  addq v0, t1, v0
+       \  ldq ra, 0(sp)
+       \  lda sp, 16(sp)
+       \  ret
+        .end
+        .routine f
+       \  lda sp, -8(sp)
+       \  stq %s, 0(sp)
+       \  ldq t2, 0(sp)
+       \  addq a0, t2, v0
+       \  lda sp, 8(sp)
+       \  ret
+        .end
+"
+       zero zero zero)
+
+let test_fzero_stores () =
+  let p = fzero_program "f31" and p_zero = fzero_program "zero" in
+  let a = Analysis.run p and a_zero = Analysis.run p_zero in
+  Alcotest.(check string) "summaries as with zero" (render_summaries a_zero)
+    (render_summaries a);
+  Alcotest.(check int) "no spill found" 0 (List.length (Spill.find a));
+  let optimized, _ = optimize p and optimized_zero, _ = optimize p_zero in
+  (* The f31 listing with every [f31] spelled [zero]. *)
+  let as_zero text =
+    let b = Buffer.create (String.length text) in
+    let rec go i =
+      if i < String.length text then
+        if i + 3 <= String.length text && String.sub text i 3 = "f31" then begin
+          Buffer.add_string b "zero";
+          go (i + 3)
+        end
+        else begin
+          Buffer.add_char b text.[i];
+          go (i + 1)
+        end
+    in
+    go 0;
+    Buffer.contents b
+  in
+  Alcotest.(check string) "optimised as with zero" (printed optimized_zero)
+    (as_zero (printed optimized));
+  Alcotest.(check bool) "same outcome" true
+    (Spike_interp.Machine.execute p = Spike_interp.Machine.execute optimized)
+
 let () =
   Alcotest.run "opt"
     [
@@ -343,6 +408,7 @@ let () =
         [
           Alcotest.test_case "semantics preserved" `Quick test_semantics_preserved;
           Alcotest.test_case "optimized still sound" `Quick test_optimized_soundness;
+          Alcotest.test_case "f31 stores" `Quick test_fzero_stores;
         ] );
       ( "warm",
         [
