@@ -4,9 +4,9 @@
 
    Each calibrated workload is generated once, then analysed end to end at
    jobs = 1, 2, 4, 8.  The front-end columns (CFG build + initialization +
-   PSG build) isolate the per-routine part; the phase fixpoints run under
-   the SCC-condensation schedule too, and the [scc] section records their
-   iteration counts and stage times across jobs settings. *)
+   PSG build) isolate the per-routine part; the phase fixpoints run
+   serially under the SCC-condensation schedule, and the [scc] section
+   records their iteration counts and stage times across jobs settings. *)
 
 open Spike_support
 open Spike_core
@@ -80,11 +80,13 @@ let measure ~scale =
 
 (* --- The SCC-schedule study --------------------------------------------- *)
 
-(* The condensation's shape, the phases' node recomputations, and what the
-   parallel dispatch of independent components does to the phase-stage
-   wall clock.  Iteration counts are deterministic per component, so the
-   serial and parallel columns must agree exactly — asserted here, along
-   with bit-identical summaries. *)
+(* The condensation's shape, the phases' node recomputations, and the
+   phase-stage wall clock across jobs settings.  The phases run serially
+   at every jobs value, so the jobs columns time the same serial
+   fixpoints and differ only by noise (and by what the parallel front end
+   leaves in the heap); the [_par] iteration counts, from a jobs-4 run,
+   must equal the jobs-1 ones — asserted here, along with bit-identical
+   summaries. *)
 
 type scc_phase_point = { sp_jobs : int; sp_phase1_s : float; sp_phase2_s : float }
 

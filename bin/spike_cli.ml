@@ -82,11 +82,10 @@ let jobs_arg =
     & opt (some positive_int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Domains for the per-routine analysis stages and for the phase 1 \
-           and phase 2 interprocedural fixpoints, whose call-graph SCCs run \
-           concurrently once their callees (phase 1) or callers (phase 2) \
-           have converged (default: the machine's recommended domain count; \
-           must be at least 1).  Results are identical for every value.")
+          "Domains for the per-routine analysis stages and the schedule \
+           build; the phase 1 and phase 2 interprocedural fixpoints run \
+           serially (default: the machine's recommended domain count; must \
+           be at least 1).  Results are identical for every value.")
 
 (* --- Persistent summary store (shared by analyze/opt) -------------------- *)
 

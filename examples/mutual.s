@@ -3,8 +3,7 @@
 # helper called from inside the knot and a straight-line caller around
 # it.  Exercises the SCC-condensation schedule on a non-trivial
 # condensation — {even, odd} collapses to one component that both main
-# and halve depend on — including the phase-parallel executor, whose
-# summaries must match the sequential ones byte for byte.
+# and halve depend on.  Its summaries must not depend on --jobs.
 .main main
 
 .routine main .exported

@@ -36,8 +36,8 @@ type t = {
   externals : string -> Psg.external_class option;
   callee_saved_filter : bool;
   jobs : int;
-      (** parallelism degree the front-end stages and the phase
-          fixpoints ran with *)
+      (** parallelism degree the front-end stages and the schedule
+          build ran with *)
   reused_routines : int;
       (** routines whose front-end artifacts came from the warm plan *)
   warm_capture : Warm.routine_art array option;
@@ -77,10 +77,9 @@ val run :
     [jobs] (default {!Spike_support.Pool.default_jobs}, i.e.
     [Domain.recommended_domain_count] clamped; explicit values are clamped
     to [[1, 64]]) is the number of domains the per-routine front-end
-    stages — CFG build, initialization and the PSG local pass — run on,
-    and the number of domains independent call-graph components of the
-    phase 1 / phase 2 fixpoints are dispatched to ({!Sched}).  Each phase
-    equation system has a unique fixpoint, so results are bit-identical
+    stages — CFG build, initialization and the PSG local pass — run on;
+    {!Sched.make} also builds its two phase orders on the pool.  The
+    phase 1 / phase 2 fixpoints run serially.  Results are bit-identical
     for every [jobs] value.  With [jobs > 1], [externals] is called
     concurrently and must be thread-safe.  Stage times recorded in
     [timer] are wall-clock, so a parallel stage reports its elapsed time,

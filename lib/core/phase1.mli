@@ -53,10 +53,9 @@ val run : ?warm:warm -> ?sched:Sched.t -> Psg.t -> int
     The fixpoint runs one call-graph SCC at a time in callee-first
     topological order over [sched] (see {!Sched}): each component's
     call-return edges are seeded from already-converged callee summaries,
-    so iteration is confined to intra-component cycles.  With a
-    multi-domain pool in the schedule, independent components run
-    concurrently.  Omitted, a serial schedule is built on demand — only
-    when the cone is non-empty.  Only components intersecting the cone
-    are executed.  The equation system is monotone over a finite lattice,
-    so its solution is unique: serial, parallel and warm runs reach
-    bit-identical sets. *)
+    so iteration is confined to intra-component cycles.  Components run
+    one after another on the calling domain.  Omitted, [sched] is built
+    on demand — only when the cone is non-empty.  Only components
+    intersecting the cone are executed.  The equation system is monotone
+    over a finite lattice, so its solution is unique: cold and warm runs
+    reach bit-identical sets for every [jobs] value. *)

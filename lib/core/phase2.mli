@@ -40,7 +40,7 @@ val run : ?warm:warm -> ?sched:Sched.t -> Psg.t -> int
     initialization and seeding to the invalidation cone.
 
     The fixpoint runs one call-graph SCC at a time in caller-first
-    (reverse topological) order over [sched], built serially on demand
-    when omitted and the cone is non-empty; see {!Phase1.run} for the
-    contract — the solution is unique, so serial, parallel and warm runs
-    all converge to bit-identical liveness. *)
+    (reverse topological) order over [sched], built on demand when
+    omitted and the cone is non-empty; see {!Phase1.run} for the
+    contract — the solution is unique, so cold and warm runs all
+    converge to bit-identical liveness. *)

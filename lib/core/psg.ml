@@ -85,28 +85,45 @@ let node_routine = function
       routine
 
 
+let iter_routine_targets t f =
+  Array.iter
+    (fun info ->
+      Option.iter
+        (List.iter (function Target_routine r -> f info r | Target_external _ -> ()))
+        info.targets)
+    t.calls
+
 let call_graph t =
   let n = Program.routine_count t.program in
-  let succs = Array.make n [] in
-  Array.iter
-    (fun (info : call_info) ->
-      let caller = node_routine t.nodes.(info.call_node).kind in
-      match info.targets with
-      | Some targets ->
-          List.iter
-            (fun target ->
-              match target with
-              | Target_routine r -> succs.(caller) <- r :: succs.(caller)
-              | Target_external _ -> ())
-            targets
-      | None -> ())
-    t.calls;
+  let off, adj =
+    Scc.csr n (fun f ->
+        iter_routine_targets t (fun info r ->
+            f (node_routine t.nodes.(info.call_node).kind) r))
+  in
   (* One edge per distinct (caller, callee) pair: a routine with many call
      sites to the same callee would otherwise multiply every traversal's
-     edge work by its site count. *)
-  Array.map (fun callees -> Array.of_list (List.sort_uniq Int.compare callees)) succs
+     edge work by its site count.  Rows are sorted and compacted in place;
+     [start] is the uncompacted start of row [r]. *)
+  let w = ref 0 and start = ref 0 in
+  for r = 0 to n - 1 do
+    let row = Array.sub adj !start (off.(r + 1) - !start) in
+    Array.sort Int.compare row;
+    start := off.(r + 1);
+    off.(r) <- !w;
+    Array.iteri
+      (fun i v ->
+        if i = 0 || v <> row.(i - 1) then begin
+          adj.(!w) <- v;
+          incr w
+        end)
+      row
+  done;
+  off.(n) <- !w;
+  (off, Array.sub adj 0 !w)
 
-let call_scc t = Scc.compute ~succs:(call_graph t)
+let call_scc t =
+  let off, adj = call_graph t in
+  Scc.compute_csr ~off ~adj
 
 let kind_string t kind =
   let rname r = (Program.get t.program r).Routine.name in

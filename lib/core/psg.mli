@@ -112,11 +112,17 @@ val primary_entry_node : t -> int -> int
 
 val node_routine : node_kind -> int
 
-val call_graph : t -> int array array
-(** The resolved routine call graph: [call_graph psg].(r) lists the
-    distinct routines that calls in routine [r] may target (externals and
-    unresolved indirect calls excluded), sorted ascending.  Successor
-    lists are deduplicated across call sites. *)
+val iter_routine_targets : t -> (call_info -> int -> unit) -> unit
+(** [iter_routine_targets psg f] calls [f info r] for every call site
+    [info] (in [calls] order) and every routine [r] of the program it may
+    target, in [targets] order; externals and unresolved calls are
+    skipped. *)
+
+val call_graph : t -> int array * int array
+(** The resolved routine call graph in {!Scc.csr} form [(off, adj)]: row
+    [r] lists the distinct routines that calls in routine [r] may target
+    (externals and unresolved indirect calls excluded), sorted ascending.
+    Rows are deduplicated across call sites. *)
 
 val call_scc : t -> Scc.t
 (** SCC decomposition of {!call_graph} — the schedule skeleton for both

@@ -11,10 +11,12 @@
 
     Because each phase's equation system is monotone over a finite
     lattice, its fixpoint is unique — so the values a component converges
-    to do not depend on when or where it ran.  That is what makes the
-    parallel mode (independent components dispatched to pool workers as
-    their dependencies complete) bit-identical to the serial one, and
-    both to the independent reference solver. *)
+    to do not depend on the order the components ran in, and the
+    schedule's results are bit-identical to the independent reference
+    solver's.  The components run one after another on the calling
+    domain: one recursion component holds most of the routines of the
+    calibrated workloads, so dispatching independent components to a
+    domain pool bought nothing (DESIGN.md, "Serial phases"). *)
 
 open Spike_support
 
@@ -31,17 +33,22 @@ type t = {
           recursively decomposed remainder, and is iterated until the
           head is stable — cycles avoiding the head lie in nested knots,
           stabilized recursively.  A multi-routine knot (recursion spine)
-          appears as a flat region — its routines callee-first, each
-          recursively decomposed — swept until a pass pops nothing.
-          Readers of a knot then see its final values exactly once. *)
+          appears as a flat region — its members in the dependency
+          graph's DFS postorder, with no knot inside — swept until a pass
+          pops nothing.  Once the work budget of [32 * nodes] slice
+          visits is spent, every further knot is emitted as a flat region
+          in the same way.  Readers of a knot then see its final values
+          exactly once. *)
   comp_cend_p1 : int array array;
-      (** parallel to [comp_nodes_p1.(c)]: [cend.(i) = 0] for a trivial
-          element; [cend.(i) = e] when a head-knot at [i] spans the slice
-          [i, e) (nested knots carry their own entries) *)
+      (** parallel to [comp_nodes_p1.(c)]: [cend.(i) = e] when a
+          head-knot at [i] spans the slice [i, e) (nested knots carry
+          their own entries); 0 everywhere else, which includes every
+          position of a flat region *)
   comp_flat_p1 : int array array;
       (** component [->] its flat regions as [start; end)] pairs
           flattened — [[|s0; e0; s1; e1; ...|]] — ascending and mutually
-          disjoint, though head-knots may nest inside a region *)
+          disjoint.  A region holds no knot; a head-knot may hold
+          regions (budget fallback). *)
   comp_nodes_p2 : int array array;
       (** the same order for the phase 2 dependency graph (flow-edge
           targets, and caller return nodes at exit nodes) *)
@@ -50,16 +57,13 @@ type t = {
   comp_calls : int array array;
       (** component [->] indices into [Psg.calls] of the call sites whose
           call node lives in the component, ascending *)
-  pool : Pool.t option;  (** execute components on this pool when given *)
 }
 
 val make : ?pool:Pool.t -> Psg.t -> t
-(** Build the schedule for a PSG.  O(nodes + calls + call-graph SCC).
-    [pool] enables the parallel executor; omitted (or a 1-job pool), the
-    components run on the calling domain. *)
-
-val jobs : t -> int
-(** Parallelism degree the executor will use (1 without a pool). *)
+(** Build the schedule for a PSG.  O(nodes + edges + calls) plus the
+    knot peeling, which the work budget bounds by [32 * nodes].  With
+    [pool], the two phase orders are built concurrently; the result does
+    not depend on it. *)
 
 val run :
   ?sched:t ->
@@ -73,19 +77,12 @@ val run :
     component when [cone] is [None]) — in topological order ([rev:false],
     successors first: phase 1) or reverse ([rev:true]: phase 2) — and
     returns the sum of the results (the phase's iteration total).  [t] is
-    [sched], or, when omitted, a serial schedule built with {!make}.  An
-    empty cone returns 0 without building anything.
+    [sched], or, when omitted, a schedule built with {!make}.  An empty
+    cone returns 0 without building anything.
 
     [scratch] is an all-zero mark bitset of [Psg.node_count] bytes for
-    the component's rank-ordered sweeps; [f] must return it all-zero (a
-    drained fixpoint does).  With a multi-domain pool, components whose
-    schedule predecessors have all finished run concurrently on the
-    pool's workers, each with its own scratch bitset; clean components
-    complete instantly but still release their dependents.  [f] must then
-    confine its writes to the component's own nodes and call-return edges
-    — the phase drivers do — and the sum is accumulated atomically.  Each
-    component's drain is deterministic, so the sum is identical for every
-    [jobs] value. *)
+    the component's rank-ordered sweeps, shared by every component; [f]
+    must return it all-zero (a drained fixpoint does). *)
 
 val drain :
   order:int array -> cend:int array -> flat:int array -> Bytes.t -> (int -> unit) -> int
@@ -96,6 +93,6 @@ val drain :
     may mark further nodes of the component.  On entering a head-knot its
     position is stacked; reaching the knot's end with the head re-marked
     resumes the sweep after the head, so inner knots converge before
-    outer ones re-test.  A flat region is swept again until a pass pops
-    nothing.  Returns the number of pops; [marked] is all-zero on
+    outer ones re-test.  A flat region contains no knot: its members are
+    swept in order, and the region again until a pass pops nothing.  Returns the number of pops; [marked] is all-zero on
     return. *)

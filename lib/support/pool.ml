@@ -30,10 +30,8 @@ let jobs t = t.n_jobs
    counters let jobs=1 and jobs=N runs be compared (item totals are
    partition-invariant; chunk totals are not). *)
 let span_chunk = "pool.chunk"
-let span_task = "pool.task"
 let c_items = Spike_obs.Metrics.counter "pool.items"
 let c_chunks = Spike_obs.Metrics.counter "pool.chunks"
-let c_tasks = Spike_obs.Metrics.counter "pool.tasks"
 
 let rec worker_loop t last_generation =
   Mutex.lock t.mutex;
@@ -143,108 +141,6 @@ let run t n body =
     match Atomic.get error with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()
-  end
-
-let run_dag t ~dependents ~dep_counts body =
-  let n = Array.length dep_counts in
-  if n <> Array.length dependents then
-    invalid_arg "Pool.run_dag: dependents and dep_counts lengths differ";
-  if n > 0 then begin
-    let pending = Array.copy dep_counts in
-    let exec i =
-      Spike_obs.Metrics.incr c_tasks;
-      Spike_obs.Trace.with_span span_task (fun () -> body i)
-    in
-    if t.n_jobs = 1 then begin
-      (* Sequential: an explicit ready stack, no locks.  A DAG always has
-         a ready task while any remain, so the stack only runs dry at the
-         end; a cyclic input is reported rather than looping forever. *)
-      let ready = Array.make n 0 in
-      let top = ref 0 in
-      let push i =
-        ready.(!top) <- i;
-        incr top
-      in
-      Array.iteri (fun i d -> if d = 0 then push i) pending;
-      let done_ = ref 0 in
-      while !top > 0 do
-        decr top;
-        let i = ready.(!top) in
-        exec i;
-        incr done_;
-        Array.iter
-          (fun j ->
-            pending.(j) <- pending.(j) - 1;
-            if pending.(j) = 0 then push j)
-          dependents.(i)
-      done;
-      if !done_ <> n then invalid_arg "Pool.run_dag: dependency graph has a cycle"
-    end
-    else begin
-      (* Parallel: a mutex-guarded ready stack drained by every domain.
-         Completing a task decrements its dependents under the mutex and
-         broadcasts, which both wakes idle drainers and publishes the
-         task's writes to whichever domain picks a dependent up. *)
-      let ready = Array.make n 0 in
-      let top = ref 0 in
-      let remaining = ref n in
-      let executing = ref 0 in
-      let cycle = ref false in
-      let error = Atomic.make None in
-      let cond = Condition.create () in
-      Array.iteri
-        (fun i d ->
-          if d = 0 then begin
-            ready.(!top) <- i;
-            incr top
-          end)
-        pending;
-      let drain () =
-        Mutex.lock t.mutex;
-        let continue = ref true in
-        while !continue do
-          if !remaining = 0 || !cycle || Atomic.get error <> None then
-            continue := false
-          else if !top = 0 then
-            if !executing = 0 then begin
-              (* Nothing ready, nothing running, tasks remain: every one of
-                 them waits on another — the input was not a DAG. *)
-              cycle := true;
-              Condition.broadcast cond
-            end
-            else Condition.wait cond t.mutex
-          else begin
-            decr top;
-            let i = ready.(!top) in
-            incr executing;
-            Mutex.unlock t.mutex;
-            (try exec i
-             with e ->
-               let bt = Printexc.get_raw_backtrace () in
-               ignore (Atomic.compare_and_set error None (Some (e, bt))));
-            Mutex.lock t.mutex;
-            decr executing;
-            decr remaining;
-            if Atomic.get error = None then
-              Array.iter
-                (fun j ->
-                  pending.(j) <- pending.(j) - 1;
-                  if pending.(j) = 0 then begin
-                    ready.(!top) <- j;
-                    incr top
-                  end)
-                dependents.(i);
-            Condition.broadcast cond
-          end
-        done;
-        Mutex.unlock t.mutex
-      in
-      submit t drain;
-      (match Atomic.get error with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ());
-      if !cycle then invalid_arg "Pool.run_dag: dependency graph has a cycle"
-    end
   end
 
 let parallel_init t n f =

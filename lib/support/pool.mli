@@ -14,6 +14,12 @@
     calling domain) aborts the remaining chunks and is re-raised, with its
     backtrace, on the calling domain.
 
+    The pool runs independent work only.  The two interprocedural phases
+    are fixpoints over one call-graph condensation whose largest
+    component holds most routines, so they run serially; the pool's one
+    use in the schedule is building the two phases' orders side by side
+    ([Spike_core.Sched.make]).
+
     With [jobs = 1] no domains are spawned and every operation degrades to
     a plain sequential loop, so a pool can be threaded through code
     unconditionally.
@@ -58,26 +64,3 @@ val parallel_map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val parallel_init : t -> int -> (int -> 'a) -> 'a array
 (** [parallel_init pool n f] is [Array.init n f], distributed likewise. *)
-
-val run_dag :
-  t -> dependents:int array array -> dep_counts:int array -> (int -> unit) -> unit
-(** [run_dag pool ~dependents ~dep_counts body] executes [body i] exactly
-    once for every task [i] in [0 .. n - 1] (where [n] is the array
-    length), never starting a task before all of its dependencies have
-    completed.  [dep_counts.(i)] is the number of dependencies of [i];
-    [dependents.(j)] lists the tasks whose counter drops when [j]
-    completes.  Neither array is modified.
-
-    Ready tasks are dispatched to whichever domain is idle, so independent
-    tasks run concurrently; the dependency edges are also publication
-    edges (each hand-off goes through the pool mutex), which makes it safe
-    for a task to read state its dependencies wrote without further
-    synchronization.  This is what schedules the per-SCC dataflow
-    fixpoints: components of the call-graph condensation are tasks, the
-    condensation edges the dependencies.
-
-    The first exception raised by any task aborts the remaining ones and
-    is re-raised on the calling domain.  [body] must be safe to call
-    concurrently from several domains for independent tasks.
-    @raise Invalid_argument when the graph has a cycle (some tasks can
-    never start) or the arrays disagree in length. *)

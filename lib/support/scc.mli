@@ -5,7 +5,14 @@
     recursive routines, and the condensation — one vertex per component,
     an edge when any member calls into another component — is acyclic, so
     components can be processed in topological order with iteration
-    confined to the inside of each component.
+    confined to the inside of each component.  The same decomposition,
+    applied level by level to vertex subsets of each phase's node
+    dependency graph, builds the weak topological orders inside a
+    component ({!decomposer}).
+
+    Graphs are in compressed sparse row form: the out-edges of vertex [u]
+    are [adj.(off.(u)) .. adj.(off.(u + 1) - 1)], where [off] has one
+    entry more than there are vertices.
 
     The computation is Tarjan's algorithm with an {e explicit} DFS stack:
     call chains in real programs reach depths that would exhaust the
@@ -32,16 +39,39 @@ type t = {
   succs : int array array;
       (** condensation: component [->] distinct successor components,
           sorted ascending.  Every entry is smaller than its source. *)
-  preds : int array array;
-      (** inverse of [succs], sorted ascending *)
 }
 
+val csr : int -> ((int -> int -> unit) -> unit) -> int array * int array
+(** [csr n iter] is the [(off, adj)] form of the graph on [0 .. n - 1]
+    whose edges [iter] hands to its argument as [u v] pairs.  [iter] is
+    called twice and must produce the same edges both times; each row
+    keeps the order its edges were produced in. *)
+
+val decomposer :
+  off:int array ->
+  adj:int array ->
+  (int array -> pos:int -> len:int -> ends:int array -> int)
+(** [decomposer ~off ~adj] allocates the Tarjan scratch for the graph
+    once and returns [decompose], which may be applied any number of
+    times.  [decompose verts ~pos ~len ~ends] decomposes the subgraph
+    induced by the distinct vertices [verts.(pos) .. verts.(pos + len - 1)]
+    — edges leaving the subset are ignored — and rewrites that slice as
+    its components, one after another in reverse topological order, each
+    in DFS postorder.  For a component occupying [[a, e)] of the slice it
+    sets [ends.(a) <- e] and writes no other entry of [ends].  Returns the
+    component count.  DFS roots are tried in slice order and out-edges in
+    row order, so the result depends only on the graph and the slice.
+    O(len + out-edges of the slice). *)
+
+val compute_csr : off:int array -> adj:int array -> t
+(** The decomposition of a whole graph, with its condensation.  Self
+    edges and duplicate edges are tolerated; both are dropped from the
+    condensation.  O(V + E) plus the sort of the condensation
+    adjacency. *)
+
 val compute : succs:int array array -> t
-(** [compute ~succs] decomposes the directed graph whose vertex [v] has
-    successor list [succs.(v)] ([0 .. n - 1] where [n] is the array
-    length).  Self edges and duplicate edges are tolerated; both are
-    dropped from the condensation.  O(V + E) plus the sort of the
-    condensation adjacency. *)
+(** [compute ~succs] is {!compute_csr} of the graph whose vertex [v] has
+    successor list [succs.(v)]. *)
 
 val largest : t -> int
 (** Size of the largest component; 0 when the graph is empty. *)

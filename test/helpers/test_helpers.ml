@@ -513,3 +513,279 @@ module Line_parser = struct
     | program -> program
     | exception Invalid_argument message -> raise (Error { line = 0; message })
 end
+
+(* The schedule construction as it was before the CSR rebuild: a list
+   call graph, a Tarjan that sorts each component by finish time and
+   builds its condensation from lists, list-built dependency graphs, and
+   a task list that runs a fresh SCC pass per decomposition level.  A
+   naive oracle for {!Spike_core.Sched.make}, which must produce the
+   same schedule field for field. *)
+module Sched_oracle = struct
+  open Spike_core
+
+  let scc_compute ~succs:graph =
+    let n = Array.length graph in
+    let index = Array.make n (-1) in
+    let lowlink = Array.make n 0 in
+    let on_stack = Bytes.make (max n 1) '\000' in
+    let comp_of = Array.make n (-1) in
+    let stack = Array.make (max n 1) 0 in
+    let stack_top = ref 0 in
+    let frame_v = Array.make (max n 1) 0 in
+    let frame_child = Array.make (max n 1) 0 in
+    let frame_top = ref 0 in
+    let next_index = ref 0 in
+    let finish = Array.make n 0 in
+    let next_finish = ref 0 in
+    let members_rev = ref [] in
+    let count = ref 0 in
+    let discover v =
+      index.(v) <- !next_index;
+      lowlink.(v) <- !next_index;
+      incr next_index;
+      stack.(!stack_top) <- v;
+      incr stack_top;
+      Bytes.set on_stack v '\001';
+      frame_v.(!frame_top) <- v;
+      frame_child.(!frame_top) <- 0;
+      incr frame_top
+    in
+    for root = 0 to n - 1 do
+      if index.(root) < 0 then begin
+        discover root;
+        while !frame_top > 0 do
+          let f = !frame_top - 1 in
+          let v = frame_v.(f) in
+          let ci = frame_child.(f) in
+          let out = graph.(v) in
+          if ci < Array.length out then begin
+            frame_child.(f) <- ci + 1;
+            let w = out.(ci) in
+            if index.(w) < 0 then discover w
+            else if Bytes.get on_stack w = '\001' then
+              lowlink.(v) <- min lowlink.(v) index.(w)
+          end
+          else begin
+            decr frame_top;
+            finish.(v) <- !next_finish;
+            incr next_finish;
+            if !frame_top > 0 then begin
+              let parent = frame_v.(!frame_top - 1) in
+              lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
+            end;
+            if lowlink.(v) = index.(v) then begin
+              let base = ref !stack_top in
+              let continue = ref true in
+              while !continue do
+                decr base;
+                let w = stack.(!base) in
+                Bytes.set on_stack w '\000';
+                comp_of.(w) <- !count;
+                if w = v then continue := false
+              done;
+              let comp = Array.sub stack !base (!stack_top - !base) in
+              Array.sort (fun a b -> Int.compare finish.(a) finish.(b)) comp;
+              stack_top := !base;
+              members_rev := comp :: !members_rev;
+              incr count
+            end
+          end
+        done
+      end
+    done;
+    let count = !count in
+    let members = Array.make (max count 1) [||] in
+    List.iteri (fun i comp -> members.(count - 1 - i) <- comp) !members_rev;
+    let members = Array.sub members 0 count in
+    let succ_acc = Array.make (max count 1) [] in
+    for u = 0 to n - 1 do
+      let cu = comp_of.(u) in
+      Array.iter
+        (fun v ->
+          let cv = comp_of.(v) in
+          if cv <> cu then succ_acc.(cu) <- cv :: succ_acc.(cu))
+        graph.(u)
+    done;
+    let succs =
+      Array.init count (fun c ->
+          Array.of_list (List.sort_uniq Int.compare succ_acc.(c)))
+    in
+    { Scc.count; comp_of; members; succs }
+
+  let call_graph (psg : Psg.t) =
+    let n = Program.routine_count psg.Psg.program in
+    let succs = Array.make n [] in
+    Array.iter
+      (fun (info : Psg.call_info) ->
+        let caller = Psg.node_routine psg.Psg.nodes.(info.Psg.call_node).Psg.kind in
+        match info.Psg.targets with
+        | Some targets ->
+            List.iter
+              (function
+                | Psg.Target_routine r -> succs.(caller) <- r :: succs.(caller)
+                | Psg.Target_external _ -> ())
+              targets
+        | None -> ())
+      psg.Psg.calls;
+    Array.map (fun callees -> Array.of_list (List.sort_uniq Int.compare callees)) succs
+
+  type wtask = Wset of int array | Wnode of int | Wknot of int array | Wclose of int
+
+  let make (psg : Psg.t) =
+    let scc = scc_compute ~succs:(call_graph psg) in
+    let n = Psg.node_count psg in
+    let comp_of_node = Array.make n 0 in
+    Array.iter
+      (fun (node : Psg.node) ->
+        comp_of_node.(node.Psg.id) <- scc.Scc.comp_of.(Psg.node_routine node.Psg.kind))
+      psg.Psg.nodes;
+    let flow_deps u =
+      List.map
+        (fun e -> psg.Psg.edges.(e).Psg.dst)
+        (Array.to_list psg.Psg.out_edges.(u))
+    in
+    let p1_extra = Array.make n [] and p2_extra = Array.make n [] in
+    Array.iter
+      (fun (info : Psg.call_info) ->
+        match info.Psg.targets with
+        | None -> ()
+        | Some targets ->
+            List.iter
+              (function
+                | Psg.Target_external _ -> ()
+                | Psg.Target_routine r ->
+                    p1_extra.(info.Psg.call_node) <-
+                      Psg.primary_entry_node psg r :: p1_extra.(info.Psg.call_node);
+                    List.iter
+                      (fun exit_node ->
+                        p2_extra.(exit_node) <- info.Psg.return_node :: p2_extra.(exit_node))
+                      psg.Psg.exit_nodes.(r))
+              targets)
+      psg.Psg.calls;
+    let deps extra = Array.init n (fun u -> Array.of_list (flow_deps u @ extra.(u))) in
+    let comp_members =
+      let acc = Array.make (max scc.Scc.count 1) [] in
+      for id = n - 1 downto 0 do
+        acc.(comp_of_node.(id)) <- id :: acc.(comp_of_node.(id))
+      done;
+      Array.map Array.of_list acc
+    in
+    let stamp = Array.make n (-1) in
+    let lidx = Array.make n 0 in
+    let gen = ref (-1) in
+    let routine_of id = Psg.node_routine psg.Psg.nodes.(id).Psg.kind in
+    let hier dep_arr =
+      let budget = ref (32 * n) in
+      let comp_nodes = Array.make (max scc.Scc.count 1) [||] in
+      let comp_cend = Array.make (max scc.Scc.count 1) [||] in
+      let comp_flat = Array.make (max scc.Scc.count 1) [||] in
+      for c = 0 to scc.Scc.count - 1 do
+        let size = Array.length comp_members.(c) in
+        let out = Array.make size 0 and cend = Array.make size 0 in
+        let flats = ref [] in
+        let cur = ref 0 in
+        let emit_flat m =
+          let p = !cur in
+          Array.iter
+            (fun id ->
+              out.(!cur) <- id;
+              incr cur)
+            m;
+          flats := !cur :: p :: !flats
+        in
+        let tasks = ref [ Wset comp_members.(c) ] in
+        while !tasks <> [] do
+          let task = List.hd !tasks in
+          tasks := List.tl !tasks;
+          match task with
+          | Wnode id ->
+              out.(!cur) <- id;
+              incr cur
+          | Wclose p -> cend.(p) <- !cur
+          | Wknot m when !budget <= 0 -> emit_flat m
+          | Wknot m when Array.exists (fun id -> routine_of id <> routine_of m.(0)) m ->
+              emit_flat m
+          | Wknot m ->
+              let len = Array.length m in
+              let head = m.(len - 1) in
+              let p = !cur in
+              out.(p) <- head;
+              incr cur;
+              tasks := Wset (Array.sub m 0 (len - 1)) :: Wclose p :: !tasks
+          | Wset set ->
+              let len = Array.length set in
+              budget := !budget - len;
+              incr gen;
+              Array.iteri
+                (fun i id ->
+                  stamp.(id) <- !gen;
+                  lidx.(id) <- i)
+                set;
+              let succs =
+                Array.init len (fun i ->
+                    let acc = ref [] in
+                    Array.iter
+                      (fun d -> if stamp.(d) = !gen then acc := lidx.(d) :: !acc)
+                      dep_arr.(set.(i));
+                    Array.of_list !acc)
+              in
+              let sub = scc_compute ~succs in
+              for g = sub.Scc.count - 1 downto 0 do
+                let ms = sub.Scc.members.(g) in
+                if
+                  Array.length ms = 1
+                  && not (Array.exists (fun d -> d = ms.(0)) succs.(ms.(0)))
+                then tasks := Wnode set.(ms.(0)) :: !tasks
+                else tasks := Wknot (Array.map (fun i -> set.(i)) ms) :: !tasks
+              done
+        done;
+        comp_nodes.(c) <- out;
+        comp_cend.(c) <- cend;
+        comp_flat.(c) <- Array.of_list (List.rev !flats)
+      done;
+      (comp_nodes, comp_cend, comp_flat)
+    in
+    let comp_nodes_p1, comp_cend_p1, comp_flat_p1 = hier (deps p1_extra) in
+    let comp_nodes_p2, comp_cend_p2, comp_flat_p2 = hier (deps p2_extra) in
+    let calls_acc = Array.make (max scc.Scc.count 1) [] in
+    Array.iteri
+      (fun i (info : Psg.call_info) ->
+        let c = comp_of_node.(info.Psg.call_node) in
+        calls_acc.(c) <- i :: calls_acc.(c))
+      psg.Psg.calls;
+    let comp_calls =
+      Array.init scc.Scc.count (fun c -> Array.of_list (List.rev calls_acc.(c)))
+    in
+    {
+      Sched.scc;
+      comp_of_node;
+      comp_nodes_p1;
+      comp_cend_p1;
+      comp_flat_p1;
+      comp_nodes_p2;
+      comp_cend_p2;
+      comp_flat_p2;
+      comp_calls;
+    }
+
+  (* The fields in which [got], a schedule built for [psg], differs from
+     the oracle's, by name; empty when they agree. *)
+  let mismatches (psg : Psg.t) (got : Sched.t) =
+    let want = make psg in
+    List.filter_map
+      (fun (name, same) -> if same then None else Some name)
+      [
+        ("scc.count", got.Sched.scc.Scc.count = want.Sched.scc.Scc.count);
+        ("scc.comp_of", got.Sched.scc.Scc.comp_of = want.Sched.scc.Scc.comp_of);
+        ("scc.members", got.Sched.scc.Scc.members = want.Sched.scc.Scc.members);
+        ("scc.succs", got.Sched.scc.Scc.succs = want.Sched.scc.Scc.succs);
+        ("comp_of_node", got.Sched.comp_of_node = want.Sched.comp_of_node);
+        ("comp_nodes_p1", got.Sched.comp_nodes_p1 = want.Sched.comp_nodes_p1);
+        ("comp_cend_p1", got.Sched.comp_cend_p1 = want.Sched.comp_cend_p1);
+        ("comp_flat_p1", got.Sched.comp_flat_p1 = want.Sched.comp_flat_p1);
+        ("comp_nodes_p2", got.Sched.comp_nodes_p2 = want.Sched.comp_nodes_p2);
+        ("comp_cend_p2", got.Sched.comp_cend_p2 = want.Sched.comp_cend_p2);
+        ("comp_flat_p2", got.Sched.comp_flat_p2 = want.Sched.comp_flat_p2);
+        ("comp_calls", got.Sched.comp_calls = want.Sched.comp_calls);
+      ]
+end

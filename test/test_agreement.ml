@@ -2,7 +2,8 @@
 
    1. Exact agreement with the brute-force reference fixpoint
       (spike_reference) on call classes and liveness, and a byte-identical
-      PSG whether the phase fixpoints run on one domain or four.
+      PSG whether the front end and schedule build run on one domain or
+      four.
    2. Conservativeness of the context-insensitive supergraph liveness:
       it must contain the PSG's meet-over-valid-paths liveness.
    3. Branch nodes change graph size, never the solution.

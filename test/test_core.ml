@@ -437,15 +437,17 @@ let test_deep_call_chain () =
   let scc = Psg.call_scc a.Analysis.psg in
   Alcotest.(check int) "components cover every routine" depth
     (Array.fold_left (fun n m -> n + Array.length m) 0 scc.Scc.members);
-  Alcotest.(check int) "chain is acyclic" depth scc.Scc.count
+  Alcotest.(check int) "chain is acyclic" depth scc.Scc.count;
+  Alcotest.(check (list string))
+    "schedule = list-based schedule oracle" []
+    (Test_helpers.Sched_oracle.mismatches a.Analysis.psg (Sched.make a.Analysis.psg))
 
-let test_fifo_scc_schedules_agree () =
-  (* The phases called without [~sched] — the entry point that once ran a
-     global FIFO worklist and now builds a serial schedule on demand, as
-     perfbench's FIFO replay calls it — must reach the same (unique)
-     fixpoint as [Analysis.run]'s stage-built schedule: same call classes,
-     PSG sets and iteration counts, on straight-line calls and on a
-     recursion knot alike. *)
+let test_on_demand_schedule_agrees () =
+  (* The phases called without [~sched] on a fresh PSG build their
+     schedule on demand, as perfbench's [phases.fifo_s] replay calls
+     them.  They must reach the same (unique) fixpoint as [Analysis.run]'s
+     stage-built schedule: same call classes, PSG sets and iteration
+     counts, on straight-line calls and on a recursion knot alike. *)
   List.iter
     (fun (label, p) ->
       let a = Analysis.run p in
@@ -545,8 +547,8 @@ let () =
         [
           Alcotest.test_case "recursion" `Quick test_recursion_converges;
           Alcotest.test_case "deep call chain" `Quick test_deep_call_chain;
-          Alcotest.test_case "FIFO vs SCC schedule" `Quick
-            test_fifo_scc_schedules_agree;
+          Alcotest.test_case "on-demand vs stage-built schedule" `Quick
+            test_on_demand_schedule_agrees;
           Alcotest.test_case "determinism" `Quick test_analysis_deterministic;
         ] );
       ( "structure",

@@ -128,13 +128,11 @@ let test_counters_jobs_invariant () =
 (* --- Whole-analysis metrics ---------------------------------------------- *)
 
 (* Counters only: gauges are heap samples, partition-dependent noise;
-   pool.chunks depends on how the atomic chunk counter dealt the work,
-   and pool.tasks counts DAG dispatches through the pool executor, which
-   the serial (jobs=1) phase path never uses. *)
+   pool.chunks depends on how the atomic chunk counter dealt the work. *)
 let counters_of snap =
   List.filter_map
     (function
-      | "pool.chunks", _ | "pool.tasks", _ | _, Metrics.Value _ -> None
+      | "pool.chunks", _ | _, Metrics.Value _ -> None
       | name, Metrics.Count n -> Some (name, n))
     snap
 

@@ -1,8 +1,8 @@
 (* Determinism of the parallel analysis front-end.
 
-   The per-routine stages (CFG build, initialization, PSG local pass) run
-   on a domain pool, but their results must not depend on the parallelism
-   degree: [Analysis.run ~jobs:k] must produce bit-identical summaries,
+   The per-routine stages (CFG build, initialization, PSG local pass) and
+   the schedule build run on a domain pool, but their results must not
+   depend on the parallelism degree: [Analysis.run ~jobs:k] must produce bit-identical summaries,
    call classes, PSG statistics — indeed a bit-identical PSG — and the
    same phase iteration counts for every k.  This suite pins that on the
    synthetic workloads and the checked-in example program. *)
@@ -94,13 +94,12 @@ let test_example_program () =
   let program = Spike_asm.Parser.program_of_file fact_path in
   check_identical "examples/fact.s" program
 
-let test_fifo_serial_vs_scc_parallel () =
-  (* The phases called without [~sched] on a freshly built PSG — a serial
-     schedule built on demand, the entry point that once ran the global
-     FIFO worklist — against the stage-built schedule running its phase
-     fixpoints on 4 domains.  Same unique fixpoint, so bit-identical
-     summaries, call classes and PSG, though neither the schedule nor the
-     executor is shared. *)
+let test_on_demand_schedule_vs_jobs4 () =
+  (* The phases called without [~sched] on a freshly built PSG, on a
+     schedule built on demand without a pool, against [Analysis.run] at
+     jobs 4, whose front end and schedule build ran on 4 domains.  Same
+     unique fixpoint, so bit-identical summaries, call classes and PSG,
+     though neither the PSG nor the schedule is shared. *)
   List.iter
     (fun (name, program) ->
       let scc4 = Analysis.run ~jobs:4 program in
@@ -111,7 +110,7 @@ let test_fifo_serial_vs_scc_parallel () =
       let serial =
         { scc4 with Analysis.psg; call_classes = classes; summaries = Summary.extract psg classes }
       in
-      let tag what = Printf.sprintf "%s: %s (on-demand j1 vs SCC j4)" name what in
+      let tag what = Printf.sprintf "%s: %s (on-demand vs jobs 4)" name what in
       Alcotest.(check string)
         (tag "summaries")
         (render_summaries serial) (render_summaries scc4);
@@ -133,7 +132,7 @@ let () =
           Alcotest.test_case "calibrated gcc" `Quick test_calibrated_workload;
           Alcotest.test_case "config variants" `Quick test_config_variants;
           Alcotest.test_case "example program" `Quick test_example_program;
-          Alcotest.test_case "FIFO serial vs SCC parallel" `Quick
-            test_fifo_serial_vs_scc_parallel;
+          Alcotest.test_case "on-demand schedule vs jobs 4" `Quick
+            test_on_demand_schedule_vs_jobs4;
         ] );
     ]

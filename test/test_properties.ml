@@ -250,6 +250,19 @@ let prop_labels_match_oracle =
       labels_match_oracle
         (Generator.generate { params with Params.guard_calls }))
 
+(* [Sched.make] builds exactly the list-based schedule it replaced
+   ([Test_helpers.Sched_oracle]), with guarded and unguarded calls and
+   with branch nodes on and off. *)
+let prop_sched_matches_oracle =
+  QCheck.Test.make ~name:"schedule = list-based schedule oracle" ~count:40
+    (QCheck.triple arbitrary_params QCheck.bool QCheck.bool)
+    (fun (params, guard_calls, branch_nodes) ->
+      let p = Generator.generate { params with Params.guard_calls } in
+      let psg = (Analysis.run ~jobs:1 ~branch_nodes p).Analysis.psg in
+      match Test_helpers.Sched_oracle.mismatches psg (Sched.make psg) with
+      | [] -> true
+      | fields -> QCheck.Test.fail_reportf "differs in %s" (String.concat ", " fields))
+
 (* The same on small instances of the switch-dense calibrated shapes
    (Table 4 edge reduction of 10% or more). *)
 let arbitrary_switch_dense =
@@ -337,6 +350,7 @@ let () =
             prop_branch_nodes_invariant;
             prop_labels_match_oracle;
             prop_calibrated_labels_match_oracle;
+            prop_sched_matches_oracle;
             prop_asm_roundtrip;
             prop_cursor_equals_line_parser;
             prop_damaged_text_same_verdict;

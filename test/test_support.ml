@@ -328,14 +328,7 @@ let scc_properties =
             succs;
           Array.for_all2
             (fun got want -> Array.to_list got = List.sort Int.compare want)
-            scc.Scc.succs expect
-          && Array.for_all2
-               (fun c preds ->
-                 Array.for_all
-                   (fun p -> Array.exists (fun s -> s = c) scc.Scc.succs.(p))
-                   preds)
-               (Array.init scc.Scc.count Fun.id)
-               scc.Scc.preds);
+            scc.Scc.succs expect);
     ]
 
 let test_scc_basics () =
@@ -435,81 +428,6 @@ let test_pool_lifecycle () =
   Alcotest.check_raises "with_pool reraises" Exit (fun () ->
       Pool.with_pool ~jobs:2 (fun _ -> raise Exit))
 
-let test_pool_run_dag () =
-  (* A diamond lattice: task i depends on i-1 and i/2.  Whatever the
-     parallelism, every task runs exactly once and never before its
-     dependencies. *)
-  let n = 60 in
-  let deps =
-    Array.init n (fun i ->
-        if i = 0 then [] else List.sort_uniq Int.compare [ i - 1; i / 2 ])
-  in
-  let dependents = Array.make n [] in
-  Array.iteri
-    (fun i ds -> List.iter (fun d -> dependents.(d) <- i :: dependents.(d)) ds)
-    deps;
-  let dependents = Array.map Array.of_list dependents in
-  let dep_counts = Array.map List.length deps in
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          let m = Mutex.create () in
-          let order = ref [] in
-          Pool.run_dag pool ~dependents ~dep_counts (fun i ->
-              Mutex.lock m;
-              order := i :: !order;
-              Mutex.unlock m);
-          let order = List.rev !order in
-          Alcotest.(check (list int))
-            (Printf.sprintf "each task exactly once at jobs=%d" jobs)
-            (List.init n Fun.id)
-            (List.sort Int.compare order);
-          let pos = Array.make n (-1) in
-          List.iteri (fun k i -> pos.(i) <- k) order;
-          Array.iteri
-            (fun i ds ->
-              List.iter
-                (fun d ->
-                  if pos.(d) > pos.(i) then
-                    Alcotest.failf "task %d ran before its dependency %d (jobs=%d)"
-                      i d jobs)
-                ds)
-            deps;
-          (* Empty graph: a no-op. *)
-          Pool.run_dag pool ~dependents:[||] ~dep_counts:[||] (fun _ ->
-              Alcotest.fail "body called on empty graph")))
-    [ 1; 4 ]
-
-let test_pool_run_dag_errors () =
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          (* A 2-cycle (0 <-> 1) behind a completed prefix. *)
-          Alcotest.check_raises
-            (Printf.sprintf "cycle detected at jobs=%d" jobs)
-            (Invalid_argument "Pool.run_dag: dependency graph has a cycle")
-            (fun () ->
-              Pool.run_dag pool
-                ~dependents:[| [| 1 |]; [| 2 |]; [| 1 |] |]
-                ~dep_counts:[| 0; 2; 1 |]
-                (fun _ -> ()));
-          Alcotest.check_raises "length mismatch"
-            (Invalid_argument "Pool.run_dag: dependents and dep_counts lengths differ")
-            (fun () ->
-              Pool.run_dag pool ~dependents:[| [||] |] ~dep_counts:[||] (fun _ -> ()));
-          (* A task's exception resurfaces on the calling domain and the
-             pool stays usable. *)
-          Alcotest.check_raises
-            (Printf.sprintf "task exception at jobs=%d" jobs)
-            (Failure "dag-boom") (fun () ->
-              Pool.run_dag pool
-                ~dependents:(Array.init 20 (fun i -> if i + 1 < 20 then [| i + 1 |] else [||]))
-                ~dep_counts:(Array.init 20 (fun i -> if i = 0 then 0 else 1))
-                (fun i -> if i = 13 then failwith "dag-boom"));
-          Alcotest.(check (array int)) "usable after failure" [| 0; 1; 2 |]
-            (Pool.parallel_init pool 3 Fun.id)))
-    [ 1; 4 ]
-
 (* --- Timer and Memmeter -------------------------------------------------- *)
 
 let test_timer () =
@@ -554,8 +472,6 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
           Alcotest.test_case "empty and jobs > items" `Quick test_pool_empty_and_small;
           Alcotest.test_case "lifecycle" `Quick test_pool_lifecycle;
-          Alcotest.test_case "run_dag scheduling" `Quick test_pool_run_dag;
-          Alcotest.test_case "run_dag errors" `Quick test_pool_run_dag_errors;
         ] );
       ("timer", [ Alcotest.test_case "stages" `Quick test_timer ]);
       ("memmeter", [ Alcotest.test_case "measure" `Quick test_memmeter ]);
