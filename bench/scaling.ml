@@ -149,9 +149,9 @@ let measure_scc ~workload ~program =
    shape) and re-analyses warm, along both store paths:
 
    - warm_ms: disk — Store.load + analysis, what a fresh process pays.
-     Bounded below by decoding the artifact graph back into boxed records
-     (allocation + write-barrier bound, see DESIGN.md), so it flattens
-     out well above the pure analysis cost.
+     Bounded below by re-fingerprinting and decoding the artifact graph
+     (CFG blocks, node kinds, calls; see DESIGN.md), so it flattens out
+     well above the pure analysis cost.
    - warm_mem_ms: resident — Store.replan from a retained session +
      analysis, what a watch-mode driver that keeps the previous run alive
      pays.  Skips the decode entirely; only re-fingerprinting and the

@@ -65,12 +65,13 @@ let flow_edges analysis name =
   match Program.find_index analysis.Analysis.program name with
   | None -> 0
   | Some r ->
-      Array.fold_left
-        (fun n (e : Psg.edge) ->
-          if e.Psg.ekind = Psg.Flow && Psg.node_routine psg.Psg.nodes.(e.src).Psg.kind = r
-          then n + 1
-          else n)
-        0 psg.Psg.edges
+      let n = ref 0 in
+      for e = 0 to Psg.edge_count psg - 1 do
+        match psg.Psg.kinds.(psg.Psg.src.(e)) with
+        | Psg.Call _ -> () (* the call-return edge *)
+        | kind -> if Psg.node_routine kind = r then incr n
+      done;
+      !n
 
 let () =
   let program = Program.make ~main:"main" [ main_routine; g_routine; f_routine ] in

@@ -173,16 +173,14 @@ let run ?(branch_nodes = true) ?(externals = fun _ -> None)
         Warm.phase1_plan psg ~sols ~node_offset ~call_offset)
   in
   let sched1 = sched_for (Option.map (fun w -> w.Phase1.cone) w1) in
-  let phase1_iterations, call_classes, p1 =
+  let phase1_iterations, call_classes =
     record_stage timer stage_phase1 (fun () ->
         let iterations = Phase1.run ?warm:w1 ?sched:sched1 psg in
-        let p1 = if reuse || capture then Some (Warm.snapshot_phase1 psg) else None in
-        (iterations, Summary.extract_call_classes psg, p1))
+        (iterations, Summary.extract_call_classes psg))
   in
   let w2 =
-    Option.bind p1 (fun (_, p1_cr) ->
-        plan_phase stage_phase2 "warm.phase2_plan" (fun () ->
-            Warm.phase2_plan psg ~sols ~exit_seeds ~node_offset ~call_offset ~p1_cr))
+    plan_phase stage_phase2 "warm.phase2_plan" (fun () ->
+        Warm.phase2_plan psg ~sols ~exit_seeds ~node_offset ~call_offset)
   in
   let sched2 = sched_for (Option.map (fun w -> w.Phase2.cone) w2) in
   let phase2_iterations, summaries =
@@ -191,13 +189,12 @@ let run ?(branch_nodes = true) ?(externals = fun _ -> None)
         (iterations, Summary.extract psg call_classes))
   in
   let warm_capture =
-    match p1 with
-    | Some (p1_nodes, p1_cr) when capture ->
-        Some
-          (Spike_obs.Trace.with_span "warm.capture" (fun () ->
-               Warm.capture ~cfgs ~defuses ~filters:entry_filters ~locals ~p1_nodes
-                 ~p1_cr ~p2_live:(Warm.snapshot_live psg) ~node_offset ~call_offset))
-    | _ -> None
+    if capture then
+      Some
+        (Spike_obs.Trace.with_span "warm.capture" (fun () ->
+             Warm.capture ~cfgs ~defuses ~filters:entry_filters ~locals ~psg ~node_offset
+               ~call_offset))
+    else None
   in
   {
     program;

@@ -25,138 +25,95 @@ let c_pushes = Spike_obs.Metrics.counter "phase1.worklist.pushes"
 let c_cr_updates = Spike_obs.Metrics.counter "phase1.cr_edge_updates"
 
 let pop_counters =
-  [|
-    Spike_obs.Metrics.counter "phase1.pops.entry";
-    Spike_obs.Metrics.counter "phase1.pops.exit";
-    Spike_obs.Metrics.counter "phase1.pops.call";
-    Spike_obs.Metrics.counter "phase1.pops.return";
-    Spike_obs.Metrics.counter "phase1.pops.branch";
-    Spike_obs.Metrics.counter "phase1.pops.unknown_exit";
-  |]
+  Array.map (fun k -> Spike_obs.Metrics.counter ("phase1.pops." ^ k)) Psg.kind_names
 
-let kind_index : Psg.node_kind -> int = function
-  | Psg.Entry _ -> 0
-  | Psg.Exit _ -> 1
-  | Psg.Call _ -> 2
-  | Psg.Return _ -> 3
-  | Psg.Branch _ -> 4
-  | Psg.Unknown_exit _ -> 5
+type warm = { cone : bool array }
 
-type warm = {
-  cone : bool array;
-  restore : Regset.t array;  (** packed, 3 sets per node *)
-  cr_restore : Regset.t array;  (** packed, 3 sets per call *)
-}
+(* Node [i]'s triple lives at [3i] of [Psg.t.sets], edge [e]'s label at
+   [3e] of [Psg.t.labels]. *)
+let set3 (a : Regset.t array) i x y z =
+  let o = 3 * i in
+  a.(o) <- x;
+  a.(o + 1) <- y;
+  a.(o + 2) <- z
 
-let cold_init (node : Psg.node) =
-  match node.kind with
-  | Psg.Exit _ ->
-      node.may_use <- Regset.empty;
-      node.may_def <- Regset.empty;
-      node.must_def <- Regset.empty
+let cold_init (psg : Psg.t) id =
+  match psg.kinds.(id) with
+  | Psg.Exit _ -> set3 psg.sets id Regset.empty Regset.empty Regset.empty
   | Psg.Unknown_exit _ ->
       (* All bets are off past an unknown jump: everything may be used
          and clobbered, nothing is guaranteed defined. *)
-      node.may_use <- Calling_standard.unknown_jump_live;
-      node.may_def <- Calling_standard.all_allocatable;
-      node.must_def <- Regset.empty
+      set3 psg.sets id Calling_standard.unknown_jump_live
+        Calling_standard.all_allocatable Regset.empty
   | Psg.Entry _ | Psg.Call _ | Psg.Return _ | Psg.Branch _ ->
-      node.may_use <- Regset.empty;
-      node.may_def <- Regset.empty;
-      node.must_def <- Regset.full
+      set3 psg.sets id Regset.empty Regset.empty Regset.full
 
-let cold_cr_init (edges : Psg.edge array) (info : Psg.call_info) =
-  let e = edges.(info.cr_edge) in
+let cold_cr_init (psg : Psg.t) (info : Psg.call_info) =
   match info.targets with
   | None ->
       let may_use, may_def, must_def =
         unknown_assumption ~call_def:info.call_def ~call_use:info.call_use
       in
-      e.e_may_use <- may_use;
-      e.e_may_def <- may_def;
-      e.e_must_def <- must_def
+      set3 psg.labels info.cr_edge may_use may_def must_def
   | Some _ ->
       (* Nothing known about the callee yet: only the call's own
          effect.  MUST-DEF starts at top and shrinks. *)
-      e.e_may_use <- info.call_use;
-      e.e_may_def <- info.call_def;
-      e.e_must_def <- Regset.full
+      set3 psg.labels info.cr_edge info.call_use info.call_def Regset.full
 
-(* Recompute [node]'s three sets from its outgoing edges (meet: union for
-   the MAY sets, intersection for MUST-DEF); returns whether anything
+(* Recompute node [id]'s three sets from its outgoing edges (meet: union
+   for the MAY sets, intersection for MUST-DEF); returns whether anything
    changed.  Reads only the node's own routine — every PSG edge is
-   intra-routine — so concurrent recomputations in different call-graph
-   components never race. *)
-let recompute (psg : Psg.t) (node : Psg.node) =
-  let nodes = psg.nodes and edges = psg.edges in
-  let out = psg.out_edges.(node.id) in
-  let n_out = Array.length out in
-  if n_out = 0 then false
+   intra-routine. *)
+let recompute (psg : Psg.t) id =
+  let sets = psg.sets and labels = psg.labels and dst = psg.dst in
+  let first = psg.out_off.(id) and stop = psg.out_off.(id + 1) in
+  if first = stop then false
   else begin
     let mu = ref Regset.empty and md = ref Regset.empty and sd = ref Regset.full in
-    for k = 0 to n_out - 1 do
-      let e = edges.(Array.unsafe_get out k) in
-      let dst = nodes.(e.dst) in
+    for k = first to stop - 1 do
+      let e = Array.unsafe_get psg.out_adj k in
+      let l = 3 * e and d = 3 * dst.(e) in
       mu :=
-        Regset.union !mu (Regset.union e.e_may_use (Regset.diff dst.may_use e.e_must_def));
-      md := Regset.union !md (Regset.union e.e_may_def dst.may_def);
-      sd := Regset.inter !sd (Regset.union e.e_must_def dst.must_def)
+        Regset.union !mu (Regset.union labels.(l) (Regset.diff sets.(d) labels.(l + 2)));
+      md := Regset.union !md (Regset.union labels.(l + 1) sets.(d + 1));
+      sd := Regset.inter !sd (Regset.union labels.(l + 2) sets.(d + 2))
     done;
     (* §3.4: a routine's saved-and-restored callee-saved registers are
        invisible to its callers. *)
-    (match node.kind with
+    (match psg.kinds.(id) with
     | Psg.Entry { routine; _ } ->
         let mask = psg.entry_filter.(routine) in
         mu := Regset.diff !mu mask;
         md := Regset.diff !md mask;
         sd := Regset.diff !sd mask
     | Psg.Exit _ | Psg.Call _ | Psg.Return _ | Psg.Branch _ | Psg.Unknown_exit _ -> ());
+    let o = 3 * id in
     let changed =
       not
-        (Regset.equal !mu node.may_use
-        && Regset.equal !md node.may_def
-        && Regset.equal !sd node.must_def)
+        (Regset.equal !mu sets.(o)
+        && Regset.equal !md sets.(o + 1)
+        && Regset.equal !sd sets.(o + 2))
     in
-    if changed then begin
-      node.may_use <- !mu;
-      node.may_def <- !md;
-      node.must_def <- !sd
-    end;
+    if changed then set3 sets id !mu !md !sd;
     changed
   end
 
 let run ?warm ?sched (psg : Psg.t) =
-  let nodes = psg.nodes and edges = psg.edges in
+  let sets = psg.sets and labels = psg.labels in
   let in_cone =
     match warm with None -> fun _ -> true | Some w -> fun id -> w.cone.(id)
   in
-  (* --- Initialization ------------------------------------------------- *)
+  (* --- Initialization -------------------------------------------------
+     Only the cone starts cold; outside it the planner has already
+     installed the converged values. *)
   let () =
     Spike_obs.Trace.with_span "phase1.init" @@ fun () ->
+    for id = 0 to Psg.node_count psg - 1 do
+      if in_cone id then cold_init psg id
+    done;
     Array.iter
-      (fun (node : Psg.node) ->
-        if in_cone node.id then cold_init node
-        else
-          match warm with
-          | Some w ->
-              let o = node.id * 3 in
-              node.may_use <- w.restore.(o);
-              node.may_def <- w.restore.(o + 1);
-              node.must_def <- w.restore.(o + 2)
-          | None -> assert false)
-      nodes;
-    Array.iteri
-      (fun i (info : Psg.call_info) ->
-        if in_cone info.call_node then cold_cr_init edges info
-        else
-          match warm with
-          | Some w ->
-              let e = edges.(info.cr_edge) in
-              let o = i * 3 in
-              e.e_may_use <- w.cr_restore.(o);
-              e.e_may_def <- w.cr_restore.(o + 1);
-              e.e_must_def <- w.cr_restore.(o + 2)
-          | None -> assert false)
+      (fun (info : Psg.call_info) ->
+        if in_cone info.call_node then cold_cr_init psg info)
       psg.calls
   in
   let update_cr_edge (info : Psg.call_info) =
@@ -173,10 +130,10 @@ let run ?warm ?sched (psg : Psg.t) =
           (fun target ->
             match target with
             | Psg.Target_routine r ->
-                let entry = nodes.(Psg.primary_entry_node psg r) in
-                may_use := Regset.union !may_use entry.may_use;
-                may_def := Regset.union !may_def entry.may_def;
-                must_def := Regset.inter !must_def entry.must_def
+                let o = 3 * Psg.primary_entry_node psg r in
+                may_use := Regset.union !may_use sets.(o);
+                may_def := Regset.union !may_def sets.(o + 1);
+                must_def := Regset.inter !must_def sets.(o + 2)
             | Psg.Target_external c ->
                 may_use := Regset.union !may_use c.Psg.x_used;
                 may_def := Regset.union !may_def c.Psg.x_killed;
@@ -186,17 +143,15 @@ let run ?warm ?sched (psg : Psg.t) =
           fold_call_effect ~call_def:info.call_def ~call_use:info.call_use
             ~may_use:!may_use ~may_def:!may_def ~must_def:!must_def
         in
-        let e = edges.(info.cr_edge) in
+        let l = 3 * info.cr_edge in
         if
-          Regset.equal e.e_may_use may_use
-          && Regset.equal e.e_may_def may_def
-          && Regset.equal e.e_must_def must_def
+          Regset.equal labels.(l) may_use
+          && Regset.equal labels.(l + 1) may_def
+          && Regset.equal labels.(l + 2) must_def
         then false
         else begin
           Spike_obs.Metrics.incr c_cr_updates;
-          e.e_may_use <- may_use;
-          e.e_may_def <- may_def;
-          e.e_must_def <- must_def;
+          set3 labels info.cr_edge may_use may_def must_def;
           true
         end
   in
@@ -208,15 +163,15 @@ let run ?warm ?sched (psg : Psg.t) =
      contribution, which only shrinks it: the test stays sound, merely
      pruning less.)  The SCC drains use this to stop re-marking readers
      once the bits circulating a dependency knot have saturated. *)
-  let affects (e : Psg.edge) =
-    let dst = nodes.(e.dst) and reader = nodes.(e.src) in
-    let mu = Regset.union e.e_may_use (Regset.diff dst.may_use e.e_must_def)
-    and md = Regset.union e.e_may_def dst.may_def
-    and sd = Regset.union e.e_must_def dst.must_def in
+  let affects e =
+    let l = 3 * e and d = 3 * psg.dst.(e) and r = 3 * psg.src.(e) in
+    let mu = Regset.union labels.(l) (Regset.diff sets.(d) labels.(l + 2))
+    and md = Regset.union labels.(l + 1) sets.(d + 1)
+    and sd = Regset.union labels.(l + 2) sets.(d + 2) in
     not
-      (Regset.subset mu reader.may_use
-      && Regset.subset md reader.may_def
-      && Regset.subset reader.must_def sd)
+      (Regset.subset mu sets.(r)
+      && Regset.subset md sets.(r + 1)
+      && Regset.subset sets.(r + 2) sd)
   in
   (* --- SCC-condensation schedule ------------------------------------------
      Components of the call-graph condensation in topological order,
@@ -248,29 +203,28 @@ let run ?warm ?sched (psg : Psg.t) =
       s.comp_calls.(c);
     Array.iter
       (fun id ->
-        match nodes.(id).kind with
+        match psg.kinds.(id) with
         | Psg.Exit _ | Psg.Unknown_exit _ -> ()
         | Psg.Entry _ | Psg.Call _ | Psg.Return _ | Psg.Branch _ ->
             if in_cone id then mark id)
       order;
     (* Recompute a popped node, mark its readers. *)
     let process id =
-      let node = nodes.(id) in
+      let kind = psg.kinds.(id) in
       if Spike_obs.Metrics.enabled () then
-        Spike_obs.Metrics.incr pop_counters.(kind_index node.kind);
-      if recompute psg node then begin
-        let in_edges = psg.in_edges.(id) in
-        for j = 0 to Array.length in_edges - 1 do
-          let e = edges.(Array.unsafe_get in_edges j) in
-          if affects e then mark e.src
+        Spike_obs.Metrics.incr pop_counters.(Psg.kind_index kind);
+      if recompute psg id then begin
+        for j = psg.in_off.(id) to psg.in_off.(id + 1) - 1 do
+          let e = Array.unsafe_get psg.in_adj j in
+          if affects e then mark psg.src.(e)
         done;
-        match node.kind with
+        match kind with
         | Psg.Entry { routine; _ } ->
             List.iter
               (fun call_index ->
                 let info = psg.calls.(call_index) in
                 if comp_of_node.(info.call_node) = c then
-                  if update_cr_edge info && affects edges.(info.cr_edge) then
+                  if update_cr_edge info && affects info.cr_edge then
                     mark info.call_node)
               psg.callers_of.(routine)
         | Psg.Exit _ | Psg.Call _ | Psg.Return _ | Psg.Branch _ | Psg.Unknown_exit _

@@ -22,31 +22,28 @@ type warm = {
   cone : bool array;
       (** node id [->] the node is inside the invalidation cone: it gets
           the cold initialization and is marked for recomputation *)
-  restore : Spike_support.Regset.t array;
-      (** previously converged (MAY-USE, MAY-DEF, MUST-DEF), packed as three
-          consecutive sets per node id, installed verbatim for nodes
-          outside the cone *)
-  cr_restore : Spike_support.Regset.t array;
-      (** previously converged call-return edge labels, packed as three
-          sets per call index, installed when the call node is outside
-          the cone *)
 }
-(** A warm start.  Soundness precondition (established by
-    {!Warm.phase1_plan}): the cone is closed under phase-1 influence — if a
-    node's recomputation reads another node's sets (through an outgoing
-    edge, or an entry node through a call-return edge of a caller), the
-    reader is in the cone whenever the read node is.  Values outside the
-    cone must be the converged solution of a PSG in which those nodes, and
-    everything they transitively read, are unchanged.  Under that
-    precondition the fixpoint reached is bit-identical to a cold run: cone
-    nodes restart from the lattice bottom and outside nodes already hold
-    their (unique, least) fixpoint values. *)
+(** A warm start.  The run leaves every node outside the cone, and the
+    call-return label of every call whose call node is outside it, as
+    it finds them in the PSG: {!Warm.phase1_plan} installs the
+    previously converged values there.  Soundness precondition
+    (established by {!Warm.phase1_plan}): the cone is closed under
+    phase-1 influence — if a node's recomputation reads another node's
+    sets (through an outgoing edge, or an entry node through a
+    call-return edge of a caller), the reader is in the cone whenever
+    the read node is.  Values outside the cone must be the converged
+    solution of a PSG in which those nodes, and everything they
+    transitively read, are unchanged.  Under that precondition the
+    fixpoint reached is bit-identical to a cold run: cone nodes restart
+    from the lattice bottom and outside nodes already hold their
+    (unique, least) fixpoint values. *)
 
 val run : ?warm:warm -> ?sched:Sched.t -> Psg.t -> int
-(** Runs to convergence, mutating the node sets and the call-return edge
-    labels in place (flow edge labels are never modified).  Returns the
-    number of node recomputations performed, a diagnostic for the
-    convergence behaviour.  [warm] restricts initialization and seeding
+(** Runs to convergence, writing the node triples of {!Psg.t.sets} and
+    the call-return labels of {!Psg.t.labels} in place (flow labels and
+    {!Psg.t.live} are never modified).  Returns the number of node
+    recomputations performed, a diagnostic for the convergence
+    behaviour.  [warm] restricts initialization and seeding
     to the invalidation cone; omitted, every node is (re)computed from
     scratch.
 

@@ -9,28 +9,13 @@ let c_iterations = Spike_obs.Metrics.counter "phase2.iterations"
 let c_pushes = Spike_obs.Metrics.counter "phase2.worklist.pushes"
 
 let pop_counters =
-  [|
-    Spike_obs.Metrics.counter "phase2.pops.entry";
-    Spike_obs.Metrics.counter "phase2.pops.exit";
-    Spike_obs.Metrics.counter "phase2.pops.call";
-    Spike_obs.Metrics.counter "phase2.pops.return";
-    Spike_obs.Metrics.counter "phase2.pops.branch";
-    Spike_obs.Metrics.counter "phase2.pops.unknown_exit";
-  |]
+  Array.map (fun k -> Spike_obs.Metrics.counter ("phase2.pops." ^ k)) Psg.kind_names
 
-let kind_index : Psg.node_kind -> int = function
-  | Psg.Entry _ -> 0
-  | Psg.Exit _ -> 1
-  | Psg.Call _ -> 2
-  | Psg.Return _ -> 3
-  | Psg.Branch _ -> 4
-  | Psg.Unknown_exit _ -> 5
-
-type warm = { cone : bool array; restore : Regset.t array }
+type warm = { cone : bool array }
 
 let run ?warm ?sched (psg : Psg.t) =
   let n = Psg.node_count psg in
-  let nodes = psg.nodes and edges = psg.edges in
+  let live = psg.live and labels = psg.labels in
   let program = psg.program in
   let in_cone =
     match warm with None -> fun _ -> true | Some w -> fun id -> w.cone.(id)
@@ -42,26 +27,24 @@ let run ?warm ?sched (psg : Psg.t) =
     | Some i -> i
     | None -> assert false (* guaranteed by Program.make *)
   in
-  Array.iter
-    (fun (node : Psg.node) ->
-      match node.kind with
+  Array.iteri
+    (fun id (kind : Psg.node_kind) ->
+      match kind with
       | Psg.Exit { routine; _ } ->
           let r = Program.get program routine in
           let s = ref Regset.empty in
           if r.Routine.exported then
             s := Regset.union !s Calling_standard.external_return_live;
           if routine = main_index then s := Regset.union !s Calling_standard.return_regs;
-          seed.(node.id) <- !s
-      | Psg.Unknown_exit _ -> seed.(node.id) <- Calling_standard.unknown_jump_live
+          seed.(id) <- !s
+      | Psg.Unknown_exit _ -> seed.(id) <- Calling_standard.unknown_jump_live
       | Psg.Entry _ | Psg.Call _ | Psg.Return _ | Psg.Branch _ -> ())
-    nodes;
-  Array.iter
-    (fun (node : Psg.node) ->
-      node.may_use <-
-        (if in_cone node.id then seed.(node.id)
-         else
-           match warm with Some w -> w.restore.(node.id) | None -> assert false))
-    nodes;
+    psg.kinds;
+  (* Only the cone restarts from its seed; outside it the planner has
+     already installed the converged liveness. *)
+  for id = 0 to n - 1 do
+    if in_cone id then live.(id) <- seed.(id)
+  done;
   (* Return-to-exit links: an exit node's liveness accumulates the liveness
      of every return point the routine can return to.  Only in-cone exits
      need their links: a link is read when the exit is popped, or used to
@@ -95,27 +78,25 @@ let run ?warm ?sched (psg : Psg.t) =
           exit_nodes_of_return.(ret) <- exit_node :: exit_nodes_of_return.(ret))
         returns)
     return_links;
+  (* A node's liveness through edge [e]: the destination's liveness
+     filtered by the label. *)
+  let through e =
+    let l = 3 * e in
+    Regset.union labels.(l) (Regset.diff live.(psg.dst.(e)) labels.(l + 2))
+  in
   (* Recompute [id]'s liveness from its seed, outgoing edges and return
      links; returns whether it changed.  Everything read outside the node's
-     own routine ([return_links] targets, converged before this node's
-     component runs under the SCC schedule) is stable, so concurrent
-     component fixpoints never race. *)
-  let recompute id (node : Psg.node) =
-    let live = ref seed.(id) in
-    let out = psg.out_edges.(id) in
-    for k = 0 to Array.length out - 1 do
-      let e = edges.(Array.unsafe_get out k) in
-      let dst = nodes.(e.dst) in
-      live :=
-        Regset.union !live
-          (Regset.union e.e_may_use (Regset.diff dst.may_use e.e_must_def))
+     own routine ([return_links] targets) converged before this node's
+     component runs under the SCC schedule. *)
+  let recompute id =
+    let acc = ref seed.(id) in
+    for k = psg.out_off.(id) to psg.out_off.(id + 1) - 1 do
+      acc := Regset.union !acc (through (Array.unsafe_get psg.out_adj k))
     done;
-    List.iter
-      (fun ret -> live := Regset.union !live nodes.(ret).may_use)
-      return_links.(id);
-    if Regset.equal !live node.may_use then false
+    List.iter (fun ret -> acc := Regset.union !acc live.(ret)) return_links.(id);
+    if Regset.equal !acc live.(id) then false
     else begin
-      node.may_use <- !live;
+      live.(id) <- !acc;
       true
     end
   in
@@ -145,28 +126,20 @@ let run ?warm ?sched (psg : Psg.t) =
     (* A liveness change only alters a reader that would gain bits through
        the edge — liveness is a union, so a contribution the reader already
        covers is a provable no-op re-pop. *)
-    let affects (e : Psg.edge) =
-      let dst = nodes.(e.dst) and reader = nodes.(e.src) in
-      not
-        (Regset.subset
-           (Regset.union e.e_may_use (Regset.diff dst.may_use e.e_must_def))
-           reader.may_use)
-    in
+    let affects e = not (Regset.subset (through e) live.(psg.src.(e))) in
     let process id =
-      let node = nodes.(id) in
       if Spike_obs.Metrics.enabled () then
-        Spike_obs.Metrics.incr pop_counters.(kind_index node.kind);
-      if recompute id node then begin
-        let in_edges = psg.in_edges.(id) in
-        for j = 0 to Array.length in_edges - 1 do
-          let e = edges.(Array.unsafe_get in_edges j) in
-          if affects e then mark e.src
+        Spike_obs.Metrics.incr pop_counters.(Psg.kind_index psg.kinds.(id));
+      if recompute id then begin
+        for j = psg.in_off.(id) to psg.in_off.(id + 1) - 1 do
+          let e = Array.unsafe_get psg.in_adj j in
+          if affects e then mark psg.src.(e)
         done;
         List.iter
           (fun exit_node ->
             if
               comp_of_node.(exit_node) = c
-              && not (Regset.subset node.may_use nodes.(exit_node).may_use)
+              && not (Regset.subset live.(id) live.(exit_node))
             then mark exit_node)
           exit_nodes_of_return.(id)
       end

@@ -17,25 +17,23 @@
     Seeds: exit nodes of exported routines get the calling standard's
     conservative live-on-return set; exit nodes of the program's main
     routine get the return-value registers; unknown-exit nodes get all
-    registers (§3.5).  Phase-1 [may_def]/[must_def] node sets are left in
-    place. *)
+    registers (§3.5).  Liveness is phase 2's own lane, {!Psg.t.live}:
+    phase 1's node sets are left as they were. *)
 
 type warm = {
   cone : bool array;
       (** node id [->] the node is inside the invalidation cone: it
           restarts from its constant liveness seed and is marked for
           recomputation *)
-  restore : Spike_support.Regset.t array;
-      (** previously converged liveness, one set per node id, installed
-          for nodes outside the cone *)
 }
-(** A warm start; see {!Phase1.warm} for the contract.  Phase-2 influence
+(** A warm start; see {!Phase1.warm} for the contract.  Liveness outside
+    the cone is left as found: {!Warm.phase2_plan} installs it.  Phase-2 influence
     additionally flows from a return node to the exit nodes of every
     routine its call can target, so the cone must be closed under that
     relation too ({!Warm.phase2_plan} is). *)
 
 val run : ?warm:warm -> ?sched:Sched.t -> Psg.t -> int
-(** Runs to convergence, mutating node [may_use] sets in place.  Returns
+(** Runs to convergence, writing {!Psg.t.live} in place.  Returns
     the number of node recomputations performed.  [warm] restricts
     initialization and seeding to the invalidation cone.
 

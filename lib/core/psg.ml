@@ -10,26 +10,6 @@ type node_kind =
   | Branch of { routine : int; block : int }
   | Unknown_exit of { routine : int; block : int }
 
-type node = {
-  id : int;
-  kind : node_kind;
-  mutable may_use : Regset.t;
-  mutable may_def : Regset.t;
-  mutable must_def : Regset.t;
-}
-
-type edge_kind = Flow | Call_return
-
-type edge = {
-  edge_id : int;
-  src : int;
-  dst : int;
-  ekind : edge_kind;
-  mutable e_may_use : Regset.t;
-  mutable e_may_def : Regset.t;
-  mutable e_must_def : Regset.t;
-}
-
 type external_class = {
   x_used : Regset.t;
   x_defined : Regset.t;
@@ -50,10 +30,16 @@ type call_info = {
 
 type t = {
   program : Program.t;
-  nodes : node array;
-  edges : edge array;
-  out_edges : int array array;
-  in_edges : int array array;
+  kinds : node_kind array;
+  sets : Regset.t array;
+  live : Regset.t array;
+  src : int array;
+  dst : int array;
+  labels : Regset.t array;
+  out_off : int array;
+  out_adj : int array;
+  in_off : int array;
+  in_adj : int array;
   calls : call_info array;
   callers_of : int list array;
   entry_nodes : int list array;
@@ -62,13 +48,11 @@ type t = {
   entry_filter : Regset.t array;
 }
 
-let node_count t = Array.length t.nodes
-let edge_count t = Array.length t.edges
+let node_count t = Array.length t.kinds
+let edge_count t = Array.length t.src
 
-let flow_edge_count t =
-  Array.fold_left
-    (fun n e -> match e.ekind with Flow -> n + 1 | Call_return -> n)
-    0 t.edges
+(* Every call site has exactly one call-return edge. *)
+let flow_edge_count t = edge_count t - Array.length t.calls
 
 let primary_entry_node t r =
   match t.entry_nodes.(r) with
@@ -84,6 +68,15 @@ let node_routine = function
   | Unknown_exit { routine; _ } ->
       routine
 
+let kind_index = function
+  | Entry _ -> 0
+  | Exit _ -> 1
+  | Call _ -> 2
+  | Return _ -> 3
+  | Branch _ -> 4
+  | Unknown_exit _ -> 5
+
+let kind_names = [| "entry"; "exit"; "call"; "return"; "branch"; "unknown_exit" |]
 
 let iter_routine_targets t f =
   Array.iter
@@ -98,7 +91,7 @@ let call_graph t =
   let off, adj =
     Scc.csr n (fun f ->
         iter_routine_targets t (fun info r ->
-            f (node_routine t.nodes.(info.call_node).kind) r))
+            f (node_routine t.kinds.(info.call_node)) r))
   in
   (* One edge per distinct (caller, callee) pair: a routine with many call
      sites to the same callee would otherwise multiply every traversal's
@@ -137,18 +130,25 @@ let kind_string t kind =
   | Unknown_exit { routine; block } ->
       Printf.sprintf "jmp?(%s:B%d)" (rname routine) block
 
-let pp_node t ppf node =
+let pp_node t ppf n =
   let pr = Regset.pp ~name:Reg.name in
-  Format.fprintf ppf "N%d %s  may-use=%a may-def=%a must-def=%a" node.id
-    (kind_string t node.kind) pr node.may_use pr node.may_def pr node.must_def
+  Format.fprintf ppf "N%d %s  may-use=%a may-def=%a must-def=%a live=%a" n
+    (kind_string t t.kinds.(n)) pr t.sets.(3 * n) pr t.sets.((3 * n) + 1) pr
+    t.sets.((3 * n) + 2) pr t.live.(n)
 
 let pp ppf t =
   Format.fprintf ppf "psg: %d nodes, %d edges@." (node_count t) (edge_count t);
-  Array.iter (fun n -> Format.fprintf ppf "  %a@." (pp_node t) n) t.nodes;
+  for n = 0 to node_count t - 1 do
+    Format.fprintf ppf "  %a@." (pp_node t) n
+  done;
   let pr = Regset.pp ~name:Reg.name in
-  Array.iter
-    (fun e ->
-      let kind = match e.ekind with Flow -> "flow" | Call_return -> "call-ret" in
-      Format.fprintf ppf "  E%d %s N%d -> N%d  may-use=%a may-def=%a must-def=%a@."
-        e.edge_id kind e.src e.dst pr e.e_may_use pr e.e_may_def pr e.e_must_def)
-    t.edges
+  for e = 0 to edge_count t - 1 do
+    let kind =
+      match t.kinds.(t.src.(e)) with
+      | Call _ -> "call-ret"
+      | Entry _ | Exit _ | Return _ | Branch _ | Unknown_exit _ -> "flow"
+    in
+    Format.fprintf ppf "  E%d %s N%d -> N%d  may-use=%a may-def=%a must-def=%a@." e kind
+      t.src.(e) t.dst.(e) pr t.labels.(3 * e) pr t.labels.((3 * e) + 1) pr
+      t.labels.((3 * e) + 2)
+  done

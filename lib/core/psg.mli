@@ -13,10 +13,19 @@
     the callee's summary composed with the call instruction's own register
     effect.
 
-    Node dataflow sets are scratch space for the currently-running phase:
-    {!Phase1} leaves call-used / call-defined / call-killed in the entry
-    nodes; {!Phase2} then overwrites [may_use] with liveness.  The
-    {!Analysis} driver extracts summaries between the phases. *)
+    The graph is stored as flat lanes indexed by node or edge id rather
+    than as records: [kinds] per node; [src]/[dst] and [labels] (three
+    sets per edge, MAY-USE, MAY-DEF, MUST-DEF) per edge; and CSR
+    adjacency — node [n]'s out-edge ids are
+    [out_adj.(out_off.(n)) .. out_adj.(out_off.(n + 1) - 1)], ascending,
+    and likewise [in_off]/[in_adj] for in-edges.  Each phase owns one
+    solution lane: {!Phase1} writes the node triples in [sets] (three per
+    node) and the call-return labels in [labels]; {!Phase2} writes
+    liveness in [live] (one per node).  Neither writes the other's lane,
+    so a converged PSG holds both phases' solutions side by side and the
+    warm-start caches ({!Warm}) are slices of these arrays.  An edge is a
+    call-return edge exactly when its source is a call node: a call
+    node's only out-edge is its call-return edge. *)
 
 open Spike_support
 open Spike_isa
@@ -35,26 +44,6 @@ type node_kind =
       (** multiway branch; location = after the branch dispatches *)
   | Unknown_exit of { routine : int; block : int }
       (** indirect jump with unknown targets; all registers live here *)
-
-type node = {
-  id : int;
-  kind : node_kind;
-  mutable may_use : Regset.t;
-  mutable may_def : Regset.t;
-  mutable must_def : Regset.t;
-}
-
-type edge_kind = Flow | Call_return
-
-type edge = {
-  edge_id : int;
-  src : int;
-  dst : int;
-  ekind : edge_kind;
-  mutable e_may_use : Regset.t;
-  mutable e_may_def : Regset.t;
-  mutable e_must_def : Regset.t;
-}
 
 type external_class = {
   x_used : Regset.t;
@@ -84,10 +73,21 @@ type call_info = {
 
 type t = {
   program : Program.t;
-  nodes : node array;
-  edges : edge array;
-  out_edges : int array array;  (** node id [->] edge ids *)
-  in_edges : int array array;
+  kinds : node_kind array;  (** node id [->] kind *)
+  sets : Regset.t array;
+      (** phase 1's lane: node id [n] [->] MAY-USE, MAY-DEF, MUST-DEF at
+          [3n], [3n + 1], [3n + 2] *)
+  live : Regset.t array;  (** phase 2's lane: node id [->] liveness *)
+  src : int array;  (** edge id [->] source node id *)
+  dst : int array;  (** edge id [->] destination node id *)
+  labels : Regset.t array;
+      (** edge id [e] [->] MAY-USE, MAY-DEF, MUST-DEF at [3e], [3e + 1],
+          [3e + 2]; flow labels are fixed at build time, call-return
+          labels are written by phase 1 *)
+  out_off : int array;  (** node id [->] start of its row in [out_adj] *)
+  out_adj : int array;  (** out-edge ids, grouped by source node *)
+  in_off : int array;
+  in_adj : int array;  (** in-edge ids, grouped by destination node *)
   calls : call_info array;
   callers_of : int list array;
       (** routine index [->] indices into [calls] of sites that may target
@@ -112,6 +112,13 @@ val primary_entry_node : t -> int -> int
 
 val node_routine : node_kind -> int
 
+val kind_index : node_kind -> int
+(** Entry 0, exit 1, call 2, return 3, branch 4, unknown exit 5. *)
+
+val kind_names : string array
+(** Indexed by {!kind_index}: ["entry"], ["exit"], ["call"], ["return"],
+    ["branch"], ["unknown_exit"]. *)
+
 val iter_routine_targets : t -> (call_info -> int -> unit) -> unit
 (** [iter_routine_targets psg f] calls [f info r] for every call site
     [info] (in [calls] order) and every routine [r] of the program it may
@@ -129,5 +136,7 @@ val call_scc : t -> Scc.t
     interprocedural phases.  Computed iteratively; safe on call chains of
     any depth. *)
 
-val pp_node : t -> Format.formatter -> node -> unit
+val pp_node : t -> Format.formatter -> int -> unit
+(** A node by id, with its phase-1 sets and its liveness. *)
+
 val pp : Format.formatter -> t -> unit

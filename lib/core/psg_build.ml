@@ -29,13 +29,6 @@ type source_mode = At_block_start | After_block
 
 type source = { src_node : int; src_block : int; mode : source_mode }
 
-type local_edge = {
-  le_kind : Psg.edge_kind;
-  le_src : int;  (* routine-local node id *)
-  le_dst : int;
-  le_label : Edge_dataflow.sets;
-}
-
 type local_call = {
   lc_call_node : int;  (* routine-local node id *)
   lc_return_node : int;
@@ -48,7 +41,9 @@ type local_call = {
 
 type local = {
   l_kinds : Psg.node_kind array;  (* routine-local node id -> kind *)
-  l_edges : local_edge array;
+  l_src : int array;  (* routine-local edge id -> local node id *)
+  l_dst : int array;
+  l_labels : Regset.t array;  (* 3 sets per edge *)
   l_calls : local_call array;
   l_entry : int list;  (* routine-local node ids, declaration order *)
   l_exit : int list;
@@ -60,7 +55,7 @@ type local = {
 let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
   let nblocks = Cfg.block_count cfg in
   let kinds = Vec.create () in
-  let edges = Vec.create () in
+  let src = Vec.create () and dst = Vec.create () and labels = Vec.create () in
   let calls = Vec.create () in
   let entry = ref [] and exit_ = ref [] and unknown = ref [] in
   let new_node kind =
@@ -68,9 +63,13 @@ let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
     Vec.push kinds kind;
     id
   in
-  let new_edge le_kind le_src le_dst le_label =
-    let edge_id = Vec.length edges in
-    Vec.push edges { le_kind; le_src; le_dst; le_label };
+  let new_edge s d (label : Edge_dataflow.sets) =
+    let edge_id = Vec.length src in
+    Vec.push src s;
+    Vec.push dst d;
+    Vec.push labels label.may_use;
+    Vec.push labels label.may_def;
+    Vec.push labels label.must_def;
     edge_id
   in
   (* --- Nodes and cut points ------------------------------------------- *)
@@ -107,9 +106,7 @@ let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
             { src_node = return_node; src_block = return_block; mode = At_block_start }
             :: !sources;
           let call_insn = cfg.routine.Routine.insns.(b.last) in
-          let cr_edge =
-            new_edge Psg.Call_return call_node return_node Edge_dataflow.top_must
-          in
+          let cr_edge = new_edge call_node return_node Edge_dataflow.top_must in
           Vec.push calls
             {
               lc_call_node = call_node;
@@ -155,13 +152,13 @@ let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
   (* One Figure-6 solve per distinct sink block, over the sink's backward
      region; every edge into that sink reads its label off the shared
      solution (see Edge_dataflow for why the labels are the per-edge
-     ones).  Labels land in [labels] so edges are emitted in discovery
+     ones).  Labels land in [flow_labels] so edges are emitted in discovery
      order below, whatever order the sinks are solved in. *)
   let into_sink = Array.make nblocks [] in
   Array.iteri
     (fun i (_, _, sink_block) -> into_sink.(sink_block) <- i :: into_sink.(sink_block))
     flows;
-  let labels = Array.make (Array.length flows) Edge_dataflow.top_must in
+  let flow_labels = Array.make (Array.length flows) Edge_dataflow.top_must in
   let scratch = Edge_dataflow.create_scratch ~nblocks in
   let is_cut b = Option.is_some sink_of_block.(b) in
   (* An entry or return node sits at the start of its block.  A branch
@@ -188,17 +185,19 @@ let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
         List.iter
           (fun i ->
             let source, _, _ = flows.(i) in
-            labels.(i) <- label_at solution source)
+            flow_labels.(i) <- label_at solution source)
           flow_ids
       end)
     into_sink;
   Array.iteri
     (fun i (source, sink_node, _) ->
-      ignore (new_edge Psg.Flow source.src_node sink_node labels.(i)))
+      ignore (new_edge source.src_node sink_node flow_labels.(i)))
     flows;
   {
     l_kinds = Vec.to_array kinds;
-    l_edges = Vec.to_array edges;
+    l_src = Vec.to_array src;
+    l_dst = Vec.to_array dst;
+    l_labels = Vec.to_array labels;
     l_calls = Vec.to_array calls;
     l_entry = List.rev !entry;
     l_exit = List.rev !exit_;
@@ -250,36 +249,14 @@ let stitch ~entry_filters program (locals : local array) =
   (* Prefix sums assign every routine its contiguous global id ranges —
      the same ids the former single-loop builder handed out. *)
   let node_offset = node_offsets locals in
-  let edge_offset = offsets_of locals (fun l -> Array.length l.l_edges) in
+  let edge_offset = offsets_of locals (fun l -> Array.length l.l_src) in
   let call_offset = call_offsets locals in
   let nnodes = node_offset.(nroutines) in
   let nedges = edge_offset.(nroutines) in
-  let ncalls = call_offset.(nroutines) in
-  (* Placeholder elements; every slot is overwritten by the stitch loop
-     below, so the shared placeholders are never mutated in place. *)
-  let dummy_node =
-    {
-      Psg.id = -1;
-      kind = Psg.Entry { routine = -1; label = "" };
-      may_use = Regset.empty;
-      may_def = Regset.empty;
-      must_def = Regset.empty;
-    }
-  in
-  let dummy_edge =
-    {
-      Psg.edge_id = -1;
-      src = -1;
-      dst = -1;
-      ekind = Psg.Flow;
-      e_may_use = Regset.empty;
-      e_may_def = Regset.empty;
-      e_must_def = Regset.empty;
-    }
-  in
-  let nodes = Array.make nnodes dummy_node in
-  let edges = Array.make nedges dummy_edge in
-  let calls = Array.make ncalls None in
+  let kinds = Array.concat (Array.to_list (Array.map (fun l -> l.l_kinds) locals)) in
+  let src = Array.make nedges 0 and dst = Array.make nedges 0 in
+  let labels = Array.make (3 * nedges) Regset.empty in
+  let calls = Vec.create () in
   let callers_rev = Array.make nroutines [] in
   let entry_nodes = Array.make nroutines [] in
   let exit_nodes = Array.make nroutines [] in
@@ -287,44 +264,24 @@ let stitch ~entry_filters program (locals : local array) =
   for r = 0 to nroutines - 1 do
     let local = locals.(r) in
     let noff = node_offset.(r) and eoff = edge_offset.(r) and coff = call_offset.(r) in
-    Array.iteri
-      (fun i kind ->
-        nodes.(noff + i) <-
-          {
-            Psg.id = noff + i;
-            kind;
-            may_use = Regset.empty;
-            may_def = Regset.empty;
-            must_def = Regset.empty;
-          })
-      local.l_kinds;
-    Array.iteri
-      (fun j (e : local_edge) ->
-        edges.(eoff + j) <-
-          {
-            Psg.edge_id = eoff + j;
-            src = noff + e.le_src;
-            dst = noff + e.le_dst;
-            ekind = e.le_kind;
-            e_may_use = e.le_label.Edge_dataflow.may_use;
-            e_may_def = e.le_label.Edge_dataflow.may_def;
-            e_must_def = e.le_label.Edge_dataflow.must_def;
-          })
-      local.l_edges;
+    Array.iteri (fun j s -> src.(eoff + j) <- noff + s) local.l_src;
+    Array.iteri (fun j d -> dst.(eoff + j) <- noff + d) local.l_dst;
+    (* A copy, never the fragment's own array: phase 1 writes the
+       call-return labels in place. *)
+    Array.blit local.l_labels 0 labels (3 * eoff) (Array.length local.l_labels);
     Array.iteri
       (fun k (c : local_call) ->
         let call_index = coff + k in
-        calls.(call_index) <-
-          Some
-            {
-              Psg.call_node = noff + c.lc_call_node;
-              return_node = noff + c.lc_return_node;
-              cr_edge = eoff + c.lc_cr_edge;
-              callee = c.lc_callee;
-              targets = c.lc_targets;
-              call_def = c.lc_call_def;
-              call_use = c.lc_call_use;
-            };
+        Vec.push calls
+          {
+            Psg.call_node = noff + c.lc_call_node;
+            return_node = noff + c.lc_return_node;
+            cr_edge = eoff + c.lc_cr_edge;
+            callee = c.lc_callee;
+            targets = c.lc_targets;
+            call_def = c.lc_call_def;
+            call_use = c.lc_call_use;
+          };
         match c.lc_targets with
         | Some resolved ->
             List.iter
@@ -339,39 +296,24 @@ let stitch ~entry_filters program (locals : local array) =
     exit_nodes.(r) <- List.map (fun l -> noff + l) local.l_exit;
     unknown_exit_nodes.(r) <- List.map (fun l -> noff + l) local.l_unknown
   done;
-  let calls =
-    Array.map (function Some c -> c | None -> assert false) calls
-  in
   (* --- Freeze ---------------------------------------------------------- *)
-  (* Adjacency by counting sort over unboxed int arrays — no cons cells,
-     no write barriers.  Filling in edge order keeps each per-node list in
-     ascending edge id, as the cons-and-reverse construction produced. *)
-  let out_cnt = Array.make nnodes 0 and in_cnt = Array.make nnodes 0 in
-  Array.iter
-    (fun (e : Psg.edge) ->
-      out_cnt.(e.src) <- out_cnt.(e.src) + 1;
-      in_cnt.(e.dst) <- in_cnt.(e.dst) + 1)
-    edges;
-  let out_edges = Array.init nnodes (fun i -> Array.make out_cnt.(i) 0) in
-  let in_edges = Array.init nnodes (fun i -> Array.make in_cnt.(i) 0) in
-  Array.fill out_cnt 0 nnodes 0;
-  Array.fill in_cnt 0 nnodes 0;
-  Array.iter
-    (fun (e : Psg.edge) ->
-      let o = out_cnt.(e.src) in
-      out_edges.(e.src).(o) <- e.edge_id;
-      out_cnt.(e.src) <- o + 1;
-      let i = in_cnt.(e.dst) in
-      in_edges.(e.dst).(i) <- e.edge_id;
-      in_cnt.(e.dst) <- i + 1)
-    edges;
+  (* CSR adjacency by counting sort; filling in edge order keeps each row
+     in ascending edge id. *)
+  let out_off, out_adj = Scc.csr nnodes (fun f -> Array.iteri (fun e s -> f s e) src) in
+  let in_off, in_adj = Scc.csr nnodes (fun f -> Array.iteri (fun e d -> f d e) dst) in
   {
     Psg.program;
-    nodes;
-    edges;
-    out_edges;
-    in_edges;
-    calls;
+    kinds;
+    sets = Array.make (3 * nnodes) Regset.empty;
+    live = Array.make nnodes Regset.empty;
+    src;
+    dst;
+    labels;
+    out_off;
+    out_adj;
+    in_off;
+    in_adj;
+    calls = Vec.to_array calls;
     callers_of = Array.map List.rev callers_rev;
     entry_nodes;
     exit_nodes;

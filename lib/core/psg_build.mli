@@ -31,16 +31,10 @@ open Spike_cfg
 (** {2 Per-routine local artifacts}
 
     The local pass emits everything the stitch pass needs, under
-    routine-local node/edge/call ids.  The records are exposed so the
-    persistent summary store ({!Spike_store}) can serialize a routine's
-    fragment and splice it back into a later build unchanged. *)
-
-type local_edge = {
-  le_kind : Psg.edge_kind;
-  le_src : int;  (** routine-local node id *)
-  le_dst : int;
-  le_label : Edge_dataflow.sets;
-}
+    routine-local node/edge/call ids, in the PSG's own flat layout so
+    that stitching a fragment in is a blit.  The records are exposed so
+    the persistent summary store ({!Spike_store}) can serialize a
+    routine's fragment and splice it back into a later build unchanged. *)
 
 type local_call = {
   lc_call_node : int;  (** routine-local node id *)
@@ -54,7 +48,11 @@ type local_call = {
 
 type local = {
   l_kinds : Psg.node_kind array;  (** routine-local node id [->] kind *)
-  l_edges : local_edge array;
+  l_src : int array;  (** routine-local edge id [->] local source node id *)
+  l_dst : int array;
+  l_labels : Regset.t array;
+      (** three sets per edge, as {!Psg.t.labels}; a call-return edge's
+          label is the phase-1 starting value [(∅, ∅, full)] *)
   l_calls : local_call array;
   l_entry : int list;  (** routine-local node ids, declaration order *)
   l_exit : int list;
@@ -85,9 +83,11 @@ val local_pass :
 val stitch :
   entry_filters:Regset.t array -> Program.t -> local array -> Psg.t
 (** Concatenate per-routine locals (in routine order) into the global PSG:
-    ids are offset by prefix sums, caller lists are wired.  Deterministic
-    in its inputs — splicing a cached [local] for an unchanged routine
-    yields a graph bit-identical to rebuilding it. *)
+    ids are offset by prefix sums, caller lists are wired.  The result
+    shares no mutable array with [locals], so running the phases on it
+    never alters a fragment.  Deterministic in its inputs — splicing a
+    cached [local] for an unchanged routine yields a graph bit-identical
+    to rebuilding it. *)
 
 val node_offsets : local array -> int array
 (** Prefix sums of per-routine node counts, length [routines + 1]:

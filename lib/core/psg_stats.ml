@@ -19,15 +19,15 @@ let of_psg (psg : Psg.t) =
   and branch = ref 0
   and unknown = ref 0 in
   Array.iter
-    (fun (node : Psg.node) ->
-      match node.kind with
+    (fun (kind : Psg.node_kind) ->
+      match kind with
       | Psg.Entry _ -> incr entry
       | Psg.Exit _ -> incr exit_
       | Psg.Call _ -> incr call
       | Psg.Return _ -> incr return
       | Psg.Branch _ -> incr branch
       | Psg.Unknown_exit _ -> incr unknown)
-    psg.nodes;
+    psg.kinds;
   let flow = Psg.flow_edge_count psg in
   let total_edges = Psg.edge_count psg in
   {

@@ -24,14 +24,14 @@ let c_comps_run = Spike_obs.Metrics.counter "sched.components.run"
    last edge first: the order in which Tarjan visits them, and so what
    fixes each knot's DFS root and postorder. *)
 let deps (psg : Psg.t) extra =
-  Scc.csr (Psg.node_count psg) (fun f ->
+  let n = Psg.node_count psg in
+  Scc.csr n (fun f ->
       extra f;
-      Array.iteri
-        (fun u out ->
-          for j = Array.length out - 1 downto 0 do
-            f u psg.Psg.edges.(out.(j)).Psg.dst
-          done)
-        psg.Psg.out_edges)
+      for u = 0 to n - 1 do
+        for j = psg.Psg.out_off.(u + 1) - 1 downto psg.Psg.out_off.(u) do
+          f u psg.Psg.dst.(psg.Psg.out_adj.(j))
+        done
+      done)
 
 let p1_extra psg f =
   Psg.iter_routine_targets psg (fun info r ->
@@ -78,7 +78,7 @@ let phase_order (psg : Psg.t) comp_members extra =
   let n = Psg.node_count psg in
   let off, adj = deps psg extra in
   let decompose = Scc.decomposer ~off ~adj in
-  let routine_of id = Psg.node_routine psg.Psg.nodes.(id).Psg.kind in
+  let routine_of id = Psg.node_routine psg.Psg.kinds.(id) in
   let self_loop v =
     let rec scan e = e < off.(v + 1) && (adj.(e) = v || scan (e + 1)) in
     scan off.(v)
@@ -138,9 +138,7 @@ let make ?pool (psg : Psg.t) =
   Spike_obs.Metrics.add c_comps scc.Scc.count;
   let n = Psg.node_count psg in
   let comp_of_node =
-    Array.map
-      (fun (node : Psg.node) -> scc.Scc.comp_of.(Psg.node_routine node.Psg.kind))
-      psg.Psg.nodes
+    Array.map (fun kind -> scc.Scc.comp_of.(Psg.node_routine kind)) psg.Psg.kinds
   in
   (* Component [->] its members: a counting sort, ascending within each. *)
   let by_comp iter =

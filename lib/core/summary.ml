@@ -17,11 +17,11 @@ type t = {
 let mask = Calling_standard.all_allocatable
 
 let class_of_entry_node (psg : Psg.t) node_id =
-  let node = psg.nodes.(node_id) in
+  let o = 3 * node_id in
   {
-    used = Regset.inter node.may_use mask;
-    defined = Regset.inter node.must_def mask;
-    killed = Regset.inter node.may_def mask;
+    used = Regset.inter psg.sets.(o) mask;
+    defined = Regset.inter psg.sets.(o + 2) mask;
+    killed = Regset.inter psg.sets.(o + 1) mask;
   }
 
 let extract_call_classes (psg : Psg.t) =
@@ -35,9 +35,8 @@ let extract (psg : Psg.t) call_classes =
       let live_at_entry =
         List.map
           (fun node_id ->
-            match psg.nodes.(node_id).kind with
-            | Psg.Entry { label; _ } ->
-                (label, Regset.inter psg.nodes.(node_id).may_use mask)
+            match psg.kinds.(node_id) with
+            | Psg.Entry { label; _ } -> (label, Regset.inter psg.live.(node_id) mask)
             | Psg.Exit _ | Psg.Call _ | Psg.Return _ | Psg.Branch _ | Psg.Unknown_exit _
               ->
                 assert false)
@@ -46,9 +45,8 @@ let extract (psg : Psg.t) call_classes =
       let live_at_exit =
         List.map
           (fun node_id ->
-            match psg.nodes.(node_id).kind with
-            | Psg.Exit { block; _ } ->
-                (block, Regset.inter psg.nodes.(node_id).may_use mask)
+            match psg.kinds.(node_id) with
+            | Psg.Exit { block; _ } -> (block, Regset.inter psg.live.(node_id) mask)
             | Psg.Entry _ | Psg.Call _ | Psg.Return _ | Psg.Branch _ | Psg.Unknown_exit _
               ->
                 assert false)

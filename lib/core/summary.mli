@@ -28,12 +28,11 @@ type t = {
 }
 
 val extract_call_classes : Psg.t -> call_class array
-(** Per-routine call classes; call after {!Phase1.run} (phase 2 overwrites
-    the node MAY-USE sets these are read from). *)
+(** Per-routine call classes, read from phase 1's lane; call after
+    {!Phase1.run}. *)
 
 val extract : Psg.t -> call_class array -> t array
-(** Full summaries; call after {!Phase2.run} with the classes saved
-    beforehand. *)
+(** Full summaries; call after {!Phase2.run}. *)
 
 val site_class : Psg.t -> call_class array -> Psg.call_info -> call_class
 (** The summary a specific call site observes: the merge (union of MAY

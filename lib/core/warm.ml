@@ -185,24 +185,12 @@ let seed_dirty_routines sols ~node_offset mark =
    direction: a node's recomputation reads the sets of its out-edge
    destinations, so a changed node influences its in-edge sources. *)
 let mark_in_edge_sources (psg : Psg.t) mark id =
-  let in_edges = psg.in_edges.(id) in
-  for k = 0 to Array.length in_edges - 1 do
-    mark psg.edges.(in_edges.(k)).src
+  for k = psg.in_off.(id) to psg.in_off.(id + 1) - 1 do
+    mark psg.src.(psg.in_adj.(k))
   done
 
-(* Packed restores: [stride] sets per element, dirty slots left empty
-   (they are inside the cone and never read). *)
-let restore_of_sols sols ~offset ~stride ~total ~get =
-  let restore = Array.make (total * stride) Regset.empty in
-  Array.iteri
-    (fun r art ->
-      match art with
-      | None -> ()
-      | Some art ->
-          let src = get art in
-          Array.blit src 0 restore (offset.(r) * stride) (Array.length src))
-    sols;
-  restore
+(* [f r art] for every solution-clean routine [r]. *)
+let iter_clean sols f = Array.iteri (fun r art -> Option.iter (f r) art) sols
 
 let phase1_plan (psg : Psg.t) ~sols ~node_offset ~call_offset =
   let n = Psg.node_count psg in
@@ -224,17 +212,18 @@ let phase1_plan (psg : Psg.t) ~sols ~node_offset ~call_offset =
             (fun call_index -> mark psg.calls.(call_index).call_node)
             psg.callers_of.(r))
   in
-  {
-    Phase1.cone;
-    restore =
-      restore_of_sols sols ~offset:node_offset ~stride:3 ~total:n
-        ~get:(fun a -> a.a_phase1);
-    cr_restore =
-      restore_of_sols sols ~offset:call_offset ~stride:3
-        ~total:(Array.length psg.calls) ~get:(fun a -> a.a_cr);
-  }
+  (* Install the cached solutions; dirty slots keep whatever they hold,
+     as they are inside the cone, which the phase initializes itself. *)
+  iter_clean sols (fun r art ->
+      let p1 = art.a_phase1 in
+      Array.blit p1 0 psg.sets (3 * node_offset.(r)) (Array.length p1);
+      for k = 0 to (Array.length art.a_cr / 3) - 1 do
+        let info = psg.calls.(call_offset.(r) + k) in
+        Array.blit art.a_cr (3 * k) psg.labels (3 * info.cr_edge) 3
+      done);
+  { Phase1.cone }
 
-let phase2_plan (psg : Psg.t) ~sols ~exit_seeds ~node_offset ~call_offset ~p1_cr =
+let phase2_plan (psg : Psg.t) ~sols ~exit_seeds ~node_offset ~call_offset =
   let n = Psg.node_count psg in
   (* A return node's liveness is copied into the exit nodes of every
      routine its call can target (the paper's return-to-exit links). *)
@@ -259,20 +248,14 @@ let phase2_plan (psg : Psg.t) ~sols ~exit_seeds ~node_offset ~call_offset ~p1_cr
         seed_dirty_routines sols ~node_offset mark;
         (* A call-return label that converged differently carries a new
            use/kill summary into its call node's liveness. *)
-        Array.iteri
-          (fun r art ->
-            match art with
-            | None -> ()
-            | Some art ->
-                let ncalls = Array.length art.a_cr / 3 in
-                for k = 0 to ncalls - 1 do
-                  let ci = call_offset.(r) + k in
-                  let same j =
-                    Regset.equal p1_cr.((ci * 3) + j) art.a_cr.((k * 3) + j)
-                  in
-                  if not (same 0 && same 1 && same 2) then mark psg.calls.(ci).call_node
-                done)
-          sols;
+        iter_clean sols (fun r art ->
+            for k = 0 to (Array.length art.a_cr / 3) - 1 do
+              let info = psg.calls.(call_offset.(r) + k) in
+              let same j =
+                Regset.equal psg.labels.((3 * info.cr_edge) + j) art.a_cr.((3 * k) + j)
+              in
+              if not (same 0 && same 1 && same 2) then mark info.call_node
+            done);
         (* Routines that may have lost (or gained) a caller: their exit
            nodes' return-link contributions are suspect. *)
         Array.iteri
@@ -282,48 +265,27 @@ let phase2_plan (psg : Psg.t) ~sols ~exit_seeds ~node_offset ~call_offset ~p1_cr
         mark_in_edge_sources psg mark id;
         List.iter mark ret_to_exits.(id))
   in
-  {
-    Phase2.cone;
-    restore =
-      restore_of_sols sols ~offset:node_offset ~stride:1 ~total:n
-        ~get:(fun a -> a.a_phase2);
-  }
+  iter_clean sols (fun r art ->
+      Array.blit art.a_phase2 0 psg.live node_offset.(r) (Array.length art.a_phase2));
+  { Phase2.cone }
 
-let pack_sets3 (a : Regset.t array) i x y z =
-  let o = i * 3 in
-  a.(o) <- x;
-  a.(o + 1) <- y;
-  a.(o + 2) <- z
-
-let snapshot_phase1 (psg : Psg.t) =
-  let nodes = Array.make (Psg.node_count psg * 3) Regset.empty in
-  Array.iter
-    (fun (nd : Psg.node) -> pack_sets3 nodes nd.id nd.may_use nd.may_def nd.must_def)
-    psg.nodes;
-  let cr = Array.make (Array.length psg.calls * 3) Regset.empty in
-  Array.iteri
-    (fun i (info : Psg.call_info) ->
-      let e = psg.edges.(info.cr_edge) in
-      pack_sets3 cr i e.e_may_use e.e_may_def e.e_must_def)
-    psg.calls;
-  (nodes, cr)
-
-let snapshot_live (psg : Psg.t) =
-  Array.map (fun (nd : Psg.node) -> nd.may_use) psg.nodes
-
-let capture ~cfgs ~defuses ~filters ~locals ~p1_nodes ~p1_cr ~p2_live ~node_offset
-    ~call_offset =
+let capture ~cfgs ~defuses ~filters ~locals ~(psg : Psg.t) ~node_offset ~call_offset =
   Array.mapi
     (fun r (local : Psg_build.local) ->
-      let nlen = Array.length local.l_kinds in
-      let clen = Array.length local.l_calls in
+      let noff = node_offset.(r) and nlen = Array.length local.l_kinds in
+      let ncalls = Array.length local.l_calls in
+      let a_cr = Array.make (3 * ncalls) Regset.empty in
+      for k = 0 to ncalls - 1 do
+        let info = psg.calls.(call_offset.(r) + k) in
+        Array.blit psg.labels (3 * info.cr_edge) a_cr (3 * k) 3
+      done;
       {
         a_cfg = cfgs.(r);
         a_defuse = defuses.(r);
         a_filter = filters.(r);
         a_local = local;
-        a_phase1 = Array.sub p1_nodes (node_offset.(r) * 3) (nlen * 3);
-        a_cr = Array.sub p1_cr (call_offset.(r) * 3) (clen * 3);
-        a_phase2 = Array.sub p2_live node_offset.(r) nlen;
+        a_phase1 = Array.sub psg.sets (3 * noff) (3 * nlen);
+        a_cr;
+        a_phase2 = Array.sub psg.live noff nlen;
       })
     locals

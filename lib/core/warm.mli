@@ -32,12 +32,12 @@ open Spike_support
 open Spike_ir
 open Spike_cfg
 
-(** Converged solutions are kept {e packed}: flat arrays of register
-    sets, three consecutive sets per (MAY-USE, MAY-DEF, MUST-DEF) triple
-    and one per single set.  A {!Regset.t} is an immediate int, so these
-    are one word per set and the snapshot, the store round-trip and the
-    warm restore are straight word copies — no allocation, no write
-    barriers. *)
+(** Converged solutions are kept in the PSG's own layout: a routine's
+    slice of {!Psg.t.sets} (three sets per node), of {!Psg.t.live} (one
+    per node) and its call-return labels (three sets per call).  A
+    {!Regset.t} is an immediate int, so capture, the store round-trip
+    and the warm restore are straight word copies — no allocation, no
+    write barriers. *)
 
 type routine_art = {
   a_cfg : Cfg.t;
@@ -121,11 +121,13 @@ val phase1_plan :
   node_offset:int array ->
   call_offset:int array ->
   Phase1.warm
-(** The phase-1 invalidation cone and restores for a stitched PSG, given
+(** The phase-1 invalidation cone for a stitched PSG, given
     {!solutions}' verdict: the closure of the solution-dirty routines'
     nodes under reversed flow/call-return edges, widened to the call
     nodes of every caller of a routine whose primary entry enters the
-    cone (the §3.2 summary import). *)
+    cone (the §3.2 summary import).  Also installs every
+    solution-clean routine's cached phase-1 slice into {!Psg.t.sets}
+    and its call-return labels into {!Psg.t.labels}. *)
 
 val phase2_plan :
   Psg.t ->
@@ -133,34 +135,22 @@ val phase2_plan :
   exit_seeds:bool array ->
   node_offset:int array ->
   call_offset:int array ->
-  p1_cr:Regset.t array ->
   Phase2.warm
-(** The phase-2 cone and restore.  Seeds: the solution-dirty routines'
-    nodes, the call nodes whose just-converged call-return labels
-    [p1_cr] differ from the cached ones, and the exit nodes of
-    [exit_seeds] routines; closed under reversed edges plus the
-    return-to-exit links.  Call after phase 1 (and after
-    {!snapshot_phase1}). *)
-
-val snapshot_phase1 : Psg.t -> Regset.t array * Regset.t array
-(** Packed copies of the per-node solutions (3 sets per node) and
-    per-call call-return edge labels (3 sets per call); take it between
-    the phases, before phase 2 overwrites MAY-USE. *)
-
-val snapshot_live : Psg.t -> Regset.t array
-(** Per-node MAY-USE copies (one set per node); take it after
-    phase 2. *)
+(** The phase-2 cone.  Seeds: the solution-dirty routines' nodes, the
+    call nodes whose just-converged call-return labels differ from the
+    cached ones, and the exit nodes of [exit_seeds] routines; closed
+    under reversed edges plus the return-to-exit links.  Also installs
+    every solution-clean routine's cached liveness into
+    {!Psg.t.live}.  Call after phase 1. *)
 
 val capture :
   cfgs:Cfg.t array ->
   defuses:Defuse.t array ->
   filters:Regset.t array ->
   locals:Psg_build.local array ->
-  p1_nodes:Regset.t array ->
-  p1_cr:Regset.t array ->
-  p2_live:Regset.t array ->
+  psg:Psg.t ->
   node_offset:int array ->
   call_offset:int array ->
   routine_art array
-(** Slice the whole-program arrays into per-routine artifacts — the
-    snapshot a store persists for the next run. *)
+(** Slice a converged PSG's solution lanes into per-routine artifacts —
+    what a store persists for the next run.  The slices are copies. *)

@@ -31,7 +31,7 @@ let compute (analysis : Analysis.t) =
   let site_of_block = Hashtbl.create 64 in
   Array.iter
     (fun (info : Psg.call_info) ->
-      match psg.Psg.nodes.(info.call_node).Psg.kind with
+      match psg.Psg.kinds.(info.call_node) with
       | Psg.Call { routine; block } -> Hashtbl.replace site_of_block (routine, block) info
       | Psg.Entry _ | Psg.Exit _ | Psg.Return _ | Psg.Branch _ | Psg.Unknown_exit _ ->
           assert false)

@@ -68,7 +68,7 @@ let call_successors (analysis : Analysis.t) =
   let succs = Array.make n [] in
   Array.iter
     (fun (info : Psg.call_info) ->
-      let caller = Psg.node_routine psg.Psg.nodes.(info.call_node).Psg.kind in
+      let caller = Psg.node_routine psg.Psg.kinds.(info.call_node) in
       let targets =
         match info.targets with
         | None -> exported
@@ -116,7 +116,7 @@ let find (analysis : Analysis.t) liveness =
       let call_blocks =
         List.filter_map
           (fun (info : Psg.call_info) ->
-            match psg.Psg.nodes.(info.call_node).Psg.kind with
+            match psg.Psg.kinds.(info.call_node) with
             | Psg.Call { routine = cr; block } when cr = r -> Some (block, info)
             | Psg.Call _ -> None
             | Psg.Entry _ | Psg.Exit _ | Psg.Return _ | Psg.Branch _

@@ -32,7 +32,7 @@ let find (analysis : Analysis.t) =
   Array.iter
     (fun (info : Psg.call_info) ->
       let routine, block =
-        match psg.Psg.nodes.(info.call_node).Psg.kind with
+        match psg.Psg.kinds.(info.call_node) with
         | Psg.Call { routine; block } -> (routine, block)
         | Psg.Entry _ | Psg.Exit _ | Psg.Return _ | Psg.Branch _ | Psg.Unknown_exit _ ->
             assert false

@@ -163,28 +163,6 @@ let read_regset_array r =
   r.cur <- pos + (n * 8);
   a
 
-let write_sets3_array w a =
-  write_int w (Array.length a);
-  Array.iter
-    (fun (x, y, z) ->
-      write_regset w x;
-      write_regset w y;
-      write_regset w z)
-    a
-
-let read_sets3_array r =
-  let n = read_int r in
-  if n < 0 || n > (r.stop - r.cur) / 24 then
-    corrupt "bad sets3 array length %d at %d" n r.cur;
-  let buf = r.buf and pos = r.cur in
-  let a =
-    Array.init n (fun i ->
-        let p = pos + (i * 24) in
-        (read_regset_at buf p, read_regset_at buf (p + 8), read_regset_at buf (p + 16)))
-  in
-  r.cur <- pos + (n * 24);
-  a
-
 (* 64-bit FNV-1a, eight bytes per step; byte-at-a-time over the tail. *)
 let checksum s ~pos ~len =
   let fnv_prime = 0x100000001b3L in

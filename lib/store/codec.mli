@@ -68,19 +68,10 @@ val read_array : (reader -> 'a) -> reader -> 'a array
     going through [read_array read_regset]. *)
 
 val write_regset_array : writer -> Spike_support.Regset.t array -> unit
-(** Length-prefixed, then one word per set.  Also the encoding of the
-    warm plan's packed converged solutions. *)
+(** Length-prefixed, then one word per set.  The encoding of edge labels
+    and of the warm plan's converged solutions. *)
 
 val read_regset_array : reader -> Spike_support.Regset.t array
-
-val write_sets3_array :
-  writer ->
-  (Spike_support.Regset.t * Spike_support.Regset.t * Spike_support.Regset.t) array ->
-  unit
-
-val read_sets3_array :
-  reader ->
-  (Spike_support.Regset.t * Spike_support.Regset.t * Spike_support.Regset.t) array
 
 val checksum : string -> pos:int -> len:int -> int64
 (** Fast 64-bit content hash (word-wide FNV-1a variant).  Not

@@ -21,6 +21,10 @@ let c_degradations = Spike_obs.Metrics.counter "store.degradations"
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Codec.Corrupt m)) fmt
 
+(* A cached call target that the current program no longer has.  Not
+   corruption when the entry is stale: the edit deleted the callee. *)
+exception Vanished of string
+
 (* --- Shared sub-codecs --------------------------------------------------- *)
 
 let write_callee w = function
@@ -110,11 +114,7 @@ let write_target program w = function
 
 let read_target ~resolve rd =
   match Codec.read_int rd with
-  | 0 -> (
-      let name = Codec.read_string rd in
-      match resolve name with
-      | Some r -> Psg.Target_routine r
-      | None -> corrupt "call target %S not in program" name)
+  | 0 -> Psg.Target_routine (resolve (Codec.read_string rd))
   | 1 ->
       let x_used = Codec.read_regset rd in
       let x_defined = Codec.read_regset rd in
@@ -133,20 +133,11 @@ let write_block w (b : Cfg.block) =
 
 let write_local program w (l : Psg_build.local) =
   Codec.write_array write_kind w l.l_kinds;
-  (* Edges split struct-of-arrays: shape first, then one bulk label
-     array — the labels are the bytes, the bulk codec is the speed. *)
-  Codec.write_array
-    (fun w (e : Psg_build.local_edge) ->
-      Codec.write_int w (match e.le_kind with Psg.Flow -> 0 | Psg.Call_return -> 1);
-      Codec.write_int w e.le_src;
-      Codec.write_int w e.le_dst)
-    w l.l_edges;
-  Codec.write_sets3_array w
-    (Array.map
-       (fun (e : Psg_build.local_edge) ->
-         (e.le_label.Edge_dataflow.may_use, e.le_label.Edge_dataflow.may_def,
-          e.le_label.Edge_dataflow.must_def))
-       l.l_edges);
+  (* Edges in the fragment's own flat layout: the labels are the bytes,
+     and decode is a bulk copy. *)
+  Codec.write_array Codec.write_int w l.l_src;
+  Codec.write_array Codec.write_int w l.l_dst;
+  Codec.write_regset_array w l.l_labels;
   Codec.write_array
     (fun w (c : Psg_build.local_call) ->
       Codec.write_int w c.lc_call_node;
@@ -180,8 +171,19 @@ let write_body program w (art : Warm.routine_art) =
 let check_node_id nnodes id =
   if id < 0 || id >= nnodes then corrupt "node id %d out of %d" id nnodes
 
+(* A target missing from the current program decodes as routine -1 and is
+   reported, as [Vanished], only once the whole body has decoded: real
+   corruption anywhere in the entry takes precedence. *)
 let read_body ~routine:(r : int) ~(current : Routine.t) ~resolve body :
     Warm.routine_art =
+  let vanished = ref None in
+  let resolve name =
+    match resolve name with
+    | Some r -> r
+    | None ->
+        if !vanished = None then vanished := Some name;
+        -1
+  in
   let rd = Codec.reader body in
   let ninsns = Array.length current.Routine.insns in
   let next_block = ref 0 in
@@ -232,33 +234,17 @@ let read_body ~routine:(r : int) ~(current : Routine.t) ~resolve body :
   let filter = Codec.read_regset rd in
   let kinds = Codec.read_array (read_kind ~routine:r) rd in
   let nnodes = Array.length kinds in
-  let shapes =
-    Codec.read_array
-      (fun rd ->
-        let kind =
-          match Codec.read_int rd with
-          | 0 -> Psg.Flow
-          | 1 -> Psg.Call_return
-          | t -> corrupt "bad edge kind tag %d" t
-        in
-        let src = Codec.read_int rd in
-        let dst = Codec.read_int rd in
-        check_node_id nnodes src;
-        check_node_id nnodes dst;
-        (kind, src, dst))
-      rd
+  let read_node_ids rd =
+    let ids = Codec.read_array Codec.read_int rd in
+    Array.iter (check_node_id nnodes) ids;
+    ids
   in
-  let labels = Codec.read_sets3_array rd in
-  if Array.length labels <> Array.length shapes then
-    corrupt "edge label count mismatch";
-  let edges =
-    Array.map2
-      (fun (le_kind, le_src, le_dst) (may_use, may_def, must_def) ->
-        { Psg_build.le_kind; le_src; le_dst;
-          le_label = { Edge_dataflow.may_use; may_def; must_def } })
-      shapes labels
-  in
-  let nedges = Array.length edges in
+  let l_src = read_node_ids rd in
+  let l_dst = read_node_ids rd in
+  let l_labels = Codec.read_regset_array rd in
+  let nedges = Array.length l_src in
+  if Array.length l_dst <> nedges || Array.length l_labels <> 3 * nedges then
+    corrupt "edge array length mismatch";
   let calls =
     Codec.read_array
       (fun rd ->
@@ -289,7 +275,7 @@ let read_body ~routine:(r : int) ~(current : Routine.t) ~resolve body :
   let l_exit = read_ids rd in
   let l_unknown = read_ids rd in
   let local =
-    { Psg_build.l_kinds = kinds; l_edges = edges; l_calls = calls; l_entry;
+    { Psg_build.l_kinds = kinds; l_src; l_dst; l_labels; l_calls = calls; l_entry;
       l_exit; l_unknown }
   in
   let a_phase1 = Codec.read_regset_array rd in
@@ -301,6 +287,7 @@ let read_body ~routine:(r : int) ~(current : Routine.t) ~resolve body :
     || Array.length a_phase2 <> nnodes
   then corrupt "solution length mismatch";
   if not (Codec.at_end rd) then corrupt "trailing bytes in entry body";
+  Option.iter (fun name -> raise (Vanished name)) !vanished;
   { Warm.a_cfg = cfg; a_defuse = defuse; a_filter = filter; a_local = local;
     a_phase1; a_cr; a_phase2 }
 
@@ -363,6 +350,13 @@ let degrade ~path ~n reason =
     { plan = Warm.cold program; hits = 0; misses = n; invalidated = 0;
       degraded = Some reason }
 
+(* One bad entry in a healthy file: counted like a whole-file corruption,
+   but only this routine is rebuilt. *)
+let undecodable name reason =
+  Spike_obs.Metrics.incr c_degradations;
+  Printf.eprintf "spike-store: undecodable entry for %s (%s), rebuilding it\n%!" name
+    reason
+
 let read_file path =
   In_channel.with_open_bin path @@ fun ic ->
   (* Sized read: [input_all] grows-and-copies its way through 6 MB files. *)
@@ -416,14 +410,13 @@ let load ~dir ?(branch_nodes = true) ?(externals = fun _ -> None)
                       Hashtbl.replace claimed routine.name ();
                       incr hits
                   | exception Codec.Corrupt reason ->
-                      (* Counted like a whole-file corruption, but only
-                         this routine is rebuilt. *)
-                      Spike_obs.Metrics.incr c_degradations;
-                      Printf.eprintf
-                        "spike-store: undecodable entry for %s (%s), \
-                         rebuilding it\n\
-                         %!"
-                        routine.name reason;
+                      undecodable routine.name reason;
+                      incr invalidated
+                  | exception Vanished name ->
+                      (* The fingerprint covers call resolution, so a
+                         fresh entry cannot name a missing routine. *)
+                      undecodable routine.name
+                        (Printf.sprintf "call target %S not in program" name);
                       incr invalidated)
                 else begin
                   incr invalidated;
@@ -445,7 +438,11 @@ let load ~dir ?(branch_nodes = true) ?(externals = fun _ -> None)
                             d_is_main = entry.e_is_main;
                           };
                       Hashtbl.replace claimed routine.name ()
-                  | exception Codec.Corrupt _ -> ()
+                  | exception Codec.Corrupt reason -> undecodable routine.name reason
+                  | exception Vanished _ ->
+                      (* The edit deleted a callee: no lift candidate, and
+                         nothing wrong with the file. *)
+                      ()
                 end)
           program;
         (* An entry that is neither reused nor a lift candidate belonged
@@ -535,8 +532,9 @@ let save ~dir (a : Analysis.t) =
    graph; a resident driver (editor daemon, watch mode) can skip it by
    retaining the previous run's captured artifacts and re-planning against
    the edited program directly.  Reuse is sound because a warm run never
-   mutates retained structure: the stitch copies the immutable register
-   sets out of the local fragments into fresh mutable PSG records. *)
+   mutates retained structure: the stitch and the warm restore copy the
+   fragments' and artifacts' register-set arrays into the fresh PSG's own
+   lanes, and capture slices copies back out. *)
 
 type retained = {
   t_fp : string;
@@ -603,7 +601,7 @@ let fixup_art ~old_program ~resolve ~r ~(current : Routine.t) (t : retained) :
         let name = (Program.get old_program old_r).Routine.name in
         match resolve name with
         | Some nr -> Psg.Target_routine nr
-        | None -> corrupt "call target %S not in program" name)
+        | None -> raise (Vanished name))
   in
   let target_unmoved = function
     | Psg.Target_external _ -> true
@@ -698,7 +696,7 @@ let replan session ?(branch_nodes = true) ?(externals = fun _ -> None)
                       d_is_main = t.t_routine = old_main;
                     };
                 Hashtbl.replace claimed routine.name ()
-            | exception Codec.Corrupt _ -> if not stale then incr invalidated))
+            | exception Vanished _ -> if not stale then incr invalidated))
       program;
     Hashtbl.iter
       (fun name (t : retained) ->

@@ -18,7 +18,9 @@
     to an all-cold plan.  A single undecodable entry in an otherwise
     healthy file — say, a register-set word with bit 63 set — dirties only
     its own routine; it is logged and counted on [store.degradations]
-    too, but [degraded] stays [None].
+    too, whether the entry's fingerprint is fresh or stale, but
+    [degraded] stays [None].  A stale entry whose calls name a routine
+    the edit deleted is not corrupt: it is dropped silently.
 
     Cross-run index drift is handled by storing routine {e names}:
     call-target indices inside cached fragments are remapped to the
@@ -65,8 +67,8 @@ val save : dir:string -> Analysis.t -> unit
 
 (** {2 In-memory sessions}
 
-    The disk path decodes the whole artifact graph back into boxed
-    records; a resident driver (editor daemon, watch mode) that keeps the
+    The disk path decodes the whole artifact graph, CFGs included; a
+    resident driver (editor daemon, watch mode) that keeps the
     previous {!Analysis.t} alive can skip both the file and the decode. *)
 
 type session

@@ -17,6 +17,29 @@ let check_restricted msg ~over expected actual =
 
 let rs = Regset.of_list
 
+(* PSG edge accessors over the flat lanes.  An edge is a call-return edge
+   exactly when its source is a call node. *)
+let edge_label (psg : Spike_core.Psg.t) e =
+  {
+    Spike_core.Edge_dataflow.may_use = psg.labels.(3 * e);
+    may_def = psg.labels.((3 * e) + 1);
+    must_def = psg.labels.((3 * e) + 2);
+  }
+
+let is_flow_edge (psg : Spike_core.Psg.t) e =
+  match psg.kinds.(psg.src.(e)) with
+  | Spike_core.Psg.Call _ -> false
+  | Entry _ | Exit _ | Return _ | Branch _ | Unknown_exit _ -> true
+
+(* Edge ids whose source lies in routine [r] ([None]: every routine). *)
+let edges_of ?routine (psg : Spike_core.Psg.t) =
+  List.filter
+    (fun e ->
+      match routine with
+      | None -> true
+      | Some r -> Spike_core.Psg.node_routine psg.kinds.(psg.src.(e)) = r)
+    (List.init (Spike_core.Psg.edge_count psg) Fun.id)
+
 (* Instruction shorthands used throughout the tests.  Registers R0..R3 of
    the paper's examples map to v0, t0, t1, t2. *)
 let r0 = Reg.v0
@@ -254,19 +277,14 @@ module Label_oracle = struct
     let defuses = Array.map Defuse.compute cfgs in
     let psg = Psg_build.build ~branch_nodes program cfgs defuses in
     let built = Array.make (Array.length cfgs) [] in
-    Array.iter
-      (fun (e : Psg.edge) ->
-        if e.ekind = Psg.Flow then begin
-          let src = psg.nodes.(e.src).kind in
+    List.iter
+      (fun e ->
+        if is_flow_edge psg e then begin
+          let src = psg.kinds.(psg.src.(e)) in
           let r = Psg.node_routine src in
-          built.(r) <-
-            ( src,
-              psg.nodes.(e.dst).kind,
-              { Edge_dataflow.may_use = e.e_may_use; may_def = e.e_may_def;
-                must_def = e.e_must_def } )
-            :: built.(r)
+          built.(r) <- (src, psg.kinds.(psg.dst.(e)), edge_label psg e) :: built.(r)
         end)
-      psg.edges;
+      (edges_of psg);
     List.concat
       (List.init (Array.length cfgs) (fun r ->
            let name = (Program.get program r).Routine.name in
@@ -617,7 +635,7 @@ module Sched_oracle = struct
     let succs = Array.make n [] in
     Array.iter
       (fun (info : Psg.call_info) ->
-        let caller = Psg.node_routine psg.Psg.nodes.(info.Psg.call_node).Psg.kind in
+        let caller = Psg.node_routine psg.Psg.kinds.(info.Psg.call_node) in
         match info.Psg.targets with
         | Some targets ->
             List.iter
@@ -635,14 +653,13 @@ module Sched_oracle = struct
     let scc = scc_compute ~succs:(call_graph psg) in
     let n = Psg.node_count psg in
     let comp_of_node = Array.make n 0 in
-    Array.iter
-      (fun (node : Psg.node) ->
-        comp_of_node.(node.Psg.id) <- scc.Scc.comp_of.(Psg.node_routine node.Psg.kind))
-      psg.Psg.nodes;
+    Array.iteri
+      (fun id kind -> comp_of_node.(id) <- scc.Scc.comp_of.(Psg.node_routine kind))
+      psg.Psg.kinds;
     let flow_deps u =
-      List.map
-        (fun e -> psg.Psg.edges.(e).Psg.dst)
-        (Array.to_list psg.Psg.out_edges.(u))
+      List.init
+        (psg.Psg.out_off.(u + 1) - psg.Psg.out_off.(u))
+        (fun k -> psg.Psg.dst.(psg.Psg.out_adj.(psg.Psg.out_off.(u) + k)))
     in
     let p1_extra = Array.make n [] and p2_extra = Array.make n [] in
     Array.iter
@@ -673,7 +690,7 @@ module Sched_oracle = struct
     let stamp = Array.make n (-1) in
     let lidx = Array.make n 0 in
     let gen = ref (-1) in
-    let routine_of id = Psg.node_routine psg.Psg.nodes.(id).Psg.kind in
+    let routine_of id = Psg.node_routine psg.Psg.kinds.(id) in
     let hier dep_arr =
       let budget = ref (32 * n) in
       let comp_nodes = Array.make (max scc.Scc.count 1) [||] in

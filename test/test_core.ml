@@ -514,8 +514,8 @@ let test_multi_entry_summaries () =
   check_restricted "primary must-def" ~over:(rs [ r1; r2 ]) (rs [ r1; r2 ])
     c.Summary.defined;
   let secondary = List.nth analysis.Analysis.psg.Psg.entry_nodes.(1) 1 in
-  let node = analysis.Analysis.psg.Psg.nodes.(secondary) in
-  check_restricted "secondary must-def" ~over:(rs [ r1; r2 ]) (rs [ r2 ]) node.Psg.must_def
+  check_restricted "secondary must-def" ~over:(rs [ r1; r2 ]) (rs [ r2 ])
+    analysis.Analysis.psg.Psg.sets.((3 * secondary) + 2)
 
 let () =
   Alcotest.run "core-units"

@@ -43,52 +43,57 @@ let test_psg_node_counts () =
 let test_psg_edge_endpoints () =
   for_all_programs (fun _ analysis ->
       let psg = analysis.Analysis.psg in
-      Array.iter
-        (fun (e : Psg.edge) ->
-          let src = psg.Psg.nodes.(e.Psg.src) and dst = psg.Psg.nodes.(e.Psg.dst) in
+      List.iter
+        (fun e ->
+          let s = psg.Psg.src.(e) in
+          let src = psg.Psg.kinds.(s) and dst = psg.Psg.kinds.(psg.Psg.dst.(e)) in
           (* Every edge stays within one routine. *)
           Alcotest.(check int) "same routine"
-            (Psg.node_routine src.Psg.kind)
-            (Psg.node_routine dst.Psg.kind);
-          match e.Psg.ekind with
-          | Psg.Call_return -> (
-              match (src.Psg.kind, dst.Psg.kind) with
-              | Psg.Call _, Psg.Return _ -> ()
-              | _, _ -> Alcotest.fail "call-return edge endpoints")
-          | Psg.Flow -> (
-              (* Sources are entry/return/branch; sinks are
-                 call/exit/unknown-exit/branch. *)
-              (match src.Psg.kind with
-              | Psg.Entry _ | Psg.Return _ | Psg.Branch _ -> ()
-              | Psg.Exit _ | Psg.Call _ | Psg.Unknown_exit _ ->
-                  Alcotest.fail "flow edge from a sink");
-              match dst.Psg.kind with
-              | Psg.Call _ | Psg.Exit _ | Psg.Unknown_exit _ | Psg.Branch _ -> ()
-              | Psg.Entry _ | Psg.Return _ -> Alcotest.fail "flow edge into a source"))
-        psg.Psg.edges)
+            (Psg.node_routine src) (Psg.node_routine dst);
+          if Test_helpers.is_flow_edge psg e then begin
+            (* Sources are entry/return/branch; sinks are
+               call/exit/unknown-exit/branch. *)
+            (match src with
+            | Psg.Entry _ | Psg.Return _ | Psg.Branch _ -> ()
+            | Psg.Exit _ | Psg.Call _ | Psg.Unknown_exit _ ->
+                Alcotest.fail "flow edge from a sink");
+            match dst with
+            | Psg.Call _ | Psg.Exit _ | Psg.Unknown_exit _ | Psg.Branch _ -> ()
+            | Psg.Entry _ | Psg.Return _ -> Alcotest.fail "flow edge into a source"
+          end
+          else
+            (* A call node's only out-edge is its call-return edge. *)
+            match dst with
+            | Psg.Return _ ->
+                Alcotest.(check int) "call node out-degree" 1
+                  (psg.Psg.out_off.(s + 1) - psg.Psg.out_off.(s))
+            | Psg.Entry _ | Psg.Exit _ | Psg.Call _ | Psg.Branch _ | Psg.Unknown_exit _ ->
+                Alcotest.fail "call-return edge endpoints")
+        (Test_helpers.edges_of psg))
 
 let test_psg_adjacency_consistency () =
   for_all_programs (fun _ analysis ->
       let psg = analysis.Analysis.psg in
-      Array.iteri
-        (fun node out ->
-          Array.iter
-            (fun eid ->
-              Alcotest.(check int) "out edge source" node psg.Psg.edges.(eid).Psg.src)
-            out)
-        psg.Psg.out_edges;
-      Array.iteri
-        (fun node inn ->
-          Array.iter
-            (fun eid ->
-              Alcotest.(check int) "in edge destination" node psg.Psg.edges.(eid).Psg.dst)
-            inn)
-        psg.Psg.in_edges;
-      (* Every edge appears in both adjacency maps. *)
-      let total_out = Array.fold_left (fun n a -> n + Array.length a) 0 psg.Psg.out_edges in
-      let total_in = Array.fold_left (fun n a -> n + Array.length a) 0 psg.Psg.in_edges in
-      Alcotest.(check int) "out count" (Psg.edge_count psg) total_out;
-      Alcotest.(check int) "in count" (Psg.edge_count psg) total_in)
+      let n = Psg.node_count psg and m = Psg.edge_count psg in
+      let check_csr what off adj endpoint =
+        Alcotest.(check int) (what ^ " offsets") (n + 1) (Array.length off);
+        Alcotest.(check int) (what ^ " count") m off.(n);
+        (* Every edge appears exactly once, in the row of its endpoint,
+           rows ascending by edge id. *)
+        let seen = Array.make m false in
+        for node = 0 to n - 1 do
+          for k = off.(node) to off.(node + 1) - 1 do
+            let e = adj.(k) in
+            Alcotest.(check int) (what ^ " endpoint") node endpoint.(e);
+            Alcotest.(check bool) (what ^ " once") false seen.(e);
+            seen.(e) <- true;
+            if k > off.(node) then
+              Alcotest.(check bool) (what ^ " ascending") true (adj.(k - 1) < e)
+          done
+        done
+      in
+      check_csr "out" psg.Psg.out_off psg.Psg.out_adj psg.Psg.src;
+      check_csr "in" psg.Psg.in_off psg.Psg.in_adj psg.Psg.dst)
 
 let test_callers_of_consistency () =
   for_all_programs (fun _ analysis ->
@@ -154,11 +159,15 @@ let test_filter_disjoint_from_class () =
 let test_flow_edge_labels_exclude_zeros () =
   let zeros = Calling_standard.zero_regs in
   for_all_programs (fun _ analysis ->
-      Array.iter
-        (fun (e : Psg.edge) ->
-          Alcotest.(check bool) "edge may_use" true (Regset.disjoint e.Psg.e_may_use zeros);
-          Alcotest.(check bool) "edge may_def" true (Regset.disjoint e.Psg.e_may_def zeros))
-        analysis.Analysis.psg.Psg.edges)
+      let psg = analysis.Analysis.psg in
+      List.iter
+        (fun e ->
+          let label = Test_helpers.edge_label psg e in
+          Alcotest.(check bool) "edge may_use" true
+            (Regset.disjoint label.Edge_dataflow.may_use zeros);
+          Alcotest.(check bool) "edge may_def" true
+            (Regset.disjoint label.Edge_dataflow.may_def zeros))
+        (Test_helpers.edges_of psg))
 
 let () =
   Alcotest.run "invariants"

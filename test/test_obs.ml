@@ -187,9 +187,10 @@ let test_one_solve_per_sink () =
   let psg, solves1 = solves 1 in
   let _, solves4 = solves 4 in
   let sinks = Hashtbl.create 64 in
-  Array.iter
-    (fun (e : Psg.edge) -> if e.Psg.ekind = Psg.Flow then Hashtbl.replace sinks e.Psg.dst ())
-    psg.Psg.edges;
+  List.iter
+    (fun e ->
+      if Test_helpers.is_flow_edge psg e then Hashtbl.replace sinks psg.Psg.dst.(e) ())
+    (Test_helpers.edges_of psg);
   Alcotest.(check int) "one solve per distinct sink" (Hashtbl.length sinks) solves1;
   Alcotest.(check bool) "fewer solves than flow edges" true
     (solves1 < Psg.flow_edge_count psg);

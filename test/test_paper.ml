@@ -95,29 +95,26 @@ let test_figure4_psg_shape () =
   let psg, g = find_g_psg analysis in
   (* Nodes of g: entry, exit, call, return — exactly four (Figure 4b). *)
   let g_nodes =
-    Array.to_list psg.Psg.nodes
-    |> List.filter (fun (n : Psg.node) -> Psg.node_routine n.kind = g)
+    Array.to_list psg.Psg.kinds |> List.filter (fun kind -> Psg.node_routine kind = g)
   in
   Alcotest.(check int) "g has 4 PSG nodes" 4 (List.length g_nodes);
   (* Edges within g: E_A entry->exit, E_B entry->call, E_C return->exit,
      plus the call-return edge. *)
-  let g_edges =
-    Array.to_list psg.Psg.edges
-    |> List.filter (fun (e : Psg.edge) ->
-           Psg.node_routine psg.Psg.nodes.(e.src).kind = g)
-  in
+  let g_edges = edges_of ~routine:g psg in
   Alcotest.(check int) "g has 4 PSG edges" 4 (List.length g_edges);
-  let flow_edges = List.filter (fun (e : Psg.edge) -> e.ekind = Psg.Flow) g_edges in
+  let flow_edges = List.filter (is_flow_edge psg) g_edges in
   Alcotest.(check int) "g has 3 flow-summary edges" 3 (List.length flow_edges)
 
 let edge_between psg ~src_kind ~dst_kind =
-  let matches kind_pred node_id = kind_pred psg.Psg.nodes.(node_id).Psg.kind in
+  let matches kind_pred node_id = kind_pred psg.Psg.kinds.(node_id) in
   match
-    Array.to_list psg.Psg.edges
-    |> List.filter (fun (e : Psg.edge) ->
-           e.ekind = Psg.Flow && matches src_kind e.src && matches dst_kind e.dst)
+    edges_of psg
+    |> List.filter (fun e ->
+           is_flow_edge psg e
+           && matches src_kind psg.Psg.src.(e)
+           && matches dst_kind psg.Psg.dst.(e))
   with
-  | [ e ] -> e
+  | [ e ] -> edge_label psg e
   | [] -> Alcotest.fail "expected edge missing"
   | _ -> Alcotest.fail "expected edge not unique"
 
@@ -130,19 +127,19 @@ let test_figure7_edge_labels () =
   let is_return = function Psg.Return { routine; _ } -> routine = g | _ -> false in
   (* E_A = entry -> exit over blocks {1, 2, 4}. *)
   let e_a = edge_between psg ~src_kind:is_entry ~dst_kind:is_exit in
-  check_restricted "E_A may-use" ~over:r0123 (rs [ r1 ]) e_a.Psg.e_may_use;
-  check_restricted "E_A may-def" ~over:r0123 (rs [ r2; r3 ]) e_a.Psg.e_may_def;
-  check_restricted "E_A must-def" ~over:r0123 (rs [ r2; r3 ]) e_a.Psg.e_must_def;
+  check_restricted "E_A may-use" ~over:r0123 (rs [ r1 ]) e_a.Edge_dataflow.may_use;
+  check_restricted "E_A may-def" ~over:r0123 (rs [ r2; r3 ]) e_a.may_def;
+  check_restricted "E_A must-def" ~over:r0123 (rs [ r2; r3 ]) e_a.must_def;
   (* E_B = entry -> call over blocks {1, 3}. *)
   let e_b = edge_between psg ~src_kind:is_entry ~dst_kind:is_call in
-  check_restricted "E_B may-use" ~over:r0123 (rs [ r1 ]) e_b.Psg.e_may_use;
-  check_restricted "E_B may-def" ~over:r0123 (rs [ r1; r2 ]) e_b.Psg.e_may_def;
-  check_restricted "E_B must-def" ~over:r0123 (rs [ r1; r2 ]) e_b.Psg.e_must_def;
+  check_restricted "E_B may-use" ~over:r0123 (rs [ r1 ]) e_b.Edge_dataflow.may_use;
+  check_restricted "E_B may-def" ~over:r0123 (rs [ r1; r2 ]) e_b.may_def;
+  check_restricted "E_B must-def" ~over:r0123 (rs [ r1; r2 ]) e_b.must_def;
   (* E_C = return -> exit over block {4} alone: empty sets. *)
   let e_c = edge_between psg ~src_kind:is_return ~dst_kind:is_exit in
-  check_restricted "E_C may-use" ~over:r0123 Regset.empty e_c.Psg.e_may_use;
-  check_restricted "E_C may-def" ~over:r0123 Regset.empty e_c.Psg.e_may_def;
-  check_restricted "E_C must-def" ~over:r0123 Regset.empty e_c.Psg.e_must_def
+  check_restricted "E_C may-use" ~over:r0123 Regset.empty e_c.Edge_dataflow.may_use;
+  check_restricted "E_C may-def" ~over:r0123 Regset.empty e_c.may_def;
+  check_restricted "E_C must-def" ~over:r0123 Regset.empty e_c.must_def
 
 (* --- Figure 12: branch nodes cut switch-induced edge blow-up ---------- *)
 
@@ -173,10 +170,7 @@ let flow_edges_of_routine analysis name =
     | Some i -> i
     | None -> Alcotest.failf "routine %s missing" name
   in
-  Array.to_list psg.Psg.edges
-  |> List.filter (fun (e : Psg.edge) ->
-         e.ekind = Psg.Flow && Psg.node_routine psg.Psg.nodes.(e.src).kind = r)
-  |> List.length
+  edges_of ~routine:r psg |> List.filter (is_flow_edge psg) |> List.length
 
 let test_figure12_branch_nodes () =
   let without = Analysis.run ~branch_nodes:false (figure12_program ()) in

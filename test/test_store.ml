@@ -140,6 +140,11 @@ let mutations =
 
 (* --- Incremental equivalence --------------------------------------------- *)
 
+let degradations () =
+  match Spike_obs.Metrics.find (Spike_obs.Metrics.snapshot ()) "store.degradations" with
+  | Some (Spike_obs.Metrics.Count n) -> n
+  | _ -> 0
+
 let test_disk_equivalence () =
   let program = gen () in
   let dir = fresh_dir () in
@@ -151,9 +156,15 @@ let test_disk_equivalence () =
       List.iter
         (fun jobs ->
           let cold = Analysis.run ~jobs mutated in
+          Spike_obs.Metrics.enable ();
           let loaded = Store.load ~dir mutated in
+          let counted = degradations () in
+          Spike_obs.Metrics.disable ();
           Alcotest.(check (option string))
             (name ^ ": not degraded") None loaded.Store.degraded;
+          (* A stale entry naming a callee the edit deleted is no
+             corruption: it is dropped silently. *)
+          Alcotest.(check int) (name ^ ": no degradation counted") 0 counted;
           let warm = Analysis.run ~jobs ~warm:loaded.Store.plan mutated in
           Alcotest.(check string)
             (Printf.sprintf "%s: warm = cold at jobs=%d" name jobs)
@@ -209,6 +220,33 @@ let test_memory_equivalence () =
     "degraded replan still sound"
     (render (Analysis.run ~branch_nodes:false program))
     (render warm)
+
+(* The PSG's lanes are flat arrays, and the captured artifacts are slices
+   of them: a warm run that shared an artifact's array with the PSG
+   instead of copying would let phase 1 (call-return labels) or the warm
+   restore write into retained state.  Two replan rounds and a rerun
+   chain from one session must leave its artifacts bit-identical. *)
+let test_retained_immutable () =
+  let program = gen ~seed:48 () in
+  let a = Analysis.run ~jobs:1 ~capture:true program in
+  let session = Store.retain a in
+  let digest () =
+    Digest.string (Marshal.to_string (Option.get a.Analysis.warm_capture) [])
+  in
+  let before = digest () in
+  List.iter
+    (fun mutate ->
+      let p = mutate program in
+      let replanned = Store.replan session p in
+      ignore (Analysis.run ~jobs:1 ~warm:replanned.Store.plan ~capture:true p))
+    [ edit_body; remove_call_edge ];
+  ignore
+    (List.fold_left
+       (fun prev mutate -> Analysis.rerun prev (mutate prev.Analysis.program))
+       a
+       [ edit_body; add_call_edge; remove_call_edge ]);
+  Alcotest.(check string) "retained artifacts unchanged" (Digest.to_hex before)
+    (Digest.to_hex (digest ()))
 
 (* --- Solution lifting ----------------------------------------------------- *)
 
@@ -287,11 +325,6 @@ let test_external_change () =
 
 (* --- Robustness ----------------------------------------------------------- *)
 
-let degradations () =
-  match Spike_obs.Metrics.find (Spike_obs.Metrics.snapshot ()) "store.degradations" with
-  | Some (Spike_obs.Metrics.Count n) -> n
-  | _ -> 0
-
 let corrupt_cases =
   [
     (* magic(8) version(1) config(16) checksum(8)... *)
@@ -307,6 +340,11 @@ let corrupt_cases =
         let b = Bytes.of_string data in
         (* zigzag varint of [format_version + 1] still fits one byte *)
         Bytes.set b 8 (Char.chr ((Fingerprint.format_version + 1) * 2));
+        Bytes.to_string b );
+    ( "previous version",
+      fun data ->
+        let b = Bytes.of_string data in
+        Bytes.set b 8 (Char.chr ((Fingerprint.format_version - 1) * 2));
         Bytes.to_string b );
     ( "wrong config",
       fun data ->
@@ -363,11 +401,23 @@ let test_robustness () =
    valid checksum.  The file's last eight bytes are the last routine's
    last phase-2 set; setting its top bit and re-sealing the checksum
    (magic(8) version(1) config(16) checksum(8) payload_len payload) must
-   dirty that one routine, count a degradation and raise nothing. *)
+   dirty that one routine, count a degradation and raise nothing —
+   whether the entry is fresh or stale (its routine edited too, so it
+   is decoded only as a lift candidate). *)
+let edit_last program =
+  let r = Program.routine_count program - 1 in
+  let insns = (Program.get program r).Routine.insns in
+  match Array.find_index (function Insn.Li _ -> true | _ -> false) insns with
+  | Some i -> (
+      match insns.(i) with
+      | Insn.Li { dst; imm } ->
+          replace_insn program ~r ~i (Insn.Li { dst; imm = imm + 1 })
+      | _ -> assert false)
+  | None -> Alcotest.fail "bit 63: the last routine has no li to edit"
+
 let test_bit63_word () =
   let program = gen ~seed:47 () in
   let n = Program.routine_count program in
-  let cold = Analysis.run program in
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> cleanup dir) @@ fun () ->
   Store.save ~dir (Analysis.run ~capture:true program);
@@ -388,17 +438,21 @@ let test_bit63_word () =
   in
   Bytes.set_int64_le b 25 sum;
   Out_channel.with_open_bin (store_path dir) (fun oc -> Out_channel.output_bytes oc b);
-  Spike_obs.Metrics.enable ();
-  let loaded = Store.load ~dir program in
-  let counted = degradations () in
-  Spike_obs.Metrics.disable ();
-  Alcotest.(check int) "counted" 1 counted;
-  Alcotest.(check (option string)) "the file as a whole is healthy" None
-    loaded.Store.degraded;
-  Alcotest.(check int) "one routine rebuilt" 1 loaded.Store.invalidated;
-  Alcotest.(check int) "the rest reused" (n - 1) loaded.Store.hits;
-  let warm = Analysis.run ~warm:loaded.Store.plan program in
-  Alcotest.(check string) "still correct" (render cold) (render warm)
+  List.iter
+    (fun (name, p) ->
+      let tag what = name ^ ": " ^ what in
+      Spike_obs.Metrics.enable ();
+      let loaded = Store.load ~dir p in
+      let counted = degradations () in
+      Spike_obs.Metrics.disable ();
+      Alcotest.(check int) (tag "counted") 1 counted;
+      Alcotest.(check (option string)) (tag "the file as a whole is healthy") None
+        loaded.Store.degraded;
+      Alcotest.(check int) (tag "one routine rebuilt") 1 loaded.Store.invalidated;
+      Alcotest.(check int) (tag "the rest reused") (n - 1) loaded.Store.hits;
+      let warm = Analysis.run ~warm:loaded.Store.plan p in
+      Alcotest.(check string) (tag "still correct") (render (Analysis.run p)) (render warm))
+    [ ("fresh entry", program); ("stale entry", edit_last program) ]
 
 let test_missing_store_is_cold () =
   let program = gen ~seed:45 () in
@@ -456,6 +510,8 @@ let () =
           Alcotest.test_case "solution lift fires only when exact" `Quick
             test_solution_lift;
           Alcotest.test_case "external summary change" `Quick test_external_change;
+          Alcotest.test_case "retained artifacts stay immutable" `Quick
+            test_retained_immutable;
         ] );
       ( "robustness",
         [
