@@ -183,14 +183,19 @@ let precision_ablation ppf =
       | Some row ->
           let program = Generator.generate (Calibrate.params_of ~scale:0.1 row) in
           let analysis = Analysis.run program in
-          let super = Spike_supercfg.Supercfg.build program analysis.Analysis.cfgs in
-          let live = Spike_supercfg.Supercfg.liveness super analysis.Analysis.defuses in
+          let n = Program.routine_count program in
+          let super =
+            Spike_supercfg.Supercfg.build program (Array.init n (Analysis.cfg analysis))
+          in
+          let live =
+            Spike_supercfg.Supercfg.liveness super (Array.init n (Analysis.defuse analysis))
+          in
           let total = ref 0 and looser = ref 0 and extra = ref 0 in
           Program.iter
             (fun r (_ : Routine.t) ->
               match
                 ( (analysis.Analysis.summaries.(r)).Summary.live_at_entry,
-                  analysis.Analysis.cfgs.(r).Spike_cfg.Cfg.entry_blocks )
+                  (Analysis.cfg analysis r).Spike_cfg.Cfg.entry_blocks )
               with
               | (_, psg_live) :: _, (_, entry_block) :: _ ->
                   incr total;

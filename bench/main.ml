@@ -18,7 +18,6 @@ let scale = ref 1.0
 let only_table = ref None
 let only_figure = ref None
 let only_ablations = ref false
-let only_layout = ref false
 let only_scaling = ref false
 let run_bechamel = ref true
 let jobs = ref None
@@ -33,7 +32,6 @@ let args =
       Arg.Int (fun n -> only_figure := Some n),
       "N print only figure N (1, 13, 14, 15)" );
     ("--ablations", Arg.Set only_ablations, " print only the ablation studies");
-    ("--layout", Arg.Set only_layout, " print only the code-layout study");
     ( "--scaling",
       Arg.Set only_scaling,
       " print only the multicore scaling study (writes BENCH_psg.json)" );
@@ -46,7 +44,7 @@ let args =
     ("--no-bechamel", Arg.Clear run_bechamel, " skip the Bechamel micro-benchmarks");
   ]
 
-let narrowed () = !only_ablations || !only_layout || !only_scaling
+let narrowed () = !only_ablations || !only_scaling
 
 let wants_table n =
   match (!only_table, !only_figure, narrowed ()) with
@@ -65,11 +63,6 @@ let wants_ablations () =
   match (!only_table, !only_figure) with
   | None, None -> !only_ablations || not (narrowed ())
   | _ -> !only_ablations
-
-let wants_layout () =
-  match (!only_table, !only_figure) with
-  | None, None -> !only_layout || not (narrowed ())
-  | _ -> !only_layout
 
 let wants_scaling () =
   match (!only_table, !only_figure) with
@@ -102,8 +95,9 @@ let bechamel_tests () =
   let small = Calibrate.params_of ~scale:0.02 (Option.get (Calibrate.find "gcc")) in
   let program = Generator.generate small in
   let analysis = Spike_core.Analysis.run program in
-  let cfgs = analysis.Spike_core.Analysis.cfgs in
-  let defuses = analysis.Spike_core.Analysis.defuses in
+  let n = Spike_ir.Program.routine_count program in
+  let cfgs = Array.init n (Spike_core.Analysis.cfg analysis) in
+  let defuses = Array.init n (Spike_core.Analysis.defuse analysis) in
   let filters = analysis.Spike_core.Analysis.psg.Spike_core.Psg.entry_filter in
   let exe = Generator.generate { Params.default with Params.seed = 5 } in
   let exe_analysis = Spike_core.Analysis.run exe in
@@ -194,7 +188,6 @@ let () =
   if wants_figure 15 then Tables.figure15 ppf ms sw;
   if wants_figure 1 then Figure1.print ppf;
   if wants_ablations () then Ablations.print ppf;
-  if wants_layout () then Layout_bench.print ppf;
   if wants_scaling () then Scaling.print ~json_path:!scaling_out ppf ~scale:!scale ();
   if !run_bechamel && !only_table = None && !only_figure = None && not (narrowed ())
   then run_bechamel_suite ppf

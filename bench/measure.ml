@@ -46,17 +46,15 @@ let run_benchmark ?(scale = 1.0) ?jobs (row : Calibrate.paper_row) =
   let program = Generator.generate params in
   let analysis, bytes = Memmeter.measure (fun () -> Analysis.run ?jobs program) in
   let nroutines = Program.routine_count program in
-  let blocks =
-    Array.fold_left (fun n cfg -> n + Spike_cfg.Cfg.block_count cfg) 0
-      analysis.Analysis.cfgs
-  in
-  let super = Spike_supercfg.Supercfg.build program analysis.Analysis.cfgs in
+  let cfgs = Array.init nroutines (Analysis.cfg analysis) in
+  let blocks = Array.fold_left (fun n cfg -> n + Spike_cfg.Cfg.block_count cfg) 0 cfgs in
+  let super = Spike_supercfg.Supercfg.build program cfgs in
   (* Rebuild the PSG without branch nodes for the Table 4 comparison
      (reusing the already-built CFGs; untimed). *)
   let psg_without =
     Psg_build.build ~branch_nodes:false
       ~entry_filters:analysis.Analysis.psg.Psg.entry_filter program
-      analysis.Analysis.cfgs analysis.Analysis.defuses
+      cfgs (Array.init nroutines (Analysis.defuse analysis))
   in
   let fl = float_of_int in
   let per x = fl x /. fl nroutines in

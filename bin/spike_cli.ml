@@ -100,16 +100,11 @@ let store_arg =
            run); the store is refreshed after the analysis.  A missing, \
            stale or corrupt store silently degrades to a cold run.")
 
-let no_store_arg =
-  Arg.(
-    value & flag
-    & info [ "no-store" ]
-        ~doc:"Ignore $(b,--store): neither read nor write the summary store.")
-
 (* Analysis through the store: load a warm plan, analyse, refresh the
-   store.  One stderr line summarises what the store contributed. *)
-let run_analysis ~store ~no_store ~branch_nodes ~externals ?jobs program =
-  let store = if no_store then None else store in
+   store.  One stderr line summarises what the store contributed.  A
+   store that cannot be saved costs only the next run's warm start, so
+   the command reports it and carries on, as after a degraded load. *)
+let run_analysis ~store ~branch_nodes ~externals ?jobs program =
   match store with
   | None -> Analysis.run ~branch_nodes ~externals ?jobs program
   | Some dir ->
@@ -118,7 +113,9 @@ let run_analysis ~store ~no_store ~branch_nodes ~externals ?jobs program =
         Analysis.run ~branch_nodes ~externals ?jobs
           ~warm:loaded.Spike_store.Store.plan ~capture:true program
       in
-      Spike_store.Store.save ~dir analysis;
+      (try Spike_store.Store.save ~dir analysis
+       with Sys_error reason ->
+         Format.eprintf "spike-store: cannot save store in %s: %s@." dir reason);
       Format.eprintf "store: hits=%d misses=%d invalidated=%d%s@."
         loaded.Spike_store.Store.hits loaded.Spike_store.Store.misses
         loaded.Spike_store.Store.invalidated
@@ -206,8 +203,7 @@ let obs_term =
 (* --- analyze ----------------------------------------------------------- *)
 
 let analyze_cmd =
-  let run file branch_nodes verbose externals jobs store no_store summaries_out
-      obs =
+  let run file branch_nodes verbose externals jobs store summaries_out obs =
     (* --verbose is the ergonomic spelling of --stats: one detailed view,
        the metrics table, instead of a separate ad-hoc dump. *)
     if verbose then obs_force_stats obs;
@@ -218,7 +214,7 @@ let analyze_cmd =
     in
     let program = load_program file in
     let analysis =
-      run_analysis ~store ~no_store ~branch_nodes
+      run_analysis ~store ~branch_nodes
         ~externals:(load_externals externals) ?jobs program
     in
     Format.printf "%a@." Analysis.pp_times analysis;
@@ -257,17 +253,17 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"Compute interprocedural register summaries")
     Term.(
       const run $ file_arg $ branch_nodes_arg $ verbose $ externals_arg $ jobs_arg
-      $ store_arg $ no_store_arg $ summaries_out $ obs_term)
+      $ store_arg $ summaries_out $ obs_term)
 
 (* --- opt --------------------------------------------------------------- *)
 
 let opt_cmd =
-  let run file output externals jobs store no_store obs =
+  let run file output externals jobs store obs =
     let program = load_program file in
     let optimized, report =
       Spike_obs.Trace.with_span "opt.run" (fun () ->
           Spike_opt.Opt.run
-            (run_analysis ~store ~no_store ~branch_nodes:true
+            (run_analysis ~store ~branch_nodes:true
                ~externals:(load_externals externals) ?jobs program))
     in
     Format.printf "%a@." Spike_opt.Opt.pp_report report;
@@ -288,8 +284,7 @@ let opt_cmd =
   Cmd.v
     (Cmd.info "opt" ~doc:"Apply the summary-driven optimizations (Figure 1)")
     Term.(
-      const run $ file_arg $ output $ externals_arg $ jobs_arg $ store_arg
-      $ no_store_arg $ obs_term)
+      const run $ file_arg $ output $ externals_arg $ jobs_arg $ store_arg $ obs_term)
 
 (* --- run --------------------------------------------------------------- *)
 
@@ -395,53 +390,15 @@ let gen_cmd =
     (Cmd.info "gen" ~doc:"Generate a synthetic workload as assembly")
     Term.(const run $ seed $ routines $ instructions $ benchmark $ scale $ output)
 
-(* --- layout ------------------------------------------------------------ *)
-
-let layout_cmd =
-  let run file lines =
-    let program = load_program file in
-    let config = { Spike_layout.Icache.line_instructions = 8; lines } in
-    let outcome, weights = Spike_layout.Pettis_hansen.collect_weights program in
-    (match outcome with
-    | Spike_interp.Machine.Halted _ -> ()
-    | Spike_interp.Machine.Trapped _ ->
-        Format.eprintf "warning: profiling run trapped; weights cover the prefix@.");
-    let identity = Spike_layout.Pettis_hansen.original_order program in
-    let ph = Spike_layout.Pettis_hansen.order program weights in
-    let rate layout =
-      let _, stats = Spike_layout.Icache.simulate config ~layout program in
-      100.0 *. Spike_layout.Icache.miss_rate stats
-    in
-    Format.printf "I-cache: %d lines x 8 instructions (direct-mapped)@." lines;
-    Format.printf "miss rate, original order:      %.3f%%@." (rate identity);
-    Format.printf "miss rate, Pettis-Hansen order: %.3f%%@." (rate ph);
-    Format.printf "@.suggested order:@.";
-    Array.iter
-      (fun r -> Format.printf "  %s@." (Program.get program r).Routine.name)
-      ph
-  in
-  let lines =
-    Arg.(
-      value & opt int 256
-      & info [ "lines" ] ~docv:"N" ~doc:"I-cache lines (8 instructions each).")
-  in
-  Cmd.v
-    (Cmd.info "layout"
-       ~doc:"Profile-guided routine ordering (Pettis-Hansen) with I-cache evaluation")
-    Term.(const run $ file_arg $ lines)
-
 (* --- dump -------------------------------------------------------------- *)
 
 let dump_cmd =
   let run file branch_nodes jobs obs =
     let program = load_program file in
     let analysis = Analysis.run ~branch_nodes ?jobs program in
-    let blocks =
-      Array.fold_left
-        (fun n cfg -> n + Spike_cfg.Cfg.block_count cfg)
-        0 analysis.Analysis.cfgs
-    in
-    let super = Spike_supercfg.Supercfg.build program analysis.Analysis.cfgs in
+    let cfgs = Array.init (Program.routine_count program) (Analysis.cfg analysis) in
+    let blocks = Array.fold_left (fun n cfg -> n + Spike_cfg.Cfg.block_count cfg) 0 cfgs in
+    let super = Spike_supercfg.Supercfg.build program cfgs in
     Format.printf "routines:      %d@." (Program.routine_count program);
     Format.printf "instructions:  %d@." (Program.instruction_count program);
     Format.printf "basic blocks:  %d@." blocks;
@@ -458,7 +415,7 @@ let dump_cmd =
           Format.printf "  saved+restored: %a@."
             (Regset.pp ~name:Spike_isa.Reg.name)
             filter)
-      analysis.Analysis.cfgs;
+      cfgs;
     obs_finish obs
   in
   Cmd.v
@@ -467,4 +424,4 @@ let dump_cmd =
 
 let () =
   let doc = "post-link-time interprocedural register dataflow (PLDI'97 reproduction)" in
-  exit (Cmd.eval (Cmd.group (Cmd.info "spike" ~doc) [ analyze_cmd; opt_cmd; run_cmd; gen_cmd; dump_cmd; layout_cmd ]))
+  exit (Cmd.eval (Cmd.group (Cmd.info "spike" ~doc) [ analyze_cmd; opt_cmd; run_cmd; gen_cmd; dump_cmd ]))

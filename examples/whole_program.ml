@@ -24,10 +24,10 @@ let () =
   Format.printf "memory retained by the analysis: %.2f MB@." (Memmeter.megabytes bytes);
   Format.printf "%a@." Psg_stats.pp (Psg_stats.of_psg analysis.Analysis.psg);
   (* The compact representation vs the full CFG (Table 5's point). *)
-  let blocks =
-    Array.fold_left (fun n c -> n + Spike_cfg.Cfg.block_count c) 0 analysis.Analysis.cfgs
-  in
-  let super = Spike_supercfg.Supercfg.build program analysis.Analysis.cfgs in
+  let n = Program.routine_count program in
+  let cfgs = Array.init n (Analysis.cfg analysis) in
+  let blocks = Array.fold_left (fun n c -> n + Spike_cfg.Cfg.block_count c) 0 cfgs in
+  let super = Spike_supercfg.Supercfg.build program cfgs in
   let stats = Psg_stats.of_psg analysis.Analysis.psg in
   Format.printf "@.PSG nodes / CFG blocks: %d / %d = %.2f@." stats.Psg_stats.nodes blocks
     (float_of_int stats.Psg_stats.nodes /. float_of_int blocks);
@@ -37,13 +37,13 @@ let () =
     /. float_of_int (Spike_supercfg.Supercfg.arc_count super));
   (* Precision: context-insensitive supergraph liveness vs the PSG's
      valid-paths liveness at every routine entry. *)
-  let live = Spike_supercfg.Supercfg.liveness super analysis.Analysis.defuses in
+  let live = Spike_supercfg.Supercfg.liveness super (Array.init n (Analysis.defuse analysis)) in
   let looser = ref 0 and total = ref 0 and extra_regs = ref 0 in
   Program.iter
     (fun r (_ : Routine.t) ->
       match
         ((analysis.Analysis.summaries.(r)).Summary.live_at_entry,
-         analysis.Analysis.cfgs.(r).Spike_cfg.Cfg.entry_blocks)
+         cfgs.(r).Spike_cfg.Cfg.entry_blocks)
       with
       | (_, psg_live) :: _, (_, entry_block) :: _ ->
           incr total;

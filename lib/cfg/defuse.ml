@@ -28,10 +28,5 @@ let compute (g : Cfg.t) =
     g.Cfg.blocks;
   { def; ubd }
 
-let of_arrays ~def ~ubd =
-  if Array.length def <> Array.length ubd then
-    invalid_arg "Defuse.of_arrays: length mismatch";
-  { def; ubd }
-
 let def t b = t.def.(b)
 let ubd t b = t.ubd.(b)

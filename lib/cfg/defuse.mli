@@ -21,10 +21,5 @@ type t = private {
 
 val compute : Cfg.t -> t
 
-val of_arrays : def:Regset.t array -> ubd:Regset.t array -> t
-(** Rehydrate previously computed sets (e.g. from a persistent store).
-    Raises [Invalid_argument] if the array lengths differ; the caller is
-    responsible for the sets actually matching the routine's blocks. *)
-
 val def : t -> int -> Regset.t
 val ubd : t -> int -> Regset.t

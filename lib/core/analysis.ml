@@ -2,10 +2,11 @@ open Spike_support
 open Spike_ir
 open Spike_cfg
 
+type front = { cfgs : Cfg.t Lazy.t array; defuses : Defuse.t Lazy.t array }
+
 type t = {
   program : Program.t;
-  cfgs : Cfg.t array;
-  defuses : Defuse.t array;
+  front : front;
   psg : Psg.t;
   call_classes : Summary.call_class array;
   summaries : Summary.t array;
@@ -71,6 +72,13 @@ let record_stage timer stage f =
 let c_reused = Spike_obs.Metrics.counter "warm.routines.reused"
 let c_rebuilt = Spike_obs.Metrics.counter "warm.routines.rebuilt"
 
+(* A routine whose artifact the plan reused gets its CFG and DEF/UBD on
+   first demand; [reused_front] lets {!rerun} hand over the previous
+   run's entry instead. *)
+let on_demand program r =
+  let cfg = lazy (Cfg.build (Program.get program r)) in
+  (cfg, lazy (Defuse.compute (Lazy.force cfg)))
+
 (* One pipeline for every run: per-routine front-end artifacts come from
    the plan when present and are rebuilt when not — a cold run is the
    all-rebuild plan {!Warm.cold}.  After the rebuild, {!Warm.solutions}
@@ -79,8 +87,8 @@ let c_rebuilt = Spike_obs.Metrics.counter "warm.routines.rebuilt"
    routines, restoring converged values outside the invalidation cones the
    planners close.  When no solution is reused at all, the cones would
    cover every node, so the phases run cold and the planning is skipped. *)
-let run ?(branch_nodes = true) ?(externals = fun _ -> None)
-    ?(callee_saved_filter = true) ?jobs ?warm ?(capture = false) program =
+let run_with ~reused_front ~branch_nodes ~externals ~callee_saved_filter ~jobs ~warm
+    ~capture program =
   let jobs =
     match jobs with Some j -> max 1 (min j 64) | None -> Pool.default_jobs ()
   in
@@ -95,23 +103,25 @@ let run ?(branch_nodes = true) ?(externals = fun _ -> None)
   Spike_obs.Metrics.add c_reused reused_routines;
   Spike_obs.Metrics.add c_rebuilt (n - reused_routines);
   let art r = plan.Warm.arts.(r) in
+  (* The front end builds a CFG and DEF/UBD only for the routines the plan
+     rebuilds ([None] where it reuses an artifact). *)
   let cfgs =
     record_stage timer stage_cfg_build (fun () ->
         Pool.parallel_init pool n (fun r ->
             match art r with
-            | Some a -> a.Warm.a_cfg
+            | Some _ -> None
             | None ->
-                Spike_obs.Trace.with_span "cfg.build" (fun () -> Cfg.build routines.(r))))
+                Some
+                  (Spike_obs.Trace.with_span "cfg.build" (fun () -> Cfg.build routines.(r)))))
   in
   let defuses, entry_filters =
     record_stage timer stage_init (fun () ->
         let defuses =
           Pool.parallel_init pool n (fun r ->
-              match art r with
-              | Some a -> a.Warm.a_defuse
-              | None ->
-                  Spike_obs.Trace.with_span "defuse.compute" (fun () ->
-                      Defuse.compute cfgs.(r)))
+              Option.map
+                (fun cfg ->
+                  Spike_obs.Trace.with_span "defuse.compute" (fun () -> Defuse.compute cfg))
+                cfgs.(r))
         in
         let filters =
           if callee_saved_filter then
@@ -120,7 +130,7 @@ let run ?(branch_nodes = true) ?(externals = fun _ -> None)
                 | Some a -> a.Warm.a_filter
                 | None ->
                     Spike_obs.Trace.with_span "callee_saved.filter" (fun () ->
-                        Callee_saved.saved_and_restored routines.(r) cfgs.(r)))
+                        Callee_saved.saved_and_restored routines.(r) (Option.get cfgs.(r))))
           else Array.make n Regset.empty
         in
         (defuses, filters))
@@ -134,8 +144,8 @@ let run ?(branch_nodes = true) ?(externals = fun _ -> None)
               | Some a -> a.Warm.a_local
               | None ->
                   Spike_obs.Trace.with_span "psg.local_pass" (fun () ->
-                      Psg_build.local_pass ~branch_nodes ~resolve_targets r cfgs.(r)
-                        defuses.(r)))
+                      Psg_build.local_pass ~branch_nodes ~resolve_targets r
+                        (Option.get cfgs.(r)) (Option.get defuses.(r))))
         in
         let psg =
           Spike_obs.Trace.with_span "psg.stitch" (fun () ->
@@ -192,14 +202,21 @@ let run ?(branch_nodes = true) ?(externals = fun _ -> None)
     if capture then
       Some
         (Spike_obs.Trace.with_span "warm.capture" (fun () ->
-             Warm.capture ~cfgs ~defuses ~filters:entry_filters ~locals ~psg ~node_offset
-               ~call_offset))
+             Warm.capture ~filters:entry_filters ~locals ~psg ~node_offset ~call_offset))
     else None
+  in
+  let front =
+    let entries =
+      Array.init n (fun r ->
+          match (cfgs.(r), defuses.(r)) with
+          | Some cfg, Some defuse -> (Lazy.from_val cfg, Lazy.from_val defuse)
+          | _ -> reused_front r)
+    in
+    { cfgs = Array.map fst entries; defuses = Array.map snd entries }
   in
   {
     program;
-    cfgs;
-    defuses;
+    front;
     psg;
     call_classes;
     summaries;
@@ -214,9 +231,15 @@ let run ?(branch_nodes = true) ?(externals = fun _ -> None)
     warm_capture;
   }
 
+let run ?(branch_nodes = true) ?(externals = fun _ -> None)
+    ?(callee_saved_filter = true) ?jobs ?warm ?(capture = false) program =
+  run_with ~reused_front:(on_demand program) ~branch_nodes ~externals
+    ~callee_saved_filter ~jobs ~warm ~capture program
+
 (* A rerun keys reuse on physical identity ({!Warm.of_previous}).  When no
    routine changed, the previous result already is the new program's: the
    CFGs, PSG and summaries were built from the very same routines. *)
+
 let rerun t program =
   let old = t.program in
   let n = Program.routine_count program in
@@ -240,9 +263,16 @@ let rerun t program =
       | Some arts -> Warm.of_previous ~old_program:old ~arts program
       | None -> Warm.cold program
     in
-    run ~branch_nodes:t.branch_nodes ~externals:t.externals
-      ~callee_saved_filter:t.callee_saved_filter ~jobs:t.jobs ~warm ~capture:true
-      program
+    (* The plan reuses exactly the routines physically equal to [old]'s at
+       the same index, so [t]'s memo entry is theirs, built or not. *)
+    run_with
+      ~reused_front:(fun r -> (t.front.cfgs.(r), t.front.defuses.(r)))
+      ~branch_nodes:t.branch_nodes ~externals:t.externals
+      ~callee_saved_filter:t.callee_saved_filter ~jobs:(Some t.jobs) ~warm:(Some warm)
+      ~capture:true program
+
+let cfg t r = Lazy.force t.front.cfgs.(r)
+let defuse t r = Lazy.force t.front.defuses.(r)
 
 let summary_of t name = Summary.find t.summaries t.program name
 let site_class t info = Summary.site_class t.psg t.call_classes info

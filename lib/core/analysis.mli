@@ -22,10 +22,15 @@ open Spike_support
 open Spike_ir
 open Spike_cfg
 
+type front
+(** Every routine's CFG and DEF/UBD sets, behind {!cfg} and {!defuse}. *)
+
 type t = {
   program : Program.t;
-  cfgs : Cfg.t array;
-  defuses : Defuse.t array;
+  front : front;
+      (** per-routine memo behind {!cfg} and {!defuse}: filled by the
+          front end for every routine it rebuilt, built on first demand
+          for a routine whose artifact the warm plan reused *)
   psg : Psg.t;
   call_classes : Summary.call_class array;  (** indexed by routine *)
   summaries : Summary.t array;  (** indexed by routine *)
@@ -88,7 +93,8 @@ val run :
     [warm] supplies a {!Warm.plan} of per-routine artifacts from an
     earlier run of the {e same} program configuration (modulo the edits
     that dirtied some routines): clean routines skip CFG build,
-    initialization and the PSG local pass, and both phases re-converge
+    initialization and the PSG local pass (their CFGs are built only if
+    a consumer asks {!cfg}), and both phases re-converge
     only their invalidation cones.  Results are guaranteed bit-identical
     to a cold run.  Omitted, it defaults to the all-cold plan
     {!Warm.cold}: every run goes through the same pipeline, and a run in
@@ -121,6 +127,19 @@ val rerun : t -> Program.t -> t
     physically unchanged, nothing runs: the result is [t] for the new
     program, with [reused_routines] equal to the routine count, zero
     phase iterations and an empty timer. *)
+
+val cfg : t -> int -> Cfg.t
+(** [cfg t r] is the CFG of routine [r] of [t.program] — the optimizer's
+    and the checkers' view of a routine's blocks.  A cold run keeps every
+    CFG it built; a routine the warm plan reused gets
+    [Cfg.build (Program.get t.program r)] on first demand, memoized, and
+    {!rerun} hands each physically unchanged routine the previous
+    result's entry.  Not domain-safe: call it (and {!defuse}) from one
+    domain at a time, as every consumer of an analysis does. *)
+
+val defuse : t -> int -> Defuse.t
+(** [defuse t r] is {!Defuse.compute} of [cfg t r], memoized with it.
+    Not domain-safe, like {!cfg}. *)
 
 val summary_of : t -> string -> Summary.t option
 (** Summary of a routine by name. *)

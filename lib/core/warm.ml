@@ -1,10 +1,7 @@
 open Spike_support
 open Spike_ir
-open Spike_cfg
 
 type routine_art = {
-  a_cfg : Cfg.t;
-  a_defuse : Defuse.t;
   a_filter : Regset.t;
   a_local : Psg_build.local;
   a_phase1 : Regset.t array;
@@ -269,7 +266,7 @@ let phase2_plan (psg : Psg.t) ~sols ~exit_seeds ~node_offset ~call_offset =
       Array.blit art.a_phase2 0 psg.live node_offset.(r) (Array.length art.a_phase2));
   { Phase2.cone }
 
-let capture ~cfgs ~defuses ~filters ~locals ~(psg : Psg.t) ~node_offset ~call_offset =
+let capture ~filters ~locals ~(psg : Psg.t) ~node_offset ~call_offset =
   Array.mapi
     (fun r (local : Psg_build.local) ->
       let noff = node_offset.(r) and nlen = Array.length local.l_kinds in
@@ -280,8 +277,6 @@ let capture ~cfgs ~defuses ~filters ~locals ~(psg : Psg.t) ~node_offset ~call_of
         Array.blit psg.labels (3 * info.cr_edge) a_cr (3 * k) 3
       done;
       {
-        a_cfg = cfgs.(r);
-        a_defuse = defuses.(r);
         a_filter = filters.(r);
         a_local = local;
         a_phase1 = Array.sub psg.sets (3 * noff) (3 * nlen);

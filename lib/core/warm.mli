@@ -2,15 +2,18 @@
     invalidation cones that let {!Analysis.run} re-converge only what an
     edit can actually influence.
 
-    A {!routine_art} bundles everything the front-end computes for one
-    routine — its CFG, DEF/UBD sets, §3.4 callee-saved filter and PSG
-    local fragment — together with the converged phase-1 and phase-2 node
-    solutions of the run that produced it.  The persistent store
+    A {!routine_art} bundles what the phases read of one routine's front
+    end — its §3.4 callee-saved filter and PSG local fragment — together
+    with the converged phase-1 and phase-2 node solutions of the run that
+    produced it.  The CFG and DEF/UBD sets are front-end intermediates, as in
+    the paper: PSG construction reads them and the phases never do, so an
+    artifact does not carry them ({!Analysis.cfg} rebuilds them on
+    demand).  The persistent store
     ({!Spike_store}) keys artifacts by content fingerprint; this module is
     purely in-memory and fingerprint-agnostic.
 
     Reuse happens at two levels.  The fingerprint-clean routines in
-    [plan.arts] reuse {e everything}, front-end artifacts included.  A
+    [plan.arts] reuse {e everything}: no CFG is built for them.  A
     fingerprint-stale routine rebuilds its front end, but if the rebuild
     yields the identical equation system — same local fragment, filter
     and exit-seed flags as its [plan.donors] entry — the cached
@@ -30,7 +33,6 @@
 
 open Spike_support
 open Spike_ir
-open Spike_cfg
 
 (** Converged solutions are kept in the PSG's own layout: a routine's
     slice of {!Psg.t.sets} (three sets per node), of {!Psg.t.live} (one
@@ -40,8 +42,6 @@ open Spike_cfg
     write barriers. *)
 
 type routine_art = {
-  a_cfg : Cfg.t;
-  a_defuse : Defuse.t;
   a_filter : Regset.t;  (** §3.4 saved-and-restored callee-saved set *)
   a_local : Psg_build.local;
   a_phase1 : Regset.t array;
@@ -144,8 +144,6 @@ val phase2_plan :
     {!Psg.t.live}.  Call after phase 1. *)
 
 val capture :
-  cfgs:Cfg.t array ->
-  defuses:Defuse.t array ->
   filters:Regset.t array ->
   locals:Psg_build.local array ->
   psg:Psg.t ->

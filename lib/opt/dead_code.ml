@@ -15,7 +15,7 @@ let is_pure = function
    our memory model reads 0 for unmapped addresses, so they are. *)
 
 let find_dead (analysis : Analysis.t) liveness ~routine =
-  let cfg = analysis.Analysis.cfgs.(routine) in
+  let cfg = Analysis.cfg analysis routine in
   let dead = ref [] in
   Array.iter
     (fun (b : Spike_cfg.Cfg.block) ->

@@ -39,8 +39,8 @@ let compute (analysis : Analysis.t) =
   let nroutines = Program.routine_count program in
   let live_in_sets = Array.make nroutines [||] and live_out_sets = Array.make nroutines [||] in
   for r = 0 to nroutines - 1 do
-    let cfg = analysis.Analysis.cfgs.(r) in
-    let defuse = analysis.Analysis.defuses.(r) in
+    let cfg = Analysis.cfg analysis r in
+    let defuse = Analysis.defuse analysis r in
     let n = Cfg.block_count cfg in
     let live_in = Array.make n Regset.empty and live_out = Array.make n Regset.empty in
     let exit_live = (analysis.Analysis.summaries.(r)).Summary.live_at_exit in
@@ -91,14 +91,14 @@ let live_in t ~routine ~block = t.live_in_sets.(routine).(block)
 let live_out t ~routine ~block = t.live_out_sets.(routine).(block)
 
 let live_across_call t ~routine ~block =
-  let cfg = t.analysis.Analysis.cfgs.(routine) in
+  let cfg = Analysis.cfg t.analysis routine in
   match cfg.Cfg.blocks.(block).Cfg.ending with
   | Ends_call _ -> t.live_out_sets.(routine).(block)
   | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown ->
       invalid_arg "Liveness.live_across_call: block does not end in a call"
 
 let iter_block_backward t ~routine ~block f =
-  let cfg = t.analysis.Analysis.cfgs.(routine) in
+  let cfg = Analysis.cfg t.analysis routine in
   let b = cfg.Cfg.blocks.(block) in
   let insns = cfg.Cfg.routine.Routine.insns in
   let live = ref t.live_out_sets.(routine).(block) in

@@ -109,7 +109,7 @@ let find (analysis : Analysis.t) liveness =
   let renamings = ref [] in
   Program.iter
     (fun r (routine : Routine.t) ->
-      let cfg = analysis.Analysis.cfgs.(r) in
+      let cfg = Analysis.cfg analysis r in
       let sites = Callee_saved.sites routine cfg in
       (* Registers killed at each call site where a given register is live
          across; precomputed once per routine. *)

@@ -37,7 +37,7 @@ let find (analysis : Analysis.t) =
         | Psg.Entry _ | Psg.Exit _ | Psg.Return _ | Psg.Branch _ | Psg.Unknown_exit _ ->
             assert false
       in
-      let cfg = analysis.Analysis.cfgs.(routine) in
+      let cfg = Analysis.cfg analysis routine in
       let r = Program.get program routine in
       let insns = r.Routine.insns in
       let b = cfg.Cfg.blocks.(block) in

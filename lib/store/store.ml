@@ -1,6 +1,5 @@
 open Spike_isa
 open Spike_ir
-open Spike_cfg
 open Spike_core
 
 let file_name = "spike.store"
@@ -47,24 +46,6 @@ let read_callee rd =
       let r = Codec.read_int rd in
       Insn.Indirect (r, Some (Codec.read_list Codec.read_string rd))
   | t -> corrupt "bad callee tag %d" t
-
-let write_ending w = function
-  | Cfg.Ends_plain -> Codec.write_int w 0
-  | Cfg.Ends_call callee ->
-      Codec.write_int w 1;
-      write_callee w callee
-  | Cfg.Ends_ret -> Codec.write_int w 2
-  | Cfg.Ends_switch -> Codec.write_int w 3
-  | Cfg.Ends_jump_unknown -> Codec.write_int w 4
-
-let read_ending rd =
-  match Codec.read_int rd with
-  | 0 -> Cfg.Ends_plain
-  | 1 -> Cfg.Ends_call (read_callee rd)
-  | 2 -> Cfg.Ends_ret
-  | 3 -> Cfg.Ends_switch
-  | 4 -> Cfg.Ends_jump_unknown
-  | t -> corrupt "bad block ending tag %d" t
 
 (* Node kinds are stored without their routine field and rehydrated with
    the routine's {e current} index, so index drift cannot stale them. *)
@@ -124,13 +105,6 @@ let read_target ~resolve rd =
 
 (* --- Per-routine entry bodies -------------------------------------------- *)
 
-let write_block w (b : Cfg.block) =
-  Codec.write_int w b.first;
-  Codec.write_int w b.last;
-  Codec.write_array Codec.write_int w b.succs;
-  Codec.write_array Codec.write_int w b.preds;
-  write_ending w b.ending
-
 let write_local program w (l : Psg_build.local) =
   Codec.write_array write_kind w l.l_kinds;
   (* Edges in the fragment's own flat layout: the labels are the bytes,
@@ -152,16 +126,10 @@ let write_local program w (l : Psg_build.local) =
   Codec.write_list Codec.write_int w l.l_exit;
   Codec.write_list Codec.write_int w l.l_unknown
 
+(* An entry body is what the phases read of a routine: its filter, its
+   fragment and its converged solutions.  The CFG and DEF/UBD are not
+   stored; {!Analysis.cfg} rebuilds them if a consumer asks. *)
 let write_body program w (art : Warm.routine_art) =
-  let cfg = art.a_cfg in
-  Codec.write_array write_block w cfg.Cfg.blocks;
-  Codec.write_list
-    (fun w (label, b) ->
-      Codec.write_string w label;
-      Codec.write_int w b)
-    w cfg.Cfg.entry_blocks;
-  Codec.write_regset_array w art.a_defuse.Defuse.def;
-  Codec.write_regset_array w art.a_defuse.Defuse.ubd;
   Codec.write_regset w art.a_filter;
   write_local program w art.a_local;
   Codec.write_regset_array w art.a_phase1;
@@ -174,8 +142,7 @@ let check_node_id nnodes id =
 (* A target missing from the current program decodes as routine -1 and is
    reported, as [Vanished], only once the whole body has decoded: real
    corruption anywhere in the entry takes precedence. *)
-let read_body ~routine:(r : int) ~(current : Routine.t) ~resolve body :
-    Warm.routine_art =
+let read_body ~resolve ~routine:(r : int) body : Warm.routine_art =
   let vanished = ref None in
   let resolve name =
     match resolve name with
@@ -185,52 +152,6 @@ let read_body ~routine:(r : int) ~(current : Routine.t) ~resolve body :
         -1
   in
   let rd = Codec.reader body in
-  let ninsns = Array.length current.Routine.insns in
-  let next_block = ref 0 in
-  let blocks =
-    Codec.read_array
-      (fun rd ->
-        let id = !next_block in
-        incr next_block;
-        let first = Codec.read_int rd in
-        let last = Codec.read_int rd in
-        if first < 0 || last >= ninsns then
-          corrupt "block %d spans [%d,%d] of %d insns" id first last ninsns;
-        let succs = Codec.read_array Codec.read_int rd in
-        let preds = Codec.read_array Codec.read_int rd in
-        let ending = read_ending rd in
-        { Cfg.id; first; last; succs; preds; ending })
-      rd
-  in
-  let nblocks = Array.length blocks in
-  let check_block b = if b < 0 || b >= nblocks then corrupt "block id %d out of %d" b nblocks in
-  Array.iter
-    (fun (b : Cfg.block) ->
-      Array.iter check_block b.succs;
-      Array.iter check_block b.preds)
-    blocks;
-  let block_of_insn = Array.make ninsns 0 in
-  Array.iter
-    (fun (b : Cfg.block) ->
-      for i = b.Cfg.first to b.Cfg.last do
-        block_of_insn.(i) <- b.Cfg.id
-      done)
-    blocks;
-  let entry_blocks =
-    Codec.read_list
-      (fun rd ->
-        let label = Codec.read_string rd in
-        let b = Codec.read_int rd in
-        check_block b;
-        (label, b))
-      rd
-  in
-  let cfg = { Cfg.routine = current; blocks; block_of_insn; entry_blocks } in
-  let def = Codec.read_regset_array rd in
-  let ubd = Codec.read_regset_array rd in
-  if Array.length def <> nblocks || Array.length ubd <> nblocks then
-    corrupt "DEF/UBD length mismatch";
-  let defuse = Defuse.of_arrays ~def ~ubd in
   let filter = Codec.read_regset rd in
   let kinds = Codec.read_array (read_kind ~routine:r) rd in
   let nnodes = Array.length kinds in
@@ -288,8 +209,113 @@ let read_body ~routine:(r : int) ~(current : Routine.t) ~resolve body :
   then corrupt "solution length mismatch";
   if not (Codec.at_end rd) then corrupt "trailing bytes in entry body";
   Option.iter (fun name -> raise (Vanished name)) !vanished;
-  { Warm.a_cfg = cfg; a_defuse = defuse; a_filter = filter; a_local = local;
-    a_phase1; a_cr; a_phase2 }
+  { Warm.a_filter = filter; a_local = local; a_phase1; a_cr; a_phase2 }
+
+(* --- Warm plans --------------------------------------------------------
+
+   Both sources of cached artifacts — the disk file and a resident
+   session — present each routine's entry the same way, and one planner
+   turns them into a {!Warm.plan}. *)
+
+type entry = {
+  e_fp : string;
+  e_callees : string list;
+  e_exported : bool;  (* the routine's exported flag when cached *)
+  e_is_main : bool;  (* it was the program's main routine when cached *)
+  e_decode : resolve:(string -> int option) -> routine:int -> Warm.routine_art;
+      (* the artifact with routine indices read by [resolve]; may raise
+         [Codec.Corrupt] or [Vanished] *)
+}
+
+let main_index program =
+  match Program.find_index program (Program.main program) with
+  | Some i -> i
+  | None -> assert false (* guaranteed by Program.make *)
+
+let cold_result ?degraded program =
+  let n = Program.routine_count program in
+  Spike_obs.Metrics.add c_misses n;
+  { plan = Warm.cold program; hits = 0; misses = n; invalidated = 0; degraded }
+
+(* A source unusable as a whole: counted, logged, and an all-cold plan. *)
+let degrade ~source reason program =
+  Spike_obs.Metrics.incr c_degradations;
+  Printf.eprintf "spike-store: ignoring %s, falling back to cold run: %s\n%!" source
+    reason;
+  cold_result ~degraded:reason program
+
+(* One bad entry in a healthy source: counted like a whole-source
+   corruption, but only this routine is rebuilt. *)
+let undecodable name reason =
+  Spike_obs.Metrics.incr c_degradations;
+  Printf.eprintf "spike-store: undecodable entry for %s (%s), rebuilding it\n%!" name
+    reason
+
+let plan_entries ~externals (entries : (string, entry) Hashtbl.t) program =
+  let n = Program.routine_count program in
+  let resolve name = Program.find_index program name in
+  let plan = Warm.cold program in
+  let claimed = Hashtbl.create n in
+  let hits = ref 0 and misses = ref 0 and invalidated = ref 0 in
+  Program.iter
+    (fun r (routine : Routine.t) ->
+      match Hashtbl.find_opt entries routine.name with
+      | None -> incr misses
+      | Some e -> (
+          let fresh =
+            String.equal e.e_fp (Fingerprint.routine ~externals program routine)
+          in
+          if not fresh then incr invalidated;
+          (* A stale entry is decoded anyway, as a lift candidate: the edit
+             may have left the equation system intact ({!Warm.solutions}).
+             Its cached callees re-seed exits only if the lift fails, so it
+             is claimed here. *)
+          match e.e_decode ~resolve ~routine:r with
+          | art ->
+              Hashtbl.replace claimed routine.name ();
+              if fresh then begin
+                plan.Warm.arts.(r) <- Some art;
+                incr hits
+              end
+              else
+                plan.Warm.donors.(r) <-
+                  Some
+                    {
+                      Warm.d_art = art;
+                      d_callees = e.e_callees;
+                      d_exported = e.e_exported;
+                      d_is_main = e.e_is_main;
+                    }
+          | exception Codec.Corrupt reason ->
+              undecodable routine.name reason;
+              if fresh then incr invalidated
+          | exception Vanished name ->
+              (* The fingerprint covers call resolution, so a fresh entry
+                 cannot name a missing routine.  A stale one can: the edit
+                 deleted a callee, and nothing is wrong with the source. *)
+              if fresh then begin
+                undecodable routine.name
+                  (Printf.sprintf "call target %S not in program" name);
+                incr invalidated
+              end))
+    program;
+  (* An entry that is neither reused nor a lift candidate belonged to a
+     routine that was edited or deleted: the routines it called may have
+     lost a caller, so their exits must re-seed in phase 2. *)
+  Hashtbl.iter
+    (fun name e ->
+      if not (Hashtbl.mem claimed name) then
+        List.iter
+          (fun callee ->
+            match resolve callee with
+            | Some r -> plan.Warm.exit_seeds.(r) <- true
+            | None -> ())
+          e.e_callees)
+    entries;
+  Spike_obs.Metrics.add c_hits !hits;
+  Spike_obs.Metrics.add c_misses !misses;
+  Spike_obs.Metrics.add c_invalidated !invalidated;
+  { plan; hits = !hits; misses = !misses; invalidated = !invalidated; degraded = None }
 
 (* --- File format ---------------------------------------------------------
 
@@ -297,14 +323,6 @@ let read_body ~routine:(r : int) ~(current : Routine.t) ~resolve body :
 
    The checksum covers the payload only; the header fields it would guard
    are each checked semantically anyway. *)
-
-type entry = {
-  e_fp : string;
-  e_exported : bool;
-  e_is_main : bool;
-  e_callees : string list;
-  e_body : string;
-}
 
 let int64_raw v =
   let b = Bytes.create 8 in
@@ -334,28 +352,14 @@ let parse_file ~config data =
         let e_exported = Codec.read_bool rd in
         let e_is_main = Codec.read_bool rd in
         let e_callees = Codec.read_list Codec.read_string rd in
-        let e_body = Codec.read_string rd in
-        (name, { e_fp; e_exported; e_is_main; e_callees; e_body }))
+        let body = Codec.read_string rd in
+        (name, { e_fp; e_callees; e_exported; e_is_main; e_decode = read_body body }))
       rd
   in
   if not (Codec.at_end rd) then corrupt "trailing bytes after entries";
-  entries
-
-let degrade ~path ~n reason =
-  Spike_obs.Metrics.incr c_degradations;
-  Spike_obs.Metrics.add c_misses n;
-  Printf.eprintf "spike-store: ignoring %s, falling back to cold run: %s\n%!"
-    path reason;
-  fun program ->
-    { plan = Warm.cold program; hits = 0; misses = n; invalidated = 0;
-      degraded = Some reason }
-
-(* One bad entry in a healthy file: counted like a whole-file corruption,
-   but only this routine is rebuilt. *)
-let undecodable name reason =
-  Spike_obs.Metrics.incr c_degradations;
-  Printf.eprintf "spike-store: undecodable entry for %s (%s), rebuilding it\n%!" name
-    reason
+  let by_name = Hashtbl.create (List.length entries) in
+  List.iter (fun (name, e) -> Hashtbl.replace by_name name e) entries;
+  by_name
 
 let read_file path =
   In_channel.with_open_bin path @@ fun ic ->
@@ -374,102 +378,24 @@ let load ~dir ?(branch_nodes = true) ?(externals = fun _ -> None)
     ?(callee_saved_filter = true) program =
   Spike_obs.Trace.with_span "store.load" @@ fun () ->
   let path = Filename.concat dir file_name in
-  let n = Program.routine_count program in
-  if not (Sys.file_exists path) then begin
-    Spike_obs.Metrics.add c_misses n;
-    { plan = Warm.cold program; hits = 0; misses = n; invalidated = 0;
-      degraded = None }
-  end
+  if not (Sys.file_exists path) then cold_result program
   else
     let config = Fingerprint.config_key ~branch_nodes ~callee_saved_filter in
-    match
-      let data = read_file path in
-      parse_file ~config data
-    with
-    | exception Codec.Corrupt reason -> degrade ~path ~n reason program
-    | exception Sys_error reason -> degrade ~path ~n reason program
-    | entries ->
-        let by_name = Hashtbl.create (List.length entries) in
-        List.iter (fun (name, e) -> Hashtbl.replace by_name name e) entries;
-        let resolve name = Program.find_index program name in
-        let plan = Warm.cold program in
-        let claimed = Hashtbl.create n in
-        let hits = ref 0 and misses = ref 0 and invalidated = ref 0 in
-        Program.iter
-          (fun r (routine : Routine.t) ->
-            match Hashtbl.find_opt by_name routine.name with
-            | None -> incr misses
-            | Some entry ->
-                if
-                  String.equal entry.e_fp
-                    (Fingerprint.routine ~externals program routine)
-                then (
-                  match read_body ~routine:r ~current:routine ~resolve entry.e_body with
-                  | art ->
-                      plan.Warm.arts.(r) <- Some art;
-                      Hashtbl.replace claimed routine.name ();
-                      incr hits
-                  | exception Codec.Corrupt reason ->
-                      undecodable routine.name reason;
-                      incr invalidated
-                  | exception Vanished name ->
-                      (* The fingerprint covers call resolution, so a
-                         fresh entry cannot name a missing routine. *)
-                      undecodable routine.name
-                        (Printf.sprintf "call target %S not in program" name);
-                      incr invalidated)
-                else begin
-                  incr invalidated;
-                  (* Stale fingerprint: decode anyway as a lift candidate
-                     — the edit may have left the equation system intact
-                     ({!Warm.solutions}).  Its cached callees re-seed
-                     exits only if the lift fails, so it is claimed
-                     here. *)
-                  match
-                    read_body ~routine:r ~current:routine ~resolve entry.e_body
-                  with
-                  | art ->
-                      plan.Warm.donors.(r) <-
-                        Some
-                          {
-                            Warm.d_art = art;
-                            d_callees = entry.e_callees;
-                            d_exported = entry.e_exported;
-                            d_is_main = entry.e_is_main;
-                          };
-                      Hashtbl.replace claimed routine.name ()
-                  | exception Codec.Corrupt reason -> undecodable routine.name reason
-                  | exception Vanished _ ->
-                      (* The edit deleted a callee: no lift candidate, and
-                         nothing wrong with the file. *)
-                      ()
-                end)
-          program;
-        (* An entry that is neither reused nor a lift candidate belonged
-           to a routine that was edited or deleted: the routines it
-           called may have lost a caller, so their exits must re-seed in
-           phase 2. *)
-        List.iter
-          (fun (name, entry) ->
-            if not (Hashtbl.mem claimed name) then
-              List.iter
-                (fun callee ->
-                  match resolve callee with
-                  | Some r -> plan.Warm.exit_seeds.(r) <- true
-                  | None -> ())
-                entry.e_callees)
-          entries;
-        Spike_obs.Metrics.add c_hits !hits;
-        Spike_obs.Metrics.add c_misses !misses;
-        Spike_obs.Metrics.add c_invalidated !invalidated;
-        { plan; hits = !hits; misses = !misses; invalidated = !invalidated;
-          degraded = None }
+    match parse_file ~config (read_file path) with
+    | exception (Codec.Corrupt reason | Sys_error reason) ->
+        degrade ~source:path reason program
+    | entries -> plan_entries ~externals entries program
 
+(* [Unix.mkdir]'s errors are re-raised as [Sys_error], the one exception
+   {!save} documents. *)
 let rec mkdir_p dir =
   if dir <> "" && not (Sys.file_exists dir) then begin
     let parent = Filename.dirname dir in
     if parent <> dir then mkdir_p parent;
-    try Unix.mkdir dir 0o777 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    try Unix.mkdir dir 0o777 with
+    | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    | Unix.Unix_error (e, _, _) ->
+        raise (Sys_error (Printf.sprintf "%s: %s" dir (Unix.error_message e)))
   end
 
 let save ~dir (a : Analysis.t) =
@@ -481,11 +407,7 @@ let save ~dir (a : Analysis.t) =
   Spike_obs.Trace.with_span "store.save" @@ fun () ->
   let program = a.Analysis.program in
   let externals = a.Analysis.externals in
-  let main_index =
-    match Program.find_index program (Program.main program) with
-    | Some i -> i
-    | None -> assert false (* guaranteed by Program.make *)
-  in
+  let main_index = main_index program in
   let payload = Buffer.create (1 lsl 20) in
   Codec.write_int payload (Array.length arts);
   let body_buf = Buffer.create (1 lsl 16) in
@@ -521,10 +443,18 @@ let save ~dir (a : Analysis.t) =
     Filename.concat dir
       (Printf.sprintf ".%s.tmp.%d" file_name (Unix.getpid ()))
   in
-  Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc (Buffer.contents header);
-      Out_channel.output_string oc payload);
-  Sys.rename tmp path
+  let oc = Out_channel.open_bin tmp in
+  match
+    Out_channel.output_string oc (Buffer.contents header);
+    Out_channel.output_string oc payload;
+    Out_channel.close oc;
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception (Sys_error _ as e) ->
+      Out_channel.close_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
 
 (* --- In-memory sessions ---------------------------------------------------
 
@@ -536,53 +466,13 @@ let save ~dir (a : Analysis.t) =
    fragments' and artifacts' register-set arrays into the fresh PSG's own
    lanes, and capture slices copies back out. *)
 
-type retained = {
-  t_fp : string;
-  t_callees : string list;
-  t_art : Warm.routine_art;
-  t_routine : int;  (* index in the session's program *)
-}
-
-type session = {
-  s_config : string;
-  s_program : Program.t;
-  s_entries : (string, retained) Hashtbl.t;
-}
-
-let retain (a : Analysis.t) =
-  let arts =
-    match a.Analysis.warm_capture with
-    | Some arts -> arts
-    | None -> invalid_arg "Store.retain: analysis was run without ~capture:true"
-  in
-  Spike_obs.Trace.with_span "store.retain" @@ fun () ->
-  let program = a.Analysis.program in
-  let externals = a.Analysis.externals in
-  let entries = Hashtbl.create (Array.length arts) in
-  Array.iteri
-    (fun r (art : Warm.routine_art) ->
-      let routine = Program.get program r in
-      Hashtbl.replace entries routine.Routine.name
-        {
-          t_fp = Fingerprint.routine ~externals program routine;
-          t_callees = Warm.callee_names program art.a_local;
-          t_art = art;
-          t_routine = r;
-        })
-    arts;
-  {
-    s_config =
-      Fingerprint.config_key ~branch_nodes:a.Analysis.branch_nodes
-        ~callee_saved_filter:a.Analysis.callee_saved_filter;
-    s_program = program;
-    s_entries = entries;
-  }
+type session = { s_config : string; s_entries : (string, entry) Hashtbl.t }
 
 (* Retained fragments carry routine indices of the session's program;
    node kinds the routine's own index, call targets their callees'.  An
    edit that inserts or deletes a routine shifts both, so they are
    remapped by name — exactly what {!read_body} does for the disk path.
-   The common case (indices unchanged) shares the retained arrays
+   The common case (indices unchanged) shares the retained artifact
    outright. *)
 let rekind ~routine = function
   | Psg.Entry { label; _ } -> Psg.Entry { routine; label }
@@ -592,9 +482,8 @@ let rekind ~routine = function
   | Psg.Branch { block; _ } -> Psg.Branch { routine; block }
   | Psg.Unknown_exit { block; _ } -> Psg.Unknown_exit { routine; block }
 
-let fixup_art ~old_program ~resolve ~r ~(current : Routine.t) (t : retained) :
+let fixup_art ~old_program ~old_r (art : Warm.routine_art) ~resolve ~routine:r :
     Warm.routine_art =
-  let art = t.t_art in
   let remap = function
     | Psg.Target_external _ as tg -> tg
     | Psg.Target_routine old_r -> (
@@ -611,7 +500,7 @@ let fixup_art ~old_program ~resolve ~r ~(current : Routine.t) (t : retained) :
         | None -> false)
   in
   let unmoved =
-    t.t_routine = r
+    old_r = r
     && Array.for_all
          (fun (c : Psg_build.local_call) ->
            match c.lc_targets with
@@ -619,8 +508,7 @@ let fixup_art ~old_program ~resolve ~r ~(current : Routine.t) (t : retained) :
            | Some targets -> List.for_all target_unmoved targets)
          art.a_local.l_calls
   in
-  let a_cfg = { art.a_cfg with Cfg.routine = current } in
-  if unmoved then { art with a_cfg }
+  if unmoved then art
   else
     let l = art.a_local in
     let a_local =
@@ -634,83 +522,42 @@ let fixup_art ~old_program ~resolve ~r ~(current : Routine.t) (t : retained) :
             l.l_calls;
       }
     in
-    { art with a_cfg; a_local }
+    { art with a_local }
+
+let retain (a : Analysis.t) =
+  let arts =
+    match a.Analysis.warm_capture with
+    | Some arts -> arts
+    | None -> invalid_arg "Store.retain: analysis was run without ~capture:true"
+  in
+  Spike_obs.Trace.with_span "store.retain" @@ fun () ->
+  let program = a.Analysis.program in
+  let externals = a.Analysis.externals in
+  let main_index = main_index program in
+  let entries = Hashtbl.create (Array.length arts) in
+  Array.iteri
+    (fun r (art : Warm.routine_art) ->
+      let routine = Program.get program r in
+      Hashtbl.replace entries routine.Routine.name
+        {
+          e_fp = Fingerprint.routine ~externals program routine;
+          e_callees = Warm.callee_names program art.a_local;
+          e_exported = routine.Routine.exported;
+          e_is_main = r = main_index;
+          e_decode = fixup_art ~old_program:program ~old_r:r art;
+        })
+    arts;
+  {
+    s_config =
+      Fingerprint.config_key ~branch_nodes:a.Analysis.branch_nodes
+        ~callee_saved_filter:a.Analysis.callee_saved_filter;
+    s_entries = entries;
+  }
 
 let replan session ?(branch_nodes = true) ?(externals = fun _ -> None)
     ?(callee_saved_filter = true) program =
   Spike_obs.Trace.with_span "store.replan" @@ fun () ->
-  let n = Program.routine_count program in
   let config = Fingerprint.config_key ~branch_nodes ~callee_saved_filter in
-  if not (String.equal config session.s_config) then begin
-    Spike_obs.Metrics.incr c_degradations;
-    Spike_obs.Metrics.add c_misses n;
-    Printf.eprintf
-      "spike-store: retained session has a different analysis \
-       configuration, falling back to cold run\n\
-       %!";
-    {
-      plan = Warm.cold program;
-      hits = 0;
-      misses = n;
-      invalidated = 0;
-      degraded = Some "analysis configuration mismatch";
-    }
-  end
-  else begin
-    let resolve name = Program.find_index program name in
-    let old_program = session.s_program in
-    let old_main =
-      match Program.find_index old_program (Program.main old_program) with
-      | Some i -> i
-      | None -> assert false (* guaranteed by Program.make *)
-    in
-    let plan = Warm.cold program in
-    let claimed = Hashtbl.create n in
-    let hits = ref 0 and misses = ref 0 and invalidated = ref 0 in
-    Program.iter
-      (fun r (routine : Routine.t) ->
-        match Hashtbl.find_opt session.s_entries routine.name with
-        | None -> incr misses
-        | Some t -> (
-            let stale =
-              not
-                (String.equal t.t_fp
-                   (Fingerprint.routine ~externals program routine))
-            in
-            if stale then incr invalidated;
-            (* A stale retained artifact still remaps into a lift
-               candidate, mirroring the disk path. *)
-            match fixup_art ~old_program ~resolve ~r ~current:routine t with
-            | art when not stale ->
-                plan.Warm.arts.(r) <- Some art;
-                Hashtbl.replace claimed routine.name ();
-                incr hits
-            | art ->
-                plan.Warm.donors.(r) <-
-                  Some
-                    {
-                      Warm.d_art = art;
-                      d_callees = t.t_callees;
-                      d_exported =
-                        (Program.get old_program t.t_routine).Routine.exported;
-                      d_is_main = t.t_routine = old_main;
-                    };
-                Hashtbl.replace claimed routine.name ()
-            | exception Vanished _ -> if not stale then incr invalidated))
-      program;
-    Hashtbl.iter
-      (fun name (t : retained) ->
-        if not (Hashtbl.mem claimed name) then
-          List.iter
-            (fun callee ->
-              match resolve callee with
-              | Some r -> plan.Warm.exit_seeds.(r) <- true
-              | None -> ())
-            t.t_callees)
-      session.s_entries;
-    Spike_obs.Metrics.add c_hits !hits;
-    Spike_obs.Metrics.add c_misses !misses;
-    Spike_obs.Metrics.add c_invalidated !invalidated;
-    { plan; hits = !hits; misses = !misses; invalidated = !invalidated;
-      degraded = None }
-  end
+  if String.equal config session.s_config then
+    plan_entries ~externals session.s_entries program
+  else degrade ~source:"retained session" "analysis configuration mismatch" program

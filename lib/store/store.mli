@@ -3,11 +3,14 @@
 
     A store directory holds one file, [spike.store], written atomically
     (temp file + rename).  It records, per routine: a content
-    {!Fingerprint}, the routine's front-end artifacts (CFG, DEF/UBD,
-    callee-saved filter, PSG local fragment) and the converged phase-1 and
-    phase-2 solutions of the run that wrote it, plus the names of the
+    {!Fingerprint}, what the phases read of the routine's front end
+    (callee-saved filter, PSG local fragment) and the converged phase-1
+    and phase-2 solutions of the run that wrote it, plus the names of the
     internal routines it called — the ingredient for
-    {!Spike_core.Warm.plan.exit_seeds} when a caller is edited away.
+    {!Spike_core.Warm.plan.exit_seeds} when a caller is edited away.  CFGs
+    and DEF/UBD sets are not stored: a warm run never reads a clean
+    routine's, and {!Spike_core.Analysis.cfg} rebuilds one if a consumer
+    asks.
 
     {b Robustness first.}  [load] never raises on bad input: a missing
     file is a plain cold start, and a truncated, bit-flipped,
@@ -20,7 +23,8 @@
     its own routine; it is logged and counted on [store.degradations]
     too, whether the entry's fingerprint is fresh or stale, but
     [degraded] stays [None].  A stale entry whose calls name a routine
-    the edit deleted is not corrupt: it is dropped silently.
+    the edit deleted is not corrupt: it is dropped silently.  {!replan}
+    plans from a resident {!session} by the same rules.
 
     Cross-run index drift is handled by storing routine {e names}:
     call-target indices inside cached fragments are remapped to the
@@ -63,20 +67,24 @@ val save : dir:string -> Analysis.t -> unit
     Creates [dir] if needed; writes to a temporary file and renames, so a
     crash mid-save leaves any previous store intact.  Configuration and
     the resolution environment are taken from the analysis record itself.
-    @raise Invalid_argument if the analysis was run without [~capture]. *)
+    @raise Invalid_argument if the analysis was run without [~capture].
+    @raise Sys_error if [dir] cannot be created or the file cannot be
+    written (say, [dir] or one of its parents is a regular file); a temp
+    file it created is removed first. *)
 
 (** {2 In-memory sessions}
 
-    The disk path decodes the whole artifact graph, CFGs included; a
-    resident driver (editor daemon, watch mode) that keeps the
-    previous {!Analysis.t} alive can skip both the file and the decode. *)
+    The disk path decodes every entry's fragment and solutions; a
+    resident process (editor daemon, watch mode) that keeps the previous
+    {!Analysis.t} alive can skip both the file and the decode. *)
 
 type session
 (** Retained artifacts of one analysis run, keyed by routine name. *)
 
 val retain : Analysis.t -> session
 (** Package the artifacts captured by an [Analysis.run ~capture:true],
-    fingerprinting every routine once.  The session never mutates and is
+    fingerprinting every routine and recording its exported and main
+    flags once.  The session never mutates and is
     never mutated by later warm runs, so one session can seed any number
     of [replan]s.
     @raise Invalid_argument if the analysis was run without [~capture]. *)
@@ -91,5 +99,6 @@ val replan :
 (** [load] without the disk: fingerprint the (edited) program, reuse the
     session's artifacts for unchanged routines — remapping routine
     indices by name, as the disk path does — and plan cones for the
-    rest.  A session retained under a different analysis configuration
-    degrades to an all-cold plan, mirroring the file-level config check. *)
+    rest — one planner serves both paths.  A session retained under a
+    different analysis configuration degrades to an all-cold plan,
+    mirroring the file-level config check. *)

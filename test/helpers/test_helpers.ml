@@ -40,6 +40,14 @@ let edges_of ?routine (psg : Spike_core.Psg.t) =
       | Some r -> Spike_core.Psg.node_routine psg.kinds.(psg.src.(e)) = r)
     (List.init (Spike_core.Psg.edge_count psg) Fun.id)
 
+(* Every routine's CFG and DEF/UBD of an analysis, as the arrays that
+   [Supercfg] and [Psg_build.build] take. *)
+let cfgs_of (a : Spike_core.Analysis.t) =
+  Array.init (Spike_ir.Program.routine_count a.program) (Spike_core.Analysis.cfg a)
+
+let defuses_of (a : Spike_core.Analysis.t) =
+  Array.init (Spike_ir.Program.routine_count a.program) (Spike_core.Analysis.defuse a)
+
 (* Instruction shorthands used throughout the tests.  Registers R0..R3 of
    the paper's examples map to v0, t0, t1, t2. *)
 let r0 = Reg.v0

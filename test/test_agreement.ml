@@ -86,13 +86,13 @@ let test_reference_agreement () =
 
 let check_supergraph_conservative p =
   let analysis = Analysis.run p in
-  let super = Spike_supercfg.Supercfg.build p analysis.Analysis.cfgs in
-  let live = Spike_supercfg.Supercfg.liveness super analysis.Analysis.defuses in
+  let super = Spike_supercfg.Supercfg.build p (cfgs_of analysis) in
+  let live = Spike_supercfg.Supercfg.liveness super (defuses_of analysis) in
   Program.iter
     (fun r (routine : Routine.t) ->
       let name = routine.Routine.name in
       let s = analysis.Analysis.summaries.(r) in
-      let cfg = analysis.Analysis.cfgs.(r) in
+      let cfg = Analysis.cfg analysis r in
       (match (s.Summary.live_at_entry, cfg.Spike_cfg.Cfg.entry_blocks) with
       | (_, psg_live) :: _, (_, entry_block) :: _ ->
           let super_live =

@@ -451,7 +451,7 @@ let test_on_demand_schedule_agrees () =
   List.iter
     (fun (label, p) ->
       let a = Analysis.run p in
-      let psg = Psg_build.build p a.Analysis.cfgs a.Analysis.defuses in
+      let psg = Psg_build.build p (cfgs_of a) (defuses_of a) in
       let it1 = Phase1.run psg in
       let classes = Summary.extract_call_classes psg in
       let it2 = Phase2.run psg in

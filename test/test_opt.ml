@@ -264,6 +264,39 @@ let test_warm_rerun_equals_cold () =
         [ 1; 4 ])
     programs
 
+(* A disk-warm analysis reuses every routine's artifact and builds no CFG
+   in its front end; the optimizer asks for them on demand.  It must
+   print the same program as from a cold analysis. *)
+let test_disk_warm_opt () =
+  List.iter
+    (fun (name, p) ->
+      let dir = Printf.sprintf "opt-store-%d" (Unix.getpid ()) in
+      let path = Filename.concat dir Spike_store.Store.file_name in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Sys.remove path with Sys_error _ -> ());
+          try Unix.rmdir dir with Unix.Unix_error _ -> ())
+      @@ fun () ->
+      Spike_store.Store.save ~dir (Analysis.run ~capture:true p);
+      let loaded = Spike_store.Store.load ~dir p in
+      Alcotest.(check int)
+        (name ^ ": every routine reused")
+        (Program.routine_count p) loaded.Spike_store.Store.hits;
+      let warm = Analysis.run ~warm:loaded.Spike_store.Store.plan ~capture:true p in
+      let optimized, report = Opt.run warm in
+      Alcotest.(check bool)
+        (name ^ ": the optimizer removes instructions")
+        true
+        (report.Opt.instructions_after < report.Opt.instructions_before);
+      Alcotest.(check string)
+        (name ^ ": Opt.run disk-warm = cold")
+        (printed (fst (Opt.run (Analysis.run p))))
+        (printed optimized))
+    [
+      ("vortex", small_vortex 2);
+      ("synth", Spike_synth.Generator.generate Spike_synth.Params.default);
+    ]
+
 let lifted () =
   match Spike_obs.Metrics.find (Spike_obs.Metrics.snapshot ()) "warm.solutions.lifted" with
   | Some (Spike_obs.Metrics.Count n) -> n
@@ -414,5 +447,6 @@ let () =
         [
           Alcotest.test_case "warm rerun = cold run" `Slow test_warm_rerun_equals_cold;
           Alcotest.test_case "cold fallbacks" `Quick test_cold_fallbacks;
+          Alcotest.test_case "disk-warm Opt.run = cold" `Quick test_disk_warm_opt;
         ] );
     ]

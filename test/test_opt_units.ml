@@ -91,7 +91,7 @@ let test_liveness_across_call () =
   let liveness = Liveness.compute analysis in
   let keeper_idx = Option.get (Program.find_index p "keeper") in
   let call_block, _ =
-    List.hd (Spike_cfg.Cfg.call_sites analysis.Analysis.cfgs.(keeper_idx))
+    List.hd (Spike_cfg.Cfg.call_sites (Analysis.cfg analysis keeper_idx))
   in
   let across = Liveness.live_across_call liveness ~routine:keeper_idx ~block:call_block in
   Alcotest.(check bool) "t3 live across" true (Regset.mem Reg.t3 across);
@@ -110,7 +110,7 @@ let test_liveness_across_call () =
     (Invalid_argument "Liveness.live_across_call: block does not end in a call")
     (fun () ->
       let exit_block =
-        List.hd (Spike_cfg.Cfg.exit_blocks analysis.Analysis.cfgs.(keeper_idx))
+        List.hd (Spike_cfg.Cfg.exit_blocks (Analysis.cfg analysis keeper_idx))
       in
       ignore (Liveness.live_across_call liveness ~routine:keeper_idx ~block:exit_block))
 

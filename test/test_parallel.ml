@@ -103,7 +103,12 @@ let test_on_demand_schedule_vs_jobs4 () =
   List.iter
     (fun (name, program) ->
       let scc4 = Analysis.run ~jobs:4 program in
-      let psg = Psg_build.build program scc4.Analysis.cfgs scc4.Analysis.defuses in
+      let n = Spike_ir.Program.routine_count program in
+      let psg =
+        Psg_build.build program
+          (Array.init n (Analysis.cfg scc4))
+          (Array.init n (Analysis.defuse scc4))
+      in
       ignore (Phase1.run psg);
       let classes = Summary.extract_call_classes psg in
       ignore (Phase2.run psg);

@@ -7,13 +7,16 @@
    call edge, remove a call edge, add/delete a routine, change an
    external summary) over synthetic programs at jobs 1 and 4, comparing
    the rendered summaries byte for byte, on both the disk path
-   (save/load) and the in-memory path (retain/replan).  The robustness
-   tests corrupt the file every way the header guards against and expect
-   a counted, non-fatal degradation to a cold plan. *)
+   (save/load) and the in-memory path (retain/replan), and check that the
+   CFGs and DEF/UBD sets, which the store does not keep, come back exactly
+   as a cold build makes them.  The robustness tests corrupt the file
+   every way the header guards against and expect a counted, non-fatal
+   degradation to a cold plan. *)
 
 open Spike_support
 open Spike_isa
 open Spike_ir
+open Spike_cfg
 open Spike_core
 open Spike_synth
 open Spike_store
@@ -140,6 +143,37 @@ let mutations =
 
 (* --- Incremental equivalence --------------------------------------------- *)
 
+(* Artifacts carry no CFG: [Analysis.cfg] builds a reused routine's on
+   first demand, and a rerun hands each unchanged routine the previous
+   result's entry, forced or not.  Either way it must be the cold build. *)
+let check_front tag (a : Analysis.t) =
+  Program.iter
+    (fun r (routine : Routine.t) ->
+      let what w = Printf.sprintf "%s: %s of %s" tag w routine.Routine.name in
+      let expected = Cfg.build routine and got = Analysis.cfg a r in
+      Alcotest.(check bool) (what "CFG of this routine") true (got.Cfg.routine == routine);
+      Alcotest.(check bool) (what "CFG blocks") true (expected.Cfg.blocks = got.Cfg.blocks);
+      Alcotest.(check (array int))
+        (what "block_of_insn") expected.Cfg.block_of_insn got.Cfg.block_of_insn;
+      Alcotest.(check (list (pair string int)))
+        (what "entry blocks") expected.Cfg.entry_blocks got.Cfg.entry_blocks;
+      Alcotest.(check bool) (what "DEF/UBD") true
+        (Defuse.compute expected = Analysis.defuse a r))
+    a.Analysis.program
+
+(* [a] and a three-step rerun chain from it.  The chain is built before
+   any CFG is asked for, so its last step inherits unforced entries. *)
+let check_front_chain tag (a : Analysis.t) =
+  let chain =
+    List.fold_left
+      (fun acc (step, mutate) ->
+        let prev = snd (List.hd acc) in
+        (step, Analysis.rerun prev (mutate prev.Analysis.program)) :: acc)
+      [ ("warm", a) ]
+      [ ("rerun 1", edit_body); ("rerun 2", add_call_edge); ("rerun 3", remove_call_edge) ]
+  in
+  List.iter (fun (step, a) -> check_front (tag ^ ", " ^ step) a) chain
+
 let degradations () =
   match Spike_obs.Metrics.find (Spike_obs.Metrics.snapshot ()) "store.degradations" with
   | Some (Spike_obs.Metrics.Count n) -> n
@@ -165,10 +199,10 @@ let test_disk_equivalence () =
           (* A stale entry naming a callee the edit deleted is no
              corruption: it is dropped silently. *)
           Alcotest.(check int) (name ^ ": no degradation counted") 0 counted;
-          let warm = Analysis.run ~jobs ~warm:loaded.Store.plan mutated in
-          Alcotest.(check string)
-            (Printf.sprintf "%s: warm = cold at jobs=%d" name jobs)
-            (render cold) (render warm))
+          let warm = Analysis.run ~jobs ~warm:loaded.Store.plan ~capture:true mutated in
+          let tag = Printf.sprintf "%s at jobs=%d" name jobs in
+          Alcotest.(check string) (tag ^ ": warm = cold") (render cold) (render warm);
+          check_front_chain tag warm)
         jobs_matrix;
       (* Every mutation except the identity must dirty something. *)
       let loaded = Store.load ~dir mutated in
@@ -198,9 +232,10 @@ let test_memory_equivalence () =
           let replanned = Store.replan session mutated in
           Alcotest.(check (option string))
             (name ^ ": not degraded") None replanned.Store.degraded;
-          let warm = Analysis.run ~jobs ~warm:replanned.Store.plan mutated in
+          let warm = Analysis.run ~jobs ~warm:replanned.Store.plan ~capture:true mutated in
           let tag what = Printf.sprintf "%s: %s at jobs=%d" name what jobs in
           Alcotest.(check string) (tag "replan warm = cold") (render cold) (render warm);
+          check_front_chain (Printf.sprintf "%s at jobs=%d" name jobs) warm;
           (* The schedule is built on demand: exactly when some phase has
              a non-empty cone, i.e. re-converges anything at all. *)
           let iterations = warm.Analysis.phase1_iterations + warm.Analysis.phase2_iterations in
@@ -498,6 +533,38 @@ let test_save_is_atomic () =
   let siblings = Sys.readdir dir in
   Alcotest.(check (array string)) "only the store file" [| Store.file_name |] siblings
 
+(* An unusable store directory: [save] raises [Sys_error] and leaves no
+   temp file behind — not next to a regular file named as the directory,
+   nor inside a directory whose store path is taken by a directory (the
+   rename fails after the temp file was written). *)
+let test_save_unusable_dir () =
+  let a = Analysis.run ~capture:true (gen ~seed:46 ()) in
+  let file = fresh_dir () in
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc "not a directory");
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  Unix.mkdir (store_path dir) 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove file;
+      Unix.rmdir (store_path dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  let temps d =
+    List.filter
+      (fun f -> String.starts_with ~prefix:("." ^ Store.file_name ^ ".tmp") f)
+      (Array.to_list (Sys.readdir d))
+  in
+  List.iter
+    (fun (target, parent) ->
+      (match Store.save ~dir:target a with
+      | () -> Alcotest.failf "%s: save succeeded" target
+      | exception Sys_error _ -> ());
+      Alcotest.(check (list string)) (target ^ ": no temp file") [] (temps parent))
+    [ (file, "."); (Filename.concat file "sub", "."); (dir, dir) ];
+  Alcotest.(check string) "the file is untouched" "not a directory"
+    (In_channel.with_open_bin file In_channel.input_all)
+
 let () =
   Alcotest.run "store"
     [
@@ -520,5 +587,7 @@ let () =
           Alcotest.test_case "missing store is a plain cold start" `Quick
             test_missing_store_is_cold;
           Alcotest.test_case "save leaves no temp files" `Quick test_save_is_atomic;
+          Alcotest.test_case "save to an unusable directory raises Sys_error" `Quick
+            test_save_unusable_dir;
         ] );
     ]

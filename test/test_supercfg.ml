@@ -24,7 +24,7 @@ let test_arc_accounting () =
   let main = routine "main" [ (None, call "f"); (None, call "f"); (None, ret) ] in
   let p = program ~main:"main" [ main; f ] in
   let analysis = Analysis.run p in
-  let super = Supercfg.build p analysis.Analysis.cfgs in
+  let super = Supercfg.build p (cfgs_of analysis) in
   Alcotest.(check int) "call arcs" 2 (Supercfg.call_arc_count super);
   Alcotest.(check int) "return arcs" 4 (Supercfg.return_arc_count super);
   Alcotest.(check int) "blocks" 6 (Supercfg.block_count super);
@@ -34,7 +34,7 @@ let test_arc_accounting () =
   in
   let p2 = program ~main:"m2" [ m2 ] in
   let analysis2 = Analysis.run p2 in
-  let super2 = Supercfg.build p2 analysis2.Analysis.cfgs in
+  let super2 = Supercfg.build p2 (cfgs_of analysis2) in
   Alcotest.(check int) "no call arcs for unknown" 0 (Supercfg.call_arc_count super2);
   Alcotest.(check int) "no return arcs for unknown" 0 (Supercfg.return_arc_count super2)
 
@@ -43,11 +43,11 @@ let test_liveness_through_calls () =
      through the callee's blocks on the supergraph. *)
   let p = figure2_program () in
   let analysis = Analysis.run p in
-  let super = Supercfg.build p analysis.Analysis.cfgs in
-  let live = Supercfg.liveness super analysis.Analysis.defuses in
+  let super = Supercfg.build p (cfgs_of analysis) in
+  let live = Supercfg.liveness super (defuses_of analysis) in
   let p2 = Option.get (Spike_ir.Program.find_index p "P2") in
   let entry_block =
-    match analysis.Analysis.cfgs.(p2).Spike_cfg.Cfg.entry_blocks with
+    match (Analysis.cfg analysis p2).Spike_cfg.Cfg.entry_blocks with
     | (_, b) :: _ -> b
     | [] -> assert false
   in
@@ -87,10 +87,12 @@ let test_context_insensitivity () =
   let main = routine "main" [ (None, call "keeper"); (None, call "other"); (None, ret) ] in
   let p = program ~main:"main" [ main; keeper; other; callee ] in
   let analysis = Analysis.run p in
-  let super = Supercfg.build p analysis.Analysis.cfgs in
-  let live = Supercfg.liveness super analysis.Analysis.defuses in
+  let super = Supercfg.build p (cfgs_of analysis) in
+  let live = Supercfg.liveness super (defuses_of analysis) in
   let callee_idx = Option.get (Spike_ir.Program.find_index p "callee") in
-  let exit_block = List.hd (Spike_cfg.Cfg.exit_blocks analysis.Analysis.cfgs.(callee_idx)) in
+  let exit_block =
+    List.hd (Spike_cfg.Cfg.exit_blocks (Analysis.cfg analysis callee_idx))
+  in
   let super_exit = Supercfg.live_out live ~routine:callee_idx ~block:exit_block in
   let psg_exit =
     List.assoc exit_block
@@ -105,7 +107,7 @@ let test_context_insensitivity () =
      (it leaked from keeper's continuation); valid-paths liveness does
      not. *)
   let other_idx = Option.get (Spike_ir.Program.find_index p "other") in
-  let other_cfg = analysis.Analysis.cfgs.(other_idx) in
+  let other_cfg = Analysis.cfg analysis other_idx in
   let call_block, _ = List.hd (Spike_cfg.Cfg.call_sites other_cfg) in
   let super_before_call = Supercfg.live_in live ~routine:other_idx ~block:call_block in
   Alcotest.(check bool) "supergraph leaks t3 into other" true
