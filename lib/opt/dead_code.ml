@@ -1,6 +1,7 @@
 open Spike_support
 open Spike_isa
 open Spike_ir
+open Spike_cfg
 open Spike_core
 
 (* Pure instructions: no memory write, no control effect; deleting one is
@@ -14,41 +15,99 @@ let is_pure = function
 (* Loads are pure for dead-code purposes only if the machine cannot fault;
    our memory model reads 0 for unmapped addresses, so they are. *)
 
+(* A pure instruction dies when none of its defs is live after it; one
+   that defines sp never does, nor one that defines nothing but a nop. *)
+let dies insn live_after =
+  is_pure insn
+  &&
+  let defs = Insn.defs insn in
+  (not (Regset.mem Reg.sp defs))
+  && Regset.disjoint defs live_after
+  && match insn with Insn.Nop -> true | _ -> not (Regset.is_empty defs)
+
+(* A block's last instruction, or the one before its terminating call. *)
+let body_last (b : Cfg.block) =
+  match b.ending with
+  | Ends_call _ -> b.last - 1
+  | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> b.last
+
+(* The summaries stay fixed.  A first backward sweep of every block, from
+   [liveness], marks what dies; a marked instruction's uses and defs leave
+   the routine.  Each later sweep starts from the routine's block fixpoint
+   re-solved without the marked instructions, until one marks nothing. *)
 let find_dead (analysis : Analysis.t) liveness ~routine =
   let cfg = Analysis.cfg analysis routine in
-  let dead = ref [] in
-  Array.iter
-    (fun (b : Spike_cfg.Cfg.block) ->
-      Liveness.iter_block_backward liveness ~routine ~block:b.Spike_cfg.Cfg.id
-        (fun index insn live_after ->
-          if is_pure insn then begin
-            let defs = Insn.defs insn in
-            let keeps_sp = Regset.mem Reg.sp defs in
-            if (not keeps_sp) && Regset.disjoint defs live_after then
-              match insn with
-              | Insn.Nop -> dead := index :: !dead
-              | _ -> if not (Regset.is_empty defs) then dead := index :: !dead
-          end))
-    cfg.Spike_cfg.Cfg.blocks;
-  List.sort_uniq Int.compare !dead
+  let insns = cfg.Cfg.routine.Routine.insns in
+  let dead = Bytes.make (Array.length insns) '\000' in
+  let is_dead i = Bytes.get dead i <> '\000' in
+  (* Blocks in which something new died, last first. *)
+  let sweep live_out =
+    let touched = ref [] in
+    Array.iter
+      (fun (b : Cfg.block) ->
+        let live = ref (live_out b.id) in
+        (match b.ending with
+        | Ends_call _ -> live := Liveness.live_before_call liveness ~routine ~block:b.id !live
+        | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> ());
+        let died = ref false in
+        for i = body_last b downto b.first do
+          if not (is_dead i) then begin
+            let insn = insns.(i) in
+            if dies insn !live then begin
+              Bytes.set dead i '\001';
+              died := true
+            end
+            else live := Regset.union (Insn.uses insn) (Regset.diff !live (Insn.defs insn))
+          end
+        done;
+        if !died then touched := b.id :: !touched)
+      cfg.Cfg.blocks;
+    !touched
+  in
+  match sweep (fun block -> Liveness.live_out liveness ~routine ~block) with
+  | [] -> []
+  | touched ->
+      let defuse = Analysis.defuse analysis routine in
+      let def = Array.copy defuse.Defuse.def and ubd = Array.copy defuse.Defuse.ubd in
+      let rec cascade touched =
+        List.iter
+          (fun id ->
+            let b = cfg.Cfg.blocks.(id) in
+            let d = ref Regset.empty and u = ref Regset.empty in
+            for i = body_last b downto b.first do
+              if not (is_dead i) then begin
+                let insn = insns.(i) in
+                u := Regset.union (Insn.uses insn) (Regset.diff !u (Insn.defs insn));
+                d := Regset.union !d (Insn.defs insn)
+              end
+            done;
+            def.(id) <- !d;
+            ubd.(id) <- !u)
+          touched;
+        let live_out = Liveness.solve liveness ~routine ~def ~ubd in
+        match sweep (Array.get live_out) with [] -> () | touched -> cascade touched
+      in
+      cascade touched;
+      let indexes = ref [] in
+      for i = Array.length insns - 1 downto 0 do
+        if is_dead i then indexes := i :: !indexes
+      done;
+      !indexes
 
 let eliminate_round (analysis : Analysis.t) =
   let liveness = Liveness.compute analysis in
-  let removed = ref 0 in
-  let program =
-    Program.make
-      ~main:(Program.main analysis.Analysis.program)
-      (Array.to_list
-         (Array.mapi
-            (fun r routine ->
-              match find_dead analysis liveness ~routine:r with
-              | [] -> routine
-              | dead ->
-                  removed := !removed + List.length dead;
-                  Rewrite.delete_instructions routine dead)
-            (Program.routines analysis.Analysis.program)))
+  let program = analysis.Analysis.program and removed = ref 0 in
+  let routines =
+    Array.mapi
+      (fun r routine ->
+        match find_dead analysis liveness ~routine:r with
+        | [] -> routine
+        | dead ->
+            removed := !removed + List.length dead;
+            Rewrite.delete_instructions routine dead)
+      (Program.routines program)
   in
-  (program, !removed)
+  (Program.make ~main:(Program.main program) (Array.to_list routines), !removed)
 
 let eliminate ~rerun analysis =
   let rec loop analysis total =

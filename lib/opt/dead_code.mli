@@ -11,15 +11,27 @@
 open Spike_core
 
 val find_dead : Analysis.t -> Liveness.t -> routine:int -> int list
-(** Indexes of dead instructions in one routine (one elimination round:
-    removing them can expose more). *)
+(** Indexes, ascending, of the instructions of one routine that die under
+    the analysis's summaries held fixed: the whole cascade inside the
+    routine, not one round.  A first backward sweep from the given
+    liveness marks what is dead; a marked instruction's uses and defs
+    leave the routine, whose block fixpoint is re-solved from empty
+    ({!Liveness.solve}) for the next sweep, until a sweep marks nothing.
+    A routine in which nothing dies costs one sweep.  The result is what
+    removing dead instructions one round at a time would reach, with the
+    summaries fixed; it is not faint-variable elimination (a definition
+    that only feeds itself around a loop stays). *)
 
 val eliminate :
   rerun:(Analysis.t -> Spike_ir.Program.t -> Analysis.t) ->
   Analysis.t ->
   Spike_ir.Program.t * int
 (** Remove dead instructions program-wide, re-analysing with [rerun]
-    (normally {!Analysis.rerun}) and repeating until a fixpoint.  Returns
-    the optimized program and the total number of instructions removed.
-    Each round returns the routines it found nothing dead in physically
-    shared, so a warm {!Analysis.rerun} reuses their analysis. *)
+    (normally {!Analysis.rerun}) and repeating until a round removes
+    nothing.  Each round converges every routine's own cascade
+    ({!find_dead}), so a rerun is needed only for cascades that cross
+    routines: a callee that no longer reads an argument register, or a
+    caller that no longer reads a return value.  Returns the optimized
+    program and the total number of instructions removed.  Each round
+    returns the routines it found nothing dead in physically shared, so a
+    warm {!Analysis.rerun} reuses their analysis. *)

@@ -25,6 +25,54 @@ let cross_call analysis info live_after =
   let gen, kill = call_gen_kill analysis info in
   Regset.union gen (Regset.diff live_after kill)
 
+(* The least fixpoint of routine [r]'s block equations, from empty, with
+   block [b]'s DEF and UBD (its terminating call excluded) given by
+   [def b] and [ubd b]: (live-in, live-out) per block. *)
+let solve_routine analysis site_of_block r ~def ~ubd =
+  let cfg = Analysis.cfg analysis r in
+  let n = Cfg.block_count cfg in
+  let live_in = Array.make n Regset.empty and live_out = Array.make n Regset.empty in
+  let exit_live = (analysis.Analysis.summaries.(r)).Summary.live_at_exit in
+  let out_of b =
+    let block = cfg.Cfg.blocks.(b) in
+    match block.ending with
+    | Ends_ret -> (
+        match List.assoc_opt b exit_live with Some l -> l | None -> Regset.empty)
+    | Ends_jump_unknown -> Calling_standard.unknown_jump_live
+    | Ends_call _ ->
+        (* Liveness at the return point. *)
+        live_in.(block.succs.(0))
+    | Ends_plain | Ends_switch ->
+        Array.fold_left (fun acc s -> Regset.union acc live_in.(s)) Regset.empty
+          block.succs
+  in
+  let transfer b out =
+    let block = cfg.Cfg.blocks.(b) in
+    let mid =
+      match block.ending with
+      | Ends_call _ -> (
+          match Hashtbl.find_opt site_of_block (r, b) with
+          | Some info -> cross_call analysis info out
+          | None -> assert false)
+      | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> out
+    in
+    Regset.union (ubd b) (Regset.diff mid (def b))
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for b = n - 1 downto 0 do
+      let out = out_of b in
+      live_out.(b) <- out;
+      let inn = transfer b out in
+      if not (Regset.equal inn live_in.(b)) then begin
+        live_in.(b) <- inn;
+        changed := true
+      end
+    done
+  done;
+  (live_in, live_out)
+
 let compute (analysis : Analysis.t) =
   let program = analysis.Analysis.program in
   let psg = analysis.Analysis.psg in
@@ -39,49 +87,11 @@ let compute (analysis : Analysis.t) =
   let nroutines = Program.routine_count program in
   let live_in_sets = Array.make nroutines [||] and live_out_sets = Array.make nroutines [||] in
   for r = 0 to nroutines - 1 do
-    let cfg = Analysis.cfg analysis r in
     let defuse = Analysis.defuse analysis r in
-    let n = Cfg.block_count cfg in
-    let live_in = Array.make n Regset.empty and live_out = Array.make n Regset.empty in
-    let exit_live = (analysis.Analysis.summaries.(r)).Summary.live_at_exit in
-    let out_of b =
-      let block = cfg.Cfg.blocks.(b) in
-      match block.ending with
-      | Ends_ret -> (
-          match List.assoc_opt b exit_live with Some l -> l | None -> Regset.empty)
-      | Ends_jump_unknown -> Calling_standard.unknown_jump_live
-      | Ends_call _ ->
-          (* Liveness at the return point. *)
-          live_in.(block.succs.(0))
-      | Ends_plain | Ends_switch ->
-          Array.fold_left (fun acc s -> Regset.union acc live_in.(s)) Regset.empty
-            block.succs
+    let live_in, live_out =
+      solve_routine analysis site_of_block r ~def:(Defuse.def defuse)
+        ~ubd:(Defuse.ubd defuse)
     in
-    let transfer b out =
-      let block = cfg.Cfg.blocks.(b) in
-      let mid =
-        match block.ending with
-        | Ends_call _ -> (
-            match Hashtbl.find_opt site_of_block (r, b) with
-            | Some info -> cross_call analysis info out
-            | None -> assert false)
-        | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> out
-      in
-      Regset.union (Defuse.ubd defuse b) (Regset.diff mid (Defuse.def defuse b))
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for b = n - 1 downto 0 do
-        let out = out_of b in
-        live_out.(b) <- out;
-        let inn = transfer b out in
-        if not (Regset.equal inn live_in.(b)) then begin
-          live_in.(b) <- inn;
-          changed := true
-        end
-      done
-    done;
     live_in_sets.(r) <- live_in;
     live_out_sets.(r) <- live_out
   done;
@@ -90,31 +100,18 @@ let compute (analysis : Analysis.t) =
 let live_in t ~routine ~block = t.live_in_sets.(routine).(block)
 let live_out t ~routine ~block = t.live_out_sets.(routine).(block)
 
+let not_a_call name = invalid_arg ("Liveness." ^ name ^ ": block does not end in a call")
+
 let live_across_call t ~routine ~block =
   let cfg = Analysis.cfg t.analysis routine in
   match cfg.Cfg.blocks.(block).Cfg.ending with
   | Ends_call _ -> t.live_out_sets.(routine).(block)
-  | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown ->
-      invalid_arg "Liveness.live_across_call: block does not end in a call"
+  | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> not_a_call "live_across_call"
 
-let iter_block_backward t ~routine ~block f =
-  let cfg = Analysis.cfg t.analysis routine in
-  let b = cfg.Cfg.blocks.(block) in
-  let insns = cfg.Cfg.routine.Routine.insns in
-  let live = ref t.live_out_sets.(routine).(block) in
-  let start =
-    match b.ending with
-    | Ends_call _ ->
-        let insn = insns.(b.last) in
-        f b.last insn !live;
-        (match Hashtbl.find_opt t.site_of_block (routine, block) with
-        | Some info -> live := cross_call t.analysis info !live
-        | None -> assert false);
-        b.last - 1
-    | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> b.last
-  in
-  for i = start downto b.first do
-    let insn = insns.(i) in
-    f i insn !live;
-    live := Regset.union (Insn.uses insn) (Regset.diff !live (Insn.defs insn))
-  done
+let live_before_call t ~routine ~block live =
+  match Hashtbl.find_opt t.site_of_block (routine, block) with
+  | Some info -> cross_call t.analysis info live
+  | None -> not_a_call "live_before_call"
+
+let solve t ~routine ~def ~ubd =
+  snd (solve_routine t.analysis t.site_of_block routine ~def:(Array.get def) ~ubd:(Array.get ubd))

@@ -17,14 +17,22 @@ val compute : Analysis.t -> t
 val live_in : t -> routine:int -> block:int -> Regset.t
 val live_out : t -> routine:int -> block:int -> Regset.t
 
-val iter_block_backward :
-  t -> routine:int -> block:int -> (int -> Spike_isa.Insn.t -> Regset.t -> unit) -> unit
-(** [iter_block_backward t ~routine ~block f] calls [f index insn
-    live_after] for each instruction of the block from last to first,
-    where [live_after] is the liveness immediately after the instruction
-    (for a terminating call instruction: the liveness at its return point,
-    before the call's summary is applied). *)
-
 val live_across_call : t -> routine:int -> block:int -> Regset.t
 (** For a block ending in a call: the registers live at the call's return
     point.  @raise Invalid_argument if the block does not end in a call. *)
+
+val live_before_call : t -> routine:int -> block:int -> Regset.t -> Regset.t
+(** For a block ending in a call: [live_before_call t ~routine ~block l]
+    is the liveness immediately before the call instruction when [l] is
+    live at its return point (the call's own effect composed with its
+    callees' summary).  @raise Invalid_argument if the block does not end
+    in a call. *)
+
+val solve :
+  t -> routine:int -> def:Regset.t array -> ubd:Regset.t array -> Regset.t array
+(** [solve t ~routine ~def ~ubd] re-solves one routine's least block
+    fixpoint, from empty and under [t]'s summaries, with the per-block
+    DEF and UBD sets [def] and [ubd] (indexed by block id, a terminating
+    call excluded as in {!Spike_cfg.Defuse}) in place of the routine's
+    own.  Returns every block's liveness at its end, in {!live_out}'s
+    convention.  [compute] is this with {!Spike_cfg.Defuse}'s sets. *)

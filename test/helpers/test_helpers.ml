@@ -329,6 +329,82 @@ module Cold_opt = struct
     fst (Dead_code.eliminate ~rerun a)
 end
 
+(* Dead-code elimination one round per re-analysis — a naive oracle for
+   {!Spike_opt.Dead_code}, which converges each routine's cascade under
+   fixed summaries and re-analyses only for cascades that cross routines.
+   A round removes exactly the instructions dead under the liveness it
+   started from, found by its own instruction-by-instruction walk.  By
+   confluence both reach the same program. *)
+module Round_dce = struct
+  open Spike_isa
+  open Spike_ir
+  open Spike_cfg
+  open Spike_core
+  open Spike_opt
+
+  let is_pure = function
+    | Insn.Li _ | Insn.Lda _ | Insn.Mov _ | Insn.Binop _ | Insn.Load _ | Insn.Nop -> true
+    | Insn.Store _ | Insn.Br _ | Insn.Bcond _ | Insn.Switch _ | Insn.Jump_unknown _
+    | Insn.Call _ | Insn.Ret ->
+        false
+
+  let dead_in (a : Analysis.t) liveness r =
+    let cfg = Analysis.cfg a r in
+    let insns = cfg.Cfg.routine.Routine.insns in
+    let dead = ref [] in
+    Array.iter
+      (fun (b : Cfg.block) ->
+        let live = ref (Liveness.live_out liveness ~routine:r ~block:b.id) in
+        let last =
+          match b.ending with
+          | Ends_call _ ->
+              live := Liveness.live_before_call liveness ~routine:r ~block:b.id !live;
+              b.last - 1
+          | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> b.last
+        in
+        for i = last downto b.first do
+          let insn = insns.(i) in
+          let defs = Insn.defs insn in
+          if is_pure insn
+             && (not (Regset.mem Reg.sp defs))
+             && Regset.disjoint defs !live
+             && (insn = Insn.Nop || not (Regset.is_empty defs))
+          then dead := i :: !dead;
+          live := Regset.union (Insn.uses insn) (Regset.diff !live defs)
+        done)
+      cfg.Cfg.blocks;
+    !dead
+
+  (* [Dead_code.eliminate]'s contract: the optimized program and the
+     number of instructions removed. *)
+  let eliminate ~rerun (a : Analysis.t) =
+    let rec loop (a : Analysis.t) total =
+      let liveness = Liveness.compute a in
+      let removed = ref 0 in
+      let routines =
+        Array.mapi
+          (fun r routine ->
+            match dead_in a liveness r with
+            | [] -> routine
+            | dead ->
+                removed := !removed + List.length dead;
+                Rewrite.delete_instructions routine dead)
+          (Program.routines a.program)
+      in
+      let program = Program.make ~main:(Program.main a.program) (Array.to_list routines) in
+      if !removed = 0 then (program, total) else loop (rerun a program) (total + !removed)
+    in
+    loop a 0
+
+  (* {!Spike_opt.Opt.run}'s pass sequence with this elimination. *)
+  let optimize (a : Analysis.t) =
+    let program, _ = Spill.apply a in
+    let a = Analysis.rerun a program in
+    let program, _ = Save_restore.apply a in
+    let a = Analysis.rerun a program in
+    eliminate ~rerun:Analysis.rerun a
+end
+
 (* The assembly front end as it was before the cursor lexer: split the
    source into lines, lex every line into a token list, then pattern-match
    the lists.  A naive oracle for {!Spike_asm.Parser}, which lexes and

@@ -264,6 +264,28 @@ let test_warm_rerun_equals_cold () =
         [ 1; 4 ])
     programs
 
+(* The per-routine cascade against one elimination round per rerun
+   ([Round_dce]): the same program and the same number of instructions
+   removed, in fewer re-analyses. *)
+let test_cascade_equals_rounds () =
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun jobs ->
+          let tag = Printf.sprintf "%s, jobs %d" name jobs in
+          let optimized, report = Opt.run (Analysis.run ~jobs p) in
+          let oracle, removed = Round_dce.optimize (Analysis.run ~jobs p) in
+          Alcotest.(check string) (tag ^ ": program") (printed oracle) (printed optimized);
+          Alcotest.(check int) (tag ^ ": dead instructions removed") removed
+            report.Opt.dead_instructions_removed)
+        [ 1; 2 ])
+    (List.map
+       (fun seed ->
+         ( Printf.sprintf "synth %d" seed,
+           Spike_synth.Generator.generate { Spike_synth.Params.default with seed } ))
+       [ 1; 7; 23 ]
+    @ [ ("vortex", small_vortex 1) ])
+
 (* A disk-warm analysis reuses every routine's artifact and builds no CFG
    in its front end; the optimizer asks for them on demand.  It must
    print the same program as from a cold analysis. *)
@@ -446,6 +468,7 @@ let () =
       ( "warm",
         [
           Alcotest.test_case "warm rerun = cold run" `Slow test_warm_rerun_equals_cold;
+          Alcotest.test_case "cascade = round-by-round" `Quick test_cascade_equals_rounds;
           Alcotest.test_case "cold fallbacks" `Quick test_cold_fallbacks;
           Alcotest.test_case "disk-warm Opt.run = cold" `Quick test_disk_warm_opt;
         ] );

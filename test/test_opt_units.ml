@@ -96,23 +96,37 @@ let test_liveness_across_call () =
   let across = Liveness.live_across_call liveness ~routine:keeper_idx ~block:call_block in
   Alcotest.(check bool) "t3 live across" true (Regset.mem Reg.t3 across);
   Alcotest.(check bool) "t4 not live across" false (Regset.mem Reg.t4 across);
-  (* iter_block_backward yields per-instruction live-after sets. *)
-  let saw_def = ref false in
-  Liveness.iter_block_backward liveness ~routine:keeper_idx ~block:call_block
-    (fun _ insn live_after ->
-      match insn with
-      | Insn.Li { dst; _ } when dst = Reg.t3 ->
-          saw_def := true;
-          Alcotest.(check bool) "t3 live after its def" true (Regset.mem Reg.t3 live_after)
-      | _ -> ());
-  Alcotest.(check bool) "visited the def" true !saw_def;
+  (* [li t3, 7] is the call block's last instruction before the call: what
+     is live after it is what is live before the call. *)
+  let t3_def =
+    let keeper = Program.get p keeper_idx in
+    Option.get (Array.find_index (fun i -> i = li Reg.t3 7) keeper.Routine.insns)
+  in
+  Alcotest.(check int) "the def ends the call block's body"
+    ((Analysis.cfg analysis keeper_idx).Spike_cfg.Cfg.blocks.(call_block).Spike_cfg.Cfg.last - 1)
+    t3_def;
+  let after_def =
+    Liveness.live_before_call liveness ~routine:keeper_idx ~block:call_block across
+  in
+  Alcotest.(check bool) "t3 live after its def" true (Regset.mem Reg.t3 after_def);
+  Alcotest.(check (list int)) "so the def is not dead" []
+    (Dead_code.find_dead analysis liveness ~routine:keeper_idx);
   Alcotest.check_raises "live_across_call on non-call"
     (Invalid_argument "Liveness.live_across_call: block does not end in a call")
     (fun () ->
       let exit_block =
         List.hd (Spike_cfg.Cfg.exit_blocks (Analysis.cfg analysis keeper_idx))
       in
-      ignore (Liveness.live_across_call liveness ~routine:keeper_idx ~block:exit_block))
+      ignore (Liveness.live_across_call liveness ~routine:keeper_idx ~block:exit_block));
+  Alcotest.check_raises "live_before_call on non-call"
+    (Invalid_argument "Liveness.live_before_call: block does not end in a call")
+    (fun () ->
+      let exit_block =
+        List.hd (Spike_cfg.Cfg.exit_blocks (Analysis.cfg analysis keeper_idx))
+      in
+      ignore
+        (Liveness.live_before_call liveness ~routine:keeper_idx ~block:exit_block
+           Regset.empty))
 
 (* --- Cost model ------------------------------------------------------------ *)
 
@@ -177,6 +191,85 @@ let test_dead_code_cascades () =
   let f' = Option.get (Program.find optimized "f") in
   Alcotest.(check int) "only ret left" 1 (Routine.instruction_count f')
 
+(* [eliminate] (Dead_code's or the Round_dce oracle's) with a rerun
+   counter. *)
+let counting_reruns eliminate p =
+  let reruns = ref 0 in
+  let rerun a program =
+    incr reruns;
+    Analysis.rerun a program
+  in
+  let optimized, removed = eliminate ~rerun (Analysis.run p) in
+  (optimized, removed, !reruns)
+
+let test_dead_code_chain_across_blocks () =
+  (* Each link of the chain sits in its own block: the cascade converges
+     inside the routine, so one rerun confirms it, where one round per
+     rerun needs three. *)
+  let f =
+    routine "f"
+      [
+        (None, li r1 1);
+        (None, br "b1");
+        (Some "b1", mov ~src:r1 ~dst:r2);
+        (None, br "b2");
+        (Some "b2", mov ~src:r2 ~dst:r3);
+        (None, ret);
+      ]
+  in
+  let main = routine "main" [ (None, call "f"); (None, ret) ] in
+  let p = program ~main:"main" [ main; f ] in
+  let cfg = Spike_cfg.Cfg.build f in
+  Alcotest.(check (list int)) "three blocks" [ 0; 1; 2 ]
+    (List.map (fun i -> cfg.Spike_cfg.Cfg.block_of_insn.(i)) [ 0; 2; 4 ]);
+  let optimized, removed, reruns = counting_reruns Dead_code.eliminate p in
+  Alcotest.(check int) "all three removed" 3 removed;
+  Alcotest.(check int) "one rerun" 1 reruns;
+  let f' = Option.get (Program.find optimized "f") in
+  Alcotest.(check int) "only the branches and ret left" 3 (Routine.instruction_count f');
+  let by_rounds, removed', reruns' = counting_reruns Round_dce.eliminate p in
+  Alcotest.(check int) "round by round: three reruns" 3 reruns';
+  Alcotest.(check int) "round by round: same count" removed removed';
+  Alcotest.(check string) "round by round: same program"
+    (Spike_asm.Printer.to_string by_rounds) (Spike_asm.Printer.to_string optimized)
+
+let test_dead_code_keeps_loop_carried () =
+  (* [r1 = r1 + 1] feeds only itself around the loop once the read after
+     the loop dies, so the routine's liveness is re-solved.  Iterated
+     dead-code elimination keeps it (its def is live at the loop head); a
+     faint-variable elimination would delete it. *)
+  let bump = Insn.Binop { op = Insn.Add; dst = r1; src1 = r1; src2 = Insn.Imm 1 } in
+  let f =
+    routine "f"
+      [
+        (None, li r2 10);
+        (Some "loop", bump);
+        (None, Insn.Binop { op = Insn.Sub; dst = r2; src1 = r2; src2 = Insn.Imm 1 });
+        (None, bne r2 "loop");
+        (None, mov ~src:r1 ~dst:r3);
+        (None, ret);
+      ]
+  in
+  let main = routine "main" [ (None, call "f"); (None, ret) ] in
+  let p = program ~main:"main" [ main; f ] in
+  let optimized, removed, _ = counting_reruns Dead_code.eliminate p in
+  Alcotest.(check int) "only the read after the loop removed" 1 removed;
+  let f' = Option.get (Program.find optimized "f") in
+  Alcotest.(check bool) "the increment survives" true
+    (Array.exists (fun i -> i = bump) f'.Routine.insns)
+
+let test_dead_code_cascade_across_routines () =
+  (* The callee's read of a0 dies in the first round; only the rerun
+     after it shows that the caller's def of a0 is dead too. *)
+  let callee = routine "callee" [ (None, mov ~src:Reg.a0 ~dst:r3); (None, ret) ] in
+  let main = routine "main" [ (None, li Reg.a0 1); (None, call "callee"); (None, ret) ] in
+  let p = program ~main:"main" [ main; callee ] in
+  let optimized, removed, reruns = counting_reruns Dead_code.eliminate p in
+  Alcotest.(check int) "both removed" 2 removed;
+  Alcotest.(check int) "a second round" 2 reruns;
+  Alcotest.(check int) "main keeps its call and ret" 2
+    (Routine.instruction_count (Option.get (Program.find optimized "main")))
+
 let () =
   Alcotest.run "opt-units"
     [
@@ -195,5 +288,11 @@ let () =
         [
           Alcotest.test_case "effects preserved" `Quick test_dead_code_keeps_stores_and_sp;
           Alcotest.test_case "cascades" `Quick test_dead_code_cascades;
+          Alcotest.test_case "chain across three blocks" `Quick
+            test_dead_code_chain_across_blocks;
+          Alcotest.test_case "loop-carried self-use survives" `Quick
+            test_dead_code_keeps_loop_carried;
+          Alcotest.test_case "cascade across routines" `Quick
+            test_dead_code_cascade_across_routines;
         ] );
     ]

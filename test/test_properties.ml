@@ -231,6 +231,19 @@ let prop_opt_preserves_outcome =
           true
       | _, _ -> false)
 
+(* Dead-code elimination converges each routine's cascade under fixed
+   summaries; it must remove exactly what one round per re-analysis does. *)
+let prop_cascade_equals_rounds =
+  QCheck.Test.make ~name:"cascade = round-by-round" ~count:25 arbitrary_params
+    (fun params ->
+      let p = Generator.generate params in
+      let optimized, report = Spike_opt.Opt.run (Analysis.run p) in
+      let oracle, removed = Test_helpers.Round_dce.optimize (Analysis.run p) in
+      let print = Spike_asm.Printer.to_string in
+      (print optimized = print oracle && report.Spike_opt.Opt.dead_instructions_removed = removed)
+      || QCheck.Test.fail_reportf "cascade removed %d, rounds %d"
+           report.Spike_opt.Opt.dead_instructions_removed removed)
+
 (* Flow-edge labels come from one Figure-6 solve per sink block; they must
    equal the per-edge construction's, with and without branch nodes and
    with guarded and unguarded calls. *)
@@ -356,6 +369,7 @@ let () =
             prop_damaged_text_same_verdict;
             prop_summaries_roundtrip;
             prop_opt_preserves_outcome;
+            prop_cascade_equals_rounds;
             prop_dynamic_soundness;
           ] );
     ]
