@@ -52,7 +52,7 @@ let externals_arg =
            external routines (§3.5).")
 
 let load_externals = function
-  | None -> fun _ -> None
+  | None -> Psg.no_externals
   | Some path -> (
       match Spike_asm.Summaries.of_file path with
       | entries -> Spike_asm.Summaries.lookup entries

@@ -231,7 +231,7 @@ let run_with ~reused_front ~branch_nodes ~externals ~callee_saved_filter ~jobs ~
     warm_capture;
   }
 
-let run ?(branch_nodes = true) ?(externals = fun _ -> None)
+let run ?(branch_nodes = true) ?(externals = Psg.no_externals)
     ?(callee_saved_filter = true) ?jobs ?warm ?(capture = false) program =
   run_with ~reused_front:(on_demand program) ~branch_nodes ~externals
     ~callee_saved_filter ~jobs ~warm ~capture program

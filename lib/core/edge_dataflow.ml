@@ -13,11 +13,6 @@ let join a b =
     must_def = Regset.inter a.must_def b.must_def;
   }
 
-let sets_equal a b =
-  Regset.equal a.may_use b.may_use
-  && Regset.equal a.may_def b.may_def
-  && Regset.equal a.must_def b.must_def
-
 let apply_block ~def ~ubd out =
   {
     may_use = Regset.union ubd (Regset.diff out.may_use def);
@@ -26,17 +21,29 @@ let apply_block ~def ~ubd out =
   }
 
 (* A routine's sinks are solved one after another over regions of the
-   same CFG, so the region buffer, the block-to-slot map and the IN-set
-   table are preallocated at routine size and reused across sinks.  A
-   generation stamp both marks region membership while the region is
-   collected and invalidates the previous sink's entries without an
-   O(blocks) reset. *)
+   same CFG, so every array is preallocated at routine size and reused
+   across sinks.  A generation stamp both marks region membership while
+   the region is collected and invalidates the previous sink's entries
+   without an O(blocks) reset.
+
+   A region block's slot is its postorder number in the depth-first
+   search over predecessors that collects the region, so the sink, the
+   search's root, holds the last slot.  Sweeping slots downward visits
+   the reverse postorder of the reversed region: every block comes after
+   each region successor whose arc is not a back arc of the search. *)
 type solution = {
-  region : int array;  (* collection worklist: the region's blocks, BFS order *)
-  position : int array;  (* block id -> slot; valid iff stamp.(b) = gen *)
+  order : int array;  (* slot -> block *)
+  position : int array;  (* block -> slot; valid iff stamp.(b) = gen *)
   stamp : int array;
   mutable gen : int;
-  ins : sets array;  (* slot -> IN sets of the current region *)
+  read_early : int array;  (* slot -> last sweep that read it before updating it *)
+  mutable sweep_id : int;
+  stack_block : int array;  (* the search's stack: block and next predecessor *)
+  stack_next : int array;
+  (* IN sets of the current region, one lane per set, indexed by slot. *)
+  may_use_in : Regset.t array;
+  may_def_in : Regset.t array;
+  must_def_in : Regset.t array;
 }
 
 type scratch = solution
@@ -56,35 +63,60 @@ let c_block_updates = Spike_obs.Metrics.counter "edge_dataflow.block_updates"
 let create_scratch ~nblocks =
   let n = max nblocks 1 in
   {
-    region = Array.make n 0;
+    order = Array.make n 0;
     position = Array.make n 0;
     stamp = Array.make n 0;
     gen = 0;
-    ins = Array.make n top_must;
+    read_early = Array.make n 0;
+    sweep_id = 0;
+    stack_block = Array.make n 0;
+    stack_next = Array.make n 0;
+    may_use_in = Array.make n Regset.empty;
+    may_def_in = Array.make n Regset.empty;
+    must_def_in = Array.make n Regset.full;
   }
 
 (* The sink's backward region: the sink plus every block reaching it
-   without passing through a cut.  Collected breadth-first into
-   [s.region], using the stamp as the visited mark; returns its size. *)
-let collect_region s ~cfg ~is_cut ~sink =
-  let gen = s.gen and stamp = s.stamp and region = s.region in
+   without passing through a cut.  One iterative depth-first search over
+   predecessors, with the stamp as the visited mark, numbers the region's
+   blocks in postorder and starts each slot's lanes at [top_must]; returns
+   the region's size.  Costs O(region blocks + their predecessor arcs). *)
+let collect_region s ~(cfg : Cfg.t) ~is_cut ~sink =
+  let gen = s.gen and stamp = s.stamp and order = s.order and position = s.position in
+  let stack_block = s.stack_block and stack_next = s.stack_next in
+  let blocks = cfg.blocks in
   stamp.(sink) <- gen;
-  region.(0) <- sink;
-  let n = ref 1 and next = ref 0 in
-  while !next < !n do
-    Array.iter
-      (fun p ->
-        if stamp.(p) <> gen && not (is_cut p) then begin
-          stamp.(p) <- gen;
-          region.(!n) <- p;
-          incr n
-        end)
-      cfg.Cfg.blocks.(region.(!next)).Cfg.preds;
-    incr next
+  stack_block.(0) <- sink;
+  stack_next.(0) <- 0;
+  let sp = ref 0 and n = ref 0 in
+  while !sp >= 0 do
+    let b = stack_block.(!sp) in
+    let preds = blocks.(b).preds in
+    let k = stack_next.(!sp) in
+    if k < Array.length preds then begin
+      stack_next.(!sp) <- k + 1;
+      let p = preds.(k) in
+      if stamp.(p) <> gen && not (is_cut p) then begin
+        stamp.(p) <- gen;
+        incr sp;
+        stack_block.(!sp) <- p;
+        stack_next.(!sp) <- 0
+      end
+    end
+    else begin
+      let slot = !n in
+      order.(slot) <- b;
+      position.(b) <- slot;
+      s.may_use_in.(slot) <- Regset.empty;
+      s.may_def_in.(slot) <- Regset.empty;
+      s.must_def_in.(slot) <- Regset.full;
+      n := slot + 1;
+      decr sp
+    end
   done;
   !n
 
-let solve ?scratch ~cfg ~defuse ~rpo_position ~is_cut ~sink () =
+let solve ?scratch ~cfg ~defuse ~is_cut ~sink () =
   let s =
     match scratch with
     | Some s -> s
@@ -92,50 +124,70 @@ let solve ?scratch ~cfg ~defuse ~rpo_position ~is_cut ~sink () =
   in
   s.gen <- s.gen + 1;
   let size = collect_region s ~cfg ~is_cut ~sink in
-  (* Backward dataflow converges fastest visiting a block after its
-     successors, i.e. in descending reverse-postorder position. *)
-  let blocks = Array.sub s.region 0 size in
-  Array.sort (fun a b -> Int.compare rpo_position.(b) rpo_position.(a)) blocks;
   let gen = s.gen in
-  Array.iteri
-    (fun i b ->
-      s.position.(b) <- i;
-      s.ins.(i) <- top_must)
-    blocks;
-  let position = s.position and stamp = s.stamp and ins = s.ins in
-  let out_of b =
-    if b = sink then empty
-    else begin
-      let acc = ref top_must in
-      (* Every non-sink region block was collected as a predecessor of a
-         region block, so it has a region successor. *)
-      Array.iter
-        (fun succ -> if stamp.(succ) = gen then acc := join !acc ins.(position.(succ)))
-        cfg.Cfg.blocks.(b).Cfg.succs;
-      !acc
-    end
-  in
-  let sweeps = ref 0 and updates = ref 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
+  let order = s.order and position = s.position and stamp = s.stamp in
+  let use_in = s.may_use_in and def_in = s.may_def_in and must_in = s.must_def_in in
+  let blocks = cfg.Cfg.blocks in
+  (* The sink's OUT sets are the boundary, so its IN sets are final at
+     once. *)
+  let top = size - 1 in
+  let def = Defuse.def defuse sink in
+  use_in.(top) <- Defuse.ubd defuse sink;
+  def_in.(top) <- def;
+  must_in.(top) <- def;
+  (* Sweep the other slots downward.  A block whose meet reads a region
+     successor at or below its own slot reads the value of the previous
+     sweep (or the initial [top_must]), not yet recomputed in this one;
+     every other read sees this sweep's final value.  A sweep is
+     therefore the fixpoint unless some slot it updated had been read
+     before its update.  In an acyclic region no block reads early, so
+     the first sweep is the fixpoint. *)
+  let read_early = s.read_early in
+  (* The sink's IN sets, set above, count as one update. *)
+  let sweeps = ref 0 and updates = ref 1 in
+  let again = ref true in
+  while !again do
     incr sweeps;
-    Array.iteri
-      (fun i b ->
-        let next =
-          apply_block ~def:(Defuse.def defuse b) ~ubd:(Defuse.ubd defuse b) (out_of b)
-        in
-        if not (sets_equal next ins.(i)) then begin
-          ins.(i) <- next;
-          incr updates;
-          changed := true
-        end)
-      blocks
+    s.sweep_id <- s.sweep_id + 1;
+    let sweep = s.sweep_id in
+    again := false;
+    for i = top - 1 downto 0 do
+      let b = order.(i) in
+      (* Every non-sink region block was collected as a predecessor of a
+         region block, so the meet has at least one operand. *)
+      let u = ref Regset.empty and d = ref Regset.empty and m = ref Regset.full in
+      let succs = blocks.(b).Cfg.succs in
+      for k = 0 to Array.length succs - 1 do
+        let succ = succs.(k) in
+        if stamp.(succ) = gen then begin
+          let j = position.(succ) in
+          if j <= i then read_early.(j) <- sweep;
+          u := Regset.union !u use_in.(j);
+          d := Regset.union !d def_in.(j);
+          m := Regset.inter !m must_in.(j)
+        end
+      done;
+      let def = Defuse.def defuse b in
+      let u = Regset.union (Defuse.ubd defuse b) (Regset.diff !u def)
+      and d = Regset.union !d def
+      and m = Regset.union !m def in
+      if
+        not
+          (Regset.equal u use_in.(i) && Regset.equal d def_in.(i)
+         && Regset.equal m must_in.(i))
+      then begin
+        use_in.(i) <- u;
+        def_in.(i) <- d;
+        must_in.(i) <- m;
+        incr updates;
+        if read_early.(i) = sweep then again := true
+      end
+    done
   done;
   if Spike_obs.Metrics.enabled () then begin
     Spike_obs.Metrics.incr c_solves;
     Spike_obs.Metrics.add c_sweeps !sweeps;
-    Spike_obs.Metrics.add c_block_visits (!sweeps * Array.length blocks);
+    Spike_obs.Metrics.add c_block_visits (!sweeps * size);
     Spike_obs.Metrics.add c_block_updates !updates
   end;
   s
@@ -143,5 +195,7 @@ let solve ?scratch ~cfg ~defuse ~rpo_position ~is_cut ~sink () =
 let mem sol b = b < Array.length sol.stamp && sol.stamp.(b) = sol.gen
 
 let in_of sol b =
-  if mem sol b then sol.ins.(sol.position.(b))
+  if mem sol b then
+    let i = sol.position.(b) in
+    { may_use = sol.may_use_in.(i); may_def = sol.may_def_in.(i); must_def = sol.must_def_in.(i) }
   else invalid_arg (Printf.sprintf "Edge_dataflow.in_of: block %d not in region" b)

@@ -44,11 +44,12 @@ val apply_block : def:Regset.t -> ubd:Regset.t -> sets -> sets
 type solution
 
 type scratch = solution
-(** Preallocated routine-sized working storage for {!solve}: the region
-    buffer, the block-to-slot position map and the IN-set table,
-    generation-stamped so reuse across the sinks of one routine costs no
-    per-solve reset or rehash.  One scratch serves one routine's sinks
-    sequentially; give each domain of a parallel build its own. *)
+(** Preallocated routine-sized working storage for {!solve}: the region's
+    slot order, the block-to-slot map, the search stack and the three
+    IN-set lanes, generation-stamped so reuse across the sinks of one
+    routine costs no per-solve reset or rehash.  One scratch serves one
+    routine's sinks sequentially; give each domain of a parallel build its
+    own. *)
 
 val create_scratch : nblocks:int -> scratch
 (** Scratch for a routine of [nblocks] basic blocks. *)
@@ -57,16 +58,24 @@ val solve :
   ?scratch:scratch ->
   cfg:Cfg.t ->
   defuse:Defuse.t ->
-  rpo_position:int array ->
   is_cut:(int -> bool) ->
   sink:int ->
   unit ->
   solution
-(** [solve ~cfg ~defuse ~rpo_position ~is_cut ~sink ()] collects the
-    backward region of block [sink] — [sink] plus every predecessor chain
-    of blocks [b] with [not (is_cut b)] — and runs the dataflow to fixpoint
-    over it.  [rpo_position.(b)] is block [b]'s index in the routine's
-    reverse postorder; it only affects convergence speed.
+(** [solve ~cfg ~defuse ~is_cut ~sink ()] collects the backward region of
+    block [sink] — [sink] plus every predecessor chain of blocks [b] with
+    [not (is_cut b)] — and runs the dataflow to fixpoint over it.
+
+    One iterative depth-first search over predecessors collects the
+    region and numbers it in postorder; the sweeps visit the blocks in
+    the reverse of that order, the reverse postorder of the reversed
+    region, so a block comes after every region successor it does not
+    reach by a back arc of the search.  If no block reads a successor not
+    yet visited in the sweep, the region is acyclic and the first sweep is
+    the fixpoint; otherwise sweeps repeat until nothing changes.  The
+    fixpoint reached from [top_must] is unique, so the order affects only
+    the number of sweeps, never the sets.  A solve costs O(region blocks +
+    their arcs) per sweep and, given a scratch, allocates nothing.
 
     When [scratch] is supplied the returned solution aliases it and is
     invalidated by the next [solve] on the same scratch — read every label
@@ -74,7 +83,7 @@ val solve :
     allocated. *)
 
 val in_of : solution -> int -> sets
-(** IN sets of a region block.
+(** IN sets of a region block, built from the lanes on each call.
     @raise Invalid_argument if the block is not in the region. *)
 
 val mem : solution -> int -> bool

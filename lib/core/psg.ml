@@ -16,6 +16,8 @@ type external_class = {
   x_killed : Regset.t;
 }
 
+let no_externals _ = None
+
 type call_target = Target_routine of int | Target_external of external_class
 
 type call_info = {

@@ -54,6 +54,13 @@ type external_class = {
     suggestion that the compiler or linker hand Spike exact information
     about code it cannot see (shared-library routines). *)
 
+val no_externals : string -> external_class option
+(** The default resolution environment: no supplied summaries, so every
+    call target outside the image gets the calling-standard assumption.
+    Every default in the analysis and the store is this one closure, so
+    [==] tells two runs under the default environment apart from runs
+    under a supplied table. *)
+
 type call_target =
   | Target_routine of int  (** a routine of the program, by index *)
   | Target_external of external_class

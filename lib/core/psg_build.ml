@@ -73,7 +73,8 @@ let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
     edge_id
   in
   (* --- Nodes and cut points ------------------------------------------- *)
-  let sink_of_block = Array.make nblocks None in
+  (* Block id -> its sink node, or -1: the cut blocks. *)
+  let sink_of_block = Array.make nblocks (-1) in
   let sources = ref [] in
   List.iter
     (fun (label, block) ->
@@ -87,11 +88,11 @@ let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
       | Ends_ret ->
           let node = new_node (Psg.Exit { routine = r; block = b.id }) in
           exit_ := node :: !exit_;
-          sink_of_block.(b.id) <- Some node
+          sink_of_block.(b.id) <- node
       | Ends_jump_unknown ->
           let node = new_node (Psg.Unknown_exit { routine = r; block = b.id }) in
           unknown := node :: !unknown;
-          sink_of_block.(b.id) <- Some node
+          sink_of_block.(b.id) <- node
       | Ends_call callee ->
           (* A call falls through, so validation guarantees a unique
              successor: the return point. *)
@@ -101,7 +102,7 @@ let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
           let return_node =
             new_node (Psg.Return { routine = r; call_block = b.id; block = return_block })
           in
-          sink_of_block.(b.id) <- Some call_node;
+          sink_of_block.(b.id) <- call_node;
           sources :=
             { src_node = return_node; src_block = return_block; mode = At_block_start }
             :: !sources;
@@ -119,48 +120,78 @@ let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
             }
       | Ends_switch when branch_nodes ->
           let node = new_node (Psg.Branch { routine = r; block = b.id }) in
-          sink_of_block.(b.id) <- Some node;
+          sink_of_block.(b.id) <- node;
           sources := { src_node = node; src_block = b.id; mode = After_block } :: !sources
       | Ends_switch | Ends_plain -> ())
     cfg.blocks;
   (* --- Flow-summary edges ---------------------------------------------- *)
-  let rpo = Cfg.reverse_postorder cfg in
-  let rpo_position = Array.make nblocks 0 in
-  Array.iteri (fun pos b -> rpo_position.(b) <- pos) rpo;
-  (* Forward reach from source [i], stopping at cut blocks: one (source,
-     sink node, sink block) flow per sink reached, in discovery order.  The
-     stamp visits each block once per source, so no sink is found twice. *)
+  let sources = Array.of_list (List.rev !sources) in
+  let blocks = cfg.blocks in
+  let is_cut b = sink_of_block.(b) >= 0 in
+  (* Forward reach from each source, stopping at cut blocks: one flow per
+     sink block reached, recorded as the flow's source index and sink
+     block, in depth-first discovery order.  The stamp visits each block
+     once per source, so no sink is found twice; the search is iterative,
+     with an explicit stack of (block, next successor). *)
+  let flow_source = Vec.create () and flow_sink = Vec.create () in
   let fwd_stamp = Array.make nblocks (-1) in
-  let forward_reach i source =
-    let sinks = ref [] in
-    let rec visit b =
-      if fwd_stamp.(b) <> i then begin
-        fwd_stamp.(b) <- i;
-        match sink_of_block.(b) with
-        | Some sink -> sinks := (source, sink, b) :: !sinks
-        | None -> Array.iter visit cfg.blocks.(b).succs
+  let stack_block = Array.make nblocks 0 and stack_next = Array.make nblocks 0 in
+  (* Discovers [b] from source [i]; true when the search continues into
+     [b]'s successors. *)
+  let discover i b =
+    if fwd_stamp.(b) = i then false
+    else begin
+      fwd_stamp.(b) <- i;
+      if is_cut b then begin
+        Vec.push flow_source i;
+        Vec.push flow_sink b;
+        false
       end
-    in
-    (match source.mode with
-    | At_block_start -> visit source.src_block
-    | After_block -> Array.iter visit cfg.blocks.(source.src_block).succs);
-    List.rev !sinks
+      else true
+    end
   in
-  let flows =
-    Array.of_list (List.concat (List.mapi forward_reach (List.rev !sources)))
+  let reach_from i root =
+    if discover i root then begin
+      stack_block.(0) <- root;
+      stack_next.(0) <- 0;
+      let sp = ref 0 in
+      while !sp >= 0 do
+        let succs = blocks.(stack_block.(!sp)).succs in
+        let k = stack_next.(!sp) in
+        if k < Array.length succs then begin
+          stack_next.(!sp) <- k + 1;
+          let succ = succs.(k) in
+          if discover i succ then begin
+            incr sp;
+            stack_block.(!sp) <- succ;
+            stack_next.(!sp) <- 0
+          end
+        end
+        else decr sp
+      done
+    end
+  in
+  Array.iteri
+    (fun i source ->
+      match source.mode with
+      | At_block_start -> reach_from i source.src_block
+      | After_block -> Array.iter (reach_from i) blocks.(source.src_block).succs)
+    sources;
+  let nflows = Vec.length flow_source in
+  (* The flows into each sink block, CSR by sink block: flows
+     [into_sink.(into_off.(b)) .. into_sink.(into_off.(b + 1) - 1)] end
+     at block [b]. *)
+  let into_off, into_sink =
+    Scc.csr nblocks (fun edge -> Vec.iteri (fun f b -> edge b f) flow_sink)
   in
   (* One Figure-6 solve per distinct sink block, over the sink's backward
      region; every edge into that sink reads its label off the shared
      solution (see Edge_dataflow for why the labels are the per-edge
-     ones).  Labels land in [flow_labels] so edges are emitted in discovery
-     order below, whatever order the sinks are solved in. *)
-  let into_sink = Array.make nblocks [] in
-  Array.iteri
-    (fun i (_, _, sink_block) -> into_sink.(sink_block) <- i :: into_sink.(sink_block))
-    flows;
-  let flow_labels = Array.make (Array.length flows) Edge_dataflow.top_must in
+     ones).  Labels land in [flow_labels], three sets per flow, so edges
+     are emitted in discovery order below, whatever order the sinks are
+     solved in. *)
+  let flow_labels = Array.make (3 * nflows) Regset.empty in
   let scratch = Edge_dataflow.create_scratch ~nblocks in
-  let is_cut b = Option.is_some sink_of_block.(b) in
   (* An entry or return node sits at the start of its block.  A branch
      node sits after the block's instructions: its label merges the IN
      sets of the dispatch targets inside the region. *)
@@ -173,31 +204,28 @@ let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
             if Edge_dataflow.mem solution succ then
               Edge_dataflow.join acc (Edge_dataflow.in_of solution succ)
             else acc)
-          Edge_dataflow.top_must cfg.blocks.(source.src_block).succs
+          Edge_dataflow.top_must blocks.(source.src_block).succs
   in
-  Array.iteri
-    (fun sink_block flow_ids ->
-      if flow_ids <> [] then begin
-        let solution =
-          Edge_dataflow.solve ~scratch ~cfg ~defuse ~rpo_position ~is_cut
-            ~sink:sink_block ()
-        in
-        List.iter
-          (fun i ->
-            let source, _, _ = flows.(i) in
-            flow_labels.(i) <- label_at solution source)
-          flow_ids
-      end)
-    into_sink;
-  Array.iteri
-    (fun i (source, sink_node, _) ->
-      ignore (new_edge source.src_node sink_node flow_labels.(i)))
-    flows;
+  for sink = 0 to nblocks - 1 do
+    if into_off.(sink + 1) > into_off.(sink) then begin
+      let solution = Edge_dataflow.solve ~scratch ~cfg ~defuse ~is_cut ~sink () in
+      for k = into_off.(sink) to into_off.(sink + 1) - 1 do
+        let f = into_sink.(k) in
+        let label = label_at solution sources.(Vec.get flow_source f) in
+        flow_labels.(3 * f) <- label.may_use;
+        flow_labels.((3 * f) + 1) <- label.may_def;
+        flow_labels.((3 * f) + 2) <- label.must_def
+      done
+    end
+  done;
+  (* Flow edges follow the call-return edges, in discovery order. *)
+  let flow_src = Array.init nflows (fun f -> sources.(Vec.get flow_source f).src_node) in
+  let flow_dst = Array.init nflows (fun f -> sink_of_block.(Vec.get flow_sink f)) in
   {
     l_kinds = Vec.to_array kinds;
-    l_src = Vec.to_array src;
-    l_dst = Vec.to_array dst;
-    l_labels = Vec.to_array labels;
+    l_src = Array.append (Vec.to_array src) flow_src;
+    l_dst = Array.append (Vec.to_array dst) flow_dst;
+    l_labels = Array.append (Vec.to_array labels) flow_labels;
     l_calls = Vec.to_array calls;
     l_entry = List.rev !entry;
     l_exit = List.rev !exit_;
@@ -323,7 +351,7 @@ let stitch ~entry_filters program (locals : local array) =
 
 (* --- The one-shot builder ------------------------------------------------ *)
 
-let build ?(branch_nodes = true) ?entry_filters ?(externals = fun _ -> None) ?pool
+let build ?(branch_nodes = true) ?entry_filters ?(externals = Psg.no_externals) ?pool
     program cfgs defuses =
   let nroutines = Program.routine_count program in
   let resolve_targets = resolver ~externals program in

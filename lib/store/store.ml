@@ -17,6 +17,7 @@ let c_hits = Spike_obs.Metrics.counter "store.load.hits"
 let c_misses = Spike_obs.Metrics.counter "store.load.misses"
 let c_invalidated = Spike_obs.Metrics.counter "store.load.invalidations"
 let c_degradations = Spike_obs.Metrics.counter "store.degradations"
+let c_fingerprints = Spike_obs.Metrics.counter "store.fingerprints"
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Codec.Corrupt m)) fmt
 
@@ -211,6 +212,41 @@ let read_body ~resolve ~routine:(r : int) body : Warm.routine_art =
   Option.iter (fun name -> raise (Vanished name)) !vanished;
   { Warm.a_filter = filter; a_local = local; a_phase1; a_cr; a_phase2 }
 
+(* --- Fingerprints, once per run ------------------------------------------
+
+   [spike analyze --store] fingerprints the program at [load], analyses
+   it, then writes every routine's fingerprint at [save].  The planner
+   therefore leaves the digests it computed behind, keyed on the program
+   and the resolution environment, and [save] and [retain] take a
+   routine's digest from there while the routine at that index is
+   physically the one that was fingerprinted.  Any other program,
+   environment or routine is fingerprinted afresh.  The ephemeron keeps
+   neither key alive.  Single-domain, like {!Fingerprint.routine}. *)
+
+type fingerprints = {
+  f_routines : Routine.t array;  (* the program's routines when planned *)
+  f_digests : string array;  (* routine index -> digest; "" = not computed *)
+}
+
+let last_fingerprints :
+    (Program.t, string -> Psg.external_class option, fingerprints) Ephemeron.K2.t option
+    ref =
+  ref None
+
+let fresh_fingerprint ~externals program routine =
+  Spike_obs.Metrics.incr c_fingerprints;
+  Fingerprint.routine ~externals program routine
+
+(* [fingerprinter ~externals program r routine] is routine [r]'s digest. *)
+let fingerprinter ~externals program =
+  let memo =
+    Option.bind !last_fingerprints (fun e -> Ephemeron.K2.query e program externals)
+  in
+  fun r routine ->
+    match memo with
+    | Some m when m.f_routines.(r) == routine && m.f_digests.(r) <> "" -> m.f_digests.(r)
+    | _ -> fresh_fingerprint ~externals program routine
+
 (* --- Warm plans --------------------------------------------------------
 
    Both sources of cached artifacts — the disk file and a resident
@@ -255,6 +291,7 @@ let plan_entries ~externals (entries : (string, entry) Hashtbl.t) program =
   let n = Program.routine_count program in
   let resolve name = Program.find_index program name in
   let plan = Warm.cold program in
+  let digests = Array.make n "" in
   let claimed = Hashtbl.create n in
   let hits = ref 0 and misses = ref 0 and invalidated = ref 0 in
   Program.iter
@@ -262,9 +299,9 @@ let plan_entries ~externals (entries : (string, entry) Hashtbl.t) program =
       match Hashtbl.find_opt entries routine.name with
       | None -> incr misses
       | Some e -> (
-          let fresh =
-            String.equal e.e_fp (Fingerprint.routine ~externals program routine)
-          in
+          let fp = fresh_fingerprint ~externals program routine in
+          digests.(r) <- fp;
+          let fresh = String.equal e.e_fp fp in
           if not fresh then incr invalidated;
           (* A stale entry is decoded anyway, as a lift candidate: the edit
              may have left the equation system intact ({!Warm.solutions}).
@@ -312,6 +349,10 @@ let plan_entries ~externals (entries : (string, entry) Hashtbl.t) program =
             | None -> ())
           e.e_callees)
     entries;
+  last_fingerprints :=
+    Some
+      (Ephemeron.K2.make program externals
+         { f_routines = Array.copy (Program.routines program); f_digests = digests });
   Spike_obs.Metrics.add c_hits !hits;
   Spike_obs.Metrics.add c_misses !misses;
   Spike_obs.Metrics.add c_invalidated !invalidated;
@@ -374,7 +415,7 @@ let read_file path =
       | exception End_of_file -> corrupt "file size changed while reading")
   | _ -> In_channel.input_all ic
 
-let load ~dir ?(branch_nodes = true) ?(externals = fun _ -> None)
+let load ~dir ?(branch_nodes = true) ?(externals = Psg.no_externals)
     ?(callee_saved_filter = true) program =
   Spike_obs.Trace.with_span "store.load" @@ fun () ->
   let path = Filename.concat dir file_name in
@@ -408,6 +449,7 @@ let save ~dir (a : Analysis.t) =
   let program = a.Analysis.program in
   let externals = a.Analysis.externals in
   let main_index = main_index program in
+  let fingerprint = fingerprinter ~externals program in
   let payload = Buffer.create (1 lsl 20) in
   Codec.write_int payload (Array.length arts);
   let body_buf = Buffer.create (1 lsl 16) in
@@ -415,7 +457,7 @@ let save ~dir (a : Analysis.t) =
     (fun r (art : Warm.routine_art) ->
       let routine = Program.get program r in
       Codec.write_string payload routine.Routine.name;
-      Codec.write_raw payload (Fingerprint.routine ~externals program routine);
+      Codec.write_raw payload (fingerprint r routine);
       (* The phase-2 exit seeds depend on these two flags but the local
          fragment does not carry them, so a lift must compare them. *)
       Codec.write_bool payload routine.Routine.exported;
@@ -534,13 +576,14 @@ let retain (a : Analysis.t) =
   let program = a.Analysis.program in
   let externals = a.Analysis.externals in
   let main_index = main_index program in
+  let fingerprint = fingerprinter ~externals program in
   let entries = Hashtbl.create (Array.length arts) in
   Array.iteri
     (fun r (art : Warm.routine_art) ->
       let routine = Program.get program r in
       Hashtbl.replace entries routine.Routine.name
         {
-          e_fp = Fingerprint.routine ~externals program routine;
+          e_fp = fingerprint r routine;
           e_callees = Warm.callee_names program art.a_local;
           e_exported = routine.Routine.exported;
           e_is_main = r = main_index;
@@ -554,7 +597,7 @@ let retain (a : Analysis.t) =
     s_entries = entries;
   }
 
-let replan session ?(branch_nodes = true) ?(externals = fun _ -> None)
+let replan session ?(branch_nodes = true) ?(externals = Psg.no_externals)
     ?(callee_saved_filter = true) program =
   Spike_obs.Trace.with_span "store.replan" @@ fun () ->
   let config = Fingerprint.config_key ~branch_nodes ~callee_saved_filter in

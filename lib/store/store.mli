@@ -67,6 +67,11 @@ val save : dir:string -> Analysis.t -> unit
     Creates [dir] if needed; writes to a temporary file and renames, so a
     crash mid-save leaves any previous store intact.  Configuration and
     the resolution environment are taken from the analysis record itself.
+    A routine's fingerprint is the one the last {!load} or {!replan}
+    computed when the analysis ran on that same program ([==]) under the
+    same [externals] ([==]) and the routine at that index is still the
+    one fingerprinted; every other routine is fingerprinted afresh, which
+    the [store.fingerprints] counter counts (with the planner's own).
     @raise Invalid_argument if the analysis was run without [~capture].
     @raise Sys_error if [dir] cannot be created or the file cannot be
     written (say, [dir] or one of its parents is a regular file); a temp
@@ -83,10 +88,10 @@ type session
 
 val retain : Analysis.t -> session
 (** Package the artifacts captured by an [Analysis.run ~capture:true],
-    fingerprinting every routine and recording its exported and main
-    flags once.  The session never mutates and is
-    never mutated by later warm runs, so one session can seed any number
-    of [replan]s.
+    fingerprinting every routine (reusing the planner's digests as
+    {!save} does) and recording its exported and main flags once.  The
+    session never mutates and is never mutated by later warm runs, so one
+    session can seed any number of [replan]s.
     @raise Invalid_argument if the analysis was run without [~capture]. *)
 
 val replan :

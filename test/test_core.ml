@@ -57,12 +57,9 @@ let test_edge_dataflow_loop () =
   in
   let cfg = Spike_cfg.Cfg.build g in
   let defuse = Spike_cfg.Defuse.compute cfg in
-  let rpo = Spike_cfg.Cfg.reverse_postorder cfg in
-  let rpo_position = Array.make (Spike_cfg.Cfg.block_count cfg) 0 in
-  Array.iteri (fun i b -> rpo_position.(b) <- i) rpo;
   let exit_block = List.hd (Spike_cfg.Cfg.exit_blocks cfg) in
   let sol =
-    Edge_dataflow.solve ~cfg ~defuse ~rpo_position ~is_cut:(fun _ -> false)
+    Edge_dataflow.solve ~cfg ~defuse ~is_cut:(fun _ -> false)
       ~sink:exit_block ()
   in
   let at_entry = Edge_dataflow.in_of sol 0 in
@@ -188,10 +185,8 @@ let test_labels_shared_sink () =
   in
   Alcotest.(check int) "two edges into the exit" 2 (List.length into_exit);
   let defuse = Spike_cfg.Defuse.compute cfg in
-  let rpo_position = Array.make (Spike_cfg.Cfg.block_count cfg) 0 in
-  Array.iteri (fun i b -> rpo_position.(b) <- i) (Spike_cfg.Cfg.reverse_postorder cfg);
   let is_cut b = cfg.Spike_cfg.Cfg.blocks.(b).Spike_cfg.Cfg.ending <> Spike_cfg.Cfg.Ends_plain in
-  let sol = Edge_dataflow.solve ~cfg ~defuse ~rpo_position ~is_cut ~sink:exit_block () in
+  let sol = Edge_dataflow.solve ~cfg ~defuse ~is_cut ~sink:exit_block () in
   let region =
     List.filter (Edge_dataflow.mem sol) (List.init (Spike_cfg.Cfg.block_count cfg) Fun.id)
   in
@@ -205,6 +200,136 @@ let test_labels_shared_sink () =
   | [ a; b ] ->
       Alcotest.(check bool) "the two subgraphs differ" true (a.subgraph <> b.subgraph)
   | _ -> assert false
+
+(* --- Solver cost ------------------------------------------------------------ *)
+
+(* The Figure-6 counters of one local pass over routine [r] of [p]. *)
+let local_pass_counters p r =
+  let cfg = Spike_cfg.Cfg.build (Spike_ir.Program.get p r) in
+  let defuse = Spike_cfg.Defuse.compute cfg in
+  let resolve_targets = Psg_build.resolver ~externals:Psg.no_externals p in
+  Spike_obs.Metrics.enable ();
+  Fun.protect ~finally:Spike_obs.Metrics.disable @@ fun () ->
+  ignore (Psg_build.local_pass ~branch_nodes:true ~resolve_targets r cfg defuse);
+  let snap = Spike_obs.Metrics.snapshot () in
+  let count name =
+    match Spike_obs.Metrics.find snap name with
+    | Some (Spike_obs.Metrics.Count n) -> n
+    | _ -> Alcotest.failf "no counter %s" name
+  in
+  (cfg, count "edge_dataflow.solves", count "edge_dataflow.sweeps",
+   count "edge_dataflow.block_visits")
+
+(* A chain of 100 000 blocks, each ending in a branch to the next, into
+   the one exit: the exit's region is the whole routine and acyclic.  The
+   region search and the forward reach are iterative, and the first sweep
+   is the fixpoint, so the solve visits each block once. *)
+let test_long_chain () =
+  let n = 100_000 in
+  let rows =
+    List.concat
+      (List.init n (fun i ->
+           [ (Some (Printf.sprintf "l%d" i), li r1 i);
+             (None, beq r1 (Printf.sprintf "l%d" (i + 1))) ]))
+    @ [ (Some (Printf.sprintf "l%d" n), use r1); (None, ret) ]
+  in
+  let p = program ~main:"main" [ routine "main" rows ] in
+  let cfg, solves, sweeps, visits = local_pass_counters p 0 in
+  let blocks = Spike_cfg.Cfg.block_count cfg in
+  Alcotest.(check bool) "one block per link" true (blocks > n);
+  Alcotest.(check int) "one solve" 1 solves;
+  Alcotest.(check int) "one sweep" 1 sweeps;
+  Alcotest.(check int) "each block visited once" blocks visits
+
+(* Thousands of call sinks behind one switch: each call's region is its
+   own block, and the switch's and the exit's regions hold every return
+   block.  Summed over the sinks, the visits stay within a small factor
+   of the summed region sizes, as a per-sink pass over the whole routine
+   would not. *)
+let test_many_small_sinks () =
+  let n = 3_000 in
+  let arm i = Printf.sprintf "arm%d" i in
+  let rows =
+    [ (None, li r1 0); (Some "head", switch r1 (List.init n arm)) ]
+    @ List.concat
+        (List.init n (fun i -> [ (Some (arm i), call "g"); (None, br "join") ]))
+    @ [ (Some "join", bne r1 "head"); (None, use r2); (None, ret) ]
+  in
+  let p = program ~main:"main" [ routine "main" rows; leaf ] in
+  let cfg, solves, _, visits = local_pass_counters p 0 in
+  let nblocks = Spike_cfg.Cfg.block_count cfg in
+  let is_cut b = cfg.Spike_cfg.Cfg.blocks.(b).Spike_cfg.Cfg.ending <> Spike_cfg.Cfg.Ends_plain in
+  (* Every cut block is some flow's sink here; sum their regions. *)
+  let region_size sink =
+    let seen = Hashtbl.create 16 in
+    let rec visit = function
+      | [] -> ()
+      | b :: rest ->
+          if Hashtbl.mem seen b then visit rest
+          else begin
+            Hashtbl.add seen b ();
+            visit
+              (List.filter (fun q -> not (is_cut q))
+                 (Array.to_list cfg.Spike_cfg.Cfg.blocks.(b).Spike_cfg.Cfg.preds)
+              @ rest)
+          end
+    in
+    visit [ sink ];
+    Hashtbl.length seen
+  in
+  let sinks = List.filter is_cut (List.init nblocks Fun.id) in
+  let summed = List.fold_left (fun acc b -> acc + region_size b) 0 sinks in
+  Alcotest.(check int) "one solve per cut block" (List.length sinks) solves;
+  Alcotest.(check bool) "regions are small but for two" true (summed < 4 * n);
+  Alcotest.(check bool)
+    (Printf.sprintf "visits %d within 2x the summed regions %d" visits summed)
+    true
+    (visits >= summed && visits <= 2 * summed)
+
+(* An irreducible loop: the switch enters the cycle a <-> b at both
+   blocks, and b is a second routine entry as well, so neither block
+   dominates the other and no visiting order makes the exit's region
+   acyclic.  Whichever block the sweep visits first reads the other's
+   value before it is recomputed, so one sweep is not the fixpoint: the
+   b entry's label must carry a's definition of r3 around the cycle. *)
+let test_labels_irreducible () =
+  let cfg, edges =
+    oracle_agrees
+      [
+        routine ~entries:[ "main$e"; "main$b" ] "main"
+          [
+            (Some "main$e", li r1 1);
+            (None, switch r1 [ "a"; "main$b" ]);
+            (Some "a", li r3 1);
+            (None, br "main$b");
+            (Some "main$b", use r2);
+            (None, bne r1 "a");
+            (None, ret);
+          ];
+      ]
+  in
+  let block_of label =
+    cfg.Spike_cfg.Cfg.block_of_insn.(List.assoc label cfg.Spike_cfg.Cfg.routine.Spike_ir.Routine.labels)
+  in
+  let a = block_of "a" and b = block_of "main$b" in
+  let has_arc x y = Array.mem y cfg.Spike_cfg.Cfg.blocks.(x).Spike_cfg.Cfg.succs in
+  Alcotest.(check bool) "a <-> b" true (has_arc a b && has_arc b a);
+  Alcotest.(check bool) "the switch enters at both" true (has_arc 0 a && has_arc 0 b);
+  match
+    List.filter
+      (fun (e : Label_oracle.edge) ->
+        e.src = Psg.Entry { routine = 0; label = "main$b" }
+        && match e.dst with Psg.Exit _ -> true | _ -> false)
+      edges
+  with
+  | [ e ] ->
+      check_restricted "may-def around the cycle" ~over:(rs [ r1; r2; r3 ]) (rs [ r3 ])
+        e.label.may_def;
+      check_restricted "not on the direct path" ~over:(rs [ r1; r2; r3 ]) Regset.empty
+        e.label.must_def;
+      check_restricted "may-use" ~over:(rs [ r1; r2; r3 ]) (rs [ r1; r2 ])
+        e.label.may_use
+  | _ -> Alcotest.fail "one edge from the b entry to the exit"
 
 (* --- Callee_saved --------------------------------------------------------- *)
 
@@ -529,6 +654,9 @@ let () =
           Alcotest.test_case "oracle: switch arms" `Quick test_labels_switch_arms;
           Alcotest.test_case "oracle: entry in a loop" `Quick test_labels_entry_in_loop;
           Alcotest.test_case "oracle: shared sink region" `Quick test_labels_shared_sink;
+          Alcotest.test_case "oracle: irreducible region" `Quick test_labels_irreducible;
+          Alcotest.test_case "long chain: one sweep, no recursion" `Quick test_long_chain;
+          Alcotest.test_case "many small sinks" `Quick test_many_small_sinks;
         ] );
       ( "callee-saved",
         [

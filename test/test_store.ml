@@ -358,6 +358,64 @@ let test_external_change () =
   Alcotest.(check bool) "new killed set visible through the call" true
     (Regset.mem Reg.t0 killed)
 
+(* One [spike analyze --store] run fingerprints each routine once: [save]
+   and [retain] reuse the digests the planner computed for the physically
+   same program, environment and routine, and fingerprint anything else
+   afresh — so a store saved across a program or environment switch still
+   plans all hits afterwards. *)
+let test_fingerprint_once () =
+  let fingerprints () =
+    match Spike_obs.Metrics.find (Spike_obs.Metrics.snapshot ()) "store.fingerprints" with
+    | Some (Spike_obs.Metrics.Count n) -> n
+    | _ -> 0
+  in
+  let counted f =
+    Spike_obs.Metrics.enable ();
+    Fun.protect ~finally:Spike_obs.Metrics.disable (fun () ->
+        f ();
+        fingerprints ())
+  in
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> cleanup dir) @@ fun () ->
+  let p = gen () in
+  let n = Program.routine_count p in
+  Alcotest.(check int) "a cold save fingerprints every routine" n
+    (counted (fun () -> Store.save ~dir (Analysis.run ~capture:true p)));
+  let via_store program () =
+    let loaded = Store.load ~dir program in
+    Store.save ~dir (Analysis.run ~warm:loaded.Store.plan ~capture:true program)
+  in
+  Alcotest.(check int) "load fingerprints, save reuses" n (counted (via_store p));
+  let edited = edit_body p in
+  Alcotest.(check int) "after an edit too" n (counted (via_store edited));
+  Alcotest.(check int) "all hits after the edit" n (Store.load ~dir edited).Store.hits;
+  (* Planned for [edited], saved for [p]: a different program, although
+     all but one routine is physically shared. *)
+  Alcotest.(check int) "another program is fingerprinted afresh" (2 * n)
+    (counted (fun () ->
+         ignore (Store.load ~dir edited);
+         Store.save ~dir (Analysis.run ~capture:true p)));
+  Alcotest.(check int) "all hits for that program" n (Store.load ~dir p).Store.hits;
+  let session = Store.retain (Analysis.run ~capture:true p) in
+  Alcotest.(check int) "retain reuses replan's digests" n
+    (counted (fun () ->
+         let replanned = Store.replan session edited in
+         ignore
+           (Store.retain (Analysis.run ~warm:replanned.Store.plan ~capture:true edited))));
+  (* The same program under another environment. *)
+  let ext_a name = if name = "memcpy" then Some (ext_class (rs [ Reg.v0 ])) else None in
+  let ext_b name =
+    if name = "memcpy" then Some (ext_class (rs [ Reg.v0; Reg.t0 ])) else None
+  in
+  let m = Program.routine_count ext_program in
+  Store.save ~dir (Analysis.run ~externals:ext_a ~capture:true ext_program);
+  Alcotest.(check int) "another environment is fingerprinted afresh" (2 * m)
+    (counted (fun () ->
+         ignore (Store.load ~dir ~externals:ext_a ext_program);
+         Store.save ~dir (Analysis.run ~externals:ext_b ~capture:true ext_program)));
+  Alcotest.(check int) "all hits under that environment" m
+    (Store.load ~dir ~externals:ext_b ext_program).Store.hits
+
 (* --- Robustness ----------------------------------------------------------- *)
 
 let corrupt_cases =
@@ -579,6 +637,8 @@ let () =
           Alcotest.test_case "external summary change" `Quick test_external_change;
           Alcotest.test_case "retained artifacts stay immutable" `Quick
             test_retained_immutable;
+          Alcotest.test_case "one fingerprint per routine and run" `Quick
+            test_fingerprint_once;
         ] );
       ( "robustness",
         [
