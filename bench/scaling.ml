@@ -241,9 +241,9 @@ let measure_store ~workload ~program =
   let cold_baseline, cold_ms =
     best_of_ms 3 (fun () -> Analysis.run ~jobs program)
   in
-  let captured = Analysis.run ~jobs ~capture:true program in
-  Spike_store.Store.save ~dir captured;
-  let session = Spike_store.Store.retain captured in
+  let analysed = Analysis.run ~jobs program in
+  Spike_store.Store.save ~dir analysed;
+  let session = Spike_store.Store.retain analysed in
   let checked = ref false in
   let sweep =
     List.filter_map

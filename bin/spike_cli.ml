@@ -111,7 +111,7 @@ let run_analysis ~store ~branch_nodes ~externals ?jobs program =
       let loaded = Spike_store.Store.load ~dir ~branch_nodes ~externals program in
       let analysis =
         Analysis.run ~branch_nodes ~externals ?jobs
-          ~warm:loaded.Spike_store.Store.plan ~capture:true program
+          ~warm:loaded.Spike_store.Store.plan program
       in
       (try Spike_store.Store.save ~dir analysis
        with Sys_error reason ->

@@ -18,7 +18,7 @@ type t = {
   callee_saved_filter : bool;
   jobs : int;
   reused_routines : int;
-  warm_capture : Warm.routine_art array option;
+  schedule : Sched.t option;
 }
 
 let stage_cfg_build = "CFG Build"
@@ -71,6 +71,7 @@ let record_stage timer stage f =
 (* Warm counters: how much front-end work a plan saved vs. redid. *)
 let c_reused = Spike_obs.Metrics.counter "warm.routines.reused"
 let c_rebuilt = Spike_obs.Metrics.counter "warm.routines.rebuilt"
+let c_sched_reused = Spike_obs.Metrics.counter "sched.reused"
 
 (* A routine whose artifact the plan reused gets its CFG and DEF/UBD on
    first demand; [reused_front] lets {!rerun} hand over the previous
@@ -86,9 +87,13 @@ let on_demand program r =
    turned out unchanged; both phases then restart only the remaining dirty
    routines, restoring converged values outside the invalidation cones the
    planners close.  When no solution is reused at all, the cones would
-   cover every node, so the phases run cold and the planning is skipped. *)
-let run_with ~reused_front ~branch_nodes ~externals ~callee_saved_filter ~jobs ~warm
-    ~capture program =
+   cover every node, so the phases run cold and the planning is skipped.
+
+   [previous] is the PSG and the schedule of the run a rerun's plan was
+   sliced from ({!Warm.of_previous}); a plain run has none and keeps no
+   schedule. *)
+let run_with ~reused_front ~previous ~branch_nodes ~externals ~callee_saved_filter ~jobs
+    ~warm program =
   let jobs =
     match jobs with Some j -> max 1 (min j 64) | None -> Pool.default_jobs ()
   in
@@ -135,7 +140,7 @@ let run_with ~reused_front ~branch_nodes ~externals ~callee_saved_filter ~jobs ~
         in
         (defuses, filters))
   in
-  let locals, psg =
+  let locals, psg, same_topology =
     record_stage timer stage_psg_build (fun () ->
         let resolve_targets = Psg_build.resolver ~externals program in
         let locals =
@@ -147,11 +152,24 @@ let run_with ~reused_front ~branch_nodes ~externals ~callee_saved_filter ~jobs ~
                       Psg_build.local_pass ~branch_nodes ~resolve_targets r
                         (Option.get cfgs.(r)) (Option.get defuses.(r))))
         in
+        (* A rerun in which every rebuilt fragment kept its donor's
+           topology has the previous PSG's topology. *)
+        let topology =
+          Option.bind previous (fun ((old : Psg.t), _) ->
+              let kept r =
+                Option.is_some (art r)
+                ||
+                match plan.Warm.donors.(r) with
+                | Some d -> Psg_build.same_topology d.Warm.d_art.a_local locals.(r)
+                | None -> false
+              in
+              if Seq.for_all kept (Seq.init n Fun.id) then Some old else None)
+        in
         let psg =
           Spike_obs.Trace.with_span "psg.stitch" (fun () ->
-              Psg_build.stitch ~entry_filters program locals)
+              Psg_build.stitch ?topology ~entry_filters program locals)
         in
-        (locals, psg))
+        (locals, psg, topology <> None))
   in
   if Spike_obs.Metrics.enabled () then begin
     let stats = Psg_stats.of_psg psg in
@@ -164,11 +182,23 @@ let run_with ~reused_front ~branch_nodes ~externals ~callee_saved_filter ~jobs ~
         Warm.solutions plan ~program ~locals ~filters:entry_filters)
   in
   let reuse = Array.exists Option.is_some sols in
-  (* The condensation schedule both phases share depends only on the call
-     graph.  It is built on first use, as its own stage, so a phase whose
-     invalidation cone is empty never pays for it.  A phase's warm plan is
-     timed with the phase but built before the schedule is forced. *)
-  let sched = lazy (record_stage timer stage_sched (fun () -> Sched.make ~pool psg)) in
+  (* The condensation schedule both phases share depends only on the PSG's
+     topology.  A rerun that kept the previous topology carries the
+     previous schedule forward; otherwise it is built on first use, as its
+     own stage, so a phase whose invalidation cone is empty never pays for
+     it.  A phase's warm plan is timed with the phase but built before the
+     schedule is forced. *)
+  let carried =
+    match previous with Some (_, carried) when same_topology -> carried | _ -> None
+  in
+  let sched =
+    match carried with
+    | Some s ->
+        lazy
+          (Spike_obs.Metrics.incr c_sched_reused;
+           s)
+    | None -> lazy (record_stage timer stage_sched (fun () -> Sched.make ~pool psg))
+  in
   let sched_for cone =
     match cone with
     | Some cone when not (Array.exists Fun.id cone) -> None
@@ -198,12 +228,12 @@ let run_with ~reused_front ~branch_nodes ~externals ~callee_saved_filter ~jobs ~
         let iterations = Phase2.run ?warm:w2 ?sched:sched2 psg in
         (iterations, Summary.extract psg call_classes))
   in
-  let warm_capture =
-    if capture then
-      Some
-        (Spike_obs.Trace.with_span "warm.capture" (fun () ->
-             Warm.capture ~filters:entry_filters ~locals ~psg ~node_offset ~call_offset))
-    else None
+  (* Only a rerun keeps its schedule, built or carried, for the next. *)
+  let schedule =
+    match previous with
+    | Some _ when Lazy.is_val sched -> Some (Lazy.force sched)
+    | Some _ -> carried
+    | None -> None
   in
   let front =
     let entries =
@@ -228,13 +258,13 @@ let run_with ~reused_front ~branch_nodes ~externals ~callee_saved_filter ~jobs ~
     callee_saved_filter;
     jobs;
     reused_routines;
-    warm_capture;
+    schedule;
   }
 
 let run ?(branch_nodes = true) ?(externals = Psg.no_externals)
-    ?(callee_saved_filter = true) ?jobs ?warm ?(capture = false) program =
-  run_with ~reused_front:(on_demand program) ~branch_nodes ~externals
-    ~callee_saved_filter ~jobs ~warm ~capture program
+    ?(callee_saved_filter = true) ?jobs ?warm ?capture:_ program =
+  run_with ~reused_front:(on_demand program) ~previous:None ~branch_nodes ~externals
+    ~callee_saved_filter ~jobs ~warm program
 
 (* A rerun keys reuse on physical identity ({!Warm.of_previous}).  When no
    routine changed, the previous result already is the new program's: the
@@ -258,18 +288,15 @@ let rerun t program =
       reused_routines = n;
     }
   else
-    let warm =
-      match t.warm_capture with
-      | Some arts -> Warm.of_previous ~old_program:old ~arts program
-      | None -> Warm.cold program
-    in
     (* The plan reuses exactly the routines physically equal to [old]'s at
        the same index, so [t]'s memo entry is theirs, built or not. *)
     run_with
       ~reused_front:(fun r -> (t.front.cfgs.(r), t.front.defuses.(r)))
-      ~branch_nodes:t.branch_nodes ~externals:t.externals
-      ~callee_saved_filter:t.callee_saved_filter ~jobs:(Some t.jobs) ~warm:(Some warm)
-      ~capture:true program
+      ~previous:(Some (t.psg, t.schedule)) ~branch_nodes:t.branch_nodes
+      ~externals:t.externals ~callee_saved_filter:t.callee_saved_filter
+      ~jobs:(Some t.jobs)
+      ~warm:(Some (Warm.of_previous t.psg program))
+      program
 
 let cfg t r = Lazy.force t.front.cfgs.(r)
 let defuse t r = Lazy.force t.front.defuses.(r)

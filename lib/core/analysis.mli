@@ -45,8 +45,11 @@ type t = {
           build ran with *)
   reused_routines : int;
       (** routines whose front-end artifacts came from the warm plan *)
-  warm_capture : Warm.routine_art array option;
-      (** per-routine artifacts of this run, when [capture] was requested *)
+  schedule : Sched.t option;
+      (** the schedule a {!rerun} result hands to the next rerun: the one
+          its phases built or carried forward, [None] when it had none.
+          Always [None] after {!run}, which retains nothing beyond its
+          result. *)
 }
 
 val stage_cfg_build : string
@@ -55,8 +58,9 @@ val stage_psg_build : string
 
 val stage_sched : string
 (** Building the {!Sched} condensation schedule.  Only recorded when some
-    phase has work to do: a warm run whose invalidation cones are both
-    empty never builds the schedule. *)
+    phase has work to do and no schedule was carried forward: a warm run
+    whose invalidation cones are both empty never builds the schedule,
+    and neither does a {!rerun} that kept the previous PSG's topology. *)
 
 val stage_phase1 : string
 val stage_phase2 : string
@@ -103,30 +107,36 @@ val run :
     reusing artifacts whose inputs are unchanged — that is what
     {!Spike_store} fingerprints enforce.
 
-    [capture] (default [false]) additionally snapshots this run's
-    per-routine artifacts into [warm_capture], ready to persist. *)
+    [capture] is accepted and ignored.  Every converged PSG is its own
+    capture: {!Warm.slice} reads a routine's artifact off [psg] when a
+    store or a {!rerun} asks, so no run retains artifacts for later. *)
 
 val rerun : t -> Program.t -> t
 (** Re-analyse a transformed program under the same configuration
     (branch nodes, external summaries, callee-saved filter, jobs) — what
     the optimizer uses between passes.  The result is bit-identical to a
-    cold {!run} of the program.  A rerun that runs captures its artifacts
-    ([warm_capture]), so the next rerun can reuse them.
+    cold {!run} of the program.
 
-    The rerun is warm: a routine physically equal ([==]) to the routine
-    at the same index of [t.program] reuses its captured artifacts, and
-    every other routine is rebuilt with its old artifact as a lift donor
-    ({!Warm.of_previous}).  Physical identity is a sound key because the
-    optimizer's passes never mutate a routine in place and return each
-    routine they leave alone physically shared; the configuration is
-    carried in [t], so call resolution cannot change behind the key.
+    The rerun is warm, whether [t] came from {!run} or from a rerun: a
+    routine physically equal ([==]) to the routine at the same index of
+    [t.program] reuses its slice of [t.psg], and every other routine is
+    rebuilt with its old slice as a lift donor ({!Warm.of_previous}).
+    Physical identity is a sound key because the optimizer's passes
+    never mutate a routine in place and return each routine they leave
+    alone physically shared; the configuration is carried in [t], so
+    call resolution cannot change behind the key.
 
-    It falls back to a cold run when [t] has no [warm_capture] (a plain
-    {!run}), or when the routine count, the name at some index or the
-    [main] routine differ from [t.program]'s.  When every routine is
-    physically unchanged, nothing runs: the result is [t] for the new
-    program, with [reused_routines] equal to the routine count, zero
-    phase iterations and an empty timer. *)
+    When every rebuilt routine's new fragment has its donor's topology
+    ({!Psg_build.same_topology}), the new PSG shares [t.psg]'s shape lanes
+    and the phases run on [t.schedule] instead of building one: both are
+    functions of the topology alone.  The result keeps its schedule for
+    the next rerun, also when neither phase needed it.
+
+    It falls back to a cold run when the routine count, the name at some
+    index or the [main] routine differ from [t.program]'s.  When every
+    routine is physically unchanged, nothing runs: the result is [t] for
+    the new program, with [reused_routines] equal to the routine count,
+    zero phase iterations and an empty timer. *)
 
 val cfg : t -> int -> Cfg.t
 (** [cfg t r] is the CFG of routine [r] of [t.program] — the optimizer's

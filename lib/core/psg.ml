@@ -70,6 +70,39 @@ let node_routine = function
   | Unknown_exit { routine; _ } ->
       routine
 
+type offsets = { first_node : int array; first_edge : int array; first_call : int array }
+
+(* Nodes, edges and calls are laid out routine by routine: one pass over
+   the node kinds counts every routine's nodes, and edges and calls,
+   ordered by their source or call node, split at the routines' first
+   nodes. *)
+let offsets t =
+  let routines = Program.routine_count t.program in
+  let first_node = Array.make (routines + 1) 0 in
+  Array.iter
+    (fun kind ->
+      let r = node_routine kind in
+      first_node.(r + 1) <- first_node.(r + 1) + 1)
+    t.kinds;
+  for r = 0 to routines - 1 do
+    first_node.(r + 1) <- first_node.(r) + first_node.(r + 1)
+  done;
+  let split len node_at =
+    let first = Array.make (routines + 1) len and i = ref 0 in
+    for r = 0 to routines - 1 do
+      first.(r) <- !i;
+      while !i < len && node_at !i < first_node.(r + 1) do
+        incr i
+      done
+    done;
+    first
+  in
+  {
+    first_node;
+    first_edge = split (edge_count t) (Array.get t.src);
+    first_call = split (Array.length t.calls) (fun c -> t.calls.(c).call_node);
+  }
+
 let kind_index = function
   | Entry _ -> 0
   | Exit _ -> 1

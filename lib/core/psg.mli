@@ -119,6 +119,21 @@ val primary_entry_node : t -> int -> int
 
 val node_routine : node_kind -> int
 
+type offsets = {
+  first_node : int array;
+      (** routine [r]'s node ids are [first_node.(r)] to
+          [first_node.(r + 1) - 1] *)
+  first_edge : int array;  (** likewise its edge ids (the edges its nodes source) *)
+  first_call : int array;  (** likewise its indices into [calls] *)
+}
+(** Where each routine's rows lie: {!Psg_build.stitch} lays nodes, edges
+    and calls out routine by routine, in routine order.  Each array has
+    length [routines + 1]. *)
+
+val offsets : t -> offsets
+(** One pass over the node, edge and call tables.  O(nodes + edges +
+    calls). *)
+
 val kind_index : node_kind -> int
 (** Entry 0, exit 1, call 2, return 3, branch 4, unknown exit 5. *)
 

@@ -268,7 +268,29 @@ let offsets_of locals length =
 let node_offsets locals = offsets_of locals (fun l -> Array.length l.l_kinds)
 let call_offsets locals = offsets_of locals (fun l -> Array.length l.l_calls)
 
-let stitch ~entry_filters program (locals : local array) =
+(* The graph's shape: everything [Sched.make] reads.  Two fragments of the
+   same topology stitch, at the same offsets, into PSGs with identical
+   [src], [dst], adjacency, entry/exit/unknown-exit lists and caller
+   lists; only kinds' block ids, flow labels and the call instructions'
+   own effects may differ. *)
+let same_topology (a : local) (b : local) =
+  let same_array eq x y = Array.length x = Array.length y && Array.for_all2 eq x y in
+  let same_kind x y =
+    Psg.kind_index x = Psg.kind_index y && Psg.node_routine x = Psg.node_routine y
+  in
+  let same_call (x : local_call) (y : local_call) =
+    x.lc_call_node = y.lc_call_node
+    && x.lc_return_node = y.lc_return_node
+    && x.lc_cr_edge = y.lc_cr_edge
+    && x.lc_targets = y.lc_targets
+  in
+  same_array same_kind a.l_kinds b.l_kinds
+  && same_array Int.equal a.l_src b.l_src
+  && same_array Int.equal a.l_dst b.l_dst
+  && same_array same_call a.l_calls b.l_calls
+  && a.l_entry = b.l_entry && a.l_exit = b.l_exit && a.l_unknown = b.l_unknown
+
+let stitch ?topology ~entry_filters program (locals : local array) =
   let nroutines = Program.routine_count program in
   if Array.length locals <> nroutines then
     invalid_arg "Psg_build.stitch: locals length mismatch";
@@ -281,19 +303,30 @@ let stitch ~entry_filters program (locals : local array) =
   let call_offset = call_offsets locals in
   let nnodes = node_offset.(nroutines) in
   let nedges = edge_offset.(nroutines) in
+  (* The caller vouches that every fragment has the topology of
+     [topology]'s routine at its index, so the shape lanes are
+     [topology]'s: nothing writes them after a stitch. *)
+  let shared = Option.is_some topology in
   let kinds = Array.concat (Array.to_list (Array.map (fun l -> l.l_kinds) locals)) in
-  let src = Array.make nedges 0 and dst = Array.make nedges 0 in
+  let src = if shared then [||] else Array.make nedges 0 in
+  let dst = if shared then [||] else Array.make nedges 0 in
   let labels = Array.make (3 * nedges) Regset.empty in
   let calls = Vec.create () in
-  let callers_rev = Array.make nroutines [] in
-  let entry_nodes = Array.make nroutines [] in
-  let exit_nodes = Array.make nroutines [] in
-  let unknown_exit_nodes = Array.make nroutines [] in
+  let per_routine = if shared then 0 else nroutines in
+  let callers_rev = Array.make per_routine [] in
+  let entry_nodes = Array.make per_routine [] in
+  let exit_nodes = Array.make per_routine [] in
+  let unknown_exit_nodes = Array.make per_routine [] in
   for r = 0 to nroutines - 1 do
     let local = locals.(r) in
     let noff = node_offset.(r) and eoff = edge_offset.(r) and coff = call_offset.(r) in
-    Array.iteri (fun j s -> src.(eoff + j) <- noff + s) local.l_src;
-    Array.iteri (fun j d -> dst.(eoff + j) <- noff + d) local.l_dst;
+    if not shared then begin
+      Array.iteri (fun j s -> src.(eoff + j) <- noff + s) local.l_src;
+      Array.iteri (fun j d -> dst.(eoff + j) <- noff + d) local.l_dst;
+      entry_nodes.(r) <- List.map (fun l -> noff + l) local.l_entry;
+      exit_nodes.(r) <- List.map (fun l -> noff + l) local.l_exit;
+      unknown_exit_nodes.(r) <- List.map (fun l -> noff + l) local.l_unknown
+    end;
     (* A copy, never the fragment's own array: phase 1 writes the
        call-return labels in place. *)
     Array.blit local.l_labels 0 labels (3 * eoff) (Array.length local.l_labels);
@@ -311,42 +344,92 @@ let stitch ~entry_filters program (locals : local array) =
             call_use = c.lc_call_use;
           };
         match c.lc_targets with
-        | Some resolved ->
+        | Some resolved when not shared ->
             List.iter
               (fun target ->
                 match target with
                 | Psg.Target_routine t -> callers_rev.(t) <- call_index :: callers_rev.(t)
                 | Psg.Target_external _ -> ())
               resolved
-        | None -> ())
-      local.l_calls;
-    entry_nodes.(r) <- List.map (fun l -> noff + l) local.l_entry;
-    exit_nodes.(r) <- List.map (fun l -> noff + l) local.l_exit;
-    unknown_exit_nodes.(r) <- List.map (fun l -> noff + l) local.l_unknown
+        | Some _ | None -> ())
+      local.l_calls
   done;
   (* --- Freeze ---------------------------------------------------------- *)
-  (* CSR adjacency by counting sort; filling in edge order keeps each row
-     in ascending edge id. *)
-  let out_off, out_adj = Scc.csr nnodes (fun f -> Array.iteri (fun e s -> f s e) src) in
-  let in_off, in_adj = Scc.csr nnodes (fun f -> Array.iteri (fun e d -> f d e) dst) in
+  match topology with
+  | Some (old : Psg.t) ->
+      {
+        old with
+        program;
+        kinds;
+        sets = Array.make (3 * nnodes) Regset.empty;
+        live = Array.make nnodes Regset.empty;
+        labels;
+        calls = Vec.to_array calls;
+        entry_filter = entry_filters;
+      }
+  | None ->
+      (* CSR adjacency by counting sort; filling in edge order keeps each
+         row in ascending edge id. *)
+      let out_off, out_adj = Scc.csr nnodes (fun f -> Array.iteri (fun e s -> f s e) src) in
+      let in_off, in_adj = Scc.csr nnodes (fun f -> Array.iteri (fun e d -> f d e) dst) in
+      {
+        Psg.program;
+        kinds;
+        sets = Array.make (3 * nnodes) Regset.empty;
+        live = Array.make nnodes Regset.empty;
+        src;
+        dst;
+        labels;
+        out_off;
+        out_adj;
+        in_off;
+        in_adj;
+        calls = Vec.to_array calls;
+        callers_of = Array.map List.rev callers_rev;
+        entry_nodes;
+        exit_nodes;
+        unknown_exit_nodes;
+        entry_filter = entry_filters;
+      }
+
+(* --- Fragments of a stitched PSG ----------------------------------------- *)
+
+(* The inverse of [stitch] for one routine: its rows with the offsets
+   subtracted, and its call-return labels back at the local pass's start
+   value — phase 1 has overwritten them in [psg]. *)
+let fragment (psg : Psg.t) (offsets : Psg.offsets) r =
+  let n0 = offsets.first_node.(r) and n1 = offsets.first_node.(r + 1) in
+  let e0 = offsets.first_edge.(r) and e1 = offsets.first_edge.(r + 1) in
+  let c0 = offsets.first_call.(r) and c1 = offsets.first_call.(r + 1) in
+  let l_labels = Array.sub psg.labels (3 * e0) (3 * (e1 - e0)) in
+  let start = Edge_dataflow.top_must in
+  let l_calls =
+    Array.init (c1 - c0) (fun k ->
+        let c = psg.calls.(c0 + k) in
+        let e = c.cr_edge - e0 in
+        l_labels.(3 * e) <- start.may_use;
+        l_labels.((3 * e) + 1) <- start.may_def;
+        l_labels.((3 * e) + 2) <- start.must_def;
+        {
+          lc_call_node = c.call_node - n0;
+          lc_return_node = c.return_node - n0;
+          lc_cr_edge = e;
+          lc_callee = c.callee;
+          lc_targets = c.targets;
+          lc_call_def = c.call_def;
+          lc_call_use = c.call_use;
+        })
+  in
+  let local_ids = List.map (fun id -> id - n0) in
   {
-    Psg.program;
-    kinds;
-    sets = Array.make (3 * nnodes) Regset.empty;
-    live = Array.make nnodes Regset.empty;
-    src;
-    dst;
-    labels;
-    out_off;
-    out_adj;
-    in_off;
-    in_adj;
-    calls = Vec.to_array calls;
-    callers_of = Array.map List.rev callers_rev;
-    entry_nodes;
-    exit_nodes;
-    unknown_exit_nodes;
-    entry_filter = entry_filters;
+    l_kinds = Array.sub psg.kinds n0 (n1 - n0);
+    l_src = Array.init (e1 - e0) (fun j -> psg.src.(e0 + j) - n0);
+    l_dst = Array.init (e1 - e0) (fun j -> psg.dst.(e0 + j) - n0);
+    l_labels;
+    l_calls;
+    l_entry = local_ids psg.entry_nodes.(r);
+    l_exit = local_ids psg.exit_nodes.(r);
+    l_unknown = local_ids psg.unknown_exit_nodes.(r);
   }
 
 (* --- The one-shot builder ------------------------------------------------ *)

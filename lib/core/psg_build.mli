@@ -81,13 +81,38 @@ val local_pass :
     Safe to call concurrently for distinct routines. *)
 
 val stitch :
-  entry_filters:Regset.t array -> Program.t -> local array -> Psg.t
+  ?topology:Psg.t -> entry_filters:Regset.t array -> Program.t -> local array -> Psg.t
 (** Concatenate per-routine locals (in routine order) into the global PSG:
     ids are offset by prefix sums, caller lists are wired.  The result
     shares no mutable array with [locals], so running the phases on it
     never alters a fragment.  Deterministic in its inputs — splicing a
     cached [local] for an unchanged routine yields a graph bit-identical
-    to rebuilding it. *)
+    to rebuilding it.
+
+    [topology] is an earlier stitch whose routine at every index had a
+    fragment of the same topology ({!same_topology}) as [locals] at that
+    index.  The result then shares its shape lanes — [src], [dst], the
+    CSR adjacency, [callers_of] and the entry, exit and unknown-exit
+    lists, none of which is written after a stitch — instead of
+    rebuilding equal ones. *)
+
+val same_topology : local -> local -> bool
+(** Whether two fragments have the same shape: node constructors and
+    routines (block ids may differ), edge endpoints, call and return
+    nodes, call-return edges and call targets, and the entry, exit and
+    unknown-exit lists.  That is all {!Sched.make} reads of a PSG, so a
+    PSG stitched from fragments each of the same topology as the
+    previous one's has the previous one's schedule.  O(fragment size). *)
+
+val fragment : Psg.t -> Psg.offsets -> int -> local
+(** [fragment psg (Psg.offsets psg) r] is the inverse of {!stitch} for
+    routine [r]: its nodes, edges and calls with the routine's offsets
+    subtracted, its call-return labels reset to the local pass's start
+    value [(∅, ∅, full)] (phase 1 overwrites them in [psg]).  On a PSG
+    built from [local_pass] output it equals that routine's [local_pass]
+    fragment structurally.  The arrays are fresh; kinds, callees and
+    target lists are shared.  O(fragment size): callers slice every
+    routine and compute the offsets once per PSG. *)
 
 val node_offsets : local array -> int array
 (** Prefix sums of per-routine node counts, length [routines + 1]:

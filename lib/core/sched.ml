@@ -16,6 +16,7 @@ type t = {
    components" (schedule-friendly) from "one giant recursion knot". *)
 let c_comps = Spike_obs.Metrics.counter "sched.components"
 let c_comps_run = Spike_obs.Metrics.counter "sched.components.run"
+let c_built = Spike_obs.Metrics.counter "sched.built"
 
 (* A phase's dependency graph "node [u] reads node [v]": [u]'s outgoing
    flow-edge targets, plus [extra]'s pairs — callee entry nodes at call
@@ -134,6 +135,7 @@ let phase_order (psg : Psg.t) comp_members extra =
     Array.map (fun (_, _, f) -> f) orders )
 
 let make ?pool (psg : Psg.t) =
+  Spike_obs.Metrics.incr c_built;
   let scc = Psg.call_scc psg in
   Spike_obs.Metrics.add c_comps scc.Scc.count;
   let n = Psg.node_count psg in

@@ -63,7 +63,9 @@ val make : ?pool:Pool.t -> Psg.t -> t
 (** Build the schedule for a PSG.  O(nodes + edges + calls) plus the
     knot peeling, which the work budget bounds by [32 * nodes].  With
     [pool], the two phase orders are built concurrently; the result does
-    not depend on it. *)
+    not depend on it.  The result depends only on the PSG's topology
+    ({!Psg_build.same_topology}); every call counts one on the
+    [sched.built] counter. *)
 
 val run :
   ?sched:t ->

@@ -56,16 +56,34 @@ let main_index program =
   | Some i -> i
   | None -> assert false (* guaranteed by Program.make *)
 
+(* A routine's artifact is its slice of a converged PSG: the fragment
+   ({!Psg_build.fragment}), the filter, and copies of its solution lanes. *)
+let slice (psg : Psg.t) (offsets : Psg.offsets) r =
+  let a_local = Psg_build.fragment psg offsets r in
+  let n0 = offsets.first_node.(r) and n1 = offsets.first_node.(r + 1) in
+  let c0 = offsets.first_call.(r) and c1 = offsets.first_call.(r + 1) in
+  let a_cr = Array.make (3 * (c1 - c0)) Regset.empty in
+  for k = 0 to c1 - c0 - 1 do
+    Array.blit psg.labels (3 * psg.calls.(c0 + k).cr_edge) a_cr (3 * k) 3
+  done;
+  {
+    a_filter = psg.entry_filter.(r);
+    a_local;
+    a_phase1 = Array.sub psg.sets (3 * n0) (3 * (n1 - n0));
+    a_cr;
+    a_phase2 = Array.sub psg.live n0 (n1 - n0);
+  }
+
 (* The optimizer's passes return every routine they leave alone physically
    shared, and never mutate one in place, so [==] on routines is an exact
    "inputs unchanged" test — provided routine indices, names and [main]
    line up, which is what call resolution and the exit seeds depend on
    beyond the routine itself. *)
-let of_previous ~old_program ~arts program =
+let of_previous (old : Psg.t) program =
+  let old_program = old.program in
   let n = Program.routine_count program in
   let same_shape =
     Program.routine_count old_program = n
-    && Array.length arts = n
     && String.equal (Program.main old_program) (Program.main program)
     && Array.for_all2
          (fun (a : Routine.t) (b : Routine.t) -> String.equal a.name b.name)
@@ -74,16 +92,18 @@ let of_previous ~old_program ~arts program =
   let plan = cold program in
   if same_shape then begin
     let main = main_index program in
+    let offsets = Psg.offsets old in
     for r = 0 to n - 1 do
-      let old = Program.get old_program r in
-      if Program.get program r == old then plan.arts.(r) <- Some arts.(r)
+      let previous = Program.get old_program r in
+      let art = slice old offsets r in
+      if Program.get program r == previous then plan.arts.(r) <- Some art
       else
         plan.donors.(r) <-
           Some
             {
-              d_art = arts.(r);
-              d_callees = callee_names old_program arts.(r).a_local;
-              d_exported = old.Routine.exported;
+              d_art = art;
+              d_callees = callee_names old_program art.a_local;
+              d_exported = previous.Routine.exported;
               d_is_main = r = main;
             }
     done
@@ -265,22 +285,3 @@ let phase2_plan (psg : Psg.t) ~sols ~exit_seeds ~node_offset ~call_offset =
   iter_clean sols (fun r art ->
       Array.blit art.a_phase2 0 psg.live node_offset.(r) (Array.length art.a_phase2));
   { Phase2.cone }
-
-let capture ~filters ~locals ~(psg : Psg.t) ~node_offset ~call_offset =
-  Array.mapi
-    (fun r (local : Psg_build.local) ->
-      let noff = node_offset.(r) and nlen = Array.length local.l_kinds in
-      let ncalls = Array.length local.l_calls in
-      let a_cr = Array.make (3 * ncalls) Regset.empty in
-      for k = 0 to ncalls - 1 do
-        let info = psg.calls.(call_offset.(r) + k) in
-        Array.blit psg.labels (3 * info.cr_edge) a_cr (3 * k) 3
-      done;
-      {
-        a_filter = filters.(r);
-        a_local = local;
-        a_phase1 = Array.sub psg.sets (3 * noff) (3 * nlen);
-        a_cr;
-        a_phase2 = Array.sub psg.live noff nlen;
-      })
-    locals

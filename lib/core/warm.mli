@@ -37,7 +37,7 @@ open Spike_ir
 (** Converged solutions are kept in the PSG's own layout: a routine's
     slice of {!Psg.t.sets} (three sets per node), of {!Psg.t.live} (one
     per node) and its call-return labels (three sets per call).  A
-    {!Regset.t} is an immediate int, so capture, the store round-trip
+    {!Regset.t} is an immediate int, so slicing, the store round-trip
     and the warm restore are straight word copies — no allocation, no
     write barriers. *)
 
@@ -56,8 +56,8 @@ type donor = {
   d_callees : string list;
       (** internal routines the cached fragment's calls could target —
           re-seeded as exits if the lift fails *)
-  d_exported : bool;  (** the routine's exported flag at capture time *)
-  d_is_main : bool;  (** it was the program's main routine at capture time *)
+  d_exported : bool;  (** the routine's exported flag when cached *)
+  d_is_main : bool;  (** it was the program's main routine when cached *)
 }
 (** A fingerprint-stale artifact kept around as a lift candidate: its
     front end must be rebuilt, but {!solutions} may still prove the
@@ -87,12 +87,20 @@ val callee_names : Program.t -> Psg_build.local -> string list
     without duplicates), with routine indices read in [program] — a
     donor's {!donor.d_callees}. *)
 
-val of_previous :
-  old_program:Program.t -> arts:routine_art array -> Program.t -> plan
-(** The plan for re-analysing a transformed [program] from the artifacts
-    [arts] captured on [old_program]: a routine physically equal ([==])
-    to [old_program]'s routine at the same index reuses its artifact, and
-    every other routine becomes a lift donor with the old artifact and
+val slice : Psg.t -> Psg.offsets -> int -> routine_art
+(** [slice psg (Psg.offsets psg) r] is routine [r]'s artifact read off a
+    converged PSG: its fragment ({!Psg_build.fragment}), its filter
+    ([psg.entry_filter]) and copies of its phase-1, call-return and
+    phase-2 solution slices — what a store persists, and what a rerun
+    reuses.  Every converged PSG is its own capture, so an analysis keeps
+    nothing extra for a later warm run.  O(fragment size). *)
+
+val of_previous : Psg.t -> Program.t -> plan
+(** [of_previous psg program] plans the re-analysis of a transformed
+    [program] from the converged [psg] of its predecessor
+    [psg.program]: a routine physically equal ([==]) to the old
+    program's routine at the same index reuses its {!slice}, and every
+    other routine becomes a lift donor with its old slice and
     exported/main flags.  The key is sound only for transformations that
     never mutate a routine in place and return each untouched routine
     physically shared, as the optimizer's passes do.  When the routine
@@ -142,13 +150,3 @@ val phase2_plan :
     under reversed edges plus the return-to-exit links.  Also installs
     every solution-clean routine's cached liveness into
     {!Psg.t.live}.  Call after phase 1. *)
-
-val capture :
-  filters:Regset.t array ->
-  locals:Psg_build.local array ->
-  psg:Psg.t ->
-  node_offset:int array ->
-  call_offset:int array ->
-  routine_art array
-(** Slice a converged PSG's solution lanes into per-routine artifacts —
-    what a store persists for the next run.  The slices are copies. *)

@@ -56,73 +56,83 @@ let reads_incoming (routine : Routine.t) (cfg : Cfg.t) s ~skip =
   done;
   !found
 
-(* Call-graph successors: routines a routine may call directly.  Unknown
-   targets may re-enter the image through any exported routine. *)
-let call_successors (analysis : Analysis.t) =
+(* The call graph as the rewrite must see it: the routines each routine
+   may call directly, and whether it may also call unknown or external
+   code, which could re-enter the image through any exported routine.
+   The exported routines form one shared successor list instead of a
+   copy per such call. *)
+type call_graph = {
+  succs : int list array;
+  reenters : bool array;  (* calls unknown or external code *)
+  exported : int list;
+}
+
+let call_graph (analysis : Analysis.t) =
   let program = analysis.Analysis.program in
   let psg = analysis.Analysis.psg in
   let n = Program.routine_count program in
-  let exported =
-    List.filteri (fun r _ -> (Program.get program r).Routine.exported) (List.init n Fun.id)
-  in
-  let succs = Array.make n [] in
+  let succs = Array.make n [] and reenters = Array.make n false in
   Array.iter
     (fun (info : Psg.call_info) ->
       let caller = Psg.node_routine psg.Psg.kinds.(info.call_node) in
-      let targets =
-        match info.targets with
-        | None -> exported
-        | Some l ->
-            List.concat_map
-              (fun target ->
-                match target with
-                | Psg.Target_routine r -> [ r ]
-                | Psg.Target_external _ ->
-                    (* external code could re-enter through any exported
-                       routine *)
-                    exported)
-              l
-      in
-      succs.(caller) <- targets @ succs.(caller))
+      match info.targets with
+      | None -> reenters.(caller) <- true
+      | Some l ->
+          List.iter
+            (function
+              | Psg.Target_routine r -> succs.(caller) <- r :: succs.(caller)
+              | Psg.Target_external _ -> reenters.(caller) <- true)
+            l)
     psg.Psg.calls;
-  succs
+  let exported =
+    List.filter (fun r -> (Program.get program r).Routine.exported) (List.init n Fun.id)
+  in
+  { succs; reenters; exported }
 
-(* Can execution starting in any of [froms] re-enter [r]?  Bounds the
-   Figure 1(d) rewrite: a value parked in a caller-saved register must not
-   live across a call that can recursively clobber it. *)
-let can_reach succs froms r =
-  let visited = Array.make (Array.length succs) false in
+(* Can execution starting in any of [froms] (or, with [via_exported], in
+   any exported routine) re-enter [r]?  Bounds the Figure 1(d) rewrite: a
+   value parked in a caller-saved register must not live across a call
+   that can recursively clobber it.  The exported routines are explored
+   at most once per search, like one more vertex. *)
+let can_reach g ~via_exported froms r =
+  let visited = Array.make (Array.length g.succs) false in
+  let exported_seen = ref false in
   let rec dfs x =
     x = r
     || (not visited.(x))
        && begin
             visited.(x) <- true;
-            List.exists dfs succs.(x)
+            List.exists dfs g.succs.(x) || (g.reenters.(x) && exported ())
           end
+  and exported () =
+    (not !exported_seen)
+    && begin
+         exported_seen := true;
+         List.exists dfs g.exported
+       end
   in
-  List.exists dfs froms
+  (via_exported && exported ()) || List.exists dfs froms
 
 let find (analysis : Analysis.t) liveness =
   let program = analysis.Analysis.program in
   let psg = analysis.Analysis.psg in
-  let succs = call_successors analysis in
+  let graph = call_graph analysis in
+  let offsets = Psg.offsets psg in
   let renamings = ref [] in
   Program.iter
     (fun r (routine : Routine.t) ->
       let cfg = Analysis.cfg analysis r in
       let sites = Callee_saved.sites routine cfg in
-      (* Registers killed at each call site where a given register is live
-         across; precomputed once per routine. *)
+      (* The routine's call sites, with their blocks. *)
       let call_blocks =
-        List.filter_map
-          (fun (info : Psg.call_info) ->
+        let first = offsets.Psg.first_call.(r) in
+        List.init (offsets.Psg.first_call.(r + 1) - first) (fun k ->
+            let info = psg.Psg.calls.(first + k) in
             match psg.Psg.kinds.(info.call_node) with
-            | Psg.Call { routine = cr; block } when cr = r -> Some (block, info)
-            | Psg.Call _ -> None
+            | Psg.Call { block; _ } -> (block, info)
             | Psg.Entry _ | Psg.Exit _ | Psg.Return _ | Psg.Branch _
             | Psg.Unknown_exit _ ->
                 assert false)
-          (Array.to_list psg.Psg.calls)
       in
       let live_entry =
         match (analysis.Analysis.summaries.(r)).Summary.live_at_entry with
@@ -187,17 +197,8 @@ let find (analysis : Analysis.t) liveness =
                   else acc)
                 Regset.empty call_blocks
             in
-            let froms =
-              if !crossing_external then
-                (* external code can re-enter through any exported
-                   routine *)
-                List.filteri
-                  (fun i _ -> (Program.get program i).Routine.exported)
-                  (List.init (Program.routine_count program) Fun.id)
-                @ !crossing_targets
-              else !crossing_targets
-            in
-            if can_reach succs froms r then ()
+            (* External code can re-enter through any exported routine. *)
+            if can_reach graph ~via_exported:!crossing_external !crossing_targets r then ()
             else begin
             let suitable t =
               (not (Regset.mem t !taken))
@@ -227,13 +228,16 @@ let find (analysis : Analysis.t) liveness =
 let apply (analysis : Analysis.t) =
   let liveness = Liveness.compute analysis in
   let renamings = find analysis liveness in
+  (* Each routine's renamings, in [renamings] order. *)
+  let by_routine = Array.make (Program.routine_count analysis.Analysis.program) [] in
+  List.iter (fun ren -> by_routine.(ren.routine) <- ren :: by_routine.(ren.routine))
+    (List.rev renamings);
   let program =
     Program.make
       ~main:(Program.main analysis.Analysis.program)
       (Array.to_list
          (Array.mapi
             (fun r routine ->
-              let mine = List.filter (fun ren -> ren.routine = r) renamings in
               List.fold_left
                 (fun routine ren ->
                   (* Site indexes refer to the original routine; recompute
@@ -254,7 +258,7 @@ let apply (analysis : Analysis.t) =
                             ~to_reg:ren.replacement ~except:skip
                       in
                       Rewrite.delete_instructions routine skip)
-                routine mine)
+                routine by_routine.(r))
             (Program.routines analysis.Analysis.program)))
   in
   (program, renamings)

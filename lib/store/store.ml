@@ -440,22 +440,18 @@ let rec mkdir_p dir =
   end
 
 let save ~dir (a : Analysis.t) =
-  let arts =
-    match a.Analysis.warm_capture with
-    | Some arts -> arts
-    | None -> invalid_arg "Store.save: analysis was run without ~capture:true"
-  in
   Spike_obs.Trace.with_span "store.save" @@ fun () ->
   let program = a.Analysis.program in
   let externals = a.Analysis.externals in
   let main_index = main_index program in
   let fingerprint = fingerprinter ~externals program in
   let payload = Buffer.create (1 lsl 20) in
-  Codec.write_int payload (Array.length arts);
+  Codec.write_int payload (Program.routine_count program);
   let body_buf = Buffer.create (1 lsl 16) in
-  Array.iteri
-    (fun r (art : Warm.routine_art) ->
-      let routine = Program.get program r in
+  let offsets = Psg.offsets a.Analysis.psg in
+  Program.iter
+    (fun r (routine : Routine.t) ->
+      let art = Warm.slice a.Analysis.psg offsets r in
       Codec.write_string payload routine.Routine.name;
       Codec.write_raw payload (fingerprint r routine);
       (* The phase-2 exit seeds depend on these two flags but the local
@@ -468,7 +464,7 @@ let save ~dir (a : Analysis.t) =
       write_body program body_buf art;
       Codec.write_int payload (Buffer.length body_buf);
       Buffer.add_buffer payload body_buf)
-    arts;
+    program;
   let payload = Buffer.contents payload in
   let header = Buffer.create 64 in
   Codec.write_raw header magic;
@@ -502,11 +498,12 @@ let save ~dir (a : Analysis.t) =
 
    The disk path pays a decode cost proportional to the whole artifact
    graph; a resident driver (editor daemon, watch mode) can skip it by
-   retaining the previous run's captured artifacts and re-planning against
-   the edited program directly.  Reuse is sound because a warm run never
-   mutates retained structure: the stitch and the warm restore copy the
-   fragments' and artifacts' register-set arrays into the fresh PSG's own
-   lanes, and capture slices copies back out. *)
+   retaining the previous run's artifacts, sliced off its PSG, and
+   re-planning against the edited program directly.  Reuse is sound
+   because a warm run never mutates retained structure: the stitch and
+   the warm restore copy the fragments' and artifacts' register-set
+   arrays into the fresh PSG's own lanes, and a slice copies them back
+   out. *)
 
 type session = { s_config : string; s_entries : (string, entry) Hashtbl.t }
 
@@ -567,20 +564,16 @@ let fixup_art ~old_program ~old_r (art : Warm.routine_art) ~resolve ~routine:r :
     { art with a_local }
 
 let retain (a : Analysis.t) =
-  let arts =
-    match a.Analysis.warm_capture with
-    | Some arts -> arts
-    | None -> invalid_arg "Store.retain: analysis was run without ~capture:true"
-  in
   Spike_obs.Trace.with_span "store.retain" @@ fun () ->
   let program = a.Analysis.program in
   let externals = a.Analysis.externals in
   let main_index = main_index program in
   let fingerprint = fingerprinter ~externals program in
-  let entries = Hashtbl.create (Array.length arts) in
-  Array.iteri
-    (fun r (art : Warm.routine_art) ->
-      let routine = Program.get program r in
+  let entries = Hashtbl.create (Program.routine_count program) in
+  let offsets = Psg.offsets a.Analysis.psg in
+  Program.iter
+    (fun r (routine : Routine.t) ->
+      let art = Warm.slice a.Analysis.psg offsets r in
       Hashtbl.replace entries routine.Routine.name
         {
           e_fp = fingerprint r routine;
@@ -589,7 +582,7 @@ let retain (a : Analysis.t) =
           e_is_main = r = main_index;
           e_decode = fixup_art ~old_program:program ~old_r:r art;
         })
-    arts;
+    program;
   {
     s_config =
       Fingerprint.config_key ~branch_nodes:a.Analysis.branch_nodes

@@ -63,8 +63,9 @@ val load :
     [store.load.invalidations] / [store.degradations] counters. *)
 
 val save : dir:string -> Analysis.t -> unit
-(** Persist the artifacts captured by an [Analysis.run ~capture:true].
-    Creates [dir] if needed; writes to a temporary file and renames, so a
+(** Persist every routine's artifact, sliced off the analysis's converged
+    PSG ({!Spike_core.Warm.slice}) as it is written: any analysis can be
+    saved, a {!Spike_core.Analysis.rerun} result included.  Creates [dir] if needed; writes to a temporary file and renames, so a
     crash mid-save leaves any previous store intact.  Configuration and
     the resolution environment are taken from the analysis record itself.
     A routine's fingerprint is the one the last {!load} or {!replan}
@@ -72,7 +73,6 @@ val save : dir:string -> Analysis.t -> unit
     same [externals] ([==]) and the routine at that index is still the
     one fingerprinted; every other routine is fingerprinted afresh, which
     the [store.fingerprints] counter counts (with the planner's own).
-    @raise Invalid_argument if the analysis was run without [~capture].
     @raise Sys_error if [dir] cannot be created or the file cannot be
     written (say, [dir] or one of its parents is a regular file); a temp
     file it created is removed first. *)
@@ -87,12 +87,12 @@ type session
 (** Retained artifacts of one analysis run, keyed by routine name. *)
 
 val retain : Analysis.t -> session
-(** Package the artifacts captured by an [Analysis.run ~capture:true],
-    fingerprinting every routine (reusing the planner's digests as
-    {!save} does) and recording its exported and main flags once.  The
-    session never mutates and is never mutated by later warm runs, so one
-    session can seed any number of [replan]s.
-    @raise Invalid_argument if the analysis was run without [~capture]. *)
+(** Package every routine's artifact, sliced off the analysis's converged
+    PSG as {!save} does, fingerprinting every routine (reusing the
+    planner's digests as {!save} does) and recording its exported and
+    main flags once.  The slices are copies: the session never mutates
+    and is never mutated by later warm runs, so one session can seed any
+    number of [replan]s. *)
 
 val replan :
   session ->

@@ -642,6 +642,67 @@ let test_multi_entry_summaries () =
   check_restricted "secondary must-def" ~over:(rs [ r1; r2 ]) (rs [ r2 ])
     analysis.Analysis.psg.Psg.sets.((3 * secondary) + 2)
 
+(* [Psg_build.fragment] is the inverse of the stitch: on every routine it
+   gives back the local pass's fragment, and stitching the fragments
+   gives back the PSG's shape and flow labels bit for bit, with the
+   call-return labels at their start value. *)
+let test_fragment_inverts_stitch () =
+  let vortex =
+    let row = Option.get (Spike_synth.Calibrate.find "vortex") in
+    let p = Spike_synth.Calibrate.params_of ~scale:0.04 row in
+    Spike_synth.Generator.generate
+      { p with Spike_synth.Params.seed = 1; guard_calls = true; unknown_jump_prob = 0.0 }
+  in
+  let programs =
+    List.map
+      (fun seed ->
+        ( Printf.sprintf "synth %d" seed,
+          Spike_synth.Generator.generate { Spike_synth.Params.default with seed } ))
+      [ 1; 7; 23 ]
+    @ [ ("vortex", vortex); ("figure 2", figure2_program ()) ]
+  in
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun branch_nodes ->
+          let tag s = Printf.sprintf "%s, branch nodes %b: %s" name branch_nodes s in
+          let a = Analysis.run ~jobs:1 ~branch_nodes p in
+          let psg = a.Analysis.psg in
+          let resolve_targets = Psg_build.resolver ~externals:Psg.no_externals p in
+          let fragments =
+            Array.init (Spike_ir.Program.routine_count p)
+              (Psg_build.fragment psg (Psg.offsets psg))
+          in
+          Array.iteri
+            (fun r fragment ->
+              let local =
+                Psg_build.local_pass ~branch_nodes ~resolve_targets r (Analysis.cfg a r)
+                  (Analysis.defuse a r)
+              in
+              if fragment <> local then
+                Alcotest.failf "%s: routine %d: fragment <> local pass" (tag "fragments") r)
+            fragments;
+          let stitched = Psg_build.stitch ~entry_filters:psg.Psg.entry_filter p fragments in
+          Alcotest.(check bool) (tag "kinds") true (stitched.Psg.kinds = psg.Psg.kinds);
+          Alcotest.(check (array int)) (tag "src") psg.Psg.src stitched.Psg.src;
+          Alcotest.(check (array int)) (tag "dst") psg.Psg.dst stitched.Psg.dst;
+          Alcotest.(check bool) (tag "calls") true (stitched.Psg.calls = psg.Psg.calls);
+          let start = Edge_dataflow.top_must in
+          for e = 0 to Psg.edge_count psg - 1 do
+            let label (g : Psg.t) j = g.Psg.labels.((3 * e) + j) in
+            let expected j =
+              match psg.Psg.kinds.(psg.Psg.src.(e)) with
+              | Psg.Call _ -> [| start.may_use; start.may_def; start.must_def |].(j)
+              | _ -> label psg j
+            in
+            for j = 0 to 2 do
+              if not (Regset.equal (expected j) (label stitched j)) then
+                Alcotest.failf "%s: edge %d, set %d" (tag "labels") e j
+            done
+          done)
+        [ true; false ])
+    programs
+
 let () =
   Alcotest.run "core-units"
     [
@@ -683,5 +744,7 @@ let () =
         [
           Alcotest.test_case "psg stats" `Quick test_psg_stats;
           Alcotest.test_case "multiple entries" `Quick test_multi_entry_summaries;
+          Alcotest.test_case "fragments invert the stitch" `Quick
+            test_fragment_inverts_stitch;
         ] );
     ]

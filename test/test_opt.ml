@@ -205,6 +205,24 @@ let unchanged_routines old program =
 
 let printed = Spike_asm.Printer.to_string
 
+let counter name =
+  match Spike_obs.Metrics.find (Spike_obs.Metrics.snapshot ()) name with
+  | Some (Spike_obs.Metrics.Count n) -> n
+  | _ -> 0
+
+(* A schedule a rerun kept, built or carried forward, must be the one
+   [Sched.make] builds on that rerun's PSG, and agree with the oracle. *)
+let check_schedule tag (a : Analysis.t) =
+  match a.Analysis.schedule with
+  | None -> ()
+  | Some s ->
+      Alcotest.(check bool)
+        (tag ^ ": schedule = Sched.make") true
+        (s = Sched.make a.Analysis.psg);
+      Alcotest.(check (list string))
+        (tag ^ ": schedule = oracle") []
+        (Sched_oracle.mismatches a.Analysis.psg s)
+
 (* Opt.run's pass sequence, one rerun at a time, each checked against a
    cold run; then Opt.run itself against the cold-rerun oracle. *)
 let check_warm_reruns tag (a0 : Analysis.t) =
@@ -215,10 +233,11 @@ let check_warm_reruns tag (a0 : Analysis.t) =
     let warm = Analysis.rerun a program in
     let n = Program.routine_count program in
     let unchanged = unchanged_routines a.Analysis.program program in
-    (* Without captured artifacts only a no-op rerun reuses anything. *)
-    let expected = if unchanged = n || a.Analysis.warm_capture <> None then unchanged else 0 in
-    Alcotest.(check int) (tag ^ ": reused routines") expected warm.Analysis.reused_routines;
+    (* Every rerun, the first after a plain run included, reuses every
+       physically unchanged routine. *)
+    Alcotest.(check int) (tag ^ ": reused routines") unchanged warm.Analysis.reused_routines;
     check_equals_cold tag warm;
+    check_schedule tag warm;
     rebuilt := !rebuilt + n - warm.Analysis.reused_routines;
     reused := !reused + warm.Analysis.reused_routines;
     warm
@@ -229,7 +248,14 @@ let check_warm_reruns tag (a0 : Analysis.t) =
   let a = rerun a program in
   let stepped, _ = Dead_code.eliminate ~rerun a in
   if !reused = 0 then Alcotest.failf "%s: no rerun reused a routine" tag;
+  (* The optimizer's reruns keep the PSG topology, so one schedule serves
+     them all. *)
+  Spike_obs.Metrics.enable ();
+  let built = counter "sched.built" in
   let optimized, report = Opt.run a0 in
+  let built = counter "sched.built" - built in
+  Spike_obs.Metrics.disable ();
+  if built > 1 then Alcotest.failf "%s: Opt.run built %d schedules" tag built;
   let oracle = printed (Cold_opt.optimize a0) in
   Alcotest.(check string) (tag ^ ": stepped = cold-rerun oracle") oracle (printed stepped);
   Alcotest.(check string) (tag ^ ": Opt.run = cold-rerun oracle") oracle (printed optimized);
@@ -255,12 +281,7 @@ let test_warm_rerun_equals_cold () =
     (fun (name, p) ->
       List.iter
         (fun jobs ->
-          (* A plain run captures nothing, so its first rerun is cold; a
-             captured one is warm from the first rerun on. *)
-          check_warm_reruns (Printf.sprintf "%s, jobs %d" name jobs) (Analysis.run ~jobs p);
-          check_warm_reruns
-            (Printf.sprintf "%s, jobs %d, captured" name jobs)
-            (Analysis.run ~jobs ~capture:true p))
+          check_warm_reruns (Printf.sprintf "%s, jobs %d" name jobs) (Analysis.run ~jobs p))
         [ 1; 4 ])
     programs
 
@@ -299,12 +320,12 @@ let test_disk_warm_opt () =
           (try Sys.remove path with Sys_error _ -> ());
           try Unix.rmdir dir with Unix.Unix_error _ -> ())
       @@ fun () ->
-      Spike_store.Store.save ~dir (Analysis.run ~capture:true p);
+      Spike_store.Store.save ~dir (Analysis.run p);
       let loaded = Spike_store.Store.load ~dir p in
       Alcotest.(check int)
         (name ^ ": every routine reused")
         (Program.routine_count p) loaded.Spike_store.Store.hits;
-      let warm = Analysis.run ~warm:loaded.Spike_store.Store.plan ~capture:true p in
+      let warm = Analysis.run ~warm:loaded.Spike_store.Store.plan p in
       let optimized, report = Opt.run warm in
       Alcotest.(check bool)
         (name ^ ": the optimizer removes instructions")
@@ -335,30 +356,30 @@ let test_cold_fallbacks () =
      equal but breaks physical identity. *)
   let fresh r = { r with Routine.insns = Array.copy r.Routine.insns } in
   let with_fresh k = remake (Array.mapi (fun i r -> if i = k then fresh r else r) routines) in
-  let captured = Analysis.run ~jobs:1 ~capture:true p in
+  let plain = Analysis.run ~jobs:1 p in
   let cold_case name (a : Analysis.t) program =
     let warm = Analysis.rerun a program in
     Alcotest.(check int) (name ^ ": reused routines") 0 warm.Analysis.reused_routines;
     check_equals_cold name warm
   in
-  cold_case "uncaptured input" (Analysis.run ~jobs:1 p) (with_fresh other);
-  cold_case "routine added" captured
+  cold_case "routine added" plain
     (remake
        (Array.append routines
           [| routine "added$leaf" [ (None, li Reg.t0 1); (None, ret) ] |]));
-  cold_case "routine renamed" captured
+  cold_case "routine renamed" plain
     (remake
        (Array.mapi
           (fun i r -> if i = other then { r with Routine.name = r.Routine.name ^ "$renamed" } else r)
           routines));
-  cold_case "routines reordered" captured
+  cold_case "routines reordered" plain
     (remake (Array.init n (fun i -> routines.(n - 1 - i))));
-  cold_case "main changed" captured (remake ~main:routines.(other).Routine.name routines);
-  (* A structurally equal routine is rebuilt, and its solution is lifted
-     from the donor: nothing is left to re-converge. *)
+  cold_case "main changed" plain (remake ~main:routines.(other).Routine.name routines);
+  (* A plain run's rerun is warm: a structurally equal routine is
+     rebuilt, and its solution is lifted from the donor, so nothing is
+     left to re-converge. *)
   Spike_obs.Metrics.enable ();
   let before = lifted () in
-  let warm = Analysis.rerun captured (with_fresh other) in
+  let warm = Analysis.rerun plain (with_fresh other) in
   let lifts = lifted () - before in
   Spike_obs.Metrics.disable ();
   Alcotest.(check int) "fresh copy: reused routines" (n - 1) warm.Analysis.reused_routines;
@@ -372,17 +393,84 @@ let test_cold_fallbacks () =
   let c = routine "c" [ (None, li Reg.t1 1); (None, ret) ] in
   let caller body = routine "a" ([ (None, li Reg.t0 1) ] @ body @ [ (None, use Reg.t0); (None, ret) ]) in
   let main_r = routine "main" [ (None, call "a"); (None, ret) ] in
-  let before = Analysis.run ~jobs:1 ~capture:true (program ~main:"main" [ main_r; caller [ (None, call "c") ]; c ]) in
+  let before =
+    Analysis.run ~jobs:1 (program ~main:"main" [ main_r; caller [ (None, call "c") ]; c ])
+  in
   let dropped =
     Analysis.rerun before (program ~main:"main" [ main_r; caller [ (None, Insn.Nop) ]; c ])
   in
   Alcotest.(check int) "call dropped: reused routines" 2 dropped.Analysis.reused_routines;
   check_equals_cold "call dropped" dropped;
   (* Nothing changed at all: the previous result is returned as is. *)
-  let same = Analysis.rerun captured (remake routines) in
-  Alcotest.(check bool) "no-op: PSG shared" true (same.Analysis.psg == captured.Analysis.psg);
+  let same = Analysis.rerun plain (remake routines) in
+  Alcotest.(check bool) "no-op: PSG shared" true (same.Analysis.psg == plain.Analysis.psg);
   Alcotest.(check int) "no-op: reused routines" n same.Analysis.reused_routines;
   check_equals_cold "no-op" same
+
+(* A rerun that keeps the PSG topology carries the previous schedule
+   forward, also through a rerun whose phases never needed one; a rerun
+   that adds a call builds a fresh one. *)
+let test_schedule_carried () =
+  let a_r =
+    routine "a" [ (None, li Reg.t0 1); (None, call "c"); (None, use Reg.t0); (None, ret) ]
+  in
+  let c = routine "c" [ (None, li Reg.t2 3); (None, ret) ] in
+  let main_r = routine "main" [ (None, call "a"); (None, call "b"); (None, ret) ] in
+  let with_b body = program ~main:"main" [ main_r; a_r; routine "b" body; c ] in
+  Spike_obs.Metrics.enable ();
+  Fun.protect ~finally:Spike_obs.Metrics.disable @@ fun () ->
+  let step tag prev body ~built ~reused =
+    let b0 = counter "sched.built" and r0 = counter "sched.reused" in
+    let a = Analysis.rerun prev (with_b body) in
+    Alcotest.(check (pair int int))
+      (tag ^ ": schedules built, reused") (built, reused)
+      (counter "sched.built" - b0, counter "sched.reused" - r0);
+    Alcotest.(check int) (tag ^ ": reused routines") 3 a.Analysis.reused_routines;
+    check_equals_cold tag a;
+    check_schedule tag a;
+    a
+  in
+  let a0 = Analysis.run ~jobs:1 (with_b [ (None, li Reg.t1 2); (None, ret) ]) in
+  Alcotest.(check bool) "a plain run keeps no schedule" true (a0.Analysis.schedule = None);
+  (* b defines one more register: same topology, new summaries. *)
+  let a1 =
+    step "first rerun" a0 [ (None, li Reg.t1 2); (None, li Reg.t3 4); (None, ret) ] ~built:1
+      ~reused:0
+  in
+  let a2 =
+    step "same topology" a1 [ (None, li Reg.t1 2); (None, li Reg.t4 4); (None, ret) ]
+      ~built:0 ~reused:1
+  in
+  Alcotest.(check bool) "same topology: schedule carried" true
+    (Option.get a2.Analysis.schedule == Option.get a1.Analysis.schedule);
+  Alcotest.(check bool) "same topology: shape lanes shared" true
+    (a2.Analysis.psg.Psg.src == a1.Analysis.psg.Psg.src);
+  let a3 =
+    step "call added" a2
+      [ (None, li Reg.t1 2); (None, li Reg.t4 4); (None, call "c"); (None, ret) ]
+      ~built:1 ~reused:0
+  in
+  Alcotest.(check bool) "call added: fresh schedule" true
+    (Option.get a3.Analysis.schedule != Option.get a2.Analysis.schedule);
+  (* A rebuilt copy of b lifts its solution: no phase runs, and the
+     schedule still travels on. *)
+  let a4 =
+    step "nothing to re-converge" a3
+      [ (None, li Reg.t1 2); (None, li Reg.t4 4); (None, call "c"); (None, ret) ]
+      ~built:0 ~reused:0
+  in
+  Alcotest.(check (pair int int))
+    "nothing to re-converge: no iterations" (0, 0)
+    (a4.Analysis.phase1_iterations, a4.Analysis.phase2_iterations);
+  Alcotest.(check bool) "nothing to re-converge: schedule kept" true
+    (Option.get a4.Analysis.schedule == Option.get a3.Analysis.schedule);
+  let a5 =
+    step "after a phase-free rerun" a4
+      [ (None, li Reg.t1 2); (None, li Reg.t5 4); (None, call "c"); (None, ret) ]
+      ~built:0 ~reused:1
+  in
+  Alcotest.(check bool) "after a phase-free rerun: schedule carried" true
+    (Option.get a5.Analysis.schedule == Option.get a3.Analysis.schedule)
 
 (* [stq f31, off(sp)] zeroes a stack slot.  f31 is outside the register-set
    universe, and both the callee-saved scan of an entry block and the
@@ -470,6 +558,8 @@ let () =
           Alcotest.test_case "warm rerun = cold run" `Slow test_warm_rerun_equals_cold;
           Alcotest.test_case "cascade = round-by-round" `Quick test_cascade_equals_rounds;
           Alcotest.test_case "cold fallbacks" `Quick test_cold_fallbacks;
+          Alcotest.test_case "schedule carried while the topology holds" `Quick
+            test_schedule_carried;
           Alcotest.test_case "disk-warm Opt.run = cold" `Quick test_disk_warm_opt;
         ] );
     ]

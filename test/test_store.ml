@@ -183,7 +183,7 @@ let test_disk_equivalence () =
   let program = gen () in
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> cleanup dir) @@ fun () ->
-  Store.save ~dir (Analysis.run ~jobs:1 ~capture:true program);
+  Store.save ~dir (Analysis.run ~jobs:1 program);
   List.iter
     (fun (name, mutate) ->
       let mutated = mutate program in
@@ -199,7 +199,7 @@ let test_disk_equivalence () =
           (* A stale entry naming a callee the edit deleted is no
              corruption: it is dropped silently. *)
           Alcotest.(check int) (name ^ ": no degradation counted") 0 counted;
-          let warm = Analysis.run ~jobs ~warm:loaded.Store.plan ~capture:true mutated in
+          let warm = Analysis.run ~jobs ~warm:loaded.Store.plan mutated in
           let tag = Printf.sprintf "%s at jobs=%d" name jobs in
           Alcotest.(check string) (tag ^ ": warm = cold") (render cold) (render warm);
           check_front_chain tag warm)
@@ -222,7 +222,7 @@ let test_disk_equivalence () =
 
 let test_memory_equivalence () =
   let program = gen ~seed:43 () in
-  let session = Store.retain (Analysis.run ~jobs:1 ~capture:true program) in
+  let session = Store.retain (Analysis.run ~jobs:1 program) in
   List.iter
     (fun (name, mutate) ->
       let mutated = mutate program in
@@ -232,7 +232,7 @@ let test_memory_equivalence () =
           let replanned = Store.replan session mutated in
           Alcotest.(check (option string))
             (name ^ ": not degraded") None replanned.Store.degraded;
-          let warm = Analysis.run ~jobs ~warm:replanned.Store.plan ~capture:true mutated in
+          let warm = Analysis.run ~jobs ~warm:replanned.Store.plan mutated in
           let tag what = Printf.sprintf "%s: %s at jobs=%d" name what jobs in
           Alcotest.(check string) (tag "replan warm = cold") (render cold) (render warm);
           check_front_chain (Printf.sprintf "%s at jobs=%d" name jobs) warm;
@@ -256,24 +256,28 @@ let test_memory_equivalence () =
     (render (Analysis.run ~branch_nodes:false program))
     (render warm)
 
-(* The PSG's lanes are flat arrays, and the captured artifacts are slices
+(* The PSG's lanes are flat arrays, and the retained artifacts are slices
    of them: a warm run that shared an artifact's array with the PSG
    instead of copying would let phase 1 (call-return labels) or the warm
-   restore write into retained state.  Two replan rounds and a rerun
-   chain from one session must leave its artifacts bit-identical. *)
+   restore write into retained state, and a rerun that shares the
+   previous PSG's shape lanes must not write them either.  Two replan
+   rounds and a rerun chain from one session must leave its artifacts
+   (as an unchanged program's replan hands them out) and the PSG they
+   were sliced from bit-identical. *)
 let test_retained_immutable () =
   let program = gen ~seed:48 () in
-  let a = Analysis.run ~jobs:1 ~capture:true program in
+  let a = Analysis.run ~jobs:1 program in
   let session = Store.retain a in
   let digest () =
-    Digest.string (Marshal.to_string (Option.get a.Analysis.warm_capture) [])
+    let arts = (Store.replan session program).Store.plan.Warm.arts in
+    Digest.string (Marshal.to_string (arts, a.Analysis.psg) [])
   in
   let before = digest () in
   List.iter
     (fun mutate ->
       let p = mutate program in
       let replanned = Store.replan session p in
-      ignore (Analysis.run ~jobs:1 ~warm:replanned.Store.plan ~capture:true p))
+      ignore (Analysis.run ~jobs:1 ~warm:replanned.Store.plan p))
     [ edit_body; remove_call_edge ];
   ignore
     (List.fold_left
@@ -297,7 +301,7 @@ let test_solution_lift () =
   let program = gen ~seed:47 () in
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> cleanup dir) @@ fun () ->
-  Store.save ~dir (Analysis.run ~jobs:1 ~capture:true program);
+  Store.save ~dir (Analysis.run ~jobs:1 program);
   let check_lift name mutate expect =
     let mutated = mutate program in
     let loaded = Store.load ~dir mutated in
@@ -340,7 +344,7 @@ let test_external_change () =
   in
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> cleanup dir) @@ fun () ->
-  Store.save ~dir (Analysis.run ~externals:ext_a ~capture:true ext_program);
+  Store.save ~dir (Analysis.run ~externals:ext_a ext_program);
   (* Same externals: everything hits. *)
   let same = Store.load ~dir ~externals:ext_a ext_program in
   Alcotest.(check int) "same externals hit" 2 same.Store.hits;
@@ -380,10 +384,10 @@ let test_fingerprint_once () =
   let p = gen () in
   let n = Program.routine_count p in
   Alcotest.(check int) "a cold save fingerprints every routine" n
-    (counted (fun () -> Store.save ~dir (Analysis.run ~capture:true p)));
+    (counted (fun () -> Store.save ~dir (Analysis.run p)));
   let via_store program () =
     let loaded = Store.load ~dir program in
-    Store.save ~dir (Analysis.run ~warm:loaded.Store.plan ~capture:true program)
+    Store.save ~dir (Analysis.run ~warm:loaded.Store.plan program)
   in
   Alcotest.(check int) "load fingerprints, save reuses" n (counted (via_store p));
   let edited = edit_body p in
@@ -394,25 +398,25 @@ let test_fingerprint_once () =
   Alcotest.(check int) "another program is fingerprinted afresh" (2 * n)
     (counted (fun () ->
          ignore (Store.load ~dir edited);
-         Store.save ~dir (Analysis.run ~capture:true p)));
+         Store.save ~dir (Analysis.run p)));
   Alcotest.(check int) "all hits for that program" n (Store.load ~dir p).Store.hits;
-  let session = Store.retain (Analysis.run ~capture:true p) in
+  let session = Store.retain (Analysis.run p) in
   Alcotest.(check int) "retain reuses replan's digests" n
     (counted (fun () ->
          let replanned = Store.replan session edited in
          ignore
-           (Store.retain (Analysis.run ~warm:replanned.Store.plan ~capture:true edited))));
+           (Store.retain (Analysis.run ~warm:replanned.Store.plan edited))));
   (* The same program under another environment. *)
   let ext_a name = if name = "memcpy" then Some (ext_class (rs [ Reg.v0 ])) else None in
   let ext_b name =
     if name = "memcpy" then Some (ext_class (rs [ Reg.v0; Reg.t0 ])) else None
   in
   let m = Program.routine_count ext_program in
-  Store.save ~dir (Analysis.run ~externals:ext_a ~capture:true ext_program);
+  Store.save ~dir (Analysis.run ~externals:ext_a ext_program);
   Alcotest.(check int) "another environment is fingerprinted afresh" (2 * m)
     (counted (fun () ->
          ignore (Store.load ~dir ~externals:ext_a ext_program);
-         Store.save ~dir (Analysis.run ~externals:ext_b ~capture:true ext_program)));
+         Store.save ~dir (Analysis.run ~externals:ext_b ext_program)));
   Alcotest.(check int) "all hits under that environment" m
     (Store.load ~dir ~externals:ext_b ext_program).Store.hits
 
@@ -453,7 +457,7 @@ let test_robustness () =
   let cold = Analysis.run program in
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> cleanup dir) @@ fun () ->
-  Store.save ~dir (Analysis.run ~capture:true program);
+  Store.save ~dir (Analysis.run program);
   let pristine = In_channel.with_open_bin (store_path dir) In_channel.input_all in
   List.iter
     (fun (name, corrupt) ->
@@ -513,7 +517,7 @@ let test_bit63_word () =
   let n = Program.routine_count program in
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> cleanup dir) @@ fun () ->
-  Store.save ~dir (Analysis.run ~capture:true program);
+  Store.save ~dir (Analysis.run program);
   let data = In_channel.with_open_bin (store_path dir) In_channel.input_all in
   let b = Bytes.of_string data in
   let last = Bytes.length b - 1 in
@@ -560,7 +564,8 @@ let test_missing_store_is_cold () =
   Alcotest.(check int) "no degradation counted" 0 counted;
   Alcotest.(check int) "all misses" (Program.routine_count program) loaded.Store.misses;
   (* Every run goes through one pipeline: the plan of a missing store, the
-     all-cold plan, capture-only and a plain run are the same cold run. *)
+     all-cold plan, the ignored [~capture] and a plain run are the same
+     cold run. *)
   List.iter
     (fun (name, p) ->
       let cold = Analysis.run ~jobs:1 p in
@@ -576,7 +581,7 @@ let test_missing_store_is_cold () =
             cold.Analysis.phase2_iterations a.Analysis.phase2_iterations;
           Alcotest.(check int) (tag "nothing reused") 0 a.Analysis.reused_routines)
         [
-          ("capture", Analysis.run ~jobs:1 ~capture:true p);
+          ("capture (ignored)", Analysis.run ~jobs:1 ~capture:true p);
           ("Warm.cold", Analysis.run ~jobs:1 ~warm:(Warm.cold p) p);
           ("missing store", Analysis.run ~jobs:1 ~warm:(Store.load ~dir p).Store.plan p);
         ])
@@ -587,7 +592,7 @@ let test_save_is_atomic () =
   let program = gen ~seed:46 () in
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> cleanup dir) @@ fun () ->
-  Store.save ~dir (Analysis.run ~capture:true program);
+  Store.save ~dir (Analysis.run program);
   let siblings = Sys.readdir dir in
   Alcotest.(check (array string)) "only the store file" [| Store.file_name |] siblings
 
@@ -596,7 +601,7 @@ let test_save_is_atomic () =
    nor inside a directory whose store path is taken by a directory (the
    rename fails after the temp file was written). *)
 let test_save_unusable_dir () =
-  let a = Analysis.run ~capture:true (gen ~seed:46 ()) in
+  let a = Analysis.run (gen ~seed:46 ()) in
   let file = fresh_dir () in
   Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc "not a directory");
   let dir = fresh_dir () in
