@@ -12,8 +12,8 @@ let fail c fmt = fail_at (L.line c) fmt
 
 let reg c i =
   match Reg.of_key (L.key c i) with
+  | -1 -> fail c "unknown register %s" (L.text c i)
   | r -> r
-  | exception Not_found -> fail c "unknown register %s" (L.text c i)
 
 let set_prefix = L.[| Ident; Equals; Lbrace |]
 let directive = L.[| Directive |]

@@ -25,7 +25,17 @@ let exit_count r =
   Array.fold_left (fun n insn -> match insn with Insn.Ret -> n + 1 | _ -> n) 0 r.insns
 
 (* Labels are emitted in index order, those sharing an index in list order;
-   a label outside [0 .. length] is not printed. *)
+   a label outside [0 .. length] is not printed.  [add_labels_at b i
+   pending] prints the labels of index [i] at the head of the sorted
+   [pending] list and returns the rest. *)
+let rec add_labels_at b i = function
+  | (_, j) :: rest when j < i -> add_labels_at b i rest
+  | (l, j) :: rest when j = i ->
+      Buffer.add_string b l;
+      Buffer.add_string b ":\n";
+      add_labels_at b i rest
+  | rest -> rest
+
 let to_buffer b r =
   let str = Buffer.add_string b in
   str ".routine ";
@@ -34,22 +44,14 @@ let to_buffer b r =
   str "\n";
   List.iter (fun entry -> str ".entry "; str entry; str "\n") r.entries;
   let pending = ref (List.stable_sort (fun (_, i) (_, j) -> Int.compare i j) r.labels) in
-  let labels_at i =
-    let rec go = function
-      | (_, j) :: rest when j < i -> go rest
-      | (l, j) :: rest when j = i -> str l; str ":\n"; go rest
-      | rest -> rest
-    in
-    pending := go !pending
-  in
   Array.iteri
     (fun i insn ->
-      labels_at i;
+      pending := add_labels_at b i !pending;
       str "  ";
       Insn.to_buffer b insn;
       str "\n")
     r.insns;
-  labels_at (Array.length r.insns);
+  ignore (add_labels_at b (Array.length r.insns) !pending);
   str ".end\n"
 
 let pp ppf r =

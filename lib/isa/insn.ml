@@ -92,43 +92,106 @@ let cond_name c = List.assoc c cond_table
 let cond_of_name s =
   List.find_map (fun (c, name) -> if String.equal name s then Some c else None) cond_table
 
+(* Decimal digits straight into the buffer, without [string_of_int]'s
+   intermediate string.  [n >= 0]. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+(* A negative [n] prints its last digit separately, so that [min_int],
+   whose negation overflows, needs no special case. *)
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else begin
+    Buffer.add_char b '-';
+    let q = n / 10 in
+    if q <> 0 then add_digits b (-q);
+    Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+  end
+
+(* Writers take the buffer as an argument: a local closure over [b] would
+   be allocated on every instruction. *)
+let add_reg b r = Buffer.add_string b (Reg.name r)
+
+let add_sep b i = if i > 0 then Buffer.add_string b ", "
+
+(* [MNEMONIC REG, OFFSET(BASE)] *)
+let add_mem b mnemonic r offset base =
+  Buffer.add_string b mnemonic;
+  add_reg b r;
+  Buffer.add_string b ", ";
+  add_int b offset;
+  Buffer.add_char b '(';
+  add_reg b base;
+  Buffer.add_char b ')'
+
 let to_buffer b insn =
-  let str = Buffer.add_string b in
-  let reg r = str (Reg.name r) in
-  let int n = str (string_of_int n) in
-  let comma () = str ", " in
-  let names = function
-    | [] -> ()
-    | first :: rest ->
-        str first;
-        List.iter (fun n -> comma (); str n) rest
-  in
   match insn with
-  | Li { dst; imm } -> str "li "; reg dst; comma (); int imm
-  | Lda { dst; base; offset } ->
-      str "lda "; reg dst; comma (); int offset; str "("; reg base; str ")"
-  | Mov { dst; src } -> str "mov "; reg src; comma (); reg dst
+  | Li { dst; imm } ->
+      Buffer.add_string b "li ";
+      add_reg b dst;
+      Buffer.add_string b ", ";
+      add_int b imm
+  | Lda { dst; base; offset } -> add_mem b "lda " dst offset base
+  | Mov { dst; src } ->
+      Buffer.add_string b "mov ";
+      add_reg b src;
+      Buffer.add_string b ", ";
+      add_reg b dst
   | Binop { op; dst; src1; src2 } ->
-      str (binop_name op); str " "; reg src1; comma ();
-      (match src2 with Reg r -> reg r | Imm i -> int i);
-      comma (); reg dst
-  | Load { dst; base; offset } ->
-      str "ldq "; reg dst; comma (); int offset; str "("; reg base; str ")"
-  | Store { src; base; offset } ->
-      str "stq "; reg src; comma (); int offset; str "("; reg base; str ")"
-  | Br { target } -> str "br "; str target
-  | Bcond { cond; src; target } -> str (cond_name cond); str " "; reg src; comma (); str target
+      Buffer.add_string b (binop_name op);
+      Buffer.add_string b " ";
+      add_reg b src1;
+      Buffer.add_string b ", ";
+      (match src2 with Reg r -> add_reg b r | Imm i -> add_int b i);
+      Buffer.add_string b ", ";
+      add_reg b dst
+  | Load { dst; base; offset } -> add_mem b "ldq " dst offset base
+  | Store { src; base; offset } -> add_mem b "stq " src offset base
+  | Br { target } ->
+      Buffer.add_string b "br ";
+      Buffer.add_string b target
+  | Bcond { cond; src; target } ->
+      Buffer.add_string b (cond_name cond);
+      Buffer.add_string b " ";
+      add_reg b src;
+      Buffer.add_string b ", ";
+      Buffer.add_string b target
   | Switch { index; table } ->
-      str "switch "; reg index; str ", ["; names (Array.to_list table); str "]"
-  | Jump_unknown { target } -> str "jmp ("; reg target; str ")"
+      Buffer.add_string b "switch ";
+      add_reg b index;
+      Buffer.add_string b ", [";
+      Array.iteri
+        (fun i l ->
+          add_sep b i;
+          Buffer.add_string b l)
+        table;
+      Buffer.add_string b "]"
+  | Jump_unknown { target } ->
+      Buffer.add_string b "jmp (";
+      add_reg b target;
+      Buffer.add_string b ")"
   | Call { callee } -> (
       match callee with
-      | Direct name -> str "bsr ra, "; str name
-      | Indirect (r, None) -> str "jsr ra, ("; reg r; str ")"
+      | Direct name ->
+          Buffer.add_string b "bsr ra, ";
+          Buffer.add_string b name
+      | Indirect (r, None) ->
+          Buffer.add_string b "jsr ra, (";
+          add_reg b r;
+          Buffer.add_string b ")"
       | Indirect (r, Some targets) ->
-          str "jsr ra, ("; reg r; str "), ["; names targets; str "]")
-  | Ret -> str "ret"
-  | Nop -> str "nop"
+          Buffer.add_string b "jsr ra, (";
+          add_reg b r;
+          Buffer.add_string b "), [";
+          List.iteri
+            (fun i name ->
+              add_sep b i;
+              Buffer.add_string b name)
+            targets;
+          Buffer.add_string b "]")
+  | Ret -> Buffer.add_string b "ret"
+  | Nop -> Buffer.add_string b "nop"
 
 let to_string insn =
   let b = Buffer.create 32 in

@@ -4,14 +4,30 @@
     name's length and bytes into an int gives a key that two spans share
     exactly when their bytes are equal, so a parser can resolve a name
     straight from a span of its source text: no [String.sub], no string
-    hashing. *)
+    hashing.  A lexer computes the key while it scans the name, with
+    {!add} on every byte and {!seal} at its end. *)
 
-val of_span : string -> int -> int -> int
-(** [of_span s pos len] is the key of [String.sub s pos len], or [-1] when
-    [len > 7].  Keys of names are non-negative. *)
+val add : int -> int -> int
+(** [add key c] extends the key of a name's first bytes by the byte code
+    [c].  Start from [0]. *)
+
+val seal : int -> int -> int
+(** [seal key len] is the key of the [len]-byte name whose bytes were
+    {!add}ed to [key], or [-1] when [len > 7] (whatever [key] is then).
+    Keys of names are non-negative. *)
 
 val of_string : string -> int
-(** [of_string s] is [of_span s 0 (String.length s)]. *)
+(** The key of a name, or [-1] when it is longer than 7 bytes. *)
 
-module Table : Hashtbl.S with type key = int
-(** Tables keyed by name keys. *)
+type table
+(** A flat, open-addressed map from name keys to non-negative ints. *)
+
+val table : (string * int) list -> table
+(** The map binding each name's key to its value; a later binding of the
+    same name wins.
+    @raise Invalid_argument on a name longer than 7 bytes or a negative
+    value. *)
+
+val find : table -> int -> int
+(** [find t key] is the value bound to [key], or [-1] when there is none
+    (in particular for the key [-1] of a long name). *)

@@ -57,21 +57,15 @@ let name r =
   if r >= 0 && r < count then names.(r)
   else invalid_arg (Printf.sprintf "Reg.name: %d" r)
 
+(* Software names and the raw spellings the parser accepts. *)
 let by_key =
-  let table = Name_key.Table.create 128 in
-  let add s r = Name_key.Table.replace table (Name_key.of_string s) r in
-  Array.iteri (fun r s -> add s r) names;
-  (* Raw spellings accepted by the parser. *)
-  for r = 0 to 31 do
-    add ("r" ^ string_of_int r) r;
-    add ("$" ^ string_of_int r) r
-  done;
-  table
+  Name_key.table
+    (Array.to_list (Array.mapi (fun r s -> (s, r)) names)
+    @ List.init 32 (fun r -> ("r" ^ string_of_int r, r))
+    @ List.init 32 (fun r -> ("$" ^ string_of_int r, r)))
 
-let of_key key = Name_key.Table.find by_key key
-
-let of_name s =
-  match of_key (Name_key.of_string s) with r -> Some r | exception Not_found -> None
+let of_key key = Name_key.find by_key key
+let of_name s = match of_key (Name_key.of_string s) with -1 -> None | r -> Some r
 
 let pp ppf r = Format.pp_print_string ppf (name r)
 let all = List.init count Fun.id

@@ -93,9 +93,9 @@ val of_name : string -> t option
 (** Inverse of {!name}; also accepts raw ["r<n>"] / ["$<n>"] spellings. *)
 
 val of_key : int -> t
-(** [of_key (Name_key.of_string s)] is the register [of_name s] names; it
-    lets a parser resolve a register from a span of its source.
-    @raise Not_found when no register has that spelling. *)
+(** [of_key (Name_key.of_string s)] is the register [of_name s] names, or
+    [-1] when no register has that spelling; it lets a parser resolve a
+    register from a span of its source with one flat-table probe. *)
 
 val pp : Format.formatter -> t -> unit
 

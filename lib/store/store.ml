@@ -21,9 +21,11 @@ let c_fingerprints = Spike_obs.Metrics.counter "store.fingerprints"
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Codec.Corrupt m)) fmt
 
-(* A cached call target that the current program no longer has.  Not
-   corruption when the entry is stale: the edit deleted the callee. *)
-exception Vanished of string
+(* An entry that does not fit the current program: it names a call
+   target the program no longer has, or a block past the end of its
+   routine.  Not corruption when the entry is stale: the edit deleted the
+   callee or shortened the routine. *)
+exception Outdated of string
 
 (* --- Shared sub-codecs --------------------------------------------------- *)
 
@@ -140,10 +142,13 @@ let write_body program w (art : Warm.routine_art) =
 let check_node_id nnodes id =
   if id < 0 || id >= nnodes then corrupt "node id %d out of %d" id nnodes
 
-(* A target missing from the current program decodes as routine -1 and is
-   reported, as [Vanished], only once the whole body has decoded: real
-   corruption anywhere in the entry takes precedence. *)
-let read_body ~resolve ~routine:(r : int) body : Warm.routine_art =
+(* A target missing from the current program decodes as routine -1, and a
+   block id at or past [instructions] (the current routine's instruction
+   count, which bounds its CFG's blocks) is left in place; both are
+   reported, as [Outdated], only once the whole body has decoded: real
+   corruption anywhere in the entry takes precedence.  A negative block id
+   is corruption. *)
+let read_body ~resolve ~routine:(r : int) ~instructions body : Warm.routine_art =
   let vanished = ref None in
   let resolve name =
     match resolve name with
@@ -156,6 +161,21 @@ let read_body ~resolve ~routine:(r : int) body : Warm.routine_art =
   let filter = Codec.read_regset rd in
   let kinds = Codec.read_array (read_kind ~routine:r) rd in
   let nnodes = Array.length kinds in
+  let outgrown = ref None in
+  let check_block b =
+    if b < 0 then corrupt "block id %d" b
+    else if b >= instructions && !outgrown = None then outgrown := Some b
+  in
+  Array.iter
+    (function
+      | Psg.Entry _ -> ()
+      | Psg.Exit { block; _ } | Psg.Call { block; _ } | Psg.Branch { block; _ }
+      | Psg.Unknown_exit { block; _ } ->
+          check_block block
+      | Psg.Return { call_block; block; _ } ->
+          check_block call_block;
+          check_block block)
+    kinds;
   let read_node_ids rd =
     let ids = Codec.read_array Codec.read_int rd in
     Array.iter (check_node_id nnodes) ids;
@@ -209,7 +229,14 @@ let read_body ~resolve ~routine:(r : int) body : Warm.routine_art =
     || Array.length a_phase2 <> nnodes
   then corrupt "solution length mismatch";
   if not (Codec.at_end rd) then corrupt "trailing bytes in entry body";
-  Option.iter (fun name -> raise (Vanished name)) !vanished;
+  Option.iter
+    (fun name -> raise (Outdated (Printf.sprintf "call target %S not in program" name)))
+    !vanished;
+  Option.iter
+    (fun b ->
+      raise
+        (Outdated (Printf.sprintf "block %d past the routine's %d instructions" b instructions)))
+    !outgrown;
   { Warm.a_filter = filter; a_local = local; a_phase1; a_cr; a_phase2 }
 
 (* --- Fingerprints, once per run ------------------------------------------
@@ -258,9 +285,11 @@ type entry = {
   e_callees : string list;
   e_exported : bool;  (* the routine's exported flag when cached *)
   e_is_main : bool;  (* it was the program's main routine when cached *)
-  e_decode : resolve:(string -> int option) -> routine:int -> Warm.routine_art;
-      (* the artifact with routine indices read by [resolve]; may raise
-         [Codec.Corrupt] or [Vanished] *)
+  e_decode :
+    resolve:(string -> int option) -> routine:int -> instructions:int -> Warm.routine_art;
+      (* the artifact with routine indices read by [resolve], for a routine
+         of [instructions] instructions; may raise [Codec.Corrupt] or
+         [Outdated] *)
 }
 
 let main_index program =
@@ -307,7 +336,10 @@ let plan_entries ~externals (entries : (string, entry) Hashtbl.t) program =
              may have left the equation system intact ({!Warm.solutions}).
              Its cached callees re-seed exits only if the lift fails, so it
              is claimed here. *)
-          match e.e_decode ~resolve ~routine:r with
+          match
+            e.e_decode ~resolve ~routine:r
+              ~instructions:(Routine.instruction_count routine)
+          with
           | art ->
               Hashtbl.replace claimed routine.name ();
               if fresh then begin
@@ -326,13 +358,14 @@ let plan_entries ~externals (entries : (string, entry) Hashtbl.t) program =
           | exception Codec.Corrupt reason ->
               undecodable routine.name reason;
               if fresh then incr invalidated
-          | exception Vanished name ->
-              (* The fingerprint covers call resolution, so a fresh entry
-                 cannot name a missing routine.  A stale one can: the edit
-                 deleted a callee, and nothing is wrong with the source. *)
+          | exception Outdated reason ->
+              (* The fingerprint covers the body and call resolution, so a
+                 fresh entry cannot name a missing routine or a block past
+                 the routine's end.  A stale one can: the edit deleted a
+                 callee or shortened the routine, and nothing is wrong with
+                 the source. *)
               if fresh then begin
-                undecodable routine.name
-                  (Printf.sprintf "call target %S not in program" name);
+                undecodable routine.name reason;
                 incr invalidated
               end))
     program;
@@ -512,7 +545,8 @@ type session = { s_config : string; s_entries : (string, entry) Hashtbl.t }
    edit that inserts or deletes a routine shifts both, so they are
    remapped by name — exactly what {!read_body} does for the disk path.
    The common case (indices unchanged) shares the retained artifact
-   outright. *)
+   outright.  A retained artifact was sliced from a converged analysis, so
+   unlike a decoded one its block ids need no bound. *)
 let rekind ~routine = function
   | Psg.Entry { label; _ } -> Psg.Entry { routine; label }
   | Psg.Exit { block; _ } -> Psg.Exit { routine; block }
@@ -521,15 +555,15 @@ let rekind ~routine = function
   | Psg.Branch { block; _ } -> Psg.Branch { routine; block }
   | Psg.Unknown_exit { block; _ } -> Psg.Unknown_exit { routine; block }
 
-let fixup_art ~old_program ~old_r (art : Warm.routine_art) ~resolve ~routine:r :
-    Warm.routine_art =
+let fixup_art ~old_program ~old_r (art : Warm.routine_art) ~resolve ~routine:r
+    ~instructions:_ : Warm.routine_art =
   let remap = function
     | Psg.Target_external _ as tg -> tg
     | Psg.Target_routine old_r -> (
         let name = (Program.get old_program old_r).Routine.name in
         match resolve name with
         | Some nr -> Psg.Target_routine nr
-        | None -> raise (Vanished name))
+        | None -> raise (Outdated (Printf.sprintf "call target %S not in program" name)))
   in
   let target_unmoved = function
     | Psg.Target_external _ -> true

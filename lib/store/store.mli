@@ -22,9 +22,12 @@
     healthy file — say, a register-set word with bit 63 set — dirties only
     its own routine; it is logged and counted on [store.degradations]
     too, whether the entry's fingerprint is fresh or stale, but
-    [degraded] stays [None].  A stale entry whose calls name a routine
-    the edit deleted is not corrupt: it is dropped silently.  {!replan}
-    plans from a resident {!session} by the same rules.
+    [degraded] stays [None].  So does a fresh entry whose node kinds name
+    a block at or past the routine's instruction count.  A stale entry
+    whose calls name a routine the edit deleted, or whose blocks run past
+    the end of a routine the edit shortened, is not corrupt: it is dropped
+    silently.  {!replan} plans from a resident {!session} by the same
+    rules.
 
     Cross-run index drift is handled by storing routine {e names}:
     call-target indices inside cached fragments are remapped to the

@@ -406,12 +406,14 @@ module Round_dce = struct
 end
 
 (* The assembly front end as it was before the cursor lexer: split the
-   source into lines, lex every line into a token list, then pattern-match
-   the lists.  A naive oracle for {!Spike_asm.Parser}, which lexes and
-   parses in one pass over the string.  Both accept exactly the same
-   inputs and build the same programs; only the line of an error may
-   differ, because this oracle lexes the whole file before parsing (a
-   later lexical error wins over an earlier syntax error). *)
+   source into lines, lex each line into a token list and pattern-match
+   the list.  A naive oracle for {!Spike_asm.Parser}, which lexes and
+   parses in one pass over the string with a byte-class scanner, name-key
+   tables and interned labels.  Both accept exactly the same inputs, build
+   the same programs and report an error at the same line: each lexes a
+   line just before parsing it, so the first offending line in source
+   order wins.  Only the message may differ, where one line holds two
+   bad registers. *)
 module Line_parser = struct
   open Spike_isa
   open Spike_ir
@@ -494,11 +496,6 @@ module Line_parser = struct
     scan 0;
     List.rev !tokens
 
-  let tokenize source =
-    String.split_on_char '\n' source
-    |> List.mapi (fun i line -> (i + 1, tokenize_line (i + 1) line))
-    |> List.filter (fun (_, tokens) -> tokens <> [])
-
   let reg line name =
     match Reg.of_name name with
     | Some r -> r
@@ -560,7 +557,7 @@ module Line_parser = struct
     mutable insns : Insn.t list; (* reversed *)
   }
 
-  let parse_lines lines =
+  let parse_lines source =
     let main = ref None in
     let routines = ref [] in
     let current = ref None in
@@ -580,9 +577,12 @@ module Line_parser = struct
         :: !routines;
       current := None
     in
-    List.iter
-      (fun (line, tokens) ->
+    List.iteri
+      (fun i text ->
+        let line = i + 1 in
+        let tokens = tokenize_line line text in
         match (tokens, !current) with
+        | [], _ -> ()
         | [ Directive "main"; Ident name ], None -> (
             match !main with
             | None -> main := Some name
@@ -602,7 +602,7 @@ module Line_parser = struct
             else p.labels <- (label, List.length p.insns) :: p.labels
         | _, Some p -> p.insns <- instruction line tokens :: p.insns
         | _, None -> fail line "expected .main or .routine")
-      lines;
+      (String.split_on_char '\n' source);
     (match !current with
     | Some p -> fail 0 "routine %s not closed with .end" p.name
     | None -> ());
@@ -611,7 +611,7 @@ module Line_parser = struct
     | Some main -> Program.make ~main (List.rev !routines)
 
   let program_of_string source =
-    match parse_lines (tokenize source) with
+    match parse_lines source with
     | program -> program
     | exception Invalid_argument message -> raise (Error { line = 0; message })
 end

@@ -166,6 +166,78 @@ let test_lexer_edges () =
   expect_message ~line:1 ~message:"expected .main or .routine" "bogus\n.main m\n@\n";
   expect_message ~line:2 ~message:"unexpected character '@'" ".main m\n@\nbogus\n"
 
+(* The byte-class scanner's paths and the parser's label interning:
+   integers at the edge of direct accumulation, a minus that starts no
+   integer, a comment that ends the file, CRLF lines, [$] registers, names
+   one byte past a packed name key, and long labels used before they are
+   defined. *)
+let test_lexer_paths () =
+  let li imm = Insn.Li { dst = Reg.t0; imm } in
+  Alcotest.check insn_testable "18 digits" (li 999_999_999_999_999_999)
+    (single_insn (in_routine "  li t0, 999999999999999999"));
+  Alcotest.check insn_testable "-18 digits" (li (-999_999_999_999_999_999))
+    (single_insn (in_routine "  li t0, -999999999999999999"));
+  Alcotest.check insn_testable "19 digits, max_int" (li max_int)
+    (single_insn (in_routine "  li t0, 4611686018427387903"));
+  Alcotest.check insn_testable "19 digits, leading zero" (li 123)
+    (single_insn (in_routine "  li t0, 0000000000000000123"));
+  expect_message ~line:3 ~message:"integer 9999999999999999999 out of range"
+    (in_routine "  li t0, 9999999999999999999");
+  expect_message ~line:3 ~message:"unexpected character '-'" (in_routine "  li t0, -x");
+  expect_message ~line:3 ~message:"unexpected character '-'" (in_routine "  li t0, - 1");
+  expect_message ~line:3 ~message:"unexpected character '-'" ".main m\n.routine m\n  li t0, -";
+  Alcotest.(check int) "comment ends the file" 1
+    (Program.instruction_count
+       (Spike_asm.Parser.program_of_string ".main m\n.routine m\n  ret\n.end # done"));
+  Alcotest.(check int) "bare comment ends the file" 1
+    (Program.instruction_count
+       (Spike_asm.Parser.program_of_string ".main m\n.routine m\n  ret\n.end\n#"));
+  let crlf =
+    ".main m\r\n.routine m\r\n.entry e\r\ne:\r\n  beq t0, e # loop\r\n  ret\r\n.end\r\n"
+  in
+  (match Program.find (Spike_asm.Parser.program_of_string crlf) "m" with
+  | Some r ->
+      Alcotest.(check (list string)) "CRLF entries" [ "e" ] r.Routine.entries;
+      Alcotest.(check (list (pair string int))) "CRLF labels" [ ("e", 0) ] r.Routine.labels;
+      Alcotest.check insn_testable "CRLF branch"
+        (Insn.Bcond { cond = Insn.Eq; src = Reg.t0; target = "e" })
+        r.Routine.insns.(0)
+  | None -> Alcotest.fail "CRLF routine lost");
+  expect_message ~line:4 ~message:"unknown register t9x"
+    ".main m\r\n.routine m\r\n  ret\r\n  mov t9x, t0\r\n.end\r\n";
+  Alcotest.check insn_testable "$ registers"
+    (Insn.Binop { op = Insn.Add; dst = Reg.sp; src1 = Reg.v0; src2 = Insn.Reg Reg.zero })
+    (single_insn (in_routine "  addq $0, $31, $30"));
+  expect_message ~line:3 ~message:"unknown register $32" (in_routine "  mov $32, t0");
+  expect_message ~line:3 ~message:"unknown register $" (in_routine "  mov $, t0");
+  expect_message ~line:3 ~message:"unknown register t0xxxxxx" (in_routine "  li t0xxxxxx, 1");
+  expect_message ~line:3 ~message:"unknown register zerozero"
+    (in_routine "  stq zerozero, 8(sp)");
+  let forward =
+    ".main m\n.routine m\n.entry start_here\nstart_here:\n  beq t0, long_label_1\n\
+    \  switch t1, [long_label_1, short, long_label_1]\n  br short\nshort:\n  nop\n\
+     long_label_1:\n  ret\n.end\n"
+  in
+  match Program.find (Spike_asm.Parser.program_of_string forward) "m" with
+  | Some r -> (
+      Alcotest.(check (list (pair string int))) "long labels"
+        [ ("start_here", 0); ("short", 3); ("long_label_1", 4) ]
+        r.Routine.labels;
+      Alcotest.(check (list string)) "long entry" [ "start_here" ] r.Routine.entries;
+      let defined l = fst (List.find (fun (l', _) -> String.equal l l') r.Routine.labels) in
+      (* One string per distinct label, shared by its definition and uses. *)
+      Alcotest.(check bool) "entry interned" true
+        (List.hd r.Routine.entries == defined "start_here");
+      match r.Routine.insns with
+      | [| Insn.Bcond { target; _ }; Insn.Switch { table; _ }; Insn.Br { target = short }; _; _ |]
+        ->
+          Alcotest.(check bool) "forward use interned" true (target == defined "long_label_1");
+          Alcotest.(check bool) "table interned" true
+            (table.(0) == target && table.(2) == target && table.(1) == defined "short");
+          Alcotest.(check bool) "short label interned" true (short == defined "short")
+      | _ -> Alcotest.fail "long labels: unexpected instructions")
+  | None -> Alcotest.fail "long labels: routine lost"
+
 let test_comments_and_blank_lines () =
   let text =
     "# leading comment\n\n.main m   # trailing\n.routine m\n  li t0, 3 # imm\n\n  \
@@ -208,6 +280,15 @@ let test_printers_agree () =
     Alcotest.(check string) "Printer.pp_program" (buffer Program.to_buffer p)
       (Format.asprintf "%a" Spike_asm.Printer.pp_program p)
   in
+  (* Integers are written digit by digit; [string_of_int] is the spec. *)
+  List.iter
+    (fun imm ->
+      Alcotest.(check string) "integer" ("li t0, " ^ string_of_int imm)
+        (Insn.to_string (Insn.Li { dst = Reg.t0; imm }));
+      Alcotest.(check string) "offset"
+        ("ldq t1, " ^ string_of_int imm ^ "(sp)")
+        (Insn.to_string (Insn.Load { dst = Reg.t1; base = Reg.sp; offset = imm })))
+    [ 0; 7; 9; 10; 99; 100; -1; -9; -10; -192; 123456789; max_int; min_int; min_int + 1 ];
   check_program (Program.make ~main:"sink" [ kitchen_sink ]);
   check_program (Spike_synth.Generator.generate { Spike_synth.Params.default with seed = 5 });
   (* The concrete text: labels print in index order (list order within an
@@ -256,6 +337,7 @@ let () =
         [
           Alcotest.test_case "positions" `Quick test_errors;
           Alcotest.test_case "lexer edge cases" `Quick test_lexer_edges;
+          Alcotest.test_case "byte classes and label interning" `Quick test_lexer_paths;
           Alcotest.test_case "comments and blanks" `Quick test_comments_and_blank_lines;
           Alcotest.test_case "fuzz totality" `Quick test_fuzz_totality;
         ] );

@@ -131,25 +131,29 @@ let prop_asm_roundtrip =
       let p' = Spike_asm.Parser.program_of_string text in
       String.equal text (Spike_asm.Printer.to_string p'))
 
-(* The cursor parser against the line-list oracle it replaced. *)
+(* The cursor parser against the line-list oracle it replaced: the same
+   program, or an error at the same line. *)
 let line_parse text =
   match Test_helpers.Line_parser.program_of_string text with
-  | p -> Some p
-  | exception Test_helpers.Line_parser.Error _ -> None
+  | p -> Ok p
+  | exception Test_helpers.Line_parser.Error { line; _ } -> Error line
 
 let cursor_parse text =
   match Spike_asm.Parser.program_of_string text with
-  | p -> Some p
-  | exception Spike_asm.Parser.Error _ -> None
+  | p -> Ok p
+  | exception Spike_asm.Parser.Error { line; _ } -> Error line
 
 let same_parse text =
   match (cursor_parse text, line_parse text) with
-  | Some a, Some b ->
+  | Ok a, Ok b ->
       String.equal (Spike_asm.Printer.to_string a) (Spike_asm.Printer.to_string b)
       || QCheck.Test.fail_reportf "parsers build different programs from:\n%s" text
-  | None, None -> true
-  | Some _, None -> QCheck.Test.fail_reportf "only the cursor parser accepts:\n%s" text
-  | None, Some _ -> QCheck.Test.fail_reportf "only the line parser accepts:\n%s" text
+  | Error a, Error b ->
+      a = b
+      || QCheck.Test.fail_reportf "the cursor parser fails at line %d, the line parser at %d:\n%s"
+           a b text
+  | Ok _, Error _ -> QCheck.Test.fail_reportf "only the cursor parser accepts:\n%s" text
+  | Error _, Ok _ -> QCheck.Test.fail_reportf "only the line parser accepts:\n%s" text
 
 let prop_cursor_equals_line_parser =
   QCheck.Test.make ~name:"cursor parser = line parser" ~count:40
@@ -158,7 +162,7 @@ let prop_cursor_equals_line_parser =
       let unknown_jump_prob = if unknown_jumps then 0.3 else 0.0 in
       let p = Generator.generate { params with Params.guard_calls; unknown_jump_prob } in
       let text = Spike_asm.Printer.to_string p in
-      Option.is_some (cursor_parse text) && same_parse text)
+      Result.is_ok (cursor_parse text) && same_parse text)
 
 (* Seeded damage to a program's text: byte flips (to the syntax's own
    characters or to any byte), a deleted or duplicated line, and
@@ -190,8 +194,8 @@ let damage g text =
   let rec go k text = if k = 0 then text else go (k - 1) (step text) in
   go (1 + Prng.int g 3) text
 
-(* Both parsers accept or both reject damaged text; and every line of a
-   program, with one stray token appended, in turn. *)
+(* Both parsers accept damaged text, or both reject it at the same line;
+   and every line of a program, with one stray token appended, in turn. *)
 let prop_damaged_text_same_verdict =
   QCheck.Test.make ~name:"cursor parser = line parser on damaged text" ~count:50
     (QCheck.pair (QCheck.int_bound 1_000_000) QCheck.bool) (fun (seed, unknown_jumps) ->

@@ -551,6 +551,40 @@ let test_bit63_word () =
       Alcotest.(check string) (tag "still correct") (render (Analysis.run p)) (render warm))
     [ ("fresh entry", program); ("stale entry", edit_last program) ]
 
+(* Block ids inside cached node kinds index the routine's CFG when a
+   consumer rebuilds it (the optimizer does).  A checksum-valid store whose
+   call node names a block past the routine's end must dirty that one
+   routine and count a degradation; the optimizer then runs on a correct
+   warm analysis instead of failing on the CFG lookup. *)
+let test_block_out_of_range () =
+  let program = gen ~seed:49 () in
+  let n = Program.routine_count program in
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> cleanup dir) @@ fun () ->
+  let a = Analysis.run program in
+  let kinds = a.Analysis.psg.Psg.kinds in
+  (match
+     Array.find_index (function Psg.Call _ -> true | _ -> false) kinds
+   with
+  | Some i ->
+      kinds.(i) <- Psg.Call { routine = Psg.node_routine kinds.(i); block = 100_000 }
+  | None -> Alcotest.fail "block ids: the program has no call node");
+  Store.save ~dir a;
+  Spike_obs.Metrics.enable ();
+  let loaded = Store.load ~dir program in
+  let counted = degradations () in
+  Spike_obs.Metrics.disable ();
+  Alcotest.(check int) "counted" 1 counted;
+  Alcotest.(check (option string)) "the file as a whole is healthy" None
+    loaded.Store.degraded;
+  Alcotest.(check int) "one routine rebuilt" 1 loaded.Store.invalidated;
+  Alcotest.(check int) "the rest reused" (n - 1) loaded.Store.hits;
+  let warm = Analysis.run ~warm:loaded.Store.plan program in
+  Alcotest.(check string) "still correct" (render (Analysis.run program)) (render warm);
+  match Spike_opt.Opt.run warm with
+  | _ -> ()
+  | exception e -> Alcotest.failf "Opt.run raised %s" (Printexc.to_string e)
+
 let test_missing_store_is_cold () =
   let program = gen ~seed:45 () in
   let dir = fresh_dir () in
@@ -649,6 +683,8 @@ let () =
         [
           Alcotest.test_case "corrupt files degrade to cold" `Slow test_robustness;
           Alcotest.test_case "register word with bit 63 degrades" `Quick test_bit63_word;
+          Alcotest.test_case "block id past the routine degrades" `Quick
+            test_block_out_of_range;
           Alcotest.test_case "missing store is a plain cold start" `Quick
             test_missing_store_is_cold;
           Alcotest.test_case "save leaves no temp files" `Quick test_save_is_atomic;
