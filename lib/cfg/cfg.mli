@@ -5,46 +5,96 @@
     point and must start a fresh block so the PSG can place a return node
     there.  Blocks are contiguous instruction ranges; arcs come from the
     block's final instruction (branch targets, fallthrough, and the
-    fallthrough of a call to its return point). *)
+    fallthrough of a call to its return point).
+
+    A graph is stored as flat lanes indexed by block id, like the PSG's,
+    rather than as one record per block:
+
+    - [first] has one slot per block plus an end sentinel: block [b]
+      covers instructions [first.(b) .. first.(b + 1) - 1], and
+      [first.(nblocks)] is the routine's instruction count;
+    - [endings] holds one tag byte per block ({!ending}); a call block's
+      callee is read off its final instruction ({!callee});
+    - successors and predecessors are CSR: block [b]'s successors are
+      [succ_adj.(succ_off.(b)) .. succ_adj.(succ_off.(b + 1) - 1)], and
+      likewise [pred_off]/[pred_adj].
+
+    A block's successors are deduplicated and ordered as its final
+    instruction names them: branch targets in table order, then the
+    fallthrough.  Its predecessors are in ascending block order.  The
+    block containing an instruction is a binary search over [first]
+    ({!block_of_insn}), so no per-instruction lane is kept.  Apart from
+    [routine] and [entry_blocks], a graph is three words and a byte per
+    block plus two words per arc. *)
 
 open Spike_isa
 open Spike_ir
 
 type ending =
-  | Ends_plain
-      (** fallthrough or unconditional/conditional branch *)
-  | Ends_call of Insn.callee
+  | Ends_plain  (** fallthrough or unconditional/conditional branch *)
+  | Ends_call
       (** block terminated by a call; its single CFG successor is the
           return point *)
   | Ends_ret
-  | Ends_switch
-      (** multiway branch through a jump table *)
+  | Ends_switch  (** multiway branch through a jump table *)
   | Ends_jump_unknown
       (** indirect jump with undetermined targets; conservatively an exit
           at which all registers are live (§3.5) *)
 
-type block = {
-  id : int;
-  first : int;  (** index of the block's first instruction *)
-  last : int;  (** index of the block's final instruction (inclusive) *)
-  succs : int array;  (** successor block ids (deduplicated) *)
-  preds : int array;
-  ending : ending;
-}
-
-type t = {
+type t = private {
   routine : Routine.t;
-  blocks : block array;
-  block_of_insn : int array;  (** instruction index [->] containing block *)
+  first : int array;  (** block [->] its first instruction; length [nblocks + 1] *)
+  endings : Bytes.t;  (** block [->] its {!ending}, one byte each *)
+  succ_off : int array;  (** length [nblocks + 1] *)
+  succ_adj : int array;
+  pred_off : int array;  (** length [nblocks + 1] *)
+  pred_adj : int array;
   entry_blocks : (string * int) list;  (** entry label [->] block id *)
 }
 
 val build : Routine.t -> t
-(** Partition the routine and compute arcs.  The routine must be
-    well-formed ({!Spike_ir.Validate}).  Per-block DEF/UBD sets are a
-    separate analysis stage; see {!Defuse}. *)
+(** Partition the routine and compute arcs, in one pass over the
+    instructions and one over the blocks.  The routine must be well-formed
+    ({!Spike_ir.Validate}).  Per-block DEF/UBD sets are a separate
+    analysis stage; see {!Defuse}. *)
 
 val block_count : t -> int
+
+val first : t -> int -> int
+(** Index of the block's first instruction. *)
+
+val last : t -> int -> int
+(** Index of the block's final instruction (inclusive). *)
+
+val ending : t -> int -> ending
+
+val callee : t -> int -> Insn.callee
+(** The callee of a block ending in a call.
+    @raise Invalid_argument if the block does not end in a call. *)
+
+val return_block : t -> int -> int
+(** The return point of a block ending in a call: its only successor.
+    @raise Invalid_argument if the block does not end in a call. *)
+
+val block_of_insn : t -> int -> int
+(** The block containing an instruction index, by binary search over
+    [first]. *)
+
+val succ_count : t -> int -> int
+val pred_count : t -> int -> int
+
+val succs : t -> int -> int array
+(** A fresh copy of a block's successor row.  Hot loops read [succ_off] and
+    [succ_adj] directly. *)
+
+val preds : t -> int -> int array
+(** A fresh copy of a block's predecessor row. *)
+
+val iter_succs : (int -> unit) -> t -> int -> unit
+val iter_preds : (int -> unit) -> t -> int -> unit
+
+val fold_succs : ('a -> int -> 'a) -> 'a -> t -> int -> 'a
+(** Left fold over a block's successors, in row order. *)
 
 val arc_count : t -> int
 (** Intra-routine arcs (sum of successor degrees). *)

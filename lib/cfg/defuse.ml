@@ -4,28 +4,26 @@ open Spike_ir
 
 type t = { def : Regset.t array; ubd : Regset.t array }
 
-let block_sets insns first last =
-  let def = ref Regset.empty and ubd = ref Regset.empty in
-  let upper =
-    if last >= first && Insn.is_call insns.(last) then last - 1 else last
-  in
-  for i = first to upper do
-    let insn = insns.(i) in
-    ubd := Regset.union !ubd (Regset.diff (Insn.uses insn) !def);
-    def := Regset.union !def (Insn.defs insn)
-  done;
-  (!def, !ubd)
-
 let compute (g : Cfg.t) =
   let insns = g.Cfg.routine.Routine.insns in
   let n = Cfg.block_count g in
   let def = Array.make n Regset.empty and ubd = Array.make n Regset.empty in
-  Array.iteri
-    (fun i (b : Cfg.block) ->
-      let d, u = block_sets insns b.Cfg.first b.Cfg.last in
-      def.(i) <- d;
-      ubd.(i) <- u)
-    g.Cfg.blocks;
+  for b = 0 to n - 1 do
+    let last = Cfg.last g b in
+    let upper =
+      match Cfg.ending g b with
+      | Ends_call -> last - 1
+      | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> last
+    in
+    let d = ref Regset.empty and u = ref Regset.empty in
+    for i = Cfg.first g b to upper do
+      let insn = insns.(i) in
+      u := Regset.union !u (Regset.diff (Insn.uses insn) !d);
+      d := Regset.union !d (Insn.defs insn)
+    done;
+    def.(b) <- !d;
+    ubd.(b) <- !u
+  done;
   { def; ubd }
 
 let def t b = t.def.(b)

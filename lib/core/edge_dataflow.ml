@@ -38,7 +38,7 @@ type solution = {
   mutable gen : int;
   read_early : int array;  (* slot -> last sweep that read it before updating it *)
   mutable sweep_id : int;
-  stack_block : int array;  (* the search's stack: block and next predecessor *)
+  stack_block : int array;  (* the search's stack: block and its next pred_adj slot *)
   stack_next : int array;
   (* IN sets of the current region, one lane per set, indexed by slot. *)
   may_use_in : Regset.t array;
@@ -84,23 +84,22 @@ let create_scratch ~nblocks =
 let collect_region s ~(cfg : Cfg.t) ~is_cut ~sink =
   let gen = s.gen and stamp = s.stamp and order = s.order and position = s.position in
   let stack_block = s.stack_block and stack_next = s.stack_next in
-  let blocks = cfg.blocks in
+  let pred_off = cfg.pred_off and pred_adj = cfg.pred_adj in
   stamp.(sink) <- gen;
   stack_block.(0) <- sink;
-  stack_next.(0) <- 0;
+  stack_next.(0) <- pred_off.(sink);
   let sp = ref 0 and n = ref 0 in
   while !sp >= 0 do
     let b = stack_block.(!sp) in
-    let preds = blocks.(b).preds in
     let k = stack_next.(!sp) in
-    if k < Array.length preds then begin
+    if k < pred_off.(b + 1) then begin
       stack_next.(!sp) <- k + 1;
-      let p = preds.(k) in
+      let p = pred_adj.(k) in
       if stamp.(p) <> gen && not (is_cut p) then begin
         stamp.(p) <- gen;
         incr sp;
         stack_block.(!sp) <- p;
-        stack_next.(!sp) <- 0
+        stack_next.(!sp) <- pred_off.(p)
       end
     end
     else begin
@@ -127,7 +126,7 @@ let solve ?scratch ~cfg ~defuse ~is_cut ~sink () =
   let gen = s.gen in
   let order = s.order and position = s.position and stamp = s.stamp in
   let use_in = s.may_use_in and def_in = s.may_def_in and must_in = s.must_def_in in
-  let blocks = cfg.Cfg.blocks in
+  let succ_off = cfg.Cfg.succ_off and succ_adj = cfg.Cfg.succ_adj in
   (* The sink's OUT sets are the boundary, so its IN sets are final at
      once. *)
   let top = size - 1 in
@@ -156,9 +155,8 @@ let solve ?scratch ~cfg ~defuse ~is_cut ~sink () =
       (* Every non-sink region block was collected as a predecessor of a
          region block, so the meet has at least one operand. *)
       let u = ref Regset.empty and d = ref Regset.empty and m = ref Regset.full in
-      let succs = blocks.(b).Cfg.succs in
-      for k = 0 to Array.length succs - 1 do
-        let succ = succs.(k) in
+      for k = succ_off.(b) to succ_off.(b + 1) - 1 do
+        let succ = succ_adj.(k) in
         if stamp.(succ) = gen then begin
           let j = position.(succ) in
           if j <= i then read_early.(j) <- sweep;

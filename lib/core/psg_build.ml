@@ -82,51 +82,51 @@ let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
       entry := node :: !entry;
       sources := { src_node = node; src_block = block; mode = At_block_start } :: !sources)
     cfg.entry_blocks;
-  Array.iter
-    (fun (b : Cfg.block) ->
-      match b.ending with
-      | Ends_ret ->
-          let node = new_node (Psg.Exit { routine = r; block = b.id }) in
-          exit_ := node :: !exit_;
-          sink_of_block.(b.id) <- node
-      | Ends_jump_unknown ->
-          let node = new_node (Psg.Unknown_exit { routine = r; block = b.id }) in
-          unknown := node :: !unknown;
-          sink_of_block.(b.id) <- node
-      | Ends_call callee ->
-          (* A call falls through, so validation guarantees a unique
-             successor: the return point. *)
-          assert (Array.length b.succs = 1);
-          let return_block = b.succs.(0) in
-          let call_node = new_node (Psg.Call { routine = r; block = b.id }) in
-          let return_node =
-            new_node (Psg.Return { routine = r; call_block = b.id; block = return_block })
-          in
-          sink_of_block.(b.id) <- call_node;
-          sources :=
-            { src_node = return_node; src_block = return_block; mode = At_block_start }
-            :: !sources;
-          let call_insn = cfg.routine.Routine.insns.(b.last) in
-          let cr_edge = new_edge call_node return_node Edge_dataflow.top_must in
-          Vec.push calls
-            {
-              lc_call_node = call_node;
-              lc_return_node = return_node;
-              lc_cr_edge = cr_edge;
-              lc_callee = callee;
-              lc_targets = resolve_targets callee;
-              lc_call_def = Insn.defs call_insn;
-              lc_call_use = Insn.uses call_insn;
-            }
-      | Ends_switch when branch_nodes ->
-          let node = new_node (Psg.Branch { routine = r; block = b.id }) in
-          sink_of_block.(b.id) <- node;
-          sources := { src_node = node; src_block = b.id; mode = After_block } :: !sources
-      | Ends_switch | Ends_plain -> ())
-    cfg.blocks;
+  for b = 0 to nblocks - 1 do
+    match Cfg.ending cfg b with
+    | Ends_ret ->
+        let node = new_node (Psg.Exit { routine = r; block = b }) in
+        exit_ := node :: !exit_;
+        sink_of_block.(b) <- node
+    | Ends_jump_unknown ->
+        let node = new_node (Psg.Unknown_exit { routine = r; block = b }) in
+        unknown := node :: !unknown;
+        sink_of_block.(b) <- node
+    | Ends_call ->
+        (* A call falls through, so validation guarantees a unique
+           successor: the return point. *)
+        assert (Cfg.succ_count cfg b = 1);
+        let return_block = Cfg.return_block cfg b in
+        let call_node = new_node (Psg.Call { routine = r; block = b }) in
+        let return_node =
+          new_node (Psg.Return { routine = r; call_block = b; block = return_block })
+        in
+        sink_of_block.(b) <- call_node;
+        sources :=
+          { src_node = return_node; src_block = return_block; mode = At_block_start }
+          :: !sources;
+        let call_insn = cfg.routine.Routine.insns.(Cfg.last cfg b) in
+        let callee = Cfg.callee cfg b in
+        let cr_edge = new_edge call_node return_node Edge_dataflow.top_must in
+        Vec.push calls
+          {
+            lc_call_node = call_node;
+            lc_return_node = return_node;
+            lc_cr_edge = cr_edge;
+            lc_callee = callee;
+            lc_targets = resolve_targets callee;
+            lc_call_def = Insn.defs call_insn;
+            lc_call_use = Insn.uses call_insn;
+          }
+    | Ends_switch when branch_nodes ->
+        let node = new_node (Psg.Branch { routine = r; block = b }) in
+        sink_of_block.(b) <- node;
+        sources := { src_node = node; src_block = b; mode = After_block } :: !sources
+    | Ends_switch | Ends_plain -> ()
+  done;
   (* --- Flow-summary edges ---------------------------------------------- *)
   let sources = Array.of_list (List.rev !sources) in
-  let blocks = cfg.blocks in
+  let succ_off = cfg.succ_off and succ_adj = cfg.succ_adj in
   let is_cut b = sink_of_block.(b) >= 0 in
   (* Forward reach from each source, stopping at cut blocks: one flow per
      sink block reached, recorded as the flow's source index and sink
@@ -153,18 +153,17 @@ let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
   let reach_from i root =
     if discover i root then begin
       stack_block.(0) <- root;
-      stack_next.(0) <- 0;
+      stack_next.(0) <- succ_off.(root);
       let sp = ref 0 in
       while !sp >= 0 do
-        let succs = blocks.(stack_block.(!sp)).succs in
         let k = stack_next.(!sp) in
-        if k < Array.length succs then begin
+        if k < succ_off.(stack_block.(!sp) + 1) then begin
           stack_next.(!sp) <- k + 1;
-          let succ = succs.(k) in
+          let succ = succ_adj.(k) in
           if discover i succ then begin
             incr sp;
             stack_block.(!sp) <- succ;
-            stack_next.(!sp) <- 0
+            stack_next.(!sp) <- succ_off.(succ)
           end
         end
         else decr sp
@@ -175,7 +174,7 @@ let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
     (fun i source ->
       match source.mode with
       | At_block_start -> reach_from i source.src_block
-      | After_block -> Array.iter (reach_from i) blocks.(source.src_block).succs)
+      | After_block -> Cfg.iter_succs (reach_from i) cfg source.src_block)
     sources;
   let nflows = Vec.length flow_source in
   (* The flows into each sink block, CSR by sink block: flows
@@ -199,12 +198,12 @@ let local_pass ~branch_nodes ~resolve_targets r (cfg : Cfg.t) defuse =
     match source.mode with
     | At_block_start -> Edge_dataflow.in_of solution source.src_block
     | After_block ->
-        Array.fold_left
+        Cfg.fold_succs
           (fun acc succ ->
             if Edge_dataflow.mem solution succ then
               Edge_dataflow.join acc (Edge_dataflow.in_of solution succ)
             else acc)
-          Edge_dataflow.top_must blocks.(source.src_block).succs
+          Edge_dataflow.top_must cfg source.src_block
   in
   for sink = 0 to nblocks - 1 do
     if into_off.(sink + 1) > into_off.(sink) then begin

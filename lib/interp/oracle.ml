@@ -61,7 +61,7 @@ let check ?fuel ?(max_observations = 256) (analysis : Analysis.t) =
   in
   let live_at_exit routine exit_index =
     let cfg = Analysis.cfg analysis routine in
-    let block = cfg.Spike_cfg.Cfg.block_of_insn.(exit_index) in
+    let block = Spike_cfg.Cfg.block_of_insn cfg exit_index in
     match
       List.assoc_opt block (analysis.Analysis.summaries.(routine)).Summary.live_at_exit
     with

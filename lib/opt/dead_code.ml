@@ -26,10 +26,10 @@ let dies insn live_after =
   && match insn with Insn.Nop -> true | _ -> not (Regset.is_empty defs)
 
 (* A block's last instruction, or the one before its terminating call. *)
-let body_last (b : Cfg.block) =
-  match b.ending with
-  | Ends_call _ -> b.last - 1
-  | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> b.last
+let body_last cfg b =
+  match Cfg.ending cfg b with
+  | Ends_call -> Cfg.last cfg b - 1
+  | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> Cfg.last cfg b
 
 (* The summaries stay fixed.  A first backward sweep of every block, from
    [liveness], marks what dies; a marked instruction's uses and defs leave
@@ -43,25 +43,24 @@ let find_dead (analysis : Analysis.t) liveness ~routine =
   (* Blocks in which something new died, last first. *)
   let sweep live_out =
     let touched = ref [] in
-    Array.iter
-      (fun (b : Cfg.block) ->
-        let live = ref (live_out b.id) in
-        (match b.ending with
-        | Ends_call _ -> live := Liveness.live_before_call liveness ~routine ~block:b.id !live
-        | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> ());
-        let died = ref false in
-        for i = body_last b downto b.first do
-          if not (is_dead i) then begin
-            let insn = insns.(i) in
-            if dies insn !live then begin
-              Bytes.set dead i '\001';
-              died := true
-            end
-            else live := Regset.union (Insn.uses insn) (Regset.diff !live (Insn.defs insn))
+    for b = 0 to Cfg.block_count cfg - 1 do
+      let live = ref (live_out b) in
+      (match Cfg.ending cfg b with
+      | Ends_call -> live := Liveness.live_before_call liveness ~routine ~block:b !live
+      | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> ());
+      let died = ref false in
+      for i = body_last cfg b downto Cfg.first cfg b do
+        if not (is_dead i) then begin
+          let insn = insns.(i) in
+          if dies insn !live then begin
+            Bytes.set dead i '\001';
+            died := true
           end
-        done;
-        if !died then touched := b.id :: !touched)
-      cfg.Cfg.blocks;
+          else live := Regset.union (Insn.uses insn) (Regset.diff !live (Insn.defs insn))
+        end
+      done;
+      if !died then touched := b :: !touched
+    done;
     !touched
   in
   match sweep (fun block -> Liveness.live_out liveness ~routine ~block) with
@@ -72,9 +71,8 @@ let find_dead (analysis : Analysis.t) liveness ~routine =
       let rec cascade touched =
         List.iter
           (fun id ->
-            let b = cfg.Cfg.blocks.(id) in
             let d = ref Regset.empty and u = ref Regset.empty in
-            for i = body_last b downto b.first do
+            for i = body_last cfg id downto Cfg.first cfg id do
               if not (is_dead i) then begin
                 let insn = insns.(i) in
                 u := Regset.union (Insn.uses insn) (Regset.diff !u (Insn.defs insn));

@@ -34,23 +34,20 @@ let solve_routine analysis site_of_block r ~def ~ubd =
   let live_in = Array.make n Regset.empty and live_out = Array.make n Regset.empty in
   let exit_live = (analysis.Analysis.summaries.(r)).Summary.live_at_exit in
   let out_of b =
-    let block = cfg.Cfg.blocks.(b) in
-    match block.ending with
+    match Cfg.ending cfg b with
     | Ends_ret -> (
         match List.assoc_opt b exit_live with Some l -> l | None -> Regset.empty)
     | Ends_jump_unknown -> Calling_standard.unknown_jump_live
-    | Ends_call _ ->
+    | Ends_call ->
         (* Liveness at the return point. *)
-        live_in.(block.succs.(0))
+        live_in.(Cfg.return_block cfg b)
     | Ends_plain | Ends_switch ->
-        Array.fold_left (fun acc s -> Regset.union acc live_in.(s)) Regset.empty
-          block.succs
+        Cfg.fold_succs (fun acc s -> Regset.union acc live_in.(s)) Regset.empty cfg b
   in
   let transfer b out =
-    let block = cfg.Cfg.blocks.(b) in
     let mid =
-      match block.ending with
-      | Ends_call _ -> (
+      match Cfg.ending cfg b with
+      | Ends_call -> (
           match Hashtbl.find_opt site_of_block (r, b) with
           | Some info -> cross_call analysis info out
           | None -> assert false)
@@ -104,8 +101,8 @@ let not_a_call name = invalid_arg ("Liveness." ^ name ^ ": block does not end in
 
 let live_across_call t ~routine ~block =
   let cfg = Analysis.cfg t.analysis routine in
-  match cfg.Cfg.blocks.(block).Cfg.ending with
-  | Ends_call _ -> t.live_out_sets.(routine).(block)
+  match Cfg.ending cfg block with
+  | Ends_call -> t.live_out_sets.(routine).(block)
   | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> not_a_call "live_across_call"
 
 let live_before_call t ~routine ~block live =

@@ -40,15 +40,15 @@ let find (analysis : Analysis.t) =
       let cfg = Analysis.cfg analysis routine in
       let r = Program.get program routine in
       let insns = r.Routine.insns in
-      let b = cfg.Cfg.blocks.(block) in
-      let return_block = cfg.Cfg.blocks.(b.succs.(0)) in
+      let return_block = Cfg.return_block cfg block in
+      let return_last = Cfg.last cfg return_block in
       let killed =
         let site = Analysis.site_class analysis info in
         Regset.union site.Summary.killed (Regset.union info.call_def info.call_use)
       in
       (* Backward from the call for a spilling store. *)
       let rec find_store i barrier =
-        if i < b.first then None
+        if i < Cfg.first cfg block then None
         else
           match insns.(i) with
           | Insn.Store { src; base = sp; offset }
@@ -63,7 +63,7 @@ let find (analysis : Analysis.t) =
       in
       (* Forward through the return block for the reload. *)
       let rec find_load i reg off =
-        if i > return_block.last then None
+        if i > return_last then None
         else
           match insns.(i) with
           | Insn.Load { dst; base = sp; offset }
@@ -73,13 +73,13 @@ let find (analysis : Analysis.t) =
               if defines reg insn || defines_sp insn || Insn.is_call insn then None
               else find_load (i + 1) reg off
       in
-      match find_store (b.last - 1) Regset.empty with
+      match find_store (Cfg.last cfg block - 1) Regset.empty with
       | Some (store_index, reg, off)
         when (not (Regset.mem reg killed))
              && slot_accesses r off = 2
              (* The reload must run only on the return path. *)
-             && Array.length return_block.preds = 1 -> (
-          match find_load return_block.first reg off with
+             && Cfg.pred_count cfg return_block = 1 -> (
+          match find_load (Cfg.first cfg return_block) reg off with
           | Some load_index ->
               removals := { routine; store_index; load_index; spilled = reg } :: !removals
           | None -> ())

@@ -59,15 +59,14 @@ let productive (cfg : Cfg.t) =
   let rec mark b =
     if not productive.(b) then begin
       productive.(b) <- true;
-      Array.iter mark cfg.blocks.(b).preds
+      Cfg.iter_preds mark cfg b
     end
   in
-  Array.iter
-    (fun (b : Cfg.block) ->
-      match b.ending with
-      | Ends_call _ | Ends_ret | Ends_jump_unknown | Ends_switch -> mark b.id
-      | Ends_plain -> ())
-    cfg.blocks;
+  for b = 0 to n - 1 do
+    match Cfg.ending cfg b with
+    | Ends_call | Ends_ret | Ends_jump_unknown | Ends_switch -> mark b
+    | Ends_plain -> ()
+  done;
   productive
 
 (* One intraprocedural pass: backward triple dataflow over the routine's
@@ -80,14 +79,10 @@ let solve_routine program cfg defuse ~externals ~classes ~exit_out =
   let productive = productive cfg in
   let ins = Array.make n neutral in
   let rpo = Cfg.reverse_postorder cfg in
-  let call_label (b : Cfg.block) =
-    let insn = cfg.Cfg.routine.Routine.insns.(b.last) in
+  let call_label b =
+    let insn = cfg.Cfg.routine.Routine.insns.(Cfg.last cfg b) in
     let call_def = Insn.defs insn and call_use = Insn.uses insn in
-    let callee =
-      match b.ending with
-      | Ends_call callee -> callee
-      | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> assert false
-    in
+    let callee = Cfg.callee cfg b in
     let resolve_name name =
       match Program.find_index program name with
       | Some i -> Some (`Routine i)
@@ -130,18 +125,17 @@ let solve_routine program cfg defuse ~externals ~classes ~exit_out =
         in
         cr_label ~call_def ~call_use merged
   in
-  let out_of (b : Cfg.block) =
-    match b.ending with
-    | Ends_ret -> exit_out b.id
+  let out_of b =
+    match Cfg.ending cfg b with
+    | Ends_ret -> exit_out b
     | Ends_jump_unknown -> unknown_jump_boundary
-    | Ends_call _ ->
-        assert (Array.length b.succs = 1);
-        let at_return =
-          if productive.(b.succs.(0)) then ins.(b.succs.(0)) else neutral
-        in
+    | Ends_call ->
+        assert (Cfg.succ_count cfg b = 1);
+        let return_block = Cfg.return_block cfg b in
+        let at_return = if productive.(return_block) then ins.(return_block) else neutral in
         cross_call (call_label b) at_return
     | Ends_plain | Ends_switch ->
-        Array.fold_left
+        Cfg.fold_succs
           (fun acc s ->
             if productive.(s) then
               {
@@ -151,7 +145,7 @@ let solve_routine program cfg defuse ~externals ~classes ~exit_out =
                 must_def = Regset.inter acc.must_def ins.(s).Edge_dataflow.must_def;
               }
             else acc)
-          neutral b.succs
+          neutral cfg b
   in
   let changed = ref true in
   while !changed do
@@ -160,12 +154,11 @@ let solve_routine program cfg defuse ~externals ~classes ~exit_out =
     for i = Array.length rpo - 1 downto 0 do
       let id = rpo.(i) in
       if productive.(id) then begin
-        let b = cfg.blocks.(id) in
         let next =
           Edge_dataflow.apply_block
             ~def:(Defuse.def defuse id)
             ~ubd:(Defuse.ubd defuse id)
-            (out_of b)
+            (out_of id)
         in
         if not (triple_equal next ins.(id)) then begin
           ins.(id) <- next;
@@ -244,7 +237,7 @@ let run ?(externals = fun _ -> None) program =
           match Program.callee_summary_targets program callee with
           | None -> ()
           | Some targets ->
-              let return_block = cfg.Cfg.blocks.(block).Cfg.succs.(0) in
+              let return_block = Cfg.return_block cfg block in
               List.iter
                 (fun target ->
                   return_sites.(target) <- (caller, return_block) :: return_sites.(target))

@@ -38,37 +38,36 @@ let build program cfgs =
   in
   for r = 0 to n - 1 do
     let cfg = cfgs.(r) in
-    Array.iter
-      (fun (b : Cfg.block) ->
-        let src = global t_partial r b.id in
-        match b.ending with
-        | Ends_call callee -> (
-            assert (Array.length b.succs = 1);
-            let return_block = global t_partial r b.succs.(0) in
-            match Program.callee_summary_targets program callee with
-            | None ->
-                (* Unknown callee: keep the fallthrough arc; the standard
-                   assumption lives in the block transfer. *)
-                add_arc intra_arcs src return_block
-            | Some targets ->
-                List.iter
-                  (fun callee_index ->
-                    let callee_cfg = cfgs.(callee_index) in
-                    List.iter
-                      (fun (_, entry_block) ->
-                        add_arc call_arcs src (global t_partial callee_index entry_block))
-                      [ List.hd callee_cfg.entry_blocks ];
-                    List.iter
-                      (fun exit_block ->
-                        add_arc return_arcs
-                          (global t_partial callee_index exit_block)
-                          return_block)
-                      (Cfg.exit_blocks callee_cfg))
-                  targets)
-        | Ends_plain | Ends_switch ->
-            Array.iter (fun s -> add_arc intra_arcs src (global t_partial r s)) b.succs
-        | Ends_ret | Ends_jump_unknown -> ())
-      cfg.blocks
+    for b = 0 to Cfg.block_count cfg - 1 do
+      let src = global t_partial r b in
+      match Cfg.ending cfg b with
+      | Ends_call -> (
+          assert (Cfg.succ_count cfg b = 1);
+          let return_block = global t_partial r (Cfg.return_block cfg b) in
+          match Program.callee_summary_targets program (Cfg.callee cfg b) with
+          | None ->
+              (* Unknown callee: keep the fallthrough arc; the standard
+                 assumption lives in the block transfer. *)
+              add_arc intra_arcs src return_block
+          | Some targets ->
+              List.iter
+                (fun callee_index ->
+                  let callee_cfg = cfgs.(callee_index) in
+                  List.iter
+                    (fun (_, entry_block) ->
+                      add_arc call_arcs src (global t_partial callee_index entry_block))
+                    [ List.hd callee_cfg.entry_blocks ];
+                  List.iter
+                    (fun exit_block ->
+                      add_arc return_arcs
+                        (global t_partial callee_index exit_block)
+                        return_block)
+                    (Cfg.exit_blocks callee_cfg))
+                targets)
+      | Ends_plain | Ends_switch ->
+          Cfg.iter_succs (fun s -> add_arc intra_arcs src (global t_partial r s)) cfg b
+      | Ends_ret | Ends_jump_unknown -> ()
+    done
   done;
   {
     program;
@@ -94,15 +93,14 @@ type liveness = { owner : t; live_in_sets : Regset.t array; live_out_sets : Regs
    assumption — composes after the block body. *)
 let transfer t defuses ~routine ~block out =
   let cfg = t.cfgs.(routine) in
-  let b = cfg.blocks.(block) in
   let def = Defuse.def defuses.(routine) block
   and ubd = Defuse.ubd defuses.(routine) block in
   let mid =
-    match b.ending with
-    | Ends_call callee -> (
-        let insn = cfg.routine.Routine.insns.(b.last) in
+    match Cfg.ending cfg block with
+    | Ends_call -> (
+        let insn = cfg.routine.Routine.insns.(Cfg.last cfg block) in
         let call_def = Insn.defs insn and call_use = Insn.uses insn in
-        match Program.callee_summary_targets t.program callee with
+        match Program.callee_summary_targets t.program (Cfg.callee cfg block) with
         | Some _ ->
             (* Known callee: its use/kill effect flows through the call
                arc; only the call's own hardware effect applies here. *)
@@ -117,11 +115,9 @@ let transfer t defuses ~routine ~block out =
   Regset.union ubd (Regset.diff mid def)
 
 let boundary_seed t ~routine ~block =
-  let cfg = t.cfgs.(routine) in
-  let b = cfg.blocks.(block) in
   let r = Program.get t.program routine in
   let main = Program.main t.program in
-  match b.ending with
+  match Cfg.ending t.cfgs.(routine) block with
   | Ends_jump_unknown -> Calling_standard.unknown_jump_live
   | Ends_ret ->
       let s = ref Regset.empty in
@@ -130,7 +126,7 @@ let boundary_seed t ~routine ~block =
       if String.equal r.Routine.name main then
         s := Regset.union !s Calling_standard.return_regs;
       !s
-  | Ends_plain | Ends_call _ | Ends_switch -> Regset.empty
+  | Ends_plain | Ends_call | Ends_switch -> Regset.empty
 
 let liveness t defuses =
   let live_in_sets = Array.make t.nblocks Regset.empty in

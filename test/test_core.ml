@@ -185,7 +185,7 @@ let test_labels_shared_sink () =
   in
   Alcotest.(check int) "two edges into the exit" 2 (List.length into_exit);
   let defuse = Spike_cfg.Defuse.compute cfg in
-  let is_cut b = cfg.Spike_cfg.Cfg.blocks.(b).Spike_cfg.Cfg.ending <> Spike_cfg.Cfg.Ends_plain in
+  let is_cut b = Spike_cfg.Cfg.ending cfg b <> Spike_cfg.Cfg.Ends_plain in
   let sol = Edge_dataflow.solve ~cfg ~defuse ~is_cut ~sink:exit_block () in
   let region =
     List.filter (Edge_dataflow.mem sol) (List.init (Spike_cfg.Cfg.block_count cfg) Fun.id)
@@ -258,7 +258,7 @@ let test_many_small_sinks () =
   let p = program ~main:"main" [ routine "main" rows; leaf ] in
   let cfg, solves, _, visits = local_pass_counters p 0 in
   let nblocks = Spike_cfg.Cfg.block_count cfg in
-  let is_cut b = cfg.Spike_cfg.Cfg.blocks.(b).Spike_cfg.Cfg.ending <> Spike_cfg.Cfg.Ends_plain in
+  let is_cut b = Spike_cfg.Cfg.ending cfg b <> Spike_cfg.Cfg.Ends_plain in
   (* Every cut block is some flow's sink here; sum their regions. *)
   let region_size sink =
     let seen = Hashtbl.create 16 in
@@ -270,7 +270,7 @@ let test_many_small_sinks () =
             Hashtbl.add seen b ();
             visit
               (List.filter (fun q -> not (is_cut q))
-                 (Array.to_list cfg.Spike_cfg.Cfg.blocks.(b).Spike_cfg.Cfg.preds)
+                 (Array.to_list (Spike_cfg.Cfg.preds cfg b))
               @ rest)
           end
     in
@@ -309,10 +309,11 @@ let test_labels_irreducible () =
       ]
   in
   let block_of label =
-    cfg.Spike_cfg.Cfg.block_of_insn.(List.assoc label cfg.Spike_cfg.Cfg.routine.Spike_ir.Routine.labels)
+    Spike_cfg.Cfg.block_of_insn cfg
+      (List.assoc label cfg.Spike_cfg.Cfg.routine.Spike_ir.Routine.labels)
   in
   let a = block_of "a" and b = block_of "main$b" in
-  let has_arc x y = Array.mem y cfg.Spike_cfg.Cfg.blocks.(x).Spike_cfg.Cfg.succs in
+  let has_arc x y = Array.mem y (Spike_cfg.Cfg.succs cfg x) in
   Alcotest.(check bool) "a <-> b" true (has_arc a b && has_arc b a);
   Alcotest.(check bool) "the switch enters at both" true (has_arc 0 a && has_arc 0 b);
   match

@@ -103,7 +103,7 @@ let test_liveness_across_call () =
     Option.get (Array.find_index (fun i -> i = li Reg.t3 7) keeper.Routine.insns)
   in
   Alcotest.(check int) "the def ends the call block's body"
-    ((Analysis.cfg analysis keeper_idx).Spike_cfg.Cfg.blocks.(call_block).Spike_cfg.Cfg.last - 1)
+    (Spike_cfg.Cfg.last (Analysis.cfg analysis keeper_idx) call_block - 1)
     t3_def;
   let after_def =
     Liveness.live_before_call liveness ~routine:keeper_idx ~block:call_block across
@@ -221,7 +221,7 @@ let test_dead_code_chain_across_blocks () =
   let p = program ~main:"main" [ main; f ] in
   let cfg = Spike_cfg.Cfg.build f in
   Alcotest.(check (list int)) "three blocks" [ 0; 1; 2 ]
-    (List.map (fun i -> cfg.Spike_cfg.Cfg.block_of_insn.(i)) [ 0; 2; 4 ]);
+    (List.map (Spike_cfg.Cfg.block_of_insn cfg) [ 0; 2; 4 ]);
   let optimized, removed, reruns = counting_reruns Dead_code.eliminate p in
   Alcotest.(check int) "all three removed" 3 removed;
   Alcotest.(check int) "one rerun" 1 reruns;
