@@ -159,6 +159,13 @@ end
 let intern c labels i = Labels.intern labels (L.source c) (L.start c i) (L.stop c i) (L.key c i)
 let label c labels i = (intern c labels i).Labels.name
 
+(* Routine names live in one program-wide table of the same kind, never
+   restarted: a [.routine] name and every [bsr]/[jsr] callee spelled like
+   it share one string, whichever comes first in the source. *)
+type tables = { labels : Labels.t; routine_names : Labels.t }
+
+let routine_name c t i = label c t.routine_names i
+
 (* Line shapes, as token kinds.  Array literals allocate, so they are
    built once here. *)
 let reg_imm = L.[| Ident; Ident; Comma; Int |]
@@ -190,7 +197,7 @@ let names c i ~malformed name =
    other line of a binop or conditional-branch shape names an unknown
    mnemonic.  Registers are resolved in source order, so the first bad
    one is reported. *)
-let instruction c labels =
+let instruction c t =
   if L.kind c 0 <> L.Ident then fail c "expected an instruction";
   let m = mnemonic c in
   match m with
@@ -207,21 +214,21 @@ let instruction c labels =
   | Mov when L.shape c reg_ident ->
       let src = reg c 1 in
       Insn.Mov { dst = reg c 3; src }
-  | Br when L.shape c one_ident -> Insn.Br { target = label c labels 1 }
+  | Br when L.shape c one_ident -> Insn.Br { target = label c t.labels 1 }
   | Jmp when L.shape c jmp_reg -> Insn.Jump_unknown { target = reg c 2 }
   | Bsr when L.shape c reg_ident && L.key c 1 = key_ra ->
-      Insn.Call { callee = Insn.Direct (L.text c 3) }
+      Insn.Call { callee = Insn.Direct (routine_name c t 3) }
   | Jsr when L.shape c jsr_reg && L.key c 1 = key_ra ->
       Insn.Call { callee = Insn.Indirect (reg c 4, None) }
   | Jsr when L.starts_with c jsr_list && L.key c 1 = key_ra ->
       let r = reg c 4 in
-      let targets = names c 8 ~malformed:"malformed jsr target list" (L.text c) in
+      let targets = names c 8 ~malformed:"malformed jsr target list" (routine_name c t) in
       Insn.Call { callee = Insn.Indirect (r, Some targets) }
   | Ret when L.shape c bare -> Insn.Ret
   | Nop when L.shape c bare -> Insn.Nop
   | Switch when L.starts_with c switch_list ->
       let index = reg c 1 in
-      let table = names c 4 ~malformed:"malformed switch table" (label c labels) in
+      let table = names c 4 ~malformed:"malformed switch table" (label c t.labels) in
       Insn.Switch { index; table = Array.of_list table }
   | _ ->
       if L.shape c binop_reg || L.shape c binop_imm then
@@ -237,7 +244,7 @@ let instruction c labels =
         match m with
         | Bcond cond ->
             let src = reg c 1 in
-            Insn.Bcond { cond; src; target = label c labels 3 }
+            Insn.Bcond { cond; src; target = label c t.labels 3 }
         | _ -> fail c "unknown mnemonic %s" (L.text c 0)
       else fail c "cannot parse %s instruction" (L.text c 0)
 
@@ -248,6 +255,7 @@ let parse c =
   let routines = ref [] (* reversed *) in
   let current = ref None in
   let labels = Labels.create () in
+  let t = { labels; routine_names = Labels.create () } in
   (* The current routine's instructions; its length is the index the next
      label names. *)
   let insns = Vec.create () in
@@ -280,7 +288,7 @@ let parse c =
         else fail c "malformed .routine directive"
       in
       Labels.start_routine labels;
-      current := Some { name = L.text c 1; exported }
+      current := Some { name = routine_name c t 1; exported }
     end
     else fail c "expected .main or .routine"
   in
@@ -293,7 +301,7 @@ let parse c =
         let l = intern c labels 0 in
         if l.at >= 0 then fail c "duplicate label %s" l.name;
         Labels.define labels l (Vec.length insns)
-    | _ -> Vec.push insns (instruction c labels)
+    | _ -> Vec.push insns (instruction c t)
   in
   while L.next_line c do
     match !current with None -> outside () | Some p -> inside p

@@ -238,6 +238,38 @@ let test_lexer_paths () =
       | _ -> Alcotest.fail "long labels: unexpected instructions")
   | None -> Alcotest.fail "long labels: routine lost"
 
+(* Callee names are interned program-wide: each [bsr]/[jsr] callee shares
+   one string with the routine it names, whether the routine comes before
+   or after the call, and with every other call to it; a callee outside
+   the image gets one string too. *)
+let test_callee_interning () =
+  let text =
+    ".main main\n.routine main\n  bsr ra, leaf\n  bsr ra, a_much_longer_name\n\
+    \  jsr ra, (pv), [leaf, a_much_longer_name, ext]\n  bsr ra, ext\n  ret\n.end\n\
+     .routine leaf\n  ret\n.end\n\
+     .routine a_much_longer_name\n  bsr ra, leaf\n  ret\n.end\n"
+  in
+  let p = Spike_asm.Parser.program_of_string text in
+  let name i = (Program.get p i).Routine.name in
+  let same what a b = Alcotest.(check bool) what true (a == b) in
+  match ((Program.get p 0).Routine.insns, (Program.get p 2).Routine.insns) with
+  | ( [|
+        Insn.Call { callee = Insn.Direct leaf };
+        Insn.Call { callee = Insn.Direct long };
+        Insn.Call { callee = Insn.Indirect (_, Some [ leaf'; long'; ext ]) };
+        Insn.Call { callee = Insn.Direct ext' };
+        _;
+      |],
+      [| Insn.Call { callee = Insn.Direct leaf'' }; _ |] ) ->
+      same "forward bsr" leaf (name 1);
+      same "forward long bsr" long (name 2);
+      same "jsr targets" leaf' (name 1);
+      same "long jsr target" long' (name 2);
+      same "backward bsr" leaf'' (name 1);
+      same "external callee" ext ext';
+      Alcotest.(check string) "text kept" "a_much_longer_name" long
+  | _ -> Alcotest.fail "unexpected instructions"
+
 let test_comments_and_blank_lines () =
   let text =
     "# leading comment\n\n.main m   # trailing\n.routine m\n  li t0, 3 # imm\n\n  \
@@ -338,6 +370,7 @@ let () =
           Alcotest.test_case "positions" `Quick test_errors;
           Alcotest.test_case "lexer edge cases" `Quick test_lexer_edges;
           Alcotest.test_case "byte classes and label interning" `Quick test_lexer_paths;
+          Alcotest.test_case "callee interning" `Quick test_callee_interning;
           Alcotest.test_case "comments and blanks" `Quick test_comments_and_blank_lines;
           Alcotest.test_case "fuzz totality" `Quick test_fuzz_totality;
         ] );

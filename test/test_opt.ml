@@ -136,6 +136,53 @@ let test_fig1d_save_restore () =
   let after = Spike_interp.Machine.execute optimized in
   Alcotest.(check bool) "same outcome" true (before = after)
 
+(* One routine with two save/restore idioms, s0 and s1, both live across
+   a call: [Save_restore.apply] rewrites both from one detection, and must
+   print what the per-renaming fold (re-detecting after each rewrite)
+   prints.  The same on small vortex programs, which have many. *)
+let test_save_restore_one_detection () =
+  let leaf = routine "leaf" [ (None, li Reg.t1 9); (None, ret) ] in
+  let h =
+    routine "h"
+      [
+        (None, Insn.Lda { dst = Reg.sp; base = Reg.sp; offset = -32 });
+        (None, store Reg.s0 ~base:Reg.sp ~offset:0);
+        (None, store Reg.s1 ~base:Reg.sp ~offset:16);
+        (None, store Reg.ra ~base:Reg.sp ~offset:8);
+        (None, li Reg.s0 5);
+        (None, li Reg.s1 6);
+        (None, call "leaf");
+        (None, store Reg.s0 ~base:Reg.zero ~offset:8192);
+        (None, store Reg.s1 ~base:Reg.zero ~offset:8200);
+        (None, load Reg.s0 ~base:Reg.sp ~offset:0);
+        (None, load Reg.s1 ~base:Reg.sp ~offset:16);
+        (None, load Reg.ra ~base:Reg.sp ~offset:8);
+        (None, Insn.Lda { dst = Reg.sp; base = Reg.sp; offset = 32 });
+        (None, ret);
+      ]
+  in
+  let main = routine "main" [ (None, call "h"); (None, ret) ] in
+  let print p = Spike_asm.Printer.to_string p in
+  let check tag p =
+    let a = Analysis.run p in
+    let got, renamings = Save_restore.apply a in
+    let expected, expected_renamings = Fold_save_restore.apply a in
+    Alcotest.(check bool) (tag ^ ": same renamings") true (renamings = expected_renamings);
+    Alcotest.(check string) (tag ^ ": same program") (print expected) (print got);
+    renamings
+  in
+  let renamings = check "h" (program ~main:"main" [ main; h; leaf ]) in
+  Alcotest.(check int) "both idioms rewritten in h" 2
+    (List.length (List.filter (fun (r : Save_restore.renaming) -> r.routine = 1) renamings));
+  let row = Option.get (Spike_synth.Calibrate.find "vortex") in
+  for seed = 1 to 3 do
+    let p =
+      Spike_synth.Generator.generate
+        { (Spike_synth.Calibrate.params_of ~scale:0.05 row) with Spike_synth.Params.seed }
+    in
+    ignore (check (Printf.sprintf "vortex seed %d" seed) p)
+  done
+
 (* Whole-program semantics preservation on random workloads. *)
 let test_semantics_preserved () =
   List.iter
@@ -546,6 +593,8 @@ let () =
           Alcotest.test_case "1b dead argument" `Quick test_fig1b_dead_argument;
           Alcotest.test_case "1c spill removal" `Quick test_fig1c_spill_removal;
           Alcotest.test_case "1d save/restore" `Quick test_fig1d_save_restore;
+          Alcotest.test_case "1d two renamings, one detection" `Quick
+            test_save_restore_one_detection;
         ] );
       ( "preservation",
         [

@@ -302,6 +302,40 @@ let prop_calibrated_labels_match_oracle =
     arbitrary_switch_dense (fun (_, params) ->
       labels_match_oracle (Generator.generate params))
 
+(* The lane CFG and its DEF/UBD against the record oracle, on random
+   programs (with unknown jumps, which [arbitrary_params] leaves out) and
+   on the four paper-scale shapes at scale 0.05 under a random seed. *)
+let arbitrary_cfg_programs =
+  let calibrated =
+    List.filter_map Calibrate.find [ "gcc"; "vortex"; "acad"; "winword" ]
+  in
+  let open QCheck.Gen in
+  let random =
+    pair (QCheck.gen arbitrary_params) (float_bound_inclusive 0.3)
+    >|= fun (params, unknown_jump_prob) ->
+    ("random", { params with Params.unknown_jump_prob; guard_calls = false })
+  in
+  let paper =
+    pair (oneofl calibrated) (int_bound 1_000_000) >|= fun (row, seed) ->
+    (row.Calibrate.name, { (Calibrate.params_of ~scale:0.05 row) with Params.seed })
+  in
+  let print (name, (p : Params.t)) = Printf.sprintf "%s seed=%d" name p.Params.seed in
+  QCheck.make ~print (frequency [ (3, random); (1, paper) ])
+
+let prop_cfg_lanes_match_records =
+  QCheck.Test.make ~name:"lane CFG = record CFG oracle" ~count:40 arbitrary_cfg_programs
+    (fun (_, params) ->
+      let p = Generator.generate params in
+      match
+        List.concat_map
+          (fun r ->
+            let g = Spike_cfg.Cfg.build r in
+            Test_helpers.Record_cfg.mismatches g (Spike_cfg.Defuse.compute g))
+          (Array.to_list (Program.routines p))
+      with
+      | [] -> true
+      | problem :: _ -> QCheck.Test.fail_reportf "%s" problem)
+
 (* External-summary files must round-trip through their concrete syntax:
    the sets are rebuilt from rendered register names, so this exercises
    name/of_name agreement for every register that can carry dataflow,
@@ -367,6 +401,7 @@ let () =
             prop_branch_nodes_invariant;
             prop_labels_match_oracle;
             prop_calibrated_labels_match_oracle;
+            prop_cfg_lanes_match_records;
             prop_sched_matches_oracle;
             prop_asm_roundtrip;
             prop_cursor_equals_line_parser;
