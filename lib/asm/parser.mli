@@ -30,7 +30,12 @@
     first, so a lexical error on a later line used to win over a syntax
     error on an earlier one.)  Errors that only the end of the input
     reveals — an unclosed routine, a missing [.main], a duplicate routine
-    or an undefined [main] — are reported at line 0. *)
+    or an undefined [main] — are reported at line 0.
+
+    Names are interned: a routine's labels are one string each, shared by
+    the definition, its [.entry] directives and every branch to it, and a
+    routine's name is one string shared by every [bsr]/[jsr] that names
+    it, wherever the call stands in the program. *)
 
 open Spike_ir
 

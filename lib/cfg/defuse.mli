@@ -10,7 +10,11 @@
     A terminating call instruction is excluded from its block's sets: the
     call's own register effect (defining [ra]; an indirect call also reads
     the target register) is folded into the call-return edge so that it
-    composes correctly with the callee's summary. *)
+    composes correctly with the callee's summary.
+
+    The sets are two lanes beside the {!Cfg}'s, indexed by block id; a
+    {!Spike_support.Regset.t} is an immediate int, so each lane is one
+    unboxed word per block. *)
 
 open Spike_support
 
@@ -20,6 +24,8 @@ type t = private {
 }
 
 val compute : Cfg.t -> t
+(** One pass over each block's instruction range, read off the CFG's
+    [first] lane; allocates only the two lanes. *)
 
 val def : t -> int -> Regset.t
 val ubd : t -> int -> Regset.t
