@@ -31,3 +31,6 @@ type renaming = {
 val find : Analysis.t -> Liveness.t -> renaming list
 
 val apply : Analysis.t -> Spike_ir.Program.t * renaming list
+(** {!find}'s renamings, applied: each routine with any is rewritten once,
+    from the sites detected on the analysed routine — every renaming,
+    then one deletion of all their saves and restores. *)
