@@ -137,12 +137,12 @@ let externals_ablation ppf =
      calling standard taken on faith (arguments used, temporaries killed) —
      so the summaries both tighten and correct it. *)
   let site_sets (a : Analysis.t) =
-    Array.to_list a.Analysis.psg.Psg.calls
-    |> List.filter_map (fun (info : Psg.call_info) ->
-           match info.Psg.callee with
+    Array.to_list (Array.mapi (fun c callee -> (c, callee)) a.Analysis.psg.Psg.callee)
+    |> List.filter_map (fun (c, callee) ->
+           match callee with
            | Insn.Direct name when String.length name > 4 && String.sub name 0 4 = "ext_"
              ->
-               Some (Analysis.site_class a info)
+               Some (Analysis.site_class a c)
            | _ -> None)
   in
   let used_of sites = List.map (fun (c : Summary.call_class) -> c.Summary.used) sites in

@@ -31,8 +31,7 @@ let summary_file =
   ".summary lib_checksum\n  used = {a0}\n  defined = {v0}\n  killed = {v0, t0, ra}\n.end\n"
 
 let describe label analysis =
-  let info = analysis.Analysis.psg.Psg.calls.(0) in
-  let site = Analysis.site_class analysis info in
+  let site = Analysis.site_class analysis 0 in
   let pp = Spike_support.Regset.pp ~name:Reg.name in
   Format.printf "%s@.  call-used   = %a@.  call-killed = %a@." label pp
     site.Summary.used pp site.Summary.killed;

@@ -67,9 +67,9 @@ let flow_edges analysis name =
   | Some r ->
       let n = ref 0 in
       for e = 0 to Psg.edge_count psg - 1 do
-        match psg.Psg.kinds.(psg.Psg.src.(e)) with
-        | Psg.Call _ -> () (* the call-return edge *)
-        | kind -> if Psg.node_routine kind = r then incr n
+        let s = psg.Psg.src.(e) in
+        (* A call node's only out-edge is its call-return edge. *)
+        if Psg.tag psg s <> Psg.Kind.call && Psg.routine_of_node psg s = r then incr n
       done;
       !n
 

@@ -132,7 +132,7 @@ let run_with ~reused_front ~previous ~branch_nodes ~externals ~callee_saved_filt
           if callee_saved_filter then
             Pool.parallel_init pool n (fun r ->
                 match art r with
-                | Some a -> a.Warm.a_filter
+                | Some a -> Warm.filter a
                 | None ->
                     Spike_obs.Trace.with_span "callee_saved.filter" (fun () ->
                         Callee_saved.saved_and_restored routines.(r) (Option.get cfgs.(r))))
@@ -140,17 +140,18 @@ let run_with ~reused_front ~previous ~branch_nodes ~externals ~callee_saved_filt
         in
         (defuses, filters))
   in
-  let locals, psg, same_topology =
+  let parts, psg, same_topology =
     record_stage timer stage_psg_build (fun () ->
         let resolve_targets = Psg_build.resolver ~externals program in
-        let locals =
+        let parts =
           Pool.parallel_init pool n (fun r ->
               match art r with
-              | Some a -> a.Warm.a_local
+              | Some a -> Warm.part a
               | None ->
                   Spike_obs.Trace.with_span "psg.local_pass" (fun () ->
-                      Psg_build.local_pass ~branch_nodes ~resolve_targets r
-                        (Option.get cfgs.(r)) (Option.get defuses.(r))))
+                      Psg_build.Local
+                        (Psg_build.local_pass ~branch_nodes ~resolve_targets r
+                           (Option.get cfgs.(r)) (Option.get defuses.(r)))))
         in
         (* A rerun in which every rebuilt fragment kept its donor's
            topology has the previous PSG's topology. *)
@@ -159,27 +160,25 @@ let run_with ~reused_front ~previous ~branch_nodes ~externals ~callee_saved_filt
               let kept r =
                 Option.is_some (art r)
                 ||
-                match plan.Warm.donors.(r) with
-                | Some d -> Psg_build.same_topology d.Warm.d_art.a_local locals.(r)
-                | None -> false
+                match (plan.Warm.donors.(r), parts.(r)) with
+                | Some d, Psg_build.Local l -> Psg_build.same_topology d.Warm.d_art.a_local l
+                | _ -> false
               in
               if Seq.for_all kept (Seq.init n Fun.id) then Some old else None)
         in
         let psg =
           Spike_obs.Trace.with_span "psg.stitch" (fun () ->
-              Psg_build.stitch ?topology ~entry_filters program locals)
+              Psg_build.stitch_parts ?topology ~entry_filters program parts)
         in
-        (locals, psg, topology <> None))
+        (parts, psg, topology <> None))
   in
   if Spike_obs.Metrics.enabled () then begin
     let stats = Psg_stats.of_psg psg in
     List.iter (fun (c, get) -> Spike_obs.Metrics.add c (get stats)) psg_counters
   end;
-  let node_offset = Psg_build.node_offsets locals in
-  let call_offset = Psg_build.call_offsets locals in
   let sols, exit_seeds =
     Spike_obs.Trace.with_span "warm.lift" (fun () ->
-        Warm.solutions plan ~program ~locals ~filters:entry_filters)
+        Warm.solutions plan ~program ~parts ~filters:entry_filters)
   in
   let reuse = Array.exists Option.is_some sols in
   (* The condensation schedule both phases share depends only on the PSG's
@@ -210,7 +209,7 @@ let run_with ~reused_front ~previous ~branch_nodes ~externals ~callee_saved_filt
   in
   let w1 =
     plan_phase stage_phase1 "warm.phase1_plan" (fun () ->
-        Warm.phase1_plan psg ~sols ~node_offset ~call_offset)
+        Warm.phase1_plan psg ~sols)
   in
   let sched1 = sched_for (Option.map (fun w -> w.Phase1.cone) w1) in
   let phase1_iterations, call_classes =
@@ -220,7 +219,7 @@ let run_with ~reused_front ~previous ~branch_nodes ~externals ~callee_saved_filt
   in
   let w2 =
     plan_phase stage_phase2 "warm.phase2_plan" (fun () ->
-        Warm.phase2_plan psg ~sols ~exit_seeds ~node_offset ~call_offset)
+        Warm.phase2_plan psg ~sols ~exit_seeds)
   in
   let sched2 = sched_for (Option.map (fun w -> w.Phase2.cone) w2) in
   let phase2_iterations, summaries =
@@ -302,7 +301,7 @@ let cfg t r = Lazy.force t.front.cfgs.(r)
 let defuse t r = Lazy.force t.front.defuses.(r)
 
 let summary_of t name = Summary.find t.summaries t.program name
-let site_class t info = Summary.site_class t.psg t.call_classes info
+let site_class t c = Summary.site_class t.psg t.call_classes c
 let total_seconds t = Timer.total t.timer
 
 let pp_times ppf t =

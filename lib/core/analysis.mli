@@ -154,7 +154,8 @@ val defuse : t -> int -> Defuse.t
 val summary_of : t -> string -> Summary.t option
 (** Summary of a routine by name. *)
 
-val site_class : t -> Psg.call_info -> Summary.call_class
+val site_class : t -> int -> Summary.call_class
+(** [site_class t c] is {!Summary.site_class} of call [c] of [t.psg]. *)
 
 val total_seconds : t -> float
 val pp_times : Format.formatter -> t -> unit

@@ -12,22 +12,8 @@ type t = {
 }
 
 let of_psg (psg : Psg.t) =
-  let entry = ref 0
-  and exit_ = ref 0
-  and call = ref 0
-  and return = ref 0
-  and branch = ref 0
-  and unknown = ref 0 in
-  Array.iter
-    (fun (kind : Psg.node_kind) ->
-      match kind with
-      | Psg.Entry _ -> incr entry
-      | Psg.Exit _ -> incr exit_
-      | Psg.Call _ -> incr call
-      | Psg.Return _ -> incr return
-      | Psg.Branch _ -> incr branch
-      | Psg.Unknown_exit _ -> incr unknown)
-    psg.kinds;
+  let by_tag = Array.make Psg.Kind.count 0 in
+  Array.iter (fun k -> by_tag.(Psg.Kind.tag k) <- by_tag.(Psg.Kind.tag k) + 1) psg.kinds;
   let flow = Psg.flow_edge_count psg in
   let total_edges = Psg.edge_count psg in
   {
@@ -35,12 +21,12 @@ let of_psg (psg : Psg.t) =
     edges = total_edges;
     flow_edges = flow;
     call_return_edges = total_edges - flow;
-    entry_nodes = !entry;
-    exit_nodes = !exit_;
-    call_nodes = !call;
-    return_nodes = !return;
-    branch_nodes = !branch;
-    unknown_exit_nodes = !unknown;
+    entry_nodes = by_tag.(Psg.Kind.entry);
+    exit_nodes = by_tag.(Psg.Kind.exit);
+    call_nodes = by_tag.(Psg.Kind.call);
+    return_nodes = by_tag.(Psg.Kind.return);
+    branch_nodes = by_tag.(Psg.Kind.branch);
+    unknown_exit_nodes = by_tag.(Psg.Kind.unknown_exit);
   }
 
 let nodes_per_routine t ~routines = float_of_int t.nodes /. float_of_int (max routines 1)

@@ -29,18 +29,20 @@ let deps (psg : Psg.t) extra =
   Scc.csr n (fun f ->
       extra f;
       for u = 0 to n - 1 do
-        for j = psg.Psg.out_off.(u + 1) - 1 downto psg.Psg.out_off.(u) do
-          f u psg.Psg.dst.(psg.Psg.out_adj.(j))
+        for e = psg.Psg.out_off.(u + 1) - 1 downto psg.Psg.out_off.(u) do
+          f u psg.Psg.dst.(e)
         done
       done)
 
-let p1_extra psg f =
-  Psg.iter_routine_targets psg (fun info r ->
-      f info.Psg.call_node (Psg.primary_entry_node psg r))
+let p1_extra (psg : Psg.t) f =
+  Psg.iter_routine_targets psg (fun c r ->
+      f psg.call_node.(c) (Psg.primary_entry_node psg r))
 
-let p2_extra psg f =
-  Psg.iter_routine_targets psg (fun info r ->
-      List.iter (fun x -> f x info.Psg.return_node) psg.Psg.exit_nodes.(r))
+let p2_extra (psg : Psg.t) f =
+  Psg.iter_routine_targets psg (fun c r ->
+      for i = psg.exits_off.(r) to psg.exits_off.(r + 1) - 1 do
+        f psg.exit_nodes.(i) (Psg.return_node psg c)
+      done)
 
 (* Node-level refinement: a weak topological order (Bourdoncle) of one
    phase's dependency graph, per call-graph component.  The component's
@@ -79,7 +81,7 @@ let phase_order (psg : Psg.t) comp_members extra =
   let n = Psg.node_count psg in
   let off, adj = deps psg extra in
   let decompose = Scc.decomposer ~off ~adj in
-  let routine_of id = Psg.node_routine psg.Psg.kinds.(id) in
+  let routine_of id = Psg.routine_of_node psg id in
   let self_loop v =
     let rec scan e = e < off.(v + 1) && (adj.(e) = v || scan (e + 1)) in
     scan off.(v)
@@ -140,7 +142,7 @@ let make ?pool (psg : Psg.t) =
   Spike_obs.Metrics.add c_comps scc.Scc.count;
   let n = Psg.node_count psg in
   let comp_of_node =
-    Array.map (fun kind -> scc.Scc.comp_of.(Psg.node_routine kind)) psg.Psg.kinds
+    Array.map (fun k -> scc.Scc.comp_of.(Psg.Kind.routine k)) psg.Psg.kinds
   in
   (* Component [->] its members: a counting sort, ascending within each. *)
   let by_comp iter =
@@ -155,9 +157,7 @@ let make ?pool (psg : Psg.t) =
   in
   let comp_calls =
     by_comp (fun f ->
-        Array.iteri
-          (fun i (info : Psg.call_info) -> f comp_of_node.(info.Psg.call_node) i)
-          psg.Psg.calls)
+        Array.iteri (fun c node -> f comp_of_node.(node) c) psg.Psg.call_node)
   in
   (* The two phase orders share nothing mutable, so a pool builds them
      side by side. *)

@@ -55,8 +55,8 @@ type t = {
   comp_cend_p2 : int array array;
   comp_flat_p2 : int array array;
   comp_calls : int array array;
-      (** component [->] indices into [Psg.calls] of the call sites whose
-          call node lives in the component, ascending *)
+      (** component [->] the call indices whose call node lives in the
+          component, ascending *)
 }
 
 val make : ?pool:Pool.t -> Psg.t -> t

@@ -32,25 +32,18 @@ let extract (psg : Psg.t) call_classes =
   let program = psg.program in
   Array.init (Program.routine_count program) (fun r ->
       let routine = Program.get program r in
+      (* An entry node's block field is its position in the entry list. *)
+      let labels = Array.of_list routine.Routine.entries in
       let live_at_entry =
         List.map
           (fun node_id ->
-            match psg.kinds.(node_id) with
-            | Psg.Entry { label; _ } -> (label, Regset.inter psg.live.(node_id) mask)
-            | Psg.Exit _ | Psg.Call _ | Psg.Return _ | Psg.Branch _ | Psg.Unknown_exit _
-              ->
-                assert false)
-          psg.entry_nodes.(r)
+            (labels.(Psg.block psg node_id), Regset.inter psg.live.(node_id) mask))
+          (Psg.entry_node_list psg r)
       in
       let live_at_exit =
         List.map
-          (fun node_id ->
-            match psg.kinds.(node_id) with
-            | Psg.Exit { block; _ } -> (block, Regset.inter psg.live.(node_id) mask)
-            | Psg.Entry _ | Psg.Call _ | Psg.Return _ | Psg.Branch _ | Psg.Unknown_exit _
-              ->
-                assert false)
-          psg.exit_nodes.(r)
+          (fun node_id -> (Psg.block psg node_id, Regset.inter psg.live.(node_id) mask))
+          (Psg.exit_node_list psg r)
       in
       {
         routine = r;
@@ -60,34 +53,36 @@ let extract (psg : Psg.t) call_classes =
         live_at_exit;
       })
 
-let site_class (_psg : Psg.t) call_classes (info : Psg.call_info) =
-  match info.targets with
-  | None ->
-      {
-        used = Calling_standard.unknown_call_used;
-        defined = Calling_standard.unknown_call_defined;
-        killed = Calling_standard.unknown_call_killed;
-      }
-  | Some targets ->
-      List.fold_left
-        (fun acc target ->
-          let c =
-            match target with
-            | Psg.Target_routine r -> call_classes.(r)
-            | Psg.Target_external x ->
-                {
-                  used = Regset.inter x.Psg.x_used mask;
-                  defined = Regset.inter x.Psg.x_defined mask;
-                  killed = Regset.inter x.Psg.x_killed mask;
-                }
-          in
+let site_class (psg : Psg.t) call_classes c =
+  if not (Psg.resolved psg c) then
+    {
+      used = Calling_standard.unknown_call_used;
+      defined = Calling_standard.unknown_call_defined;
+      killed = Calling_standard.unknown_call_killed;
+    }
+  else begin
+    let acc = ref { used = Regset.empty; defined = mask; killed = Regset.empty } in
+    for i = psg.target_off.(c) to psg.target_off.(c + 1) - 1 do
+      let x = psg.targets.(i) in
+      let cls =
+        if x >= 0 then call_classes.(x)
+        else
+          let e = psg.externals.(-1 - x) in
           {
-            used = Regset.union acc.used c.used;
-            defined = Regset.inter acc.defined c.defined;
-            killed = Regset.union acc.killed c.killed;
-          })
-        { used = Regset.empty; defined = mask; killed = Regset.empty }
-        targets
+            used = Regset.inter e.Psg.x_used mask;
+            defined = Regset.inter e.Psg.x_defined mask;
+            killed = Regset.inter e.Psg.x_killed mask;
+          }
+      in
+      acc :=
+        {
+          used = Regset.union !acc.used cls.used;
+          defined = Regset.inter !acc.defined cls.defined;
+          killed = Regset.union !acc.killed cls.killed;
+        }
+    done;
+    !acc
+  end
 
 let find summaries program name =
   Option.map (fun i -> summaries.(i)) (Program.find_index program name)

@@ -34,8 +34,8 @@ val extract_call_classes : Psg.t -> call_class array
 val extract : Psg.t -> call_class array -> t array
 (** Full summaries; call after {!Phase2.run}. *)
 
-val site_class : Psg.t -> call_class array -> Psg.call_info -> call_class
-(** The summary a specific call site observes: the merge (union of MAY
+val site_class : Psg.t -> call_class array -> int -> call_class
+(** [site_class psg classes c] is the summary call [c] observes: the merge (union of MAY
     sets, intersection of MUST) over the routines the site can target, or
     the calling-standard assumption when the target is unknown.  The call
     instruction's own hardware effect (defining [ra]) is {e not} included;

@@ -49,7 +49,7 @@ let check ?fuel ?(max_observations = 256) (analysis : Analysis.t) =
         :: !violations
   in
   let has_unresolved_calls =
-    Array.exists (fun (info : Psg.call_info) -> info.targets = None) psg.Psg.calls
+    Seq.exists (fun c -> not (Psg.resolved psg c)) (Seq.init (Psg.call_count psg) Fun.id)
   in
   let frames = ref [] in
   let probes = ref [] in

@@ -10,19 +10,21 @@ type t = {
   live_out_sets : Regset.t array array;
       (* for a call block: liveness at the return point, before the call
          summary is applied *)
-  site_of_block : (int * int, Psg.call_info) Hashtbl.t;
+  site_of_block : (int * int, int) Hashtbl.t;  (* (routine, block) -> call *)
 }
 
 (* Compose the call instruction's own effect with the merged callee class,
    as one backward gen/kill pair. *)
-let call_gen_kill analysis (info : Psg.call_info) =
-  let site = Analysis.site_class analysis info in
-  let gen = Regset.union info.call_use (Regset.diff site.Summary.used info.call_def) in
-  let kill = Regset.union info.call_def site.Summary.defined in
+let call_gen_kill (analysis : Analysis.t) c =
+  let psg = analysis.psg in
+  let site = Analysis.site_class analysis c in
+  let call_use = psg.call_use.(c) and call_def = psg.call_def.(c) in
+  let gen = Regset.union call_use (Regset.diff site.Summary.used call_def) in
+  let kill = Regset.union call_def site.Summary.defined in
   (gen, kill)
 
-let cross_call analysis info live_after =
-  let gen, kill = call_gen_kill analysis info in
+let cross_call analysis c live_after =
+  let gen, kill = call_gen_kill analysis c in
   Regset.union gen (Regset.diff live_after kill)
 
 (* The least fixpoint of routine [r]'s block equations, from empty, with
@@ -49,7 +51,7 @@ let solve_routine analysis site_of_block r ~def ~ubd =
       match Cfg.ending cfg b with
       | Ends_call -> (
           match Hashtbl.find_opt site_of_block (r, b) with
-          | Some info -> cross_call analysis info out
+          | Some c -> cross_call analysis c out
           | None -> assert false)
       | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> out
     in
@@ -74,13 +76,10 @@ let compute (analysis : Analysis.t) =
   let program = analysis.Analysis.program in
   let psg = analysis.Analysis.psg in
   let site_of_block = Hashtbl.create 64 in
-  Array.iter
-    (fun (info : Psg.call_info) ->
-      match psg.Psg.kinds.(info.call_node) with
-      | Psg.Call { routine; block } -> Hashtbl.replace site_of_block (routine, block) info
-      | Psg.Entry _ | Psg.Exit _ | Psg.Return _ | Psg.Branch _ | Psg.Unknown_exit _ ->
-          assert false)
-    psg.Psg.calls;
+  Array.iteri
+    (fun c node ->
+      Hashtbl.replace site_of_block (Psg.routine_of_node psg node, Psg.block psg node) c)
+    psg.Psg.call_node;
   let nroutines = Program.routine_count program in
   let live_in_sets = Array.make nroutines [||] and live_out_sets = Array.make nroutines [||] in
   for r = 0 to nroutines - 1 do
@@ -107,7 +106,7 @@ let live_across_call t ~routine ~block =
 
 let live_before_call t ~routine ~block live =
   match Hashtbl.find_opt t.site_of_block (routine, block) with
-  | Some info -> cross_call t.analysis info live
+  | Some c -> cross_call t.analysis c live
   | None -> not_a_call "live_before_call"
 
 let solve t ~routine ~def ~ubd =

@@ -73,18 +73,16 @@ let call_graph (analysis : Analysis.t) =
   let psg = analysis.Analysis.psg in
   let n = Program.routine_count program in
   let succs = Array.make n [] and reenters = Array.make n false in
-  Array.iter
-    (fun (info : Psg.call_info) ->
-      let caller = Psg.node_routine psg.Psg.kinds.(info.call_node) in
-      match info.targets with
-      | None -> reenters.(caller) <- true
-      | Some l ->
-          List.iter
-            (function
-              | Psg.Target_routine r -> succs.(caller) <- r :: succs.(caller)
-              | Psg.Target_external _ -> reenters.(caller) <- true)
-            l)
-    psg.Psg.calls;
+  Array.iteri
+    (fun c node ->
+      let caller = Psg.routine_of_node psg node in
+      if not (Psg.resolved psg c) then reenters.(caller) <- true;
+      for i = psg.Psg.target_off.(c) to psg.Psg.target_off.(c + 1) - 1 do
+        let x = psg.Psg.targets.(i) in
+        if x >= 0 then succs.(caller) <- x :: succs.(caller)
+        else reenters.(caller) <- true
+      done)
+    psg.Psg.call_node;
   let exported =
     List.filter (fun r -> (Program.get program r).Routine.exported) (List.init n Fun.id)
   in
@@ -119,7 +117,6 @@ let find_sites (analysis : Analysis.t) liveness =
   let program = analysis.Analysis.program in
   let psg = analysis.Analysis.psg in
   let graph = call_graph analysis in
-  let offsets = Psg.offsets psg in
   let renamings = ref [] in
   Program.iter
     (fun r (routine : Routine.t) ->
@@ -127,14 +124,10 @@ let find_sites (analysis : Analysis.t) liveness =
       let sites = Callee_saved.sites routine cfg in
       (* The routine's call sites, with their blocks. *)
       let call_blocks =
-        let first = offsets.Psg.first_call.(r) in
-        List.init (offsets.Psg.first_call.(r + 1) - first) (fun k ->
-            let info = psg.Psg.calls.(first + k) in
-            match psg.Psg.kinds.(info.call_node) with
-            | Psg.Call { block; _ } -> (block, info)
-            | Psg.Entry _ | Psg.Exit _ | Psg.Return _ | Psg.Branch _
-            | Psg.Unknown_exit _ ->
-                assert false)
+        let first = psg.Psg.first_call.(r) in
+        List.init (psg.Psg.first_call.(r + 1) - first) (fun k ->
+            let c = first + k in
+            (Psg.block psg psg.Psg.call_node.(c), c))
       in
       let live_entry =
         match (analysis.Analysis.summaries.(r)).Summary.live_at_entry with
@@ -176,26 +169,20 @@ let find_sites (analysis : Analysis.t) liveness =
             let crossing_external = ref false in
             let killed_across =
               List.fold_left
-                (fun acc (block, info) ->
+                (fun acc (block, c) ->
                   if Regset.mem s (Liveness.live_across_call liveness ~routine:r ~block)
                   then begin
-                    (match info.Psg.targets with
-                    | Some l ->
-                        List.iter
-                          (fun target ->
-                            match target with
-                            | Psg.Target_routine i ->
-                                crossing_targets := i :: !crossing_targets
-                            | Psg.Target_external _ -> crossing_external := true)
-                          l
-                    | None ->
-                        (* handled by the killed set: unknown calls kill
-                           every caller-saved candidate *)
-                        ());
-                    let site_class = Analysis.site_class analysis info in
+                    (* An unresolved call is handled by the killed set: it
+                       kills every caller-saved candidate. *)
+                    for i = psg.Psg.target_off.(c) to psg.Psg.target_off.(c + 1) - 1 do
+                      let x = psg.Psg.targets.(i) in
+                      if x >= 0 then crossing_targets := x :: !crossing_targets
+                      else crossing_external := true
+                    done;
+                    let site_class = Analysis.site_class analysis c in
                     Regset.union acc
                       (Regset.union site_class.Summary.killed
-                         (Regset.union info.call_def info.call_use))
+                         (Regset.union psg.Psg.call_def.(c) psg.Psg.call_use.(c)))
                   end
                   else acc)
                 Regset.empty call_blocks

@@ -29,22 +29,18 @@ let find (analysis : Analysis.t) =
   let program = analysis.Analysis.program in
   let psg = analysis.Analysis.psg in
   let removals = ref [] in
-  Array.iter
-    (fun (info : Psg.call_info) ->
-      let routine, block =
-        match psg.Psg.kinds.(info.call_node) with
-        | Psg.Call { routine; block } -> (routine, block)
-        | Psg.Entry _ | Psg.Exit _ | Psg.Return _ | Psg.Branch _ | Psg.Unknown_exit _ ->
-            assert false
-      in
+  Array.iteri
+    (fun c node ->
+      let routine = Psg.routine_of_node psg node and block = Psg.block psg node in
       let cfg = Analysis.cfg analysis routine in
       let r = Program.get program routine in
       let insns = r.Routine.insns in
       let return_block = Cfg.return_block cfg block in
       let return_last = Cfg.last cfg return_block in
       let killed =
-        let site = Analysis.site_class analysis info in
-        Regset.union site.Summary.killed (Regset.union info.call_def info.call_use)
+        let site = Analysis.site_class analysis c in
+        Regset.union site.Summary.killed
+          (Regset.union psg.Psg.call_def.(c) psg.Psg.call_use.(c))
       in
       (* Backward from the call for a spilling store. *)
       let rec find_store i barrier =
@@ -84,7 +80,7 @@ let find (analysis : Analysis.t) =
               removals := { routine; store_index; load_index; spilled = reg } :: !removals
           | None -> ())
       | Some _ | None -> ())
-    psg.Psg.calls;
+    psg.Psg.call_node;
   List.rev !removals
 
 let apply (analysis : Analysis.t) =

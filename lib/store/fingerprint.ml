@@ -3,7 +3,7 @@ open Spike_isa
 open Spike_ir
 open Spike_core
 
-let format_version = 4
+let format_version = 5
 
 let config_key ~branch_nodes ~callee_saved_filter =
   let b = Buffer.create 32 in

@@ -27,7 +27,7 @@ let edge_label (psg : Spike_core.Psg.t) e =
   }
 
 let is_flow_edge (psg : Spike_core.Psg.t) e =
-  match psg.kinds.(psg.src.(e)) with
+  match Spike_core.Psg.kind psg psg.src.(e) with
   | Spike_core.Psg.Call _ -> false
   | Entry _ | Exit _ | Return _ | Branch _ | Unknown_exit _ -> true
 
@@ -37,7 +37,7 @@ let edges_of ?routine (psg : Spike_core.Psg.t) =
     (fun e ->
       match routine with
       | None -> true
-      | Some r -> Spike_core.Psg.node_routine psg.kinds.(psg.src.(e)) = r)
+      | Some r -> Spike_core.Psg.routine_of_node psg psg.src.(e) = r)
     (List.init (Spike_core.Psg.edge_count psg) Fun.id)
 
 (* Every routine's CFG and DEF/UBD of an analysis, as the arrays that
@@ -287,9 +287,9 @@ module Label_oracle = struct
     List.iter
       (fun e ->
         if is_flow_edge psg e then begin
-          let src = psg.kinds.(psg.src.(e)) in
+          let src = Psg.kind psg psg.src.(e) in
           let r = Psg.node_routine src in
-          built.(r) <- (src, psg.kinds.(psg.dst.(e)), edge_label psg e) :: built.(r)
+          built.(r) <- (src, Psg.kind psg psg.dst.(e), edge_label psg e) :: built.(r)
         end)
       (edges_of psg);
     List.concat
@@ -715,18 +715,17 @@ module Sched_oracle = struct
   let call_graph (psg : Psg.t) =
     let n = Program.routine_count psg.Psg.program in
     let succs = Array.make n [] in
-    Array.iter
-      (fun (info : Psg.call_info) ->
-        let caller = Psg.node_routine psg.Psg.kinds.(info.Psg.call_node) in
-        match info.Psg.targets with
-        | Some targets ->
-            List.iter
-              (function
-                | Psg.Target_routine r -> succs.(caller) <- r :: succs.(caller)
-                | Psg.Target_external _ -> ())
-              targets
-        | None -> ())
-      psg.Psg.calls;
+    for c = 0 to Psg.call_count psg - 1 do
+      let caller = Psg.node_routine (Psg.kind psg psg.Psg.call_node.(c)) in
+      match Psg.call_targets psg c with
+      | Some targets ->
+          List.iter
+            (function
+              | Psg.Target_routine r -> succs.(caller) <- r :: succs.(caller)
+              | Psg.Target_external _ -> ())
+            targets
+      | None -> ()
+    done;
     Array.map (fun callees -> Array.of_list (List.sort_uniq Int.compare callees)) succs
 
   type wtask = Wset of int array | Wnode of int | Wknot of int array | Wclose of int
@@ -735,32 +734,32 @@ module Sched_oracle = struct
     let scc = scc_compute ~succs:(call_graph psg) in
     let n = Psg.node_count psg in
     let comp_of_node = Array.make n 0 in
-    Array.iteri
-      (fun id kind -> comp_of_node.(id) <- scc.Scc.comp_of.(Psg.node_routine kind))
-      psg.Psg.kinds;
+    for id = 0 to n - 1 do
+      comp_of_node.(id) <- scc.Scc.comp_of.(Psg.node_routine (Psg.kind psg id))
+    done;
     let flow_deps u =
-      List.init
-        (psg.Psg.out_off.(u + 1) - psg.Psg.out_off.(u))
-        (fun k -> psg.Psg.dst.(psg.Psg.out_adj.(psg.Psg.out_off.(u) + k)))
+      let acc = ref [] in
+      Psg.iter_out_edges psg u (fun e -> acc := psg.Psg.dst.(e) :: !acc);
+      List.rev !acc
     in
     let p1_extra = Array.make n [] and p2_extra = Array.make n [] in
-    Array.iter
-      (fun (info : Psg.call_info) ->
-        match info.Psg.targets with
-        | None -> ()
-        | Some targets ->
-            List.iter
-              (function
-                | Psg.Target_external _ -> ()
-                | Psg.Target_routine r ->
-                    p1_extra.(info.Psg.call_node) <-
-                      Psg.primary_entry_node psg r :: p1_extra.(info.Psg.call_node);
-                    List.iter
-                      (fun exit_node ->
-                        p2_extra.(exit_node) <- info.Psg.return_node :: p2_extra.(exit_node))
-                      psg.Psg.exit_nodes.(r))
-              targets)
-      psg.Psg.calls;
+    for c = 0 to Psg.call_count psg - 1 do
+      let call_node = psg.Psg.call_node.(c) in
+      match Psg.call_targets psg c with
+      | None -> ()
+      | Some targets ->
+          List.iter
+            (function
+              | Psg.Target_external _ -> ()
+              | Psg.Target_routine r ->
+                  p1_extra.(call_node) <-
+                    List.hd (Psg.entry_node_list psg r) :: p1_extra.(call_node);
+                  List.iter
+                    (fun exit_node ->
+                      p2_extra.(exit_node) <- (call_node + 1) :: p2_extra.(exit_node))
+                    (Psg.exit_node_list psg r))
+            targets
+    done;
     let deps extra = Array.init n (fun u -> Array.of_list (flow_deps u @ extra.(u))) in
     let comp_members =
       let acc = Array.make (max scc.Scc.count 1) [] in
@@ -772,7 +771,7 @@ module Sched_oracle = struct
     let stamp = Array.make n (-1) in
     let lidx = Array.make n 0 in
     let gen = ref (-1) in
-    let routine_of id = Psg.node_routine psg.Psg.kinds.(id) in
+    let routine_of id = Psg.node_routine (Psg.kind psg id) in
     let hier dep_arr =
       let budget = ref (32 * n) in
       let comp_nodes = Array.make (max scc.Scc.count 1) [||] in
@@ -848,10 +847,10 @@ module Sched_oracle = struct
     let comp_nodes_p2, comp_cend_p2, comp_flat_p2 = hier (deps p2_extra) in
     let calls_acc = Array.make (max scc.Scc.count 1) [] in
     Array.iteri
-      (fun i (info : Psg.call_info) ->
-        let c = comp_of_node.(info.Psg.call_node) in
+      (fun i call_node ->
+        let c = comp_of_node.(call_node) in
         calls_acc.(c) <- i :: calls_acc.(c))
-      psg.Psg.calls;
+      psg.Psg.call_node;
     let comp_calls =
       Array.init scc.Scc.count (fun c -> Array.of_list (List.rev calls_acc.(c)))
     in
@@ -1092,4 +1091,126 @@ module Fold_save_restore = struct
         (Program.routines program)
     in
     (Program.make ~main:(Program.main program) (Array.to_list routines), renamings)
+end
+
+(* The §3.4 detector as it was before it gathered the routine's sp
+   definitions and slot stores in one pass: a rescan of the whole routine
+   for the frame check and another per candidate save.  The oracle for
+   {!Spike_core.Callee_saved.sites}. *)
+module Callee_saved_oracle = struct
+  open Spike_cfg
+
+  let defines_sp insn = Regset.mem Reg.sp (Insn.defs insn)
+
+  (* The frame discipline: either sp is never defined, or the entry block's
+     first instruction is [lda sp, -n(sp)] and the instruction before each ret
+     is [lda sp, n(sp)], and these are the only sp definitions. *)
+  let frame_discipline_ok (routine : Routine.t) (cfg : Cfg.t) ~entry_block ~exit_blocks =
+    let insns = routine.insns in
+    let sp_defs = ref [] in
+    Array.iteri (fun i insn -> if defines_sp insn then sp_defs := i :: !sp_defs) insns;
+    match List.rev !sp_defs with
+    | [] -> Some None
+    | first :: rest -> (
+        match insns.(first) with
+        | Insn.Lda { dst; base; offset }
+          when dst = Reg.sp && base = Reg.sp && offset < 0
+               && first = Cfg.first cfg entry_block ->
+            let n = -offset in
+            let expected = List.map (fun e -> Cfg.last cfg e - 1) exit_blocks in
+            let is_readjust i =
+              i >= 0
+              &&
+              match insns.(i) with
+              | Insn.Lda { dst; base; offset } ->
+                  dst = Reg.sp && base = Reg.sp && offset = n
+              | _ -> false
+            in
+            if
+              List.for_all is_readjust expected
+              && List.sort Int.compare rest = List.sort Int.compare expected
+            then Some (Some n)
+            else None
+        | _ -> None)
+
+  let sites (routine : Routine.t) (cfg : Cfg.t) =
+    let insns = routine.insns in
+    let exit_blocks = Cfg.exit_blocks cfg in
+    match (cfg.entry_blocks, Cfg.unknown_jump_blocks cfg) with
+    | _, _ :: _ -> [] (* may leave without restoring *)
+    | [ (_, entry_block) ], [] when Cfg.pred_count cfg entry_block = 0 -> (
+        match frame_discipline_ok routine cfg ~entry_block ~exit_blocks with
+        | None -> []
+        | Some frame ->
+            (* Candidate saves in the entry block: store of an unclobbered
+               callee-saved register to a fresh sp slot. *)
+            let candidates = ref [] (* (reg, offset, save_index) *) in
+            let defined = ref Regset.empty in
+            let slot_taken off = List.exists (fun (_, o, _) -> o = off) !candidates in
+            let entry_last = Cfg.last cfg entry_block in
+            let body_last =
+              match Cfg.ending cfg entry_block with
+              | Ends_call -> entry_last - 1
+              | Ends_plain | Ends_ret | Ends_switch | Ends_jump_unknown -> entry_last
+            in
+            for i = Cfg.first cfg entry_block to body_last do
+              (match insns.(i) with
+              | Insn.Store { src; base; offset }
+                when base = Reg.sp
+                     && Regset.mem src Calling_standard.callee_saved
+                     && src <> Reg.sp
+                     && (not (Regset.mem src !defined))
+                     && not (slot_taken offset) ->
+                  candidates := (src, offset, i) :: !candidates
+              | _ -> ());
+              defined := Regset.union !defined (Insn.defs insns.(i))
+            done;
+            (* The save must be the slot's only store. *)
+            let sole_store (_, off, save_index) =
+              let ok = ref true in
+              Array.iteri
+                (fun i insn ->
+                  match insn with
+                  | Insn.Store { base; offset; _ }
+                    when base = Reg.sp && offset = off && i <> save_index ->
+                      ok := false
+                  | _ -> ())
+                insns;
+              !ok
+            in
+            (* Every ret block must reload the register from the slot, with no
+               later definition of it before the ret.  Returns the reload's
+               index. *)
+            let restored_at_exit (s, off, _) e =
+              let last = Cfg.last cfg e in
+              let zone_last = match frame with Some _ -> last - 2 | None -> last - 1 in
+              let rec defined_after i =
+                i <= last - 1 && (Regset.mem s (Insn.defs insns.(i)) || defined_after (i + 1))
+              in
+              let rec find i =
+                if i > zone_last then None
+                else
+                  match insns.(i) with
+                  | Insn.Load { dst; base; offset }
+                    when dst = s && base = Reg.sp && offset = off ->
+                      if defined_after (i + 1) then find (i + 1) else Some i
+                  | _ -> find (i + 1)
+              in
+              find (Cfg.first cfg e)
+            in
+            let site_of ((s, _, save_index) as c) =
+              if sole_store c && exit_blocks <> [] then
+                let restores = List.map (restored_at_exit c) exit_blocks in
+                if List.for_all Option.is_some restores then
+                  Some
+                    {
+                      Spike_core.Callee_saved.reg = s;
+                      save_index;
+                      restore_indexes = List.filter_map Fun.id restores;
+                    }
+                else None
+              else None
+            in
+            List.filter_map site_of (List.rev !candidates))
+    | _, [] -> []
 end

@@ -495,8 +495,7 @@ let test_site_class_merging () =
       ]
   in
   let analysis = Analysis.run (program ~main:"main" [ main; f; g ]) in
-  let info = analysis.Analysis.psg.Psg.calls.(0) in
-  let site = Analysis.site_class analysis info in
+  let site = Analysis.site_class analysis 0 in
   Alcotest.(check bool) "a0 used (from f)" true (Regset.mem Reg.a0 site.Summary.used);
   Alcotest.(check bool) "v0 defined (both)" true (Regset.mem Reg.v0 site.Summary.defined);
   Alcotest.(check bool) "t0 not must-defined (only f)" false
@@ -509,8 +508,7 @@ let test_unknown_site_class () =
     routine "main" [ (None, li Reg.pv 0); (None, call_indirect Reg.pv); (None, ret) ]
   in
   let analysis = Analysis.run (program ~main:"main" [ main ]) in
-  let info = analysis.Analysis.psg.Psg.calls.(0) in
-  let site = Analysis.site_class analysis info in
+  let site = Analysis.site_class analysis 0 in
   Alcotest.check regset "assumed used" Calling_standard.unknown_call_used
     site.Summary.used;
   Alcotest.check regset "assumed defined" Calling_standard.unknown_call_defined
@@ -639,7 +637,7 @@ let test_multi_entry_summaries () =
   let c = s.Summary.call_class in
   check_restricted "primary must-def" ~over:(rs [ r1; r2 ]) (rs [ r1; r2 ])
     c.Summary.defined;
-  let secondary = List.nth analysis.Analysis.psg.Psg.entry_nodes.(1) 1 in
+  let secondary = List.nth (Psg.entry_node_list analysis.Analysis.psg 1) 1 in
   check_restricted "secondary must-def" ~over:(rs [ r1; r2 ]) (rs [ r2 ])
     analysis.Analysis.psg.Psg.sets.((3 * secondary) + 2)
 
@@ -671,8 +669,7 @@ let test_fragment_inverts_stitch () =
           let psg = a.Analysis.psg in
           let resolve_targets = Psg_build.resolver ~externals:Psg.no_externals p in
           let fragments =
-            Array.init (Spike_ir.Program.routine_count p)
-              (Psg_build.fragment psg (Psg.offsets psg))
+            Array.init (Spike_ir.Program.routine_count p) (Psg_build.fragment psg)
           in
           Array.iteri
             (fun r fragment ->
@@ -687,14 +684,36 @@ let test_fragment_inverts_stitch () =
           Alcotest.(check bool) (tag "kinds") true (stitched.Psg.kinds = psg.Psg.kinds);
           Alcotest.(check (array int)) (tag "src") psg.Psg.src stitched.Psg.src;
           Alcotest.(check (array int)) (tag "dst") psg.Psg.dst stitched.Psg.dst;
-          Alcotest.(check bool) (tag "calls") true (stitched.Psg.calls = psg.Psg.calls);
+          Alcotest.(check (array int)) (tag "call nodes") psg.Psg.call_node
+            stitched.Psg.call_node;
+          Alcotest.(check (array int)) (tag "target rows") psg.Psg.target_off
+            stitched.Psg.target_off;
+          Alcotest.(check (array int)) (tag "targets") psg.Psg.targets stitched.Psg.targets;
+          (* A stitch of the PSG's own rows is the stitch of its fragments. *)
+          let rows =
+            Psg_build.stitch_parts ~entry_filters:psg.Psg.entry_filter p
+              (Array.init (Spike_ir.Program.routine_count p) (fun r ->
+                   Psg_build.Rows (psg, r)))
+          in
+          let same_lanes (x : Psg.t) (y : Psg.t) =
+            x.kinds = y.kinds && x.src = y.src && x.dst = y.dst && x.labels = y.labels
+            && x.out_off = y.out_off && x.in_adj = y.in_adj && x.call_node = y.call_node
+            && x.call_def = y.call_def && x.call_use = y.call_use
+            && x.target_off = y.target_off && x.callers_of = y.callers_of
+            && x.entry_nodes = y.entry_nodes && x.exit_nodes = y.exit_nodes
+            && x.unknown_exit_nodes = y.unknown_exit_nodes
+            && List.for_all
+                 (fun c -> Psg.call_targets x c = Psg.call_targets y c)
+                 (List.init (Psg.call_count x) Fun.id)
+          in
+          Alcotest.(check bool) (tag "rows") true (same_lanes rows stitched);
           let start = Edge_dataflow.top_must in
           for e = 0 to Psg.edge_count psg - 1 do
             let label (g : Psg.t) j = g.Psg.labels.((3 * e) + j) in
             let expected j =
-              match psg.Psg.kinds.(psg.Psg.src.(e)) with
-              | Psg.Call _ -> [| start.may_use; start.may_def; start.must_def |].(j)
-              | _ -> label psg j
+              if Psg.tag psg psg.Psg.src.(e) = Psg.Kind.call then
+                [| start.may_use; start.may_def; start.must_def |].(j)
+              else label psg j
             in
             for j = 0 to 2 do
               if not (Regset.equal (expected j) (label stitched j)) then

@@ -84,9 +84,8 @@ let test_precision_over_assumption () =
   let p = caller_program () in
   let with_ext = Analysis.run ~externals p in
   let without = Analysis.run p in
-  let info_of (a : Analysis.t) = a.Analysis.psg.Psg.calls.(0) in
-  let site_with = Analysis.site_class with_ext (info_of with_ext) in
-  let site_without = Analysis.site_class without (info_of without) in
+  let site_with = Analysis.site_class with_ext 0 in
+  let site_without = Analysis.site_class without 0 in
   Alcotest.(check bool) "a3 assumed used without summary" true
     (Regset.mem Reg.a3 site_without.Summary.used);
   Alcotest.(check bool) "a3 known unused with summary" false
@@ -147,14 +146,14 @@ let test_mixed_targets () =
   in
   let p = program ~main:"main" [ main; local ] in
   let analysis = Analysis.run ~externals p in
-  let site = Analysis.site_class analysis analysis.Analysis.psg.Psg.calls.(0) in
+  let site = Analysis.site_class analysis 0 in
   Alcotest.(check bool) "a4 used (local)" true (Regset.mem Reg.a4 site.Summary.used);
   Alcotest.(check bool) "a0 used (memcpy)" true (Regset.mem Reg.a0 site.Summary.used);
   Alcotest.(check bool) "v0 must-defined (both)" true
     (Regset.mem Reg.v0 site.Summary.defined);
   (* Without externals the same call is fully unknown. *)
   let plain = Analysis.run p in
-  let site_plain = Analysis.site_class plain plain.Analysis.psg.Psg.calls.(0) in
+  let site_plain = Analysis.site_class plain 0 in
   check_regset "falls back to the assumption" Calling_standard.unknown_call_used
     site_plain.Summary.used
 

@@ -46,7 +46,7 @@ let test_psg_edge_endpoints () =
       List.iter
         (fun e ->
           let s = psg.Psg.src.(e) in
-          let src = psg.Psg.kinds.(s) and dst = psg.Psg.kinds.(psg.Psg.dst.(e)) in
+          let src = Psg.kind psg s and dst = Psg.kind psg psg.Psg.dst.(e) in
           (* Every edge stays within one routine. *)
           Alcotest.(check int) "same routine"
             (Psg.node_routine src) (Psg.node_routine dst);
@@ -92,26 +92,26 @@ let test_psg_adjacency_consistency () =
           done
         done
       in
-      check_csr "out" psg.Psg.out_off psg.Psg.out_adj psg.Psg.src;
+      (* Edges are numbered by source: the out-rows are consecutive. *)
+      check_csr "out" psg.Psg.out_off (Array.init m Fun.id) psg.Psg.src;
       check_csr "in" psg.Psg.in_off psg.Psg.in_adj psg.Psg.dst)
 
 let test_callers_of_consistency () =
   for_all_programs (fun _ analysis ->
       let psg = analysis.Analysis.psg in
-      Array.iteri
-        (fun call_index (info : Psg.call_info) ->
-          match info.Psg.targets with
-          | None -> ()
-          | Some targets ->
-              List.iter
-                (fun target ->
-                  match target with
-                  | Psg.Target_external _ -> ()
-                  | Psg.Target_routine r ->
-                      if not (List.mem call_index psg.Psg.callers_of.(r)) then
-                        Alcotest.failf "call %d missing from callers_of %d" call_index r)
-                targets)
-        psg.Psg.calls)
+      for call_index = 0 to Psg.call_count psg - 1 do
+        match Psg.call_targets psg call_index with
+        | None -> ()
+        | Some targets ->
+            List.iter
+              (fun target ->
+                match target with
+                | Psg.Target_external _ -> ()
+                | Psg.Target_routine r ->
+                    if not (List.mem call_index (Psg.callers psg r)) then
+                      Alcotest.failf "call %d missing from callers_of %d" call_index r)
+              targets
+      done)
 
 (* --- Summary semantics ------------------------------------------------------ *)
 

@@ -95,7 +95,8 @@ let test_figure4_psg_shape () =
   let psg, g = find_g_psg analysis in
   (* Nodes of g: entry, exit, call, return — exactly four (Figure 4b). *)
   let g_nodes =
-    Array.to_list psg.Psg.kinds |> List.filter (fun kind -> Psg.node_routine kind = g)
+    List.init (Psg.node_count psg) (Psg.kind psg)
+    |> List.filter (fun kind -> Psg.node_routine kind = g)
   in
   Alcotest.(check int) "g has 4 PSG nodes" 4 (List.length g_nodes);
   (* Edges within g: E_A entry->exit, E_B entry->call, E_C return->exit,
@@ -106,7 +107,7 @@ let test_figure4_psg_shape () =
   Alcotest.(check int) "g has 3 flow-summary edges" 3 (List.length flow_edges)
 
 let edge_between psg ~src_kind ~dst_kind =
-  let matches kind_pred node_id = kind_pred psg.Psg.kinds.(node_id) in
+  let matches kind_pred node_id = kind_pred (Psg.kind psg node_id) in
   match
     edges_of psg
     |> List.filter (fun e ->

@@ -367,6 +367,22 @@ let arbitrary_summaries =
   let print entries = Spike_asm.Summaries.to_string entries in
   QCheck.make ~print gen
 
+(* The one-pass §3.4 detector finds exactly the sites of the rescanning
+   one, on the same random and paper-shape programs as the CFG lanes. *)
+let prop_callee_saved_one_pass =
+  QCheck.Test.make ~name:"callee-saved sites = rescanning oracle" ~count:40
+    arbitrary_cfg_programs (fun (_, params) ->
+      let program = Generator.generate params in
+      Program.iter
+        (fun _ (routine : Routine.t) ->
+          let cfg = Spike_cfg.Cfg.build routine in
+          if
+            Callee_saved.sites routine cfg
+            <> Test_helpers.Callee_saved_oracle.sites routine cfg
+          then QCheck.Test.fail_reportf "%s: sites differ" routine.Routine.name)
+        program;
+      true)
+
 let prop_summaries_roundtrip =
   QCheck.Test.make ~name:"external summaries print/parse roundtrip" ~count:200
     arbitrary_summaries (fun entries ->
@@ -402,6 +418,7 @@ let () =
             prop_labels_match_oracle;
             prop_calibrated_labels_match_oracle;
             prop_cfg_lanes_match_records;
+            prop_callee_saved_one_pass;
             prop_sched_matches_oracle;
             prop_asm_roundtrip;
             prop_cursor_equals_line_parser;

@@ -558,11 +558,11 @@ let test_block_out_of_range () =
   Fun.protect ~finally:(fun () -> cleanup dir) @@ fun () ->
   let a = Analysis.run program in
   let kinds = a.Analysis.psg.Psg.kinds in
-  (match
-     Array.find_index (function Psg.Call _ -> true | _ -> false) kinds
-   with
+  (match Array.find_index (fun k -> Psg.Kind.tag k = Psg.Kind.call) kinds with
   | Some i ->
-      kinds.(i) <- Psg.Call { routine = Psg.node_routine kinds.(i); block = 100_000 }
+      kinds.(i) <-
+        Psg.Kind.in_routine (Psg.Kind.routine kinds.(i))
+          (Psg.Kind.pack ~tag:Psg.Kind.call ~block:100_000)
   | None -> Alcotest.fail "block ids: the program has no call node");
   Store.save ~dir a;
   Spike_obs.Metrics.enable ();
@@ -579,6 +579,219 @@ let test_block_out_of_range () =
   match Spike_opt.Opt.run warm with
   | _ -> ()
   | exception e -> Alcotest.failf "Opt.run raised %s" (Printexc.to_string e)
+
+(* --- Fuzzing ---------------------------------------------------------------
+
+   Seeded mutations of a valid store: truncated at a random byte, one bit
+   flipped (anywhere, or in one of an entry body's int runs),
+   or one entry replaced by an entry of another program's store.  Each
+   mutated payload is re-sealed — length and checksum rewritten — so the
+   decoder itself meets the damage.  [Store.load] must never raise and
+   must count a degradation for an entry it cannot decode; a plan from a
+   damaged file must analyse without raising.  A mutated entry that still
+   decodes may give wrong values (a fresh entry is trusted by design), but
+   a spliced entry is stale, so that plan must give the cold result. *)
+
+let calibrated name scale =
+  let row = Option.get (Calibrate.find name) in
+  Generator.generate (Calibrate.params_of ~scale row)
+
+(* [prefix] is magic, version and configuration key; the checksum and the
+   payload length follow it. *)
+let unseal data =
+  let rd = Codec.reader data in
+  ignore (Codec.read_raw rd 8);
+  ignore (Codec.read_int rd);
+  ignore (Codec.read_raw rd 16);
+  let prefix = String.sub data 0 (Codec.pos rd) in
+  ignore (Codec.read_raw rd 8);
+  let len = Codec.read_int rd in
+  (prefix, String.sub data (Codec.pos rd) len)
+
+let seal prefix payload =
+  let b = Buffer.create (String.length payload + 64) in
+  Buffer.add_string b prefix;
+  let sum = Bytes.create 8 in
+  Bytes.set_int64_le sum 0 (Codec.checksum payload ~pos:0 ~len:(String.length payload));
+  Buffer.add_bytes b sum;
+  Codec.write_int b (String.length payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+(* Each entry's byte span in the payload, and its body's span. *)
+let entry_spans payload =
+  let rd = Codec.reader payload in
+  let n = Codec.read_int rd in
+  let spans = ref [] in
+  for _ = 1 to n do
+    let start = Codec.pos rd in
+    ignore (Codec.read_string rd);
+    ignore (Codec.read_raw rd 16);
+    ignore (Codec.read_bool rd);
+    ignore (Codec.read_bool rd);
+    ignore (Codec.read_list Codec.read_string rd);
+    let len = Codec.read_int rd in
+    let body = Codec.pos rd in
+    ignore (Codec.read_raw rd len);
+    spans := (start, Codec.pos rd, body) :: !spans
+  done;
+  Array.of_list (List.rev !spans)
+
+(* The byte spans of an entry body's int runs: kinds, out-degrees and
+   destinations, then target counts and targets (see {!Store}). *)
+let int_runs payload (_, stop, body) =
+  let rd = Codec.reader ~pos:body ~len:(stop - body) payload in
+  ignore (Codec.read_regset rd);
+  let first = Codec.pos rd in
+  let nn = Codec.read_int rd in
+  let kinds = Array.init nn (fun _ -> 0) in
+  for i = 0 to nn - 1 do
+    kinds.(i) <- Codec.read_int rd
+  done;
+  let ne = ref 0 in
+  for _ = 1 to nn do
+    ne := !ne + Codec.read_int rd
+  done;
+  for _ = 1 to !ne do
+    ignore (Codec.read_int rd)
+  done;
+  let nodes_end = Codec.pos rd in
+  let nc = Array.fold_left (fun n k -> if Psg.Kind.tag k = Psg.Kind.call then n + 1 else n) 0 kinds in
+  ignore (Codec.read_raw rd (8 * ((3 * !ne) + (2 * nc))));
+  let calls = Codec.pos rd in
+  let nt = ref 0 in
+  for _ = 1 to nc do
+    nt := !nt + Codec.read_int rd
+  done;
+  for _ = 1 to !nt do
+    ignore (Codec.read_int rd)
+  done;
+  [ (first, nodes_end); (calls, Codec.pos rd) ]
+
+let stored_payload program =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> cleanup dir) @@ fun () ->
+  Store.save ~dir (Analysis.run ~jobs:1 program);
+  In_channel.with_open_bin (store_path dir) In_channel.input_all
+
+(* What the phases and the stitch index with a decoded artifact's ids
+   must lie in range, whatever the entry held. *)
+let well_formed program r (art : Warm.routine_art) =
+  match art with
+  | Warm.Rows _ -> true
+  | Warm.Slice s ->
+      let l = s.a_local in
+      let nn = Array.length l.l_kinds and nc = Array.length l.l_call_def in
+      let entries = List.length (Program.get program r).Routine.entries in
+      let node x = x >= 0 && x < nn in
+      Array.for_all
+        (fun k ->
+          let tag = Psg.Kind.tag k in
+          tag < Psg.Kind.count && (tag <> Psg.Kind.entry || Psg.Kind.block k < entries))
+        l.l_kinds
+      && Array.for_all node l.l_src && Array.for_all node l.l_dst
+      && Array.length l.l_target_off = nc + 1
+      && l.l_target_off.(nc) = Array.length l.l_targets
+      && Array.for_all
+           (fun x ->
+             if x >= 0 then x < Program.routine_count program
+             else -1 - x < Array.length l.l_externals)
+           l.l_targets
+
+type damage = Truncated | Flipped of int (* the entry whose body holds the bit *) | Other | Spliced
+
+let test_fuzz () =
+  let program = calibrated "gcc" 0.05 in
+  let n = Program.routine_count program in
+  let cold = render (Analysis.run ~jobs:1 program) in
+  let prefix, payload = unseal (stored_payload program) in
+  let _, other = unseal (stored_payload (calibrated "vortex" 0.05)) in
+  let spans = entry_spans payload and other_spans = entry_spans other in
+  let rng = Random.State.make [| 2026 |] in
+  let flip at =
+    let b = Bytes.of_string payload in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl Random.State.int rng 8)));
+    Bytes.to_string b
+  in
+  let mutate i =
+    match i mod 5 with
+    | 0 -> (Truncated, String.sub payload 0 (Random.State.int rng (String.length payload)))
+    | 1 ->
+        let at = Random.State.int rng (String.length payload) in
+        let inside (_, stop, body) = at >= body && at < stop in
+        let damage =
+          match Array.find_index inside spans with Some e -> Flipped e | None -> Other
+        in
+        (damage, flip at)
+    | 2 | 3 ->
+        (* A bit of one of an entry's ids: node, kind, entry position or
+           target. *)
+        let e = Random.State.int rng (Array.length spans) in
+        let runs = int_runs payload spans.(e) in
+        let len = List.fold_left (fun n (a, b) -> n + b - a) 0 runs in
+        let rec locate k = function
+          | (a, b) :: rest -> if k < b - a then a + k else locate (k - (b - a)) rest
+          | [] -> assert false
+        in
+        (Flipped e, flip (locate (Random.State.int rng len) runs))
+    | _ ->
+        let start, stop, _ = spans.(Random.State.int rng (Array.length spans)) in
+        let ostart, ostop, _ = other_spans.(Random.State.int rng (Array.length other_spans)) in
+        ( Spliced,
+          String.sub payload 0 start
+          ^ String.sub other ostart (ostop - ostart)
+          ^ String.sub payload stop (String.length payload - stop) )
+  in
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> cleanup dir) @@ fun () ->
+  Unix.mkdir dir 0o777;
+  for i = 0 to 599 do
+    let damage, mutated = mutate i in
+    let tag what = Printf.sprintf "mutation %d: %s" i what in
+    Out_channel.with_open_bin (store_path dir) (fun oc ->
+        Out_channel.output_string oc (seal prefix mutated));
+    Spike_obs.Metrics.enable ();
+    let loaded =
+      match Store.load ~dir program with
+      | loaded -> loaded
+      | exception e -> Alcotest.failf "%s" (tag ("load raised " ^ Printexc.to_string e))
+    in
+    let counted = degradations () in
+    Spike_obs.Metrics.disable ();
+    let plan = loaded.Store.plan in
+    Array.iteri
+      (fun r art ->
+        Option.iter
+          (fun art ->
+            if not (well_formed program r art) then
+              Alcotest.failf "%s" (tag (Printf.sprintf "routine %d decoded out of range" r)))
+          art)
+      plan.Warm.arts;
+    (match damage with
+    | Truncated ->
+        Alcotest.(check bool) (tag "truncated file degraded") true
+          (loaded.Store.degraded <> None && counted = 1)
+    | Flipped e ->
+        (* Names, fingerprints and callee tables are intact: the damaged
+           entry is reused as decoded, or counted; the rest are reused. *)
+        let damaged = (Program.get program e).Routine.name in
+        Program.iter
+          (fun r (routine : Routine.t) ->
+            if routine.Routine.name <> damaged && plan.Warm.arts.(r) = None then
+              Alcotest.failf "%s" (tag (routine.Routine.name ^ " not reused")))
+          program;
+        if loaded.Store.hits < n then
+          Alcotest.(check bool) (tag "undecodable entry counted") true (counted >= 1)
+    | Other | Spliced -> ());
+    if loaded.Store.degraded = None then
+      Alcotest.(check int) (tag "every routine accounted for") n
+        (loaded.Store.hits + loaded.Store.invalidated + loaded.Store.misses);
+    match Analysis.run ~jobs:1 ~warm:plan program with
+    | warm ->
+        if damage = Spliced || damage = Truncated then
+          Alcotest.(check string) (tag "stale entries give the cold result") cold (render warm)
+    | exception e -> Alcotest.failf "%s" (tag ("analysis raised " ^ Printexc.to_string e))
+  done
 
 let test_missing_store_is_cold () =
   let program = gen ~seed:45 () in
@@ -678,6 +891,7 @@ let () =
         [
           Alcotest.test_case "corrupt files degrade to cold" `Slow test_robustness;
           Alcotest.test_case "register word with bit 63 degrades" `Quick test_bit63_word;
+          Alcotest.test_case "seeded store mutations never raise" `Slow test_fuzz;
           Alcotest.test_case "block id past the routine degrades" `Quick
             test_block_out_of_range;
           Alcotest.test_case "missing store is a plain cold start" `Quick
