@@ -454,6 +454,45 @@ let test_cold_fallbacks () =
   Alcotest.(check int) "no-op: reused routines" n same.Analysis.reused_routines;
   check_equals_cold "no-op" same
 
+(* A rerun's plan names the previous PSG's rows for every routine the edit
+   left alone, and copies only the edited routine's, as its lift donor. *)
+let test_plan_names_rows () =
+  let p = Spike_synth.Generator.generate { Spike_synth.Params.default with seed = 5 } in
+  let plain = Analysis.run ~jobs:1 p in
+  let routines = Array.copy (Program.routines p) in
+  let k, i =
+    let found = ref None in
+    Array.iteri
+      (fun r (routine : Routine.t) ->
+        Array.iteri
+          (fun i insn ->
+            match insn with Insn.Li _ when !found = None -> found := Some (r, i) | _ -> ())
+          routine.Routine.insns)
+      routines;
+    Option.get !found
+  in
+  let insns = Array.copy routines.(k).Routine.insns in
+  (match insns.(i) with
+  | Insn.Li { dst; imm } -> insns.(i) <- Insn.Li { dst; imm = imm + 1 }
+  | _ -> assert false);
+  routines.(k) <- { (routines.(k)) with Routine.insns };
+  let edited = Program.make ~main:(Program.main p) (Array.to_list routines) in
+  let plan = Warm.of_previous plain.Analysis.psg edited in
+  Array.iteri
+    (fun r art ->
+      match art with
+      | Some (Warm.Rows (psg, r')) when r <> k ->
+          Alcotest.(check bool) "rows of the previous PSG" true
+            (psg == plain.Analysis.psg && r' = r)
+      | None when r = k ->
+          Alcotest.(check bool) "the edited routine is a donor" true
+            (plan.Warm.donors.(k) <> None)
+      | Some (Warm.Slice _) -> Alcotest.failf "routine %d: a copy, not its rows" r
+      | _ -> Alcotest.failf "routine %d: wrong plan entry" r)
+    plan.Warm.arts;
+  check_equals_cold "planned run" (Analysis.run ~jobs:1 ~warm:plan edited);
+  check_equals_cold "rerun" (Analysis.rerun plain edited)
+
 (* A rerun that keeps the PSG topology carries the previous schedule
    forward, also through a rerun whose phases never needed one; a rerun
    that adds a call builds a fresh one. *)
@@ -607,6 +646,8 @@ let () =
           Alcotest.test_case "warm rerun = cold run" `Slow test_warm_rerun_equals_cold;
           Alcotest.test_case "cascade = round-by-round" `Quick test_cascade_equals_rounds;
           Alcotest.test_case "cold fallbacks" `Quick test_cold_fallbacks;
+          Alcotest.test_case "rerun plan names the previous rows" `Quick
+            test_plan_names_rows;
           Alcotest.test_case "schedule carried while the topology holds" `Quick
             test_schedule_carried;
           Alcotest.test_case "disk-warm Opt.run = cold" `Quick test_disk_warm_opt;
