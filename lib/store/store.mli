@@ -7,10 +7,15 @@
     (callee-saved filter, PSG local fragment) and the converged phase-1
     and phase-2 solutions of the run that wrote it, plus the names of the
     internal routines it called — the ingredient for
-    {!Spike_core.Warm.plan.exit_seeds} when a caller is edited away.  CFGs
-    and DEF/UBD sets are not stored: a warm run never reads a clean
-    routine's, and {!Spike_core.Analysis.cfg} rebuilds one if a consumer
-    asks.
+    {!Spike_core.Warm.plan.exit_seeds} when a caller is edited away, and
+    the table its call targets index.  CFGs and DEF/UBD sets are not
+    stored: a warm run never reads a clean routine's, and
+    {!Spike_core.Analysis.cfg} rebuilds one if a consumer asks.
+
+    Format 5 writes each entry body as runs of ints and register sets
+    straight from the routine's rows of the PSG's lanes
+    ({!Spike_core.Psg.t}): no entry labels, no callees, no target names
+    and no per-node or per-call record (DESIGN.md, "What is cached").
 
     {b Robustness first.}  [load] never raises on bad input: a missing
     file is a plain cold start, and a truncated, bit-flipped,
@@ -22,16 +27,20 @@
     healthy file — say, a register-set word with bit 63 set — dirties only
     its own routine; it is logged and counted on [store.degradations]
     too, whether the entry's fingerprint is fresh or stale, but
-    [degraded] stays [None].  So does a fresh entry whose node kinds name
-    a block at or past the routine's instruction count.  A stale entry
-    whose calls name a routine the edit deleted, or whose blocks run past
-    the end of a routine the edit shortened, is not corrupt: it is dropped
+    [degraded] stays [None].  Decoding range-checks every node id, kind
+    tag, target index and entry position, and checks that every call
+    node is followed by its return node through its only out-edge: an
+    entry that fails is undecodable.  So is a fresh entry whose node
+    kinds name a block at or past the routine's instruction count, or
+    whose entry or call count differs from the routine's.  A stale entry
+    whose calls name a routine the edit deleted, or that no longer fits
+    the edited routine's blocks or entries, is not corrupt: it is dropped
     silently.  {!replan} plans from a resident {!session} by the same
     rules.
 
-    Cross-run index drift is handled by storing routine {e names}:
-    call-target indices inside cached fragments are remapped to the
-    current program's indices at load. *)
+    Cross-run index drift is handled by storing routine {e names}: a
+    call target is an index into its entry's callee names, each resolved
+    to the current program's index once per entry at load. *)
 
 open Spike_ir
 open Spike_core
@@ -66,9 +75,10 @@ val load :
     [store.load.invalidations] / [store.degradations] counters. *)
 
 val save : dir:string -> Analysis.t -> unit
-(** Persist every routine's artifact, sliced off the analysis's converged
-    PSG ({!Spike_core.Warm.slice}) as it is written: any analysis can be
-    saved, a {!Spike_core.Analysis.rerun} result included.  Creates [dir] if needed; writes to a temporary file and renames, so a
+(** Persist every routine's artifact, written straight from its rows of
+    the analysis's converged PSG: any analysis can be saved, a
+    {!Spike_core.Analysis.rerun} result included.  Creates [dir] if
+    needed; writes to a temporary file and renames, so a
     crash mid-save leaves any previous store intact.  Configuration and
     the resolution environment are taken from the analysis record itself.
     A routine's fingerprint is the one the last {!load} or {!replan}
@@ -90,11 +100,13 @@ type session
 (** Retained artifacts of one analysis run, keyed by routine name. *)
 
 val retain : Analysis.t -> session
-(** Package every routine's artifact, sliced off the analysis's converged
-    PSG as {!save} does, fingerprinting every routine (reusing the
-    planner's digests as {!save} does) and recording its exported and
-    main flags once.  The slices are copies: the session never mutates
-    and is never mutated by later warm runs, so one session can seed any
+(** Package every routine's artifact as a reference to its rows of the
+    analysis's converged PSG ({!Spike_core.Warm.Rows}), fingerprinting
+    every routine (reusing the planner's digests as {!save} does) and
+    recording its exported and main flags once.  A replan whose edit
+    moved a routine's call targets to other indices gets a remapped copy
+    instead.  No warm run writes the rows it reads — the stitch and the
+    warm restore copy them into the new PSG — so one session can seed any
     number of [replan]s. *)
 
 val replan :
