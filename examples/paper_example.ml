@@ -66,10 +66,10 @@ let flow_edges analysis name =
   | None -> 0
   | Some r ->
       let n = ref 0 in
-      for e = 0 to Psg.edge_count psg - 1 do
-        let s = psg.Psg.src.(e) in
+      for s = psg.Psg.first_node.(r) to psg.Psg.first_node.(r + 1) - 1 do
         (* A call node's only out-edge is its call-return edge. *)
-        if Psg.tag psg s <> Psg.Kind.call && Psg.routine_of_node psg s = r then incr n
+        if Psg.tag psg s <> Psg.Kind.call then
+          n := !n + psg.Psg.out_off.(s + 1) - psg.Psg.out_off.(s)
       done;
       !n
 

@@ -10,8 +10,6 @@ type t = {
   endings : Bytes.t;
   succ_off : int array;
   succ_adj : int array;
-  pred_off : int array;
-  pred_adj : int array;
   entry_blocks : (string * int) list;
 }
 
@@ -91,20 +89,17 @@ let build (routine : Routine.t) =
   in
   (* Successors from each block's final instruction, in one pass: a
      block's arcs are added together, so [added.(dst) = src] marks a
-     duplicate arc; [pred_off.(dst + 1)] counts [dst]'s in-degree.  The
-     fallthrough of block [b] is block [b + 1]. *)
+     duplicate arc.  The fallthrough of block [b] is block [b + 1]. *)
   let endings = Bytes.make nblocks '\000' in
   let succ_off = Array.make (nblocks + 1) 0 in
   let succ_adj = Array.make (!targets + nblocks) 0 in
-  let pred_off = Array.make (nblocks + 1) 0 in
   let added = Array.make nblocks (-1) in
   let arcs = ref 0 in
   let add_arc src dst =
     if added.(dst) <> src then begin
       added.(dst) <- src;
       succ_adj.(!arcs) <- dst;
-      incr arcs;
-      pred_off.(dst + 1) <- pred_off.(dst + 1) + 1
+      incr arcs
     end
   in
   for b = 0 to nblocks - 1 do
@@ -130,25 +125,10 @@ let build (routine : Routine.t) =
   let succ_adj =
     if narcs = Array.length succ_adj then succ_adj else Array.sub succ_adj 0 narcs
   in
-  (* Predecessors by counting sort over the arcs in source order, so each
-     row is ascending; [added] becomes the per-row fill cursor. *)
-  for b = 1 to nblocks do
-    pred_off.(b) <- pred_off.(b) + pred_off.(b - 1)
-  done;
-  let cursor = added in
-  Array.blit pred_off 0 cursor 0 nblocks;
-  let pred_adj = Array.make narcs 0 in
-  for src = 0 to nblocks - 1 do
-    for k = succ_off.(src) to succ_off.(src + 1) - 1 do
-      let dst = succ_adj.(k) in
-      pred_adj.(cursor.(dst)) <- src;
-      cursor.(dst) <- cursor.(dst) + 1
-    done
-  done;
   let entry_blocks =
     List.map (fun entry -> (entry, search first (label_index entry))) routine.entries
   in
-  { routine; first; endings; succ_off; succ_adj; pred_off; pred_adj; entry_blocks }
+  { routine; first; endings; succ_off; succ_adj; entry_blocks }
 
 let block_count g = Array.length g.first - 1
 let first g b = g.first.(b)
@@ -172,19 +152,57 @@ let return_block g b =
 
 let block_of_insn g i = search g.first i
 let succ_count g b = g.succ_off.(b + 1) - g.succ_off.(b)
-let pred_count g b = g.pred_off.(b + 1) - g.pred_off.(b)
 let succs g b = Array.sub g.succ_adj g.succ_off.(b) (succ_count g b)
-let preds g b = Array.sub g.pred_adj g.pred_off.(b) (pred_count g b)
 
 let iter_succs f g b =
   for k = g.succ_off.(b) to g.succ_off.(b + 1) - 1 do
     f g.succ_adj.(k)
   done
 
+(* No predecessor lane is kept: a block's predecessors are the sources
+   whose successor row names it, found by one scan in source order, so
+   ascending.  Successor rows hold no duplicate. *)
 let iter_preds f g b =
-  for k = g.pred_off.(b) to g.pred_off.(b + 1) - 1 do
-    f g.pred_adj.(k)
+  for src = 0 to block_count g - 1 do
+    for k = g.succ_off.(src) to g.succ_off.(src + 1) - 1 do
+      if g.succ_adj.(k) = b then f src
+    done
   done
+
+let pred_count g b =
+  let n = ref 0 in
+  iter_preds (fun _ -> incr n) g b;
+  !n
+
+let preds g b =
+  let row = Array.make (pred_count g b) 0 and i = ref 0 in
+  iter_preds
+    (fun p ->
+      row.(!i) <- p;
+      incr i)
+    g b;
+  row
+
+let pred_rows g ~off ~adj =
+  let n = block_count g in
+  Array.fill off 0 (n + 1) 0;
+  Array.iter (fun dst -> off.(dst + 1) <- off.(dst + 1) + 1) g.succ_adj;
+  for b = 1 to n do
+    off.(b) <- off.(b) + off.(b - 1)
+  done;
+  (* Filling in source order keeps each row ascending; [adj]'s slot for
+     the next predecessor of [dst] is [off.(dst)], moved back after. *)
+  for src = 0 to n - 1 do
+    for k = g.succ_off.(src) to g.succ_off.(src + 1) - 1 do
+      let dst = g.succ_adj.(k) in
+      adj.(off.(dst)) <- src;
+      off.(dst) <- off.(dst) + 1
+    done
+  done;
+  for b = n downto 1 do
+    off.(b) <- off.(b - 1)
+  done;
+  off.(0) <- 0
 
 let fold_succs f init g b =
   let acc = ref init in

@@ -15,17 +15,19 @@
       [first.(nblocks)] is the routine's instruction count;
     - [endings] holds one tag byte per block ({!ending}); a call block's
       callee is read off its final instruction ({!callee});
-    - successors and predecessors are CSR: block [b]'s successors are
-      [succ_adj.(succ_off.(b)) .. succ_adj.(succ_off.(b + 1) - 1)], and
-      likewise [pred_off]/[pred_adj].
+    - successors are CSR: block [b]'s successors are
+      [succ_adj.(succ_off.(b)) .. succ_adj.(succ_off.(b + 1) - 1)].
 
     A block's successors are deduplicated and ordered as its final
     instruction names them: branch targets in table order, then the
-    fallthrough.  Its predecessors are in ascending block order.  The
-    block containing an instruction is a binary search over [first]
-    ({!block_of_insn}), so no per-instruction lane is kept.  Apart from
-    [routine] and [entry_blocks], a graph is three words and a byte per
-    block plus two words per arc. *)
+    fallthrough.  No predecessor lane is kept: what reads predecessors
+    is short-lived (the edge labelling's region search, two in-degree
+    tests), so {!pred_rows} builds the transposed rows into a caller's
+    arrays and {!preds} scans the successor lanes.  The block containing
+    an instruction is a binary search over [first] ({!block_of_insn}), so
+    no per-instruction lane is kept.  Apart from [routine] and
+    [entry_blocks], a graph is two words and a byte per block plus one
+    word per arc. *)
 
 open Spike_isa
 open Spike_ir
@@ -47,8 +49,6 @@ type t = private {
   endings : Bytes.t;  (** block [->] its {!ending}, one byte each *)
   succ_off : int array;  (** length [nblocks + 1] *)
   succ_adj : int array;
-  pred_off : int array;  (** length [nblocks + 1] *)
-  pred_adj : int array;
   entry_blocks : (string * int) list;  (** entry label [->] block id *)
 }
 
@@ -81,17 +81,31 @@ val block_of_insn : t -> int -> int
     [first]. *)
 
 val succ_count : t -> int -> int
+
 val pred_count : t -> int -> int
+(** A block's in-degree, by a scan of every successor row: O(arcs). *)
 
 val succs : t -> int -> int array
 (** A fresh copy of a block's successor row.  Hot loops read [succ_off] and
     [succ_adj] directly. *)
 
 val preds : t -> int -> int array
-(** A fresh copy of a block's predecessor row. *)
+(** A block's predecessors, ascending, by a scan of every successor row:
+    O(arcs).  A pass that reads many rows builds them once with
+    {!pred_rows}. *)
+
+val pred_rows : t -> off:int array -> adj:int array -> unit
+(** [pred_rows g ~off ~adj] writes every block's predecessors as CSR,
+    by counting sort over the arcs: block [b]'s are
+    [adj.(off.(b)) .. adj.(off.(b + 1) - 1)], ascending.  [off] needs
+    [block_count g + 1] slots and [adj] {!arc_count} slots; longer arrays
+    are reused as they are, so one pair can serve a routine's every
+    search.  O(blocks + arcs), no allocation. *)
 
 val iter_succs : (int -> unit) -> t -> int -> unit
+
 val iter_preds : (int -> unit) -> t -> int -> unit
+(** [f] on each predecessor, ascending, like {!preds}: O(arcs). *)
 
 val fold_succs : ('a -> int -> 'a) -> 'a -> t -> int -> 'a
 (** Left fold over a block's successors, in row order. *)

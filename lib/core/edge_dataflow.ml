@@ -24,7 +24,9 @@ let apply_block ~def ~ubd out =
    same CFG, so every array is preallocated at routine size and reused
    across sinks.  A generation stamp both marks region membership while
    the region is collected and invalidates the previous sink's entries
-   without an O(blocks) reset.
+   without an O(blocks) reset.  The CFG keeps no predecessor lane, so the
+   scratch holds the routine's predecessor rows, built once for all its
+   sinks.
 
    A region block's slot is its postorder number in the depth-first
    search over predecessors that collects the region, so the sink, the
@@ -32,6 +34,9 @@ let apply_block ~def ~ubd out =
    the reverse postorder of the reversed region: every block comes after
    each region successor whose arc is not a back arc of the search. *)
 type solution = {
+  cfg : Cfg.t;  (* the routine the scratch serves *)
+  pred_off : int array;  (* its predecessor rows (Cfg.pred_rows) *)
+  pred_adj : int array;
   order : int array;  (* slot -> block *)
   position : int array;  (* block -> slot; valid iff stamp.(b) = gen *)
   stamp : int array;
@@ -60,9 +65,16 @@ let c_sweeps = Spike_obs.Metrics.counter "edge_dataflow.sweeps"
 let c_block_visits = Spike_obs.Metrics.counter "edge_dataflow.block_visits"
 let c_block_updates = Spike_obs.Metrics.counter "edge_dataflow.block_updates"
 
-let create_scratch ~nblocks =
+let create_scratch cfg =
+  let nblocks = Cfg.block_count cfg in
   let n = max nblocks 1 in
+  let pred_off = Array.make (nblocks + 1) 0 in
+  let pred_adj = Array.make (Cfg.arc_count cfg) 0 in
+  Cfg.pred_rows cfg ~off:pred_off ~adj:pred_adj;
   {
+    cfg;
+    pred_off;
+    pred_adj;
     order = Array.make n 0;
     position = Array.make n 0;
     stamp = Array.make n 0;
@@ -81,10 +93,10 @@ let create_scratch ~nblocks =
    predecessors, with the stamp as the visited mark, numbers the region's
    blocks in postorder and starts each slot's lanes at [top_must]; returns
    the region's size.  Costs O(region blocks + their predecessor arcs). *)
-let collect_region s ~(cfg : Cfg.t) ~is_cut ~sink =
+let collect_region s ~is_cut ~sink =
   let gen = s.gen and stamp = s.stamp and order = s.order and position = s.position in
   let stack_block = s.stack_block and stack_next = s.stack_next in
-  let pred_off = cfg.pred_off and pred_adj = cfg.pred_adj in
+  let pred_off = s.pred_off and pred_adj = s.pred_adj in
   stamp.(sink) <- gen;
   stack_block.(0) <- sink;
   stack_next.(0) <- pred_off.(sink);
@@ -118,11 +130,13 @@ let collect_region s ~(cfg : Cfg.t) ~is_cut ~sink =
 let solve ?scratch ~cfg ~defuse ~is_cut ~sink () =
   let s =
     match scratch with
-    | Some s -> s
-    | None -> create_scratch ~nblocks:(Cfg.block_count cfg)
+    | Some s ->
+        if s.cfg != cfg then invalid_arg "Edge_dataflow.solve: scratch of another CFG";
+        s
+    | None -> create_scratch cfg
   in
   s.gen <- s.gen + 1;
-  let size = collect_region s ~cfg ~is_cut ~sink in
+  let size = collect_region s ~is_cut ~sink in
   let gen = s.gen in
   let order = s.order and position = s.position and stamp = s.stamp in
   let use_in = s.may_use_in and def_in = s.may_def_in and must_in = s.must_def_in in

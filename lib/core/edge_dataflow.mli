@@ -44,15 +44,17 @@ val apply_block : def:Regset.t -> ubd:Regset.t -> sets -> sets
 type solution
 
 type scratch = solution
-(** Preallocated routine-sized working storage for {!solve}: the region's
-    slot order, the block-to-slot map, the search stack and the three
-    IN-set lanes, generation-stamped so reuse across the sinks of one
-    routine costs no per-solve reset or rehash.  One scratch serves one
-    routine's sinks sequentially; give each domain of a parallel build its
-    own. *)
+(** Preallocated routine-sized working storage for {!solve}: the
+    routine's predecessor rows, the region's slot order, the block-to-slot
+    map, the search stack and the three IN-set lanes, generation-stamped
+    so reuse across the sinks of one routine costs no per-solve reset or
+    rehash.  One scratch serves one routine's sinks sequentially; give
+    each domain of a parallel build its own. *)
 
-val create_scratch : nblocks:int -> scratch
-(** Scratch for a routine of [nblocks] basic blocks. *)
+val create_scratch : Cfg.t -> scratch
+(** Scratch for a routine's CFG, with its predecessor rows built
+    ({!Cfg.pred_rows}): O(blocks + arcs).  The CFG keeps no predecessor
+    lane, so these rows live as long as the scratch. *)
 
 val solve :
   ?scratch:scratch ->
@@ -80,7 +82,8 @@ val solve :
     When [scratch] is supplied the returned solution aliases it and is
     invalidated by the next [solve] on the same scratch — read every label
     off before solving the next sink.  Without [scratch] a fresh one is
-    allocated. *)
+    allocated.
+    @raise Invalid_argument if [scratch] was created for another CFG. *)
 
 val in_of : solution -> int -> sets
 (** IN sets of a region block, built from the lanes on each call.

@@ -94,8 +94,13 @@ let recompute (psg : Psg.t) id =
     changed
   end
 
-let run ?warm ?sched (psg : Psg.t) =
+let run ?warm ?sched ?readers (psg : Psg.t) =
   let sets = psg.sets and labels = psg.labels in
+  (* Built when the first component runs, unless the caller shares its
+     own: an empty cone needs none. *)
+  let readers =
+    match readers with Some r -> Lazy.from_val r | None -> lazy (Readers.make psg)
+  in
   let in_cone =
     match warm with None -> fun _ -> true | Some w -> fun id -> w.cone.(id)
   in
@@ -159,8 +164,8 @@ let run ?warm ?sched (psg : Psg.t) =
      contribution, which only shrinks it: the test stays sound, merely
      pruning less.)  The SCC drains use this to stop re-marking readers
      once the bits circulating a dependency knot have saturated. *)
-  let affects e =
-    let l = 3 * e and d = 3 * psg.dst.(e) and r = 3 * psg.src.(e) in
+  let affects e src =
+    let l = 3 * e and d = 3 * psg.dst.(e) and r = 3 * src in
     let mu = Regset.union labels.(l) (Regset.diff sets.(d) labels.(l + 2))
     and md = Regset.union labels.(l + 1) sets.(d + 1)
     and sd = Regset.union labels.(l + 2) sets.(d + 2) in
@@ -186,6 +191,7 @@ let run ?warm ?sched (psg : Psg.t) =
   let run_comp (s : Sched.t) marked c =
     let comp_of_node = s.comp_of_node in
     let order = s.comp_nodes_p1.(c) in
+    let { Readers.in_off; in_edge; in_src; callers_off; callers_of } = Lazy.force readers in
     let mark id =
       if Bytes.unsafe_get marked id = '\000' then begin
         Spike_obs.Metrics.incr c_pushes;
@@ -207,17 +213,17 @@ let run ?warm ?sched (psg : Psg.t) =
       if Spike_obs.Metrics.enabled () then
         Spike_obs.Metrics.incr pop_counters.(Psg.Kind.tag kind);
       if recompute psg id then begin
-        for j = psg.in_off.(id) to psg.in_off.(id + 1) - 1 do
-          let e = Array.unsafe_get psg.in_adj j in
-          if affects e then mark psg.src.(e)
+        for j = in_off.(id) to in_off.(id + 1) - 1 do
+          let src = Array.unsafe_get in_src j in
+          if affects (Array.unsafe_get in_edge j) src then mark src
         done;
         if Psg.Kind.tag kind = Psg.Kind.entry then begin
           let routine = Psg.Kind.routine kind in
-          for k = psg.callers_off.(routine) to psg.callers_off.(routine + 1) - 1 do
-            let ci = psg.callers_of.(k) in
+          for k = callers_off.(routine) to callers_off.(routine + 1) - 1 do
+            let ci = callers_of.(k) in
             let node = psg.call_node.(ci) in
             if comp_of_node.(node) = c then
-              if update_cr_edge ci && affects (Psg.cr_edge psg ci) then mark node
+              if update_cr_edge ci && affects (Psg.cr_edge psg ci) node then mark node
           done
         end
       end

@@ -38,7 +38,7 @@ type warm = {
     from the lattice bottom and outside nodes already hold their
     (unique, least) fixpoint values. *)
 
-val run : ?warm:warm -> ?sched:Sched.t -> Psg.t -> int
+val run : ?warm:warm -> ?sched:Sched.t -> ?readers:Readers.t -> Psg.t -> int
 (** Runs to convergence, writing the node triples of {!Psg.t.sets} and
     the call-return labels of {!Psg.t.labels} in place (flow labels and
     {!Psg.t.live} are never modified).  Returns the number of node
@@ -52,7 +52,10 @@ val run : ?warm:warm -> ?sched:Sched.t -> Psg.t -> int
     call-return edges are seeded from already-converged callee summaries,
     so iteration is confined to intra-component cycles.  Components run
     one after another on the calling domain.  Omitted, [sched] is built
-    on demand — only when the cone is non-empty.  Only components
+    on demand — only when the cone is non-empty — and so are the
+    [readers] that re-mark a changed node's in-edge sources and an entry's
+    callers ({!Readers.make}); a run that plans cones passes the ones its
+    planners built.  Only components
     intersecting the cone are executed.  The equation system is monotone
     over a finite lattice, so its solution is unique: cold and warm runs
     reach bit-identical sets for every [jobs] value. *)

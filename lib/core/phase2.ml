@@ -13,8 +13,11 @@ let pop_counters =
 
 type warm = { cone : bool array }
 
-let run ?warm ?sched (psg : Psg.t) =
+let run ?warm ?sched ?readers (psg : Psg.t) =
   let n = Psg.node_count psg in
+  let readers =
+    match readers with Some r -> Lazy.from_val r | None -> lazy (Readers.make psg)
+  in
   let live = psg.live and labels = psg.labels in
   let program = psg.program in
   let in_cone =
@@ -105,6 +108,7 @@ let run ?warm ?sched (psg : Psg.t) =
   let run_comp (s : Sched.t) marked c =
     let comp_of_node = s.comp_of_node in
     let order = s.comp_nodes_p2.(c) in
+    let { Readers.in_off; in_edge; in_src; _ } = Lazy.force readers in
     let mark id =
       if Bytes.unsafe_get marked id = '\000' then begin
         Spike_obs.Metrics.incr c_pushes;
@@ -115,14 +119,14 @@ let run ?warm ?sched (psg : Psg.t) =
     (* A liveness change only alters a reader that would gain bits through
        the edge — liveness is a union, so a contribution the reader already
        covers is a provable no-op re-pop. *)
-    let affects e = not (Regset.subset (through e) live.(psg.src.(e))) in
+    let affects e src = not (Regset.subset (through e) live.(src)) in
     let process id =
       if Spike_obs.Metrics.enabled () then
         Spike_obs.Metrics.incr pop_counters.(Psg.tag psg id);
       if recompute id then begin
-        for j = psg.in_off.(id) to psg.in_off.(id + 1) - 1 do
-          let e = Array.unsafe_get psg.in_adj j in
-          if affects e then mark psg.src.(e)
+        for j = in_off.(id) to in_off.(id + 1) - 1 do
+          let src = Array.unsafe_get in_src j in
+          if affects (Array.unsafe_get in_edge j) src then mark src
         done;
         List.iter
           (fun exit_node ->

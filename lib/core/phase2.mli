@@ -32,13 +32,13 @@ type warm = {
     routine its call can target, so the cone must be closed under that
     relation too ({!Warm.phase2_plan} is). *)
 
-val run : ?warm:warm -> ?sched:Sched.t -> Psg.t -> int
+val run : ?warm:warm -> ?sched:Sched.t -> ?readers:Readers.t -> Psg.t -> int
 (** Runs to convergence, writing {!Psg.t.live} in place.  Returns
     the number of node recomputations performed.  [warm] restricts
     initialization and seeding to the invalidation cone.
 
     The fixpoint runs one call-graph SCC at a time in caller-first
     (reverse topological) order over [sched], built on demand when
-    omitted and the cone is non-empty; see {!Phase1.run} for the
+    omitted and the cone is non-empty, like [readers]; see {!Phase1.run} for the
     contract — the solution is unique, so cold and warm runs all
     converge to bit-identical liveness. *)

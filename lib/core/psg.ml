@@ -48,12 +48,9 @@ type t = {
   kinds : int array;
   sets : Regset.t array;
   live : Regset.t array;
-  src : int array;
   dst : int array;
   labels : Regset.t array;
   out_off : int array;
-  in_off : int array;
-  in_adj : int array;
   call_node : int array;
   call_def : Regset.t array;
   call_use : Regset.t array;
@@ -61,8 +58,6 @@ type t = {
   target_off : int array;
   targets : int array;
   externals : external_class array;
-  callers_off : int array;
-  callers_of : int array;
   entries_off : int array;
   entry_nodes : int array;
   exits_off : int array;
@@ -76,7 +71,7 @@ type t = {
 }
 
 let node_count t = Array.length t.kinds
-let edge_count t = Array.length t.src
+let edge_count t = Array.length t.dst
 let call_count t = Array.length t.call_node
 
 (* Every call site has exactly one call-return edge. *)
@@ -130,7 +125,6 @@ let iter_out_edges t n f =
   done
 
 let row off adj r = List.init (off.(r + 1) - off.(r)) (fun i -> adj.(off.(r) + i))
-let callers t r = row t.callers_off t.callers_of r
 let entry_node_list t r = row t.entries_off t.entry_nodes r
 let exit_node_list t r = row t.exits_off t.exit_nodes r
 let unknown_exit_node_list t r = row t.unknown_off t.unknown_exit_nodes r
@@ -207,9 +201,9 @@ let pp ppf t =
     Format.fprintf ppf "  %a@." (pp_node t) n
   done;
   let pr = Regset.pp ~name:Reg.name in
-  for e = 0 to edge_count t - 1 do
-    let kind = if tag t t.src.(e) = Kind.call then "call-ret" else "flow" in
-    Format.fprintf ppf "  E%d %s N%d -> N%d  may-use=%a may-def=%a must-def=%a@." e kind
-      t.src.(e) t.dst.(e) pr t.labels.(3 * e) pr t.labels.((3 * e) + 1) pr
-      t.labels.((3 * e) + 2)
+  for n = 0 to node_count t - 1 do
+    let kind = if tag t n = Kind.call then "call-ret" else "flow" in
+    iter_out_edges t n (fun e ->
+        Format.fprintf ppf "  E%d %s N%d -> N%d  may-use=%a may-def=%a must-def=%a@." e kind n
+          t.dst.(e) pr t.labels.(3 * e) pr t.labels.((3 * e) + 1) pr t.labels.((3 * e) + 2))
   done

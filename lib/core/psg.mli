@@ -26,9 +26,8 @@
       routine's entry list; a return node is always the node after its
       call node, whose block is the call block.
     - Edges are numbered by source node: node [n]'s out-edges are
-      [out_off.(n)] to [out_off.(n + 1) - 1], in discovery order, and
-      [src] repeats that grouping per edge.  In-edges are CSR:
-      [in_adj.(in_off.(n)) .. in_adj.(in_off.(n + 1) - 1)], ascending.
+      [out_off.(n)] to [out_off.(n + 1) - 1], in discovery order, so an
+      edge's source is the node whose row holds it.
     - Call [c]'s call node is [call_node.(c)], its return node the next
       node id, and its call-return edge the call node's only out-edge
       ([out_off.(call_node.(c))]).  Its targets are
@@ -36,9 +35,13 @@
       routine index, or [-1 - k] for external class [k] of
       [externals].  Resolved target lists are never empty, so an empty
       row flags an unresolved call (the calling-standard assumption).
-    - [callers_of], [entry_nodes], [exit_nodes] and [unknown_exit_nodes]
-      are CSR rows per routine behind [callers_off], [entries_off],
-      [exits_off] and [unknown_off].
+    - [entry_nodes], [exit_nodes] and [unknown_exit_nodes] are CSR rows
+      per routine behind [entries_off], [exits_off] and [unknown_off].
+
+    The graph keeps forward lanes only.  Its reverse relations — each
+    node's in-edges and each routine's callers — are read only while the
+    phases and the warm planners run, so each run builds them as
+    {!Readers} and drops them when it returns.
 
     Each phase owns one solution lane: {!Phase1} writes the node triples
     in [sets] (three per node) and the call-return labels in [labels];
@@ -125,15 +128,13 @@ type t = {
       (** phase 1's lane: node id [n] [->] MAY-USE, MAY-DEF, MUST-DEF at
           [3n], [3n + 1], [3n + 2] *)
   live : Regset.t array;  (** phase 2's lane: node id [->] liveness *)
-  src : int array;  (** edge id [->] source node id, ascending *)
   dst : int array;  (** edge id [->] destination node id *)
   labels : Regset.t array;
       (** edge id [e] [->] MAY-USE, MAY-DEF, MUST-DEF at [3e], [3e + 1],
           [3e + 2]; flow labels are fixed at build time, call-return
           labels are written by phase 1 *)
-  out_off : int array;  (** node id [->] its first out-edge id *)
-  in_off : int array;
-  in_adj : int array;  (** in-edge ids, grouped by destination node *)
+  out_off : int array;
+      (** node id [->] its first out-edge id; length [nodes + 1] *)
   call_node : int array;  (** call index [->] call node id, ascending *)
   call_def : Regset.t array;  (** call [->] the call instruction's definitions *)
   call_use : Regset.t array;  (** call [->] the call instruction's uses *)
@@ -141,10 +142,6 @@ type t = {
   target_off : int array;  (** call [->] start of its row in [targets] *)
   targets : int array;  (** routine index, or [-1 - k] for [externals.(k)] *)
   externals : external_class array;
-  callers_off : int array;
-  callers_of : int array;
-      (** routine [->] call indices of the sites that may target it,
-          ascending *)
   entries_off : int array;
   entry_nodes : int array;
       (** routine [->] entry node ids, in declaration order (first =
@@ -198,7 +195,6 @@ val call_targets : t -> int -> call_target list option
 
 val iter_out_edges : t -> int -> (int -> unit) -> unit
 
-val callers : t -> int -> int list
 val entry_node_list : t -> int -> int list
 val exit_node_list : t -> int -> int list
 val unknown_exit_node_list : t -> int -> int list

@@ -15,7 +15,8 @@ open Spike_cfg
 
    - a short sequential {e stitch pass}: routine-local ids are offset by
      per-routine prefix sums into the global node/edge/call lanes, and the
-     call, caller and node-list rows are read off the kinds and targets.
+     call and node-list rows are read off the kinds.  The reverse
+     relations (in-edges, callers) are left to each run's {!Readers}.
 
    Because the local pass numbers everything in an order fixed by the
    routine's own CFG, and the stitch pass concatenates routines in program
@@ -36,6 +37,7 @@ type local = {
   l_labels : Regset.t array;  (* 3 sets per edge *)
   l_call_def : Regset.t array;  (* local call index -> its own definitions *)
   l_call_use : Regset.t array;
+  l_callee : Insn.callee array;  (* local call index -> its instruction's callee *)
   l_target_off : int array;  (* local call index -> row start; calls + 1 *)
   l_targets : int array;  (* routine index, or -1 - k for l_externals.(k) *)
   l_externals : Psg.external_class array;
@@ -63,7 +65,7 @@ let interner equal =
 let local_pass ~branch_nodes ~resolve_targets _ (cfg : Cfg.t) defuse =
   let nblocks = Cfg.block_count cfg in
   let kinds = Vec.create () in
-  let call_def = Vec.create () and call_use = Vec.create () in
+  let call_def = Vec.create () and call_use = Vec.create () and callees = Vec.create () in
   let target_off = Vec.create () and targets = Vec.create () in
   (* An external class is interned per fragment, by physical identity: a
      resolution environment hands out one record per name. *)
@@ -102,6 +104,7 @@ let local_pass ~branch_nodes ~resolve_targets _ (cfg : Cfg.t) defuse =
         let callee = Cfg.callee cfg b in
         Vec.push call_def (Insn.defs call_insn);
         Vec.push call_use (Insn.uses call_insn);
+        Vec.push callees callee;
         Option.iter
           (List.iter (function
             | Psg.Target_routine t -> Vec.push targets t
@@ -180,7 +183,7 @@ let local_pass ~branch_nodes ~resolve_targets _ (cfg : Cfg.t) defuse =
      are emitted in discovery order below, whatever order the sinks are
      solved in. *)
   let flow_labels = Array.make (3 * nflows) Regset.empty in
-  let scratch = Edge_dataflow.create_scratch ~nblocks in
+  let scratch = Edge_dataflow.create_scratch cfg in
   (* An entry or return node sits at the start of its block.  A branch
      node sits after the block's instructions: its label merges the IN
      sets of the dispatch targets inside the region. *)
@@ -252,6 +255,7 @@ let local_pass ~branch_nodes ~resolve_targets _ (cfg : Cfg.t) defuse =
     l_labels;
     l_call_def = Vec.to_array call_def;
     l_call_use = Vec.to_array call_use;
+    l_callee = Vec.to_array callees;
     l_target_off = Vec.to_array target_off;
     l_targets = Vec.to_array targets;
     l_externals = Array.of_list (externals ());
@@ -285,7 +289,7 @@ let resolver ~externals program =
 type part = Local of local | Rows of Psg.t * int
 
 (* One routine's rows wherever they live: a fragment's own arrays, or a
-   routine's window of a stitched PSG.  Node ids read in [src], [dst] and
+   routine's window of a stitched PSG.  Node ids read in [dst] and
    [call_node] are shifted by [node_base], target rows by [target_base];
    kinds may carry a routine, which the stitch replaces. *)
 type view = {
@@ -293,14 +297,14 @@ type view = {
   n0 : int;  (* first node in [v_kinds] *)
   nn : int;
   node_base : int;
-  v_src : int array;
+  v_out : out_rows;
   v_dst : int array;
   v_labels : Regset.t array;
   e0 : int;  (* first edge *)
   ne : int;
   v_call_def : Regset.t array;
   v_call_use : Regset.t array;
-  v_callee : Insn.callee array option;  (* a PSG window's callee lane *)
+  v_callee : Insn.callee array;
   v_target_off : int array;
   c0 : int;  (* first call *)
   nc : int;
@@ -312,6 +316,10 @@ type view = {
          phase 1 has overwritten; a fragment's hold the start value *)
 }
 
+(* Where a view's out-degrees come from: a fragment's per-edge sources,
+   or a PSG's out-edge offsets. *)
+and out_rows = Sources of int array | Offsets of int array
+
 let view = function
   | Local l ->
       {
@@ -319,14 +327,14 @@ let view = function
         n0 = 0;
         nn = Array.length l.l_kinds;
         node_base = 0;
-        v_src = l.l_src;
+        v_out = Sources l.l_src;
         v_dst = l.l_dst;
         v_labels = l.l_labels;
         e0 = 0;
         ne = Array.length l.l_src;
         v_call_def = l.l_call_def;
         v_call_use = l.l_call_use;
-        v_callee = None;
+        v_callee = l.l_callee;
         v_target_off = l.l_target_off;
         c0 = 0;
         nc = Array.length l.l_call_def;
@@ -343,14 +351,14 @@ let view = function
         n0;
         nn = p.first_node.(r + 1) - n0;
         node_base = n0;
-        v_src = p.src;
+        v_out = Offsets p.out_off;
         v_dst = p.dst;
         v_labels = p.labels;
         e0;
         ne = p.first_edge.(r + 1) - e0;
         v_call_def = p.call_def;
         v_call_use = p.call_use;
-        v_callee = Some p.callee;
+        v_callee = p.callee;
         v_target_off = p.target_off;
         c0;
         nc;
@@ -359,6 +367,17 @@ let view = function
         v_externals = p.externals;
         cr_edges = Some (Array.init nc (fun k -> Psg.cr_edge p (c0 + k) - e0));
       }
+
+(* Adds the view's out-degrees at [out_off.(noff + j + 1)] for its node
+   [j]: the stitch's prefix sum turns them into offsets. *)
+let add_out_degrees v out_off noff =
+  match v.v_out with
+  | Sources src ->
+      Array.iter (fun j -> out_off.(noff + j + 1) <- out_off.(noff + j + 1) + 1) src
+  | Offsets off ->
+      for j = 0 to v.nn - 1 do
+        out_off.(noff + j + 1) <- off.(v.n0 + j + 1) - off.(v.n0 + j)
+      done
 
 let target_count v = v.v_target_off.(v.c0 + v.nc) - v.target_base
 
@@ -383,9 +402,9 @@ let prefix_sums views count =
 
 (* The graph's shape: everything [Sched.make] reads.  Two fragments of the
    same topology stitch, at the same offsets, into PSGs with identical
-   edges, adjacency, call and target rows, entry/exit/unknown-exit rows
-   and caller rows; only kinds' block ids, flow labels and the call
-   instructions' own effects may differ. *)
+   edges, call and target rows and entry/exit/unknown-exit rows, and so
+   identical readers; only kinds' block ids, flow labels and the call
+   instructions' own effects and callees may differ. *)
 let same_topology (a : local) (b : local) =
   let same_array eq x y = Array.length x = Array.length y && Array.for_all2 eq x y in
   same_array (fun x y -> Psg.Kind.tag x = Psg.Kind.tag y) a.l_kinds b.l_kinds
@@ -424,20 +443,7 @@ let stitch_parts ?topology ~entry_filters program parts =
       reset_cr_labels v labels eoff;
       Array.blit v.v_call_def v.c0 call_def coff v.nc;
       Array.blit v.v_call_use v.c0 call_use coff v.nc;
-      match v.v_callee with
-      | Some lane -> Array.blit lane v.c0 callee coff v.nc
-      | None ->
-          (* A fragment's calls are its routine's call instructions, in
-             order: the callee lane points into them. *)
-          let k = ref 0 in
-          Array.iter
-            (fun insn ->
-              match Insn.call_callee insn with
-              | Some c when !k < v.nc ->
-                  callee.(coff + !k) <- c;
-                  incr k
-              | Some _ | None -> ())
-            (Program.get program r).Routine.insns)
+      Array.blit v.v_callee v.c0 callee coff v.nc)
     views;
   let psg (shape : Psg.t) =
     {
@@ -460,7 +466,7 @@ let stitch_parts ?topology ~entry_filters program parts =
          nothing writes them after a stitch. *)
       psg old
   | None ->
-      let src = Array.make nedges 0 and dst = Array.make nedges 0 in
+      let dst = Array.make nedges 0 and out_off = Array.make (nnodes + 1) 0 in
       let first_target = prefix_sums views target_count in
       let targets = Array.make first_target.(nroutines) 0 in
       let target_off = Array.make (ncalls + 1) first_target.(nroutines) in
@@ -481,9 +487,9 @@ let stitch_parts ?topology ~entry_filters program parts =
           let noff = first_node.(r) and eoff = first_edge.(r) and coff = first_call.(r) in
           let shift = noff - v.node_base in
           for j = 0 to v.ne - 1 do
-            src.(eoff + j) <- shift + v.v_src.(v.e0 + j);
             dst.(eoff + j) <- shift + v.v_dst.(v.e0 + j)
           done;
+          add_out_degrees v out_off noff;
           let toff = first_target.(r) - v.target_base in
           for k = 0 to v.nc - 1 do
             target_off.(coff + k) <- toff + v.v_target_off.(v.c0 + k)
@@ -495,16 +501,11 @@ let stitch_parts ?topology ~entry_filters program parts =
           done)
         views;
       let externals = Array.concat (List.rev_map fst !tables) in
-      (* Edges are numbered by source, so [src] is sorted: a node's row
-         starts after its predecessors' edges. *)
-      let out_off = Array.make (nnodes + 1) 0 in
-      Array.iter (fun s -> out_off.(s + 1) <- out_off.(s + 1) + 1) src;
+      (* Edges are numbered by source and routines laid out in order, so
+         the out-degrees' prefix sum is the out-edge offsets. *)
       for n = 0 to nnodes - 1 do
         out_off.(n + 1) <- out_off.(n) + out_off.(n + 1)
       done;
-      (* CSR in-adjacency by counting sort; filling in edge order keeps
-         each row in ascending edge id. *)
-      let in_off, in_adj = Scc.csr nnodes (fun f -> Array.iteri (fun e d -> f d e) dst) in
       (* Calls, entries, exits and unknown exits are read off the kinds:
          nodes lie routine by routine, so each list is one CSR row per
          routine, in node order. *)
@@ -527,14 +528,6 @@ let stitch_parts ?topology ~entry_filters program parts =
             incr c
           end)
         kinds;
-      let callers_off, callers_of =
-        Scc.csr nroutines (fun f ->
-            for c = 0 to ncalls - 1 do
-              for i = target_off.(c) to target_off.(c + 1) - 1 do
-                if targets.(i) >= 0 then f targets.(i) c
-              done
-            done)
-      in
       let entries_off, entry_nodes = rows Psg.Kind.entry in
       let exits_off, exit_nodes = rows Psg.Kind.exit in
       let unknown_off, unknown_exit_nodes = rows Psg.Kind.unknown_exit in
@@ -544,12 +537,9 @@ let stitch_parts ?topology ~entry_filters program parts =
           kinds;
           sets = [||];
           live = [||];
-          src;
           dst;
           labels;
           out_off;
-          in_off;
-          in_adj;
           call_node;
           call_def;
           call_use;
@@ -557,8 +547,6 @@ let stitch_parts ?topology ~entry_filters program parts =
           target_off;
           targets;
           externals;
-          callers_off;
-          callers_of;
           entries_off;
           entry_nodes;
           exits_off;
@@ -589,13 +577,20 @@ let fragment (psg : Psg.t) r =
         let x = psg.targets.(v.target_base + i) in
         if x >= 0 then x else -1 - local_external x)
   in
+  let l_src = Array.make v.ne 0 in
+  for j = 0 to v.nn - 1 do
+    for e = psg.out_off.(v.n0 + j) to psg.out_off.(v.n0 + j + 1) - 1 do
+      l_src.(e - v.e0) <- j
+    done
+  done;
   {
     l_kinds = Array.init v.nn (fun j -> Psg.Kind.local psg.kinds.(v.n0 + j));
-    l_src = Array.init v.ne (fun j -> psg.src.(v.e0 + j) - v.n0);
+    l_src;
     l_dst = Array.init v.ne (fun j -> psg.dst.(v.e0 + j) - v.n0);
     l_labels;
     l_call_def = Array.sub psg.call_def v.c0 v.nc;
     l_call_use = Array.sub psg.call_use v.c0 v.nc;
+    l_callee = Array.sub psg.callee v.c0 v.nc;
     l_target_off = Array.init (v.nc + 1) (fun k -> psg.target_off.(v.c0 + k) - v.target_base);
     l_targets;
     l_externals = Array.of_list (List.map (fun x -> psg.externals.(-1 - x)) (used ()));

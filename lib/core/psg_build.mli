@@ -19,9 +19,10 @@
     discovery and edge labelling — parallelized over a {!Spike_support.Pool}
     when one is supplied) and a sequential {e stitch pass} that assigns
     global ids by per-routine prefix sums and wires the cross-routine
-    caller lists.  The local pass numbers everything in an order fixed by
+    node lists.  The local pass numbers everything in an order fixed by
     the routine's own CFG, so the PSG is bit-identical for every
-    parallelism degree. *)
+    parallelism degree.  The reverse relations are not stitched: each run
+    builds them as {!Readers}. *)
 
 open Spike_support
 open Spike_isa
@@ -46,6 +47,7 @@ type local = {
           label is the phase-1 starting value [(∅, ∅, full)] *)
   l_call_def : Regset.t array;  (** local call index [->] as {!Psg.t.call_def} *)
   l_call_use : Regset.t array;
+  l_callee : Insn.callee array;  (** local call index [->] its instruction's callee *)
   l_target_off : int array;  (** local call index [->] row start; length calls + 1 *)
   l_targets : int array;
       (** a routine index, or [-1 - k] for [l_externals.(k)] *)
@@ -53,9 +55,10 @@ type local = {
       (** the fragment's own external classes, each once *)
 }
 (** A fragment's calls are its call-tagged nodes in node order, and its
-    routine's call instructions in instruction order: the stitch reads
-    each call's callee off its instruction.  Its entry, exit and
-    unknown-exit nodes are read off the kinds too. *)
+    routine's call instructions in instruction order.  Its entry, exit
+    and unknown-exit nodes are read off the kinds.  Its edges are
+    numbered by source, so [l_src] is ascending; a stitched PSG keeps
+    only the out-edge offsets this implies. *)
 
 val resolver :
   externals:(string -> Psg.external_class option) ->
@@ -89,20 +92,20 @@ type part = Local of local | Rows of Psg.t * int
 val stitch_parts :
   ?topology:Psg.t -> entry_filters:Regset.t array -> Program.t -> part array -> Psg.t
 (** Concatenate per-routine parts (in routine order) into the global PSG:
-    ids are offset by prefix sums, kinds are placed in their routine, and
-    the call, caller, entry, exit and unknown-exit rows are read off the
-    kinds and targets.  The result shares no mutable array with [parts],
-    so running the phases on it never alters a fragment or an earlier
-    PSG.  Its call-return labels hold the local pass's start value, as a
+    ids are offset by prefix sums, kinds are placed in their routine, the
+    out-edge offsets are the prefix sum of the parts' out-degrees, and
+    the call, entry, exit and unknown-exit rows are read off the kinds.
+    The result shares no mutable array with [parts], so running the
+    phases on it never alters a fragment or an earlier PSG.  Its call-return labels hold the local pass's start value, as a
     fragment's do; phase 1 initializes them.  Deterministic in its
     inputs — a part of rows of an earlier PSG stitches exactly like the
     {!fragment} of those rows.
 
     [topology] is an earlier stitch whose routine at every index had a
     part of the same topology ({!same_topology}) as [parts] at that
-    index.  The result then shares its shape lanes — edges, adjacency,
-    call and target rows, the external table, the caller, entry, exit
-    and unknown-exit rows and the routine offsets, none of which is
+    index.  The result then shares its shape lanes — edge destinations
+    and offsets, call and target rows, the external table, the entry,
+    exit and unknown-exit rows and the routine offsets, none of which is
     written after a stitch — instead of rebuilding equal ones. *)
 
 val stitch :

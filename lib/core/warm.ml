@@ -125,8 +125,10 @@ let c_lifted = Spike_obs.Metrics.counter "warm.solutions.lifted"
 (* The fragment is plain data — ints, strings, register sets — so
    structural equality decides "same equation system".  Both sides carry
    {e current} routine indices: the rebuilt fragment natively, the
-   donor's via the store's name-keyed remap. *)
-let local_equal (a : Psg_build.local) (b : Psg_build.local) = a = b
+   donor's via the store's name-keyed remap.  The callee lane is left
+   out: the equations read a call's resolved targets, not its names. *)
+let local_equal (a : Psg_build.local) (b : Psg_build.local) =
+  { a with l_callee = [||] } = { b with l_callee = [||] }
 
 let solutions plan ~program ~parts ~filters =
   let n = Program.routine_count program in
@@ -201,9 +203,9 @@ let seed_dirty_routines (psg : Psg.t) sols mark =
 (* Influence along flow and call-return edges runs against the edge
    direction: a node's recomputation reads the sets of its out-edge
    destinations, so a changed node influences its in-edge sources. *)
-let mark_in_edge_sources (psg : Psg.t) mark id =
-  for k = psg.in_off.(id) to psg.in_off.(id + 1) - 1 do
-    mark psg.src.(psg.in_adj.(k))
+let mark_in_edge_sources (readers : Readers.t) mark id =
+  for k = readers.in_off.(id) to readers.in_off.(id + 1) - 1 do
+    mark readers.in_src.(k)
   done
 
 (* [f r art] for every solution-clean routine [r]. *)
@@ -227,7 +229,7 @@ let install ~width ~lane ~cached (psg : Psg.t) r art =
   | Slice s -> Array.blit (cached s) 0 (lane psg) pos len
   | Rows (old, r') -> Array.blit (lane old) (width * old.Psg.first_node.(r')) (lane psg) pos len
 
-let phase1_plan (psg : Psg.t) ~sols =
+let phase1_plan (psg : Psg.t) ~readers ~sols =
   let n = Psg.node_count psg in
   (* Entry nodes feed the call-return edges of their callers: precompute
      which node ids are primary entries, and of which routine. *)
@@ -237,11 +239,11 @@ let phase1_plan (psg : Psg.t) ~sols =
   done;
   let cone =
     closure n (seed_dirty_routines psg sols) (fun mark id ->
-        mark_in_edge_sources psg mark id;
+        mark_in_edge_sources readers mark id;
         let r = primary_of.(id) in
         if r >= 0 then
-          for k = psg.callers_off.(r) to psg.callers_off.(r + 1) - 1 do
-            mark psg.call_node.(psg.callers_of.(k))
+          for k = readers.Readers.callers_off.(r) to readers.callers_off.(r + 1) - 1 do
+            mark psg.call_node.(readers.callers_of.(k))
           done)
   in
   (* Install the cached solutions; dirty slots keep whatever they hold,
@@ -255,7 +257,7 @@ let phase1_plan (psg : Psg.t) ~sols =
       done);
   { Phase1.cone }
 
-let phase2_plan (psg : Psg.t) ~sols ~exit_seeds =
+let phase2_plan (psg : Psg.t) ~readers ~sols ~exit_seeds =
   let n = Psg.node_count psg in
   (* A return node's liveness is copied into the exit nodes of every
      routine its call can target (the paper's return-to-exit links). *)
@@ -285,7 +287,7 @@ let phase2_plan (psg : Psg.t) ~sols ~exit_seeds =
               done)
           exit_seeds)
       (fun mark id ->
-        mark_in_edge_sources psg mark id;
+        mark_in_edge_sources readers mark id;
         List.iter mark ret_to_exits.(id))
   in
   iter_clean sols

@@ -140,17 +140,22 @@ val solutions :
     contribution.  [parts] and [filters] are the post-rebuild arrays for
     {e all} routines; a donor's routine has a rebuilt [Local] part. *)
 
-val phase1_plan : Psg.t -> sols:routine_art option array -> Phase1.warm
+val phase1_plan : Psg.t -> readers:Readers.t -> sols:routine_art option array -> Phase1.warm
 (** The phase-1 invalidation cone for a stitched PSG, given
     {!solutions}' verdict: the closure of the solution-dirty routines'
     nodes under reversed flow/call-return edges, widened to the call
     nodes of every caller of a routine whose primary entry enters the
-    cone (the §3.2 summary import).  Also installs every
+    cone (the §3.2 summary import).  [readers] is the PSG's
+    {!Readers.make}, shared with the phases of the same run.  Also installs every
     solution-clean routine's cached phase-1 slice into {!Psg.t.sets}
     and its call-return labels into {!Psg.t.labels}. *)
 
 val phase2_plan :
-  Psg.t -> sols:routine_art option array -> exit_seeds:bool array -> Phase2.warm
+  Psg.t ->
+  readers:Readers.t ->
+  sols:routine_art option array ->
+  exit_seeds:bool array ->
+  Phase2.warm
 (** The phase-2 cone.  Seeds: the solution-dirty routines' nodes, the
     call nodes whose just-converged call-return labels differ from the
     cached ones, and the exit nodes of [exit_seeds] routines; closed

@@ -56,10 +56,14 @@ let neutral : triple = Edge_dataflow.top_must
 let productive (cfg : Cfg.t) =
   let n = Cfg.block_count cfg in
   let productive = Array.make n false in
+  let pred_off = Array.make (n + 1) 0 and pred_adj = Array.make (Cfg.arc_count cfg) 0 in
+  Cfg.pred_rows cfg ~off:pred_off ~adj:pred_adj;
   let rec mark b =
     if not productive.(b) then begin
       productive.(b) <- true;
-      Cfg.iter_preds mark cfg b
+      for k = pred_off.(b) to pred_off.(b + 1) - 1 do
+        mark pred_adj.(k)
+      done
     end
   in
   for b = 0 to n - 1 do

@@ -184,16 +184,19 @@ let read_regsets r n =
 
 let read_regset_array r = read_regsets r (read_int r)
 
-(* 64-bit FNV-1a, eight bytes per step; byte-at-a-time over the tail. *)
+(* 64-bit FNV-1a, eight bytes per step; byte-at-a-time over the tail.
+   The accumulator is a local reference that no closure captures, so the
+   compiler keeps it unboxed: the loops allocate nothing, and only the
+   result is boxed. *)
 let checksum s ~pos ~len =
   let fnv_prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  let mix v = h := Int64.mul (Int64.logxor !h v) fnv_prime in
   let words = len / 8 in
   for k = 0 to words - 1 do
-    mix (String.get_int64_le s (pos + (k * 8)))
+    h := Int64.mul (Int64.logxor !h (String.get_int64_le s (pos + (k * 8)))) fnv_prime
   done;
   for i = pos + (words * 8) to pos + len - 1 do
-    mix (Int64.of_int (Char.code (String.unsafe_get s i)))
+    let b = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h b) fnv_prime
   done;
   !h

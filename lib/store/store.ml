@@ -45,8 +45,8 @@ exception Outdated of string
 
    No edge source is written (edges are numbered by source), no call
    node (they are the call-tagged nodes), no entry label (an entry node
-   holds its position) and no callee (the stitch reads a call's callee
-   off the routine's call instruction of the same rank).  A call-return edge's
+   holds its position) and no callee (a call's callee is the routine's
+   call instruction of the same rank, read when the body is decoded).  A call-return edge's
    label is its converged value: decoding moves it to the artifact's
    call-return solution and puts the start value back.  The CFG and
    DEF/UBD are not stored; {!Analysis.cfg} rebuilds them if a consumer
@@ -97,9 +97,11 @@ let write_body w (psg : Psg.t) r ~table_index =
    and entry positions, and the shape the lanes imply — entry nodes first,
    each call node followed by its return node through its only out-edge.
    What does not fit the current program — a table name it no longer
-   has, a block past the routine's end, another entry count — is reported
-   as [Outdated] once the whole body has decoded: real corruption
-   anywhere in the entry takes precedence. *)
+   has, a block past the routine's end, another entry count — is
+   reported as [Outdated] once the whole body has decoded: real
+   corruption anywhere in the entry takes precedence.  The callee lane is
+   the routine's call instructions; a count that differs from the
+   entry's calls is left for the caller to judge. *)
 let read_body ~resolve ~callees ~(routine : Routine.t) rd : Warm.routine_art =
   let outdated = ref None in
   let outdate fmt =
@@ -133,6 +135,13 @@ let read_body ~resolve ~callees ~(routine : Routine.t) rd : Warm.routine_art =
   if !nentries <> List.length routine.entries then
     outdate "%d entries, the routine has %d" !nentries (List.length routine.entries);
   let ncalls = !ncalls in
+  (* The entry's calls are its routine's call instructions, in order: one
+     scan collects the callee lane, whose length {!plan_entries} checks
+     against the call count. *)
+  let call_callees = Vec.create () in
+  Array.iter
+    (fun insn -> Option.iter (Vec.push call_callees) (Insn.call_callee insn))
+    routine.insns;
   (* A run of counts sums to the length of a later run of ints, each at
      least one byte: a sum past the bytes left is corrupt. *)
   let total counts =
@@ -218,6 +227,7 @@ let read_body ~resolve ~callees ~(routine : Routine.t) rd : Warm.routine_art =
       l_labels;
       l_call_def;
       l_call_use;
+      l_callee = Vec.to_array call_callees;
       l_target_off;
       l_targets;
       l_externals;
@@ -278,9 +288,6 @@ type entry = {
          [Codec.Corrupt] or [Outdated] *)
 }
 
-let count_calls (routine : Routine.t) =
-  Array.fold_left (fun n insn -> if Insn.is_call insn then n + 1 else n) 0 routine.insns
-
 let main_index program =
   match Program.find_index program (Program.main program) with
   | Some i -> i
@@ -327,16 +334,16 @@ let plan_entries ~externals (entries : (string, entry) Hashtbl.t) program =
              is claimed here. *)
           match
             let art = e.e_decode ~resolve ~routine:r routine in
-            (* A fresh entry's calls are its routine's call instructions;
-               a stale one is only a lift candidate, never stitched. *)
+            (* A fresh entry's calls are its routine's call instructions,
+               whose callees the decode collected; a stale one is only a
+               lift candidate, never stitched. *)
             (match art with
-            | Warm.Slice s when fresh ->
-                let calls = Array.length s.a_local.l_call_def in
-                let insns = count_calls routine in
-                if calls <> insns then
-                  raise
-                    (Outdated
-                       (Printf.sprintf "%d calls, the routine has %d" calls insns))
+            | Warm.Slice { a_local = l; _ }
+              when fresh && Array.length l.l_callee <> Array.length l.l_call_def ->
+                raise
+                  (Outdated
+                     (Printf.sprintf "%d calls, the routine has %d"
+                        (Array.length l.l_call_def) (Array.length l.l_callee)))
             | Warm.Slice _ | Warm.Rows _ -> ());
             art
           with

@@ -70,10 +70,11 @@ let () =
     Format.fprintf ppf "call C%d at N%d: %s@." c psg.Psg.call_node.(c) targets
   done;
   let ids l = String.concat " " (List.map (Printf.sprintf "N%d") l) in
+  let readers = Readers.make psg in
   for r = 0 to Program.routine_count program - 1 do
     Format.fprintf ppf "routine %s@.  callers: %s@.  entries: %s@.  exits: %s@.  unknown exits: %s@."
       (rname r)
-      (String.concat " " (List.map (Printf.sprintf "C%d") (Psg.callers psg r)))
+      (String.concat " " (List.map (Printf.sprintf "C%d") (Readers.callers readers r)))
       (ids (Psg.entry_node_list psg r))
       (ids (Psg.exit_node_list psg r))
       (ids (Psg.unknown_exit_node_list psg r))

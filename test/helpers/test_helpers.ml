@@ -26,8 +26,19 @@ let edge_label (psg : Spike_core.Psg.t) e =
     must_def = psg.labels.((3 * e) + 2);
   }
 
+(* An edge's source node: edges are numbered by source, so it is the last
+   node whose out-edge row starts at or before [e] (empty rows share their
+   start with the next row). *)
+let edge_source (psg : Spike_core.Psg.t) e =
+  let lo = ref 0 and hi = ref (Spike_core.Psg.node_count psg - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if psg.out_off.(mid) <= e then lo := mid else hi := mid - 1
+  done;
+  !lo
+
 let is_flow_edge (psg : Spike_core.Psg.t) e =
-  match Spike_core.Psg.kind psg psg.src.(e) with
+  match Spike_core.Psg.kind psg (edge_source psg e) with
   | Spike_core.Psg.Call _ -> false
   | Entry _ | Exit _ | Return _ | Branch _ | Unknown_exit _ -> true
 
@@ -37,7 +48,7 @@ let edges_of ?routine (psg : Spike_core.Psg.t) =
     (fun e ->
       match routine with
       | None -> true
-      | Some r -> Spike_core.Psg.routine_of_node psg psg.src.(e) = r)
+      | Some r -> Spike_core.Psg.routine_of_node psg (edge_source psg e) = r)
     (List.init (Spike_core.Psg.edge_count psg) Fun.id)
 
 (* Every routine's CFG and DEF/UBD of an analysis, as the arrays that
@@ -287,7 +298,7 @@ module Label_oracle = struct
     List.iter
       (fun e ->
         if is_flow_edge psg e then begin
-          let src = Psg.kind psg psg.src.(e) in
+          let src = Psg.kind psg (edge_source psg e) in
           let r = Psg.node_routine src in
           built.(r) <- (src, Psg.kind psg psg.dst.(e), edge_label psg e) :: built.(r)
         end)
@@ -1018,6 +1029,11 @@ module Record_cfg = struct
     if Cfg.block_count g <> Array.length o.blocks then
       fail "%d blocks, oracle has %d" (Cfg.block_count g) (Array.length o.blocks)
     else begin
+      (* Predecessors come from the successor lanes on demand: per block
+         ({!Cfg.preds}) and as the whole CSR ({!Cfg.pred_rows}). *)
+      let pred_off = Array.make (Cfg.block_count g + 1) 0 in
+      let pred_adj = Array.make (Cfg.arc_count g) 0 in
+      Cfg.pred_rows g ~off:pred_off ~adj:pred_adj;
       Array.iter
         (fun b ->
           let id = b.id in
@@ -1026,6 +1042,9 @@ module Record_cfg = struct
               b.first b.last;
           if Cfg.succs g id <> b.succs then fail "B%d successors differ" id;
           if Cfg.preds g id <> b.preds then fail "B%d predecessors differ" id;
+          if Array.sub pred_adj pred_off.(id) (pred_off.(id + 1) - pred_off.(id)) <> b.preds
+          then fail "B%d predecessor row differs" id;
+          if Cfg.pred_count g id <> Array.length b.preds then fail "B%d in-degree differs" id;
           (match (Cfg.ending g id, b.ending) with
           | Cfg.Ends_call, Ends_call callee ->
               if Cfg.callee g id <> callee then fail "B%d callee differs" id

@@ -682,7 +682,8 @@ let test_fragment_inverts_stitch () =
             fragments;
           let stitched = Psg_build.stitch ~entry_filters:psg.Psg.entry_filter p fragments in
           Alcotest.(check bool) (tag "kinds") true (stitched.Psg.kinds = psg.Psg.kinds);
-          Alcotest.(check (array int)) (tag "src") psg.Psg.src stitched.Psg.src;
+          Alcotest.(check (array int)) (tag "out-edge offsets") psg.Psg.out_off
+            stitched.Psg.out_off;
           Alcotest.(check (array int)) (tag "dst") psg.Psg.dst stitched.Psg.dst;
           Alcotest.(check (array int)) (tag "call nodes") psg.Psg.call_node
             stitched.Psg.call_node;
@@ -696,12 +697,11 @@ let test_fragment_inverts_stitch () =
                    Psg_build.Rows (psg, r)))
           in
           let same_lanes (x : Psg.t) (y : Psg.t) =
-            x.kinds = y.kinds && x.src = y.src && x.dst = y.dst && x.labels = y.labels
-            && x.out_off = y.out_off && x.in_adj = y.in_adj && x.call_node = y.call_node
-            && x.call_def = y.call_def && x.call_use = y.call_use
-            && x.target_off = y.target_off && x.callers_of = y.callers_of
-            && x.entry_nodes = y.entry_nodes && x.exit_nodes = y.exit_nodes
-            && x.unknown_exit_nodes = y.unknown_exit_nodes
+            x.kinds = y.kinds && x.dst = y.dst && x.labels = y.labels
+            && x.out_off = y.out_off && x.call_node = y.call_node
+            && x.call_def = y.call_def && x.call_use = y.call_use && x.callee = y.callee
+            && x.target_off = y.target_off && x.entry_nodes = y.entry_nodes
+            && x.exit_nodes = y.exit_nodes && x.unknown_exit_nodes = y.unknown_exit_nodes
             && List.for_all
                  (fun c -> Psg.call_targets x c = Psg.call_targets y c)
                  (List.init (Psg.call_count x) Fun.id)
@@ -711,7 +711,7 @@ let test_fragment_inverts_stitch () =
           for e = 0 to Psg.edge_count psg - 1 do
             let label (g : Psg.t) j = g.Psg.labels.((3 * e) + j) in
             let expected j =
-              if Psg.tag psg psg.Psg.src.(e) = Psg.Kind.call then
+              if Psg.tag psg (Test_helpers.edge_source psg e) = Psg.Kind.call then
                 [| start.may_use; start.may_def; start.must_def |].(j)
               else label psg j
             in

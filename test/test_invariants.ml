@@ -45,7 +45,7 @@ let test_psg_edge_endpoints () =
       let psg = analysis.Analysis.psg in
       List.iter
         (fun e ->
-          let s = psg.Psg.src.(e) in
+          let s = Test_helpers.edge_source psg e in
           let src = Psg.kind psg s and dst = Psg.kind psg psg.Psg.dst.(e) in
           (* Every edge stays within one routine. *)
           Alcotest.(check int) "same routine"
@@ -72,7 +72,7 @@ let test_psg_edge_endpoints () =
         (Test_helpers.edges_of psg))
 
 let test_psg_adjacency_consistency () =
-  for_all_programs (fun _ analysis ->
+  for_all_programs (fun p analysis ->
       let psg = analysis.Analysis.psg in
       let n = Psg.node_count psg and m = Psg.edge_count psg in
       let check_csr what off adj endpoint =
@@ -92,13 +92,25 @@ let test_psg_adjacency_consistency () =
           done
         done
       in
-      (* Edges are numbered by source: the out-rows are consecutive. *)
-      check_csr "out" psg.Psg.out_off (Array.init m Fun.id) psg.Psg.src;
-      check_csr "in" psg.Psg.in_off psg.Psg.in_adj psg.Psg.dst)
+      (* Edges are numbered by source: the out-rows are consecutive, and
+         each edge lies in the row of the source its routine's local pass
+         gave it.  The reverse rows are the readers' (test_properties). *)
+      let resolve_targets = Psg_build.resolver ~externals:Psg.no_externals p in
+      let sources =
+        Array.concat
+          (List.init (Program.routine_count p) (fun r ->
+               let local =
+                 Psg_build.local_pass ~branch_nodes:true ~resolve_targets r
+                   (Analysis.cfg analysis r) (Analysis.defuse analysis r)
+               in
+               Array.map (( + ) psg.Psg.first_node.(r)) local.Psg_build.l_src))
+      in
+      check_csr "out" psg.Psg.out_off (Array.init m Fun.id) sources)
 
 let test_callers_of_consistency () =
   for_all_programs (fun _ analysis ->
       let psg = analysis.Analysis.psg in
+      let readers = Readers.make psg in
       for call_index = 0 to Psg.call_count psg - 1 do
         match Psg.call_targets psg call_index with
         | None -> ()
@@ -108,7 +120,7 @@ let test_callers_of_consistency () =
                 match target with
                 | Psg.Target_external _ -> ()
                 | Psg.Target_routine r ->
-                    if not (List.mem call_index (Psg.callers psg r)) then
+                    if not (List.mem call_index (Readers.callers readers r)) then
                       Alcotest.failf "call %d missing from callers_of %d" call_index r)
               targets
       done)

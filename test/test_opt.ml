@@ -530,7 +530,7 @@ let test_schedule_carried () =
   Alcotest.(check bool) "same topology: schedule carried" true
     (Option.get a2.Analysis.schedule == Option.get a1.Analysis.schedule);
   Alcotest.(check bool) "same topology: shape lanes shared" true
-    (a2.Analysis.psg.Psg.src == a1.Analysis.psg.Psg.src);
+    (a2.Analysis.psg.Psg.dst == a1.Analysis.psg.Psg.dst);
   let a3 =
     step "call added" a2
       [ (None, li Reg.t1 2); (None, li Reg.t4 4); (None, call "c"); (None, ret) ]

@@ -112,7 +112,7 @@ let edge_between psg ~src_kind ~dst_kind =
     edges_of psg
     |> List.filter (fun e ->
            is_flow_edge psg e
-           && matches src_kind psg.Psg.src.(e)
+           && matches src_kind (Test_helpers.edge_source psg e)
            && matches dst_kind psg.Psg.dst.(e))
   with
   | [ e ] -> edge_label psg e

@@ -336,6 +336,43 @@ let prop_cfg_lanes_match_records =
       | [] -> true
       | problem :: _ -> QCheck.Test.fail_reportf "%s" problem)
 
+(* The per-run readers are exactly the transposes of the PSG's forward
+   lanes: each node's in-edges ascending by edge id, each with the source
+   node whose out-edge row holds it, and each routine's callers ascending
+   by call index, one entry per target-row occurrence.  The expected rows
+   are lists built by a plain scan of the edges and of the target rows. *)
+let prop_readers_transpose =
+  QCheck.Test.make ~name:"readers = transposed forward lanes" ~count:40
+    arbitrary_cfg_programs (fun (_, params) ->
+      let p = Generator.generate params in
+      let psg = (Analysis.run ~jobs:1 p).Analysis.psg in
+      let readers = Readers.make psg in
+      let n = Psg.node_count psg and nr = Program.routine_count p in
+      let ins = Array.make n [] in
+      for u = n - 1 downto 0 do
+        for e = psg.Psg.out_off.(u + 1) - 1 downto psg.Psg.out_off.(u) do
+          let d = psg.Psg.dst.(e) in
+          ins.(d) <- (e, u) :: ins.(d)
+        done
+      done;
+      let callers = Array.make nr [] in
+      for c = Psg.call_count psg - 1 downto 0 do
+        for i = psg.Psg.target_off.(c + 1) - 1 downto psg.Psg.target_off.(c) do
+          let x = psg.Psg.targets.(i) in
+          if x >= 0 then callers.(x) <- c :: callers.(x)
+        done
+      done;
+      let row (t : Readers.t) v =
+        List.init
+          (t.in_off.(v + 1) - t.in_off.(v))
+          (fun k -> (t.in_edge.(t.in_off.(v) + k), t.in_src.(t.in_off.(v) + k)))
+      in
+      Array.length readers.in_off = n + 1
+      && Array.length readers.callers_off = nr + 1
+      && List.for_all (fun v -> row readers v = ins.(v)) (List.init n Fun.id)
+      && List.for_all (fun r -> Readers.callers readers r = callers.(r)) (List.init nr Fun.id)
+      && readers.in_off.(n) = Psg.edge_count psg)
+
 (* External-summary files must round-trip through their concrete syntax:
    the sets are rebuilt from rendered register names, so this exercises
    name/of_name agreement for every register that can carry dataflow,
@@ -418,6 +455,7 @@ let () =
             prop_labels_match_oracle;
             prop_calibrated_labels_match_oracle;
             prop_cfg_lanes_match_records;
+            prop_readers_transpose;
             prop_callee_saved_one_pass;
             prop_sched_matches_oracle;
             prop_asm_roundtrip;

@@ -690,6 +690,7 @@ let well_formed program r (art : Warm.routine_art) =
           tag < Psg.Kind.count && (tag <> Psg.Kind.entry || Psg.Kind.block k < entries))
         l.l_kinds
       && Array.for_all node l.l_src && Array.for_all node l.l_dst
+      && Array.length l.l_callee = nc
       && Array.length l.l_target_off = nc + 1
       && l.l_target_off.(nc) = Array.length l.l_targets
       && Array.for_all
@@ -870,6 +871,26 @@ let test_save_unusable_dir () =
   Alcotest.(check string) "the file is untouched" "not a directory"
     (In_channel.with_open_bin file In_channel.input_all)
 
+(* The payload checksum is part of store format 5: these values were
+   computed by the original closure-based FNV-1a loop and must not move.
+   The loop keeps its accumulator unboxed, so a checksum allocates only
+   its boxed result, whatever the payload's length. *)
+let test_checksum_pinned () =
+  let payload = String.init 1003 (fun i -> Char.chr (((i * 131) + 7) land 255)) in
+  let check name expected s ~pos ~len =
+    Alcotest.(check int64) name expected (Codec.checksum s ~pos ~len)
+  in
+  check "1003 bytes" 3133835552049020022L payload ~pos:0 ~len:1003;
+  check "997 bytes at 5" 1727170351816277305L payload ~pos:5 ~len:997;
+  check "empty" (-3750763034362895579L) "" ~pos:0 ~len:0;
+  check "tail only" (-8418817000979330187L) "spike" ~pos:0 ~len:5;
+  let big = String.make (1 lsl 20) 'x' in
+  let before = Gc.minor_words () in
+  let sum = Codec.checksum big ~pos:0 ~len:(String.length big) in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity sum);
+  if words > 64.0 then Alcotest.failf "checksum of 1 MiB allocated %.0f words" words
+
 let () =
   Alcotest.run "store"
     [
@@ -899,5 +920,7 @@ let () =
           Alcotest.test_case "save leaves no temp files" `Quick test_save_is_atomic;
           Alcotest.test_case "save to an unusable directory raises Sys_error" `Quick
             test_save_unusable_dir;
+          Alcotest.test_case "payload checksum pinned, allocation-free" `Quick
+            test_checksum_pinned;
         ] );
     ]
