@@ -84,7 +84,7 @@ let measure ~scale =
    phase-stage wall clock across jobs settings.  The phases run serially
    at every jobs value, so the jobs columns time the same serial
    fixpoints and differ only by noise (and by what the parallel front end
-   leaves in the heap); the [_par] iteration counts, from a jobs-4 run,
+   leaves in the heap); the [_jobs4] iteration counts, from a jobs-4 run,
    must equal the jobs-1 ones — asserted here, along with bit-identical
    summaries. *)
 
@@ -96,8 +96,8 @@ type scc_study = {
   largest_scc : int;
   p1_scc : int;
   p2_scc : int;
-  p1_par : int;
-  p2_par : int;
+  p1_jobs4 : int;
+  p2_jobs4 : int;
   phase_points : scc_phase_point list;
 }
 
@@ -105,12 +105,12 @@ let scc_jobs_list = [ 1; 2; 4 ]
 
 let measure_scc ~workload ~program =
   let scc1 = Analysis.run ~jobs:1 program in
-  let par = Analysis.run ~jobs:4 program in
+  let jobs4 = Analysis.run ~jobs:4 program in
   (* The fixpoint is unique: both must land on the same summaries, and the
      per-component iteration counts must not depend on jobs. *)
-  assert (par.Analysis.summaries = scc1.Analysis.summaries);
-  assert (scc1.Analysis.phase1_iterations = par.Analysis.phase1_iterations);
-  assert (scc1.Analysis.phase2_iterations = par.Analysis.phase2_iterations);
+  assert (jobs4.Analysis.summaries = scc1.Analysis.summaries);
+  assert (scc1.Analysis.phase1_iterations = jobs4.Analysis.phase1_iterations);
+  assert (scc1.Analysis.phase2_iterations = jobs4.Analysis.phase2_iterations);
   let scc = Psg.call_scc scc1.Analysis.psg in
   let phase_points =
     List.map
@@ -135,8 +135,8 @@ let measure_scc ~workload ~program =
     largest_scc = Scc.largest scc;
     p1_scc = scc1.Analysis.phase1_iterations;
     p2_scc = scc1.Analysis.phase2_iterations;
-    p1_par = par.Analysis.phase1_iterations;
-    p2_par = par.Analysis.phase2_iterations;
+    p1_jobs4 = jobs4.Analysis.phase1_iterations;
+    p2_jobs4 = jobs4.Analysis.phase2_iterations;
     phase_points;
   }
 
@@ -297,7 +297,7 @@ let json_of_points buf ~scale points sccs stores =
   let field_sep = ref "" in
   let addf fmt = Printf.bprintf buf fmt in
   addf "{\n";
-  addf "  \"schema\": \"spike-bench-psg/5\",\n";
+  addf "  \"schema\": \"spike-bench-psg/6\",\n";
   addf "  \"scale\": %.4f,\n" scale;
   addf "  \"recommended_domains\": %d,\n" (Domain.recommended_domain_count ());
   addf
@@ -341,10 +341,10 @@ let json_of_points buf ~scale points sccs stores =
       scc_sep := ",";
       addf " \"workload\": \"%s\", \"scc_count\": %d, \"largest_scc\": %d,"
         s.scc_workload s.scc_count s.largest_scc;
-      addf "\n      \"phase1_iterations\": { \"scc\": %d, \"parallel_jobs4\": %d },"
-        s.p1_scc s.p1_par;
-      addf "\n      \"phase2_iterations\": { \"scc\": %d, \"parallel_jobs4\": %d },"
-        s.p2_scc s.p2_par;
+      addf "\n      \"phase1_iterations\": { \"scc\": %d, \"jobs4\": %d },"
+        s.p1_scc s.p1_jobs4;
+      addf "\n      \"phase2_iterations\": { \"scc\": %d, \"jobs4\": %d },"
+        s.p2_scc s.p2_jobs4;
       addf "\n      \"phase_stage\": [";
       let base =
         match s.phase_points with

@@ -101,8 +101,8 @@ let table5 ppf (ms : Measure.t list) =
 
 let figure13 ppf (ms : Measure.t list) =
   header "Figure 13: fraction of total dataflow time per analysis stage" ppf;
-  Format.fprintf ppf "%-10s %10s %10s %10s %10s %10s | %8s@." "benchmark" "CFG build"
-    "Init" "PSG build" "Phase 1" "Phase 2" "total(s)";
+  Format.fprintf ppf "%-10s %10s %10s %10s %10s %10s %10s | %8s@." "benchmark"
+    "CFG build" "Init" "PSG build" "SCC Sched" "Phase 1" "Phase 2" "total(s)";
   line ppf;
   List.iter
     (fun (m : Measure.t) ->
@@ -112,11 +112,12 @@ let figure13 ppf (ms : Measure.t list) =
         | Some s when total > 0.0 -> 100.0 *. s /. total
         | Some _ | None -> 0.0
       in
-      Format.fprintf ppf "%-10s %9.1f%% %9.1f%% %9.1f%% %9.1f%% %9.1f%% | %8.3f@."
+      Format.fprintf ppf "%-10s %9.1f%% %9.1f%% %9.1f%% %9.1f%% %9.1f%% %9.1f%% | %8.3f@."
         m.Measure.row.Calibrate.name
         (pct Spike_core.Analysis.stage_cfg_build)
         (pct Spike_core.Analysis.stage_init)
         (pct Spike_core.Analysis.stage_psg_build)
+        (pct Spike_core.Analysis.stage_sched)
         (pct Spike_core.Analysis.stage_phase1)
         (pct Spike_core.Analysis.stage_phase2)
         total)

@@ -184,10 +184,10 @@ let run ?warm ?sched ?readers (psg : Psg.t) =
      call sites; cross-component callers see the converged entry when
      their component seeds.
 
-     Each component drains over the weak topological order in
-     [comp_nodes_p1] ({!Sched.drain}): a knot's readers pop exactly once,
-     seeing its final values, instead of once per lattice-ascent step of
-     the knot. *)
+     Each component drains over its dependency SCCs in [comp_nodes_p1]
+     ({!Sched.drain}): a knot is swept until it is stable, so its
+     readers pop once, seeing its final values, instead of once per
+     lattice-ascent step of the knot. *)
   let run_comp (s : Sched.t) marked c =
     let comp_of_node = s.comp_of_node in
     let order = s.comp_nodes_p1.(c) in
@@ -228,8 +228,7 @@ let run ?warm ?sched ?readers (psg : Psg.t) =
         end
       end
     in
-    Sched.drain ~order ~cend:s.comp_cend_p1.(c) ~flat:s.comp_flat_p1.(c) marked
-      process
+    Sched.drain ~order ~ends:s.comp_ends_p1.(c) marked process
   in
   let iterations =
     Spike_obs.Trace.with_span "phase1.fixpoint" @@ fun () ->

@@ -25,11 +25,7 @@ let run ?warm ?sched ?readers (psg : Psg.t) =
   in
   (* Per-node constant contribution to liveness. *)
   let seed = Array.make n Regset.empty in
-  let main_index =
-    match Program.find_index program (Program.main program) with
-    | Some i -> i
-    | None -> assert false (* guaranteed by Program.make *)
-  in
+  let main_index = Program.main_index program in
   Array.iteri
     (fun id kind ->
       let tag = Psg.Kind.tag kind in
@@ -100,11 +96,10 @@ let run ?warm ?sched ?readers (psg : Psg.t) =
      recursion); cross-component exits pick up the final values when their
      component seeds.
 
-     The drain is the same WTO interpreter as {!Phase1}, over
-     [comp_nodes_p2]: dependency knots of the phase 2 graph (a node reads
-     its out-edge targets, an exit node the return points of its
-     intra-component callers) iterate until their heads are stable,
-     innermost first, so readers pop exactly once. *)
+     The drain is the same SCC sweep as {!Phase1}, over [comp_nodes_p2]:
+     a dependency knot of the phase 2 graph (a node reads its out-edge
+     targets, an exit node the return points of its intra-component
+     callers) is swept until it is stable, so its readers pop once. *)
   let run_comp (s : Sched.t) marked c =
     let comp_of_node = s.comp_of_node in
     let order = s.comp_nodes_p2.(c) in
@@ -137,8 +132,7 @@ let run ?warm ?sched ?readers (psg : Psg.t) =
           exit_nodes_of_return.(id)
       end
     in
-    Sched.drain ~order ~cend:s.comp_cend_p2.(c) ~flat:s.comp_flat_p2.(c) marked
-      process
+    Sched.drain ~order ~ends:s.comp_ends_p2.(c) marked process
   in
   let iterations =
     Spike_obs.Trace.with_span "phase2.fixpoint" @@ fun () ->

@@ -7,7 +7,10 @@
     call-graph condensation.  Processing components in topological order
     (reversed for phase 2) and iterating only {e inside} each component
     gives one bounded fixpoint per component: cross-component inputs are
-    already converged when a component starts, by the schedule.
+    already converged when a component starts, by the schedule.  Inside
+    a component, each phase's nodes are split once into the SCCs of the
+    phase's node dependency graph and swept one SCC at a time, reads
+    first, each until it is stable.
 
     Because each phase's equation system is monotone over a finite
     lattice, its fixpoint is unique — so the values a component converges
@@ -24,44 +27,28 @@ type t = {
   scc : Scc.t;  (** over routine indices, from {!Psg.call_scc} *)
   comp_of_node : int array;  (** PSG node id [->] component *)
   comp_nodes_p1 : int array array;
-      (** component [->] its node ids in a weak topological order
-          (Bourdoncle) of the phase 1 dependency graph — a node reads its
-          outgoing flow-edge targets, and a call node its callee entry
-          nodes.  Trivial elements appear reads-first, so one pass
-          recomputes each exactly once.  An intra-routine dependency knot
-          (CFG loop nest) appears as its DFS-root head followed by the
-          recursively decomposed remainder, and is iterated until the
-          head is stable — cycles avoiding the head lie in nested knots,
-          stabilized recursively.  A multi-routine knot (recursion spine)
-          appears as a flat region — its members in the dependency
-          graph's DFS postorder, with no knot inside — swept until a pass
-          pops nothing.  Once the work budget of [32 * nodes] slice
-          visits is spent, every further knot is emitted as a flat region
-          in the same way.  Readers of a knot then see its final values
+      (** component [->] its node ids, split once into the SCCs of the
+          phase 1 dependency graph — a node reads its outgoing flow-edge
+          targets, and a call node its callee entry nodes.  The SCCs
+          appear reads-first, one after another, each in the dependency
+          graph's DFS postorder.  A node on no dependency cycle pops at
+          most once; a knot (CFG loop, recursion spine) is swept until
+          a pass pops nothing, so its readers see its final values
           exactly once. *)
-  comp_cend_p1 : int array array;
-      (** parallel to [comp_nodes_p1.(c)]: [cend.(i) = e] when a
-          head-knot at [i] spans the slice [i, e) (nested knots carry
-          their own entries); 0 everywhere else, which includes every
-          position of a flat region *)
-  comp_flat_p1 : int array array;
-      (** component [->] its flat regions as [start; end)] pairs
-          flattened — [[|s0; e0; s1; e1; ...|]] — ascending and mutually
-          disjoint.  A region holds no knot; a head-knot may hold
-          regions (budget fallback). *)
+  comp_ends_p1 : int array array;
+      (** parallel to [comp_nodes_p1.(c)]: [ends.(a) = e] for the SCC
+          spanning [a, e); 0 at every other position *)
   comp_nodes_p2 : int array array;
       (** the same order for the phase 2 dependency graph (flow-edge
           targets, and caller return nodes at exit nodes) *)
-  comp_cend_p2 : int array array;
-  comp_flat_p2 : int array array;
+  comp_ends_p2 : int array array;
   comp_calls : int array array;
       (** component [->] the call indices whose call node lives in the
           component, ascending *)
 }
 
 val make : ?pool:Pool.t -> Psg.t -> t
-(** Build the schedule for a PSG.  O(nodes + edges + calls) plus the
-    knot peeling, which the work budget bounds by [32 * nodes].  With
+(** Build the schedule for a PSG.  O(nodes + edges + calls).  With
     [pool], the two phase orders are built concurrently; the result does
     not depend on it.  The result depends only on the PSG's topology
     ({!Psg_build.same_topology}); every call counts one on the
@@ -86,15 +73,10 @@ val run :
     the component's rank-ordered sweeps, shared by every component; [f]
     must return it all-zero (a drained fixpoint does). *)
 
-val drain :
-  order:int array -> cend:int array -> flat:int array -> Bytes.t -> (int -> unit) -> int
-(** [drain ~order ~cend ~flat marked process] sweeps one component's weak
-    topological order (a [comp_nodes_*], [comp_cend_*], [comp_flat_*]
-    triple) following Bourdoncle's recursive iteration strategy: each
-    node marked in [marked] is unmarked and handed to [process], which
-    may mark further nodes of the component.  On entering a head-knot its
-    position is stacked; reaching the knot's end with the head re-marked
-    resumes the sweep after the head, so inner knots converge before
-    outer ones re-test.  A flat region contains no knot: its members are
-    swept in order, and the region again until a pass pops nothing.  Returns the number of pops; [marked] is all-zero on
-    return. *)
+val drain : order:int array -> ends:int array -> Bytes.t -> (int -> unit) -> int
+(** [drain ~order ~ends marked process] sweeps one component's order (a
+    [comp_nodes_*], [comp_ends_*] pair) one SCC at a time: each node
+    marked in [marked] is unmarked and handed to [process], which may
+    mark further nodes of its own SCC or a later one; an SCC is swept
+    again until a pass pops nothing.  Returns the number of pops;
+    [marked] is all-zero on return. *)

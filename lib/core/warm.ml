@@ -48,11 +48,6 @@ let names program routines =
   List.sort_uniq String.compare
     (List.map (fun r -> (Program.get program r).Routine.name) routines)
 
-let main_index program =
-  match Program.find_index program (Program.main program) with
-  | Some i -> i
-  | None -> assert false (* guaranteed by Program.make *)
-
 (* A routine's slice is a copy of its rows of a converged PSG: the
    fragment ({!Psg_build.fragment}), the filter, and its solution rows. *)
 let slice (psg : Psg.t) r =
@@ -90,7 +85,7 @@ let of_previous (old : Psg.t) program =
   in
   let plan = cold program in
   if same_shape then begin
-    let main = main_index program in
+    let main = Program.main_index program in
     for r = 0 to n - 1 do
       let previous = Program.get old_program r in
       if Program.get program r == previous then plan.arts.(r) <- Some (Rows (old, r))
@@ -132,7 +127,7 @@ let local_equal (a : Psg_build.local) (b : Psg_build.local) =
 
 let solutions plan ~program ~parts ~filters =
   let n = Program.routine_count program in
-  let main_index = main_index program in
+  let main_index = Program.main_index program in
   let sols = Array.copy plan.arts in
   let exit_seeds = Array.copy plan.exit_seeds in
   let force_exits callees =

@@ -47,11 +47,7 @@ let create ?(fuel = 1_000_000) program =
         | None -> invalid_arg ("Machine.create: bad entry in " ^ r.Routine.name))
       (Program.routines program)
   in
-  let main =
-    match Program.find_index program (Program.main program) with
-    | Some i -> i
-    | None -> assert false (* Program.make checked it *)
-  in
+  let main = Program.main_index program in
   let regs = Array.make Reg.count 0 in
   regs.(Reg.sp) <- stack_base;
   {

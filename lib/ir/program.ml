@@ -4,6 +4,7 @@ type t = {
   routines : Routine.t array;
   index : (string, int) Hashtbl.t;
   main : string;
+  main_index : int;
 }
 
 let make ~main routine_list =
@@ -15,11 +16,12 @@ let make ~main routine_list =
         invalid_arg ("Program.make: duplicate routine " ^ r.name);
       Hashtbl.add index r.name i)
     routines;
-  if not (Hashtbl.mem index main) then
-    invalid_arg ("Program.make: main routine " ^ main ^ " not defined");
-  { routines; index; main }
+  match Hashtbl.find_opt index main with
+  | None -> invalid_arg ("Program.make: main routine " ^ main ^ " not defined")
+  | Some main_index -> { routines; index; main; main_index }
 
 let main p = p.main
+let main_index p = p.main_index
 let routines p = p.routines
 let routine_count p = Array.length p.routines
 let find_index p name = Hashtbl.find_opt p.index name

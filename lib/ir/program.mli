@@ -14,6 +14,10 @@ val make : main:string -> Routine.t list -> t
     [main]. *)
 
 val main : t -> string
+
+val main_index : t -> int
+(** The index of the [main] routine. *)
+
 val routines : t -> Routine.t array
 val routine_count : t -> int
 val find : t -> string -> Routine.t option

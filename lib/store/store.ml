@@ -288,11 +288,6 @@ type entry = {
          [Codec.Corrupt] or [Outdated] *)
 }
 
-let main_index program =
-  match Program.find_index program (Program.main program) with
-  | Some i -> i
-  | None -> assert false (* guaranteed by Program.make *)
-
 let cold_result ?degraded program =
   let n = Program.routine_count program in
   Spike_obs.Metrics.add c_misses n;
@@ -489,7 +484,7 @@ let save ~dir (a : Analysis.t) =
   Spike_obs.Trace.with_span "store.save" @@ fun () ->
   let program = a.Analysis.program in
   let externals = a.Analysis.externals in
-  let main_index = main_index program in
+  let main_index = Program.main_index program in
   let fingerprint = fingerprinter ~externals program in
   let payload = Buffer.create (1 lsl 20) in
   Codec.write_int payload (Program.routine_count program);
@@ -590,7 +585,7 @@ let retain (a : Analysis.t) =
   Spike_obs.Trace.with_span "store.retain" @@ fun () ->
   let program = a.Analysis.program in
   let externals = a.Analysis.externals in
-  let main_index = main_index program in
+  let main_index = Program.main_index program in
   let fingerprint = fingerprinter ~externals program in
   let entries = Hashtbl.create (Program.routine_count program) in
   let psg = a.Analysis.psg in

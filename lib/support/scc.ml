@@ -42,15 +42,16 @@ let decomposer ~off ~adj =
   let frame_fin = Array.make n 0 in
   let fin = Array.make n 0 in
   let roots = Array.make n 0 in
-  fun verts ~pos ~len ~ends ->
-    Array.blit verts pos roots 0 len;
+  fun verts ~ends ->
+    let len = Array.length verts in
+    Array.blit verts 0 roots 0 len;
     for i = 0 to len - 1 do
       index.(roots.(i)) <- -1
     done;
     let next_index = ref 0 in
     let top = ref 0 in
     let fin_top = ref 0 in
-    let out = ref pos in
+    let out = ref 0 in
     let count = ref 0 in
     let discover v =
       index.(v) <- !next_index;
@@ -104,7 +105,7 @@ let compute_csr ~off ~adj =
   let n = Array.length off - 1 in
   let verts = Array.init n Fun.id in
   let ends = Array.make n 0 in
-  let count = decomposer ~off ~adj verts ~pos:0 ~len:n ~ends in
+  let count = decomposer ~off ~adj verts ~ends in
   let comp_of = Array.make n 0 in
   let members = Array.make count [||] in
   let start = ref 0 in

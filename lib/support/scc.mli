@@ -6,9 +6,8 @@
     an edge when any member calls into another component — is acyclic, so
     components can be processed in topological order with iteration
     confined to the inside of each component.  The same decomposition,
-    applied level by level to vertex subsets of each phase's node
-    dependency graph, builds the weak topological orders inside a
-    component ({!decomposer}).
+    applied to each component's nodes in each phase's node dependency
+    graph, orders the nodes inside a component ({!decomposer}).
 
     Graphs are in compressed sparse row form: the out-edges of vertex [u]
     are [adj.(off.(u)) .. adj.(off.(u + 1) - 1)], where [off] has one
@@ -50,18 +49,18 @@ val csr : int -> ((int -> int -> unit) -> unit) -> int array * int array
 val decomposer :
   off:int array ->
   adj:int array ->
-  (int array -> pos:int -> len:int -> ends:int array -> int)
+  (int array -> ends:int array -> int)
 (** [decomposer ~off ~adj] allocates the Tarjan scratch for the graph
     once and returns [decompose], which may be applied any number of
-    times.  [decompose verts ~pos ~len ~ends] decomposes the subgraph
-    induced by the distinct vertices [verts.(pos) .. verts.(pos + len - 1)]
-    — edges leaving the subset are ignored — and rewrites that slice as
-    its components, one after another in reverse topological order, each
-    in DFS postorder.  For a component occupying [[a, e)] of the slice it
-    sets [ends.(a) <- e] and writes no other entry of [ends].  Returns the
-    component count.  DFS roots are tried in slice order and out-edges in
-    row order, so the result depends only on the graph and the slice.
-    O(len + out-edges of the slice). *)
+    times.  [decompose verts ~ends] decomposes the subgraph induced by
+    the distinct vertices of [verts] — edges leaving the subset are
+    ignored — and rewrites [verts] as its components, one after another
+    in reverse topological order, each in DFS postorder.  For a
+    component occupying [[a, e)] of [verts] it sets [ends.(a) <- e] and
+    writes no other entry of [ends].  Returns the component count.  DFS
+    roots are tried in [verts] order and out-edges in row order, so the
+    result depends only on the graph and [verts].  O(length of [verts] +
+    their out-edges). *)
 
 val compute_csr : off:int array -> adj:int array -> t
 (** The decomposition of a whole graph, with its condensation.  Self

@@ -625,12 +625,12 @@ module Line_parser = struct
     | exception Invalid_argument message -> raise (Error { line = 0; message })
 end
 
-(* The schedule construction as it was before the CSR rebuild: a list
-   call graph, a Tarjan that sorts each component by finish time and
-   builds its condensation from lists, list-built dependency graphs, and
-   a task list that runs a fresh SCC pass per decomposition level.  A
-   naive oracle for {!Spike_core.Sched.make}, which must produce the
-   same schedule field for field. *)
+(* A list-based schedule construction: a list call graph, a Tarjan that
+   sorts each component by finish time and builds its condensation from
+   lists, list-built dependency graphs, and a fresh SCC pass over each
+   component's induced dependency graph.  A naive oracle for
+   {!Spike_core.Sched.make}, which must produce the same schedule field
+   for field. *)
 module Sched_oracle = struct
   open Spike_core
 
@@ -739,8 +739,6 @@ module Sched_oracle = struct
     done;
     Array.map (fun callees -> Array.of_list (List.sort_uniq Int.compare callees)) succs
 
-  type wtask = Wset of int array | Wnode of int | Wknot of int array | Wclose of int
-
   let make (psg : Psg.t) =
     let scc = scc_compute ~succs:(call_graph psg) in
     let n = Psg.node_count psg in
@@ -779,83 +777,37 @@ module Sched_oracle = struct
       done;
       Array.map Array.of_list acc
     in
-    let stamp = Array.make n (-1) in
     let lidx = Array.make n 0 in
-    let gen = ref (-1) in
-    let routine_of id = Psg.node_routine (Psg.kind psg id) in
-    let hier dep_arr =
-      let budget = ref (32 * n) in
-      let comp_nodes = Array.make (max scc.Scc.count 1) [||] in
-      let comp_cend = Array.make (max scc.Scc.count 1) [||] in
-      let comp_flat = Array.make (max scc.Scc.count 1) [||] in
-      for c = 0 to scc.Scc.count - 1 do
-        let size = Array.length comp_members.(c) in
-        let out = Array.make size 0 and cend = Array.make size 0 in
-        let flats = ref [] in
-        let cur = ref 0 in
-        let emit_flat m =
-          let p = !cur in
-          Array.iter
-            (fun id ->
-              out.(!cur) <- id;
-              incr cur)
-            m;
-          flats := !cur :: p :: !flats
-        in
-        let tasks = ref [ Wset comp_members.(c) ] in
-        while !tasks <> [] do
-          let task = List.hd !tasks in
-          tasks := List.tl !tasks;
-          match task with
-          | Wnode id ->
-              out.(!cur) <- id;
-              incr cur
-          | Wclose p -> cend.(p) <- !cur
-          | Wknot m when !budget <= 0 -> emit_flat m
-          | Wknot m when Array.exists (fun id -> routine_of id <> routine_of m.(0)) m ->
-              emit_flat m
-          | Wknot m ->
-              let len = Array.length m in
-              let head = m.(len - 1) in
-              let p = !cur in
-              out.(p) <- head;
-              incr cur;
-              tasks := Wset (Array.sub m 0 (len - 1)) :: Wclose p :: !tasks
-          | Wset set ->
-              let len = Array.length set in
-              budget := !budget - len;
-              incr gen;
-              Array.iteri
-                (fun i id ->
-                  stamp.(id) <- !gen;
-                  lidx.(id) <- i)
-                set;
-              let succs =
-                Array.init len (fun i ->
-                    let acc = ref [] in
-                    Array.iter
-                      (fun d -> if stamp.(d) = !gen then acc := lidx.(d) :: !acc)
-                      dep_arr.(set.(i));
-                    Array.of_list !acc)
-              in
-              let sub = scc_compute ~succs in
-              for g = sub.Scc.count - 1 downto 0 do
-                let ms = sub.Scc.members.(g) in
-                if
-                  Array.length ms = 1
-                  && not (Array.exists (fun d -> d = ms.(0)) succs.(ms.(0)))
-                then tasks := Wnode set.(ms.(0)) :: !tasks
-                else tasks := Wknot (Array.map (fun i -> set.(i)) ms) :: !tasks
-              done
-        done;
-        comp_nodes.(c) <- out;
-        comp_cend.(c) <- cend;
-        comp_flat.(c) <- Array.of_list (List.rev !flats)
-      done;
-      (comp_nodes, comp_cend, comp_flat)
+    (* One SCC pass over each component's nodes; the SCCs are listed
+       back to back, each with its end at its start. *)
+    let split dep_arr =
+      let orders =
+        Array.init scc.Scc.count (fun c ->
+            let set = comp_members.(c) in
+            let len = Array.length set in
+            Array.iteri (fun i id -> lidx.(id) <- i) set;
+            let succs =
+              Array.init len (fun i ->
+                  let acc = ref [] in
+                  Array.iter
+                    (fun d -> if comp_of_node.(d) = c then acc := lidx.(d) :: !acc)
+                    dep_arr.(set.(i));
+                  Array.of_list !acc)
+            in
+            let sccs = Array.to_list (scc_compute ~succs).Scc.members in
+            let ends = Array.make len 0 in
+            ignore
+              (List.fold_left
+                 (fun start ms ->
+                   ends.(start) <- start + Array.length ms;
+                   ends.(start))
+                 0 sccs);
+            (Array.map (fun i -> set.(i)) (Array.concat sccs), ends))
+      in
+      (Array.map fst orders, Array.map snd orders)
     in
-    let comp_nodes_p1, comp_cend_p1, comp_flat_p1 = hier (deps p1_extra) in
-    let comp_nodes_p2, comp_cend_p2, comp_flat_p2 = hier (deps p2_extra) in
+    let comp_nodes_p1, comp_ends_p1 = split (deps p1_extra) in
+    let comp_nodes_p2, comp_ends_p2 = split (deps p2_extra) in
     let calls_acc = Array.make (max scc.Scc.count 1) [] in
     Array.iteri
       (fun i call_node ->
@@ -869,11 +821,9 @@ module Sched_oracle = struct
       Sched.scc;
       comp_of_node;
       comp_nodes_p1;
-      comp_cend_p1;
-      comp_flat_p1;
+      comp_ends_p1;
       comp_nodes_p2;
-      comp_cend_p2;
-      comp_flat_p2;
+      comp_ends_p2;
       comp_calls;
     }
 
@@ -890,11 +840,9 @@ module Sched_oracle = struct
         ("scc.succs", got.Sched.scc.Scc.succs = want.Sched.scc.Scc.succs);
         ("comp_of_node", got.Sched.comp_of_node = want.Sched.comp_of_node);
         ("comp_nodes_p1", got.Sched.comp_nodes_p1 = want.Sched.comp_nodes_p1);
-        ("comp_cend_p1", got.Sched.comp_cend_p1 = want.Sched.comp_cend_p1);
-        ("comp_flat_p1", got.Sched.comp_flat_p1 = want.Sched.comp_flat_p1);
+        ("comp_ends_p1", got.Sched.comp_ends_p1 = want.Sched.comp_ends_p1);
         ("comp_nodes_p2", got.Sched.comp_nodes_p2 = want.Sched.comp_nodes_p2);
-        ("comp_cend_p2", got.Sched.comp_cend_p2 = want.Sched.comp_cend_p2);
-        ("comp_flat_p2", got.Sched.comp_flat_p2 = want.Sched.comp_flat_p2);
+        ("comp_ends_p2", got.Sched.comp_ends_p2 = want.Sched.comp_ends_p2);
         ("comp_calls", got.Sched.comp_calls = want.Sched.comp_calls);
       ]
 end

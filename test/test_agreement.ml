@@ -1,9 +1,9 @@
 (* Cross-validation of the PSG analysis:
 
    1. Exact agreement with the brute-force reference fixpoint
-      (spike_reference) on call classes and liveness, and a byte-identical
-      PSG whether the front end and schedule build run on one domain or
-      four.
+      (spike_reference) on call classes and liveness, on generated and
+      small calibrated programs, and a byte-identical PSG whether the
+      front end and schedule build run on one domain or four.
    2. Conservativeness of the context-insensitive supergraph liveness:
       it must contain the PSG's meet-over-valid-paths liveness.
    3. Branch nodes change graph size, never the solution.
@@ -72,6 +72,15 @@ let example path =
   Spike_asm.Parser.program_of_file
     (if Sys.file_exists ("../" ^ path) then "../" ^ path else path)
 
+(* The calibrated shapes at small scale: acad's giant recursion
+   component and winword's dependency knots, swept as the schedule sweeps
+   them at full scale. *)
+let calibrated () =
+  List.map
+    (fun (name, scale) ->
+      Generator.generate (Calibrate.params_of ~scale (Option.get (Calibrate.find name))))
+    [ ("gcc", 0.05); ("vortex", 0.05); ("acad", 0.02); ("winword", 0.03) ]
+
 let test_reference_agreement () =
   List.iter check_program_agreement
     [
@@ -82,7 +91,8 @@ let test_reference_agreement () =
       Generator.generate
         { Params.default with Params.seed = 5; routines = 60; target_instructions = 3000 };
     ];
-  List.iter check_program_agreement (workloads ())
+  List.iter check_program_agreement (workloads ());
+  List.iter check_program_agreement (calibrated ())
 
 let check_supergraph_conservative p =
   let analysis = Analysis.run p in

@@ -1,11 +1,10 @@
 (* The phase schedule.
 
    [Sched.make] must build exactly the schedule of the list-based
-   construction it replaced ([Test_helpers.Sched_oracle]) — component
-   numbering, weak topological orders, knot ends, flat regions and call
-   lists alike — whether or not a pool builds the two phase orders.  Its
-   work-budget fallback, which emits knots as flat regions once the head
-   peeling has cost [32 * nodes], must still reach the reference
+   construction ([Test_helpers.Sched_oracle]) — component numbering,
+   dependency-SCC orders, SCC ends and call lists alike — whether or not
+   a pool builds the two phase orders.  A long dependency knot must be
+   one SCC span, swept as a whole, and still reach the reference
    fixpoint. *)
 
 open Spike_support
@@ -56,10 +55,7 @@ let test_mutual () =
 
 (* One routine whose switches form a two-way chain: block [Si] dispatches
    to [S(i-1)] and [S(i+1)], the ends to the return.  Its branch nodes
-   read both neighbours, so the chain is one dependency knot, and peeling
-   the DFS root — always an end of the chain — leaves a knot one node
-   shorter: the peeling costs about [k^2 / 2] slice visits against a
-   budget of [32 * nodes], about [32 k]. *)
+   read both neighbours, so the chain is one dependency knot. *)
 let switch_chain k =
   let label i = if i = 0 || i > k then "out" else Printf.sprintf "s%d" i in
   let rows =
@@ -73,7 +69,14 @@ let switch_chain k =
   in
   program ~main:"main" [ main; routine "chain" rows ]
 
-let test_budget_fallback () =
+(* The SCC spans of a component's order, as [(start, end)] pairs. *)
+let spans ends =
+  let rec go a acc =
+    if a >= Array.length ends then List.rev acc else go ends.(a) ((a, ends.(a)) :: acc)
+  in
+  go 0 []
+
+let test_chain_knot () =
   let k = 120 in
   let p = switch_chain k in
   let a = Analysis.run ~jobs:1 p in
@@ -85,10 +88,15 @@ let test_budget_fallback () =
   Alcotest.(check int) "chain is a component of its own" 1
     (Array.length sched.Sched.scc.Scc.members.(c));
   List.iter
-    (fun (phase, flat) ->
-      if Array.length flat.(c) = 0 then
-        Alcotest.failf "%s: no flat region in the single-routine component" phase)
-    [ ("phase 1", sched.Sched.comp_flat_p1); ("phase 2", sched.Sched.comp_flat_p2) ];
+    (fun (phase, ends) ->
+      match List.filter (fun (a, e) -> e - a > 1) (spans ends.(c)) with
+      | [ (a, e) ] when e - a >= k -> ()
+      | knots ->
+          Alcotest.failf "%s: expected the chain as one SCC span of >= %d nodes, got %s"
+            phase k
+            (String.concat "; "
+               (List.map (fun (a, e) -> Printf.sprintf "[%d, %d)" a e) knots)))
+    [ ("phase 1", sched.Sched.comp_ends_p1); ("phase 2", sched.Sched.comp_ends_p2) ];
   let reference = Spike_reference.Reference.run p in
   Program.iter
     (fun r (routine : Routine.t) ->
@@ -114,6 +122,6 @@ let () =
           Alcotest.test_case "calibrated gcc and acad" `Quick test_calibrated;
           Alcotest.test_case "examples/mutual.s" `Quick test_mutual;
         ] );
-      ( "budget",
-        [ Alcotest.test_case "flat region fallback" `Quick test_budget_fallback ] );
+      ( "knots",
+        [ Alcotest.test_case "switch chain is one SCC span" `Quick test_chain_knot ] );
     ]
