@@ -7,7 +7,9 @@
    Nodes are printed by id with their kind, routine and block (an entry
    node's entry label); each node's out-edges follow in order as
    (dst, MAY-USE, MAY-DEF, MUST-DEF).  Edge ids are not printed: they are
-   a numbering detail, while a node's ordered out-edges are the graph. *)
+   a numbering detail, while a node's ordered out-edges are the graph.
+   The last lines give the cold run's phase iteration counts and its
+   call-return label updates, which pin how the fixpoints got there. *)
 
 open Spike_support
 open Spike_isa
@@ -27,7 +29,13 @@ let () =
         exit 2
   in
   let program = Spike_asm.Parser.program_of_file file in
+  Spike_obs.Metrics.enable ();
   let a = Analysis.run ~jobs:1 ~externals program in
+  let cr_updates =
+    match Spike_obs.Metrics.(find (snapshot ()) "phase1.cr_edge_updates") with
+    | Some (Spike_obs.Metrics.Count k) -> k
+    | _ -> 0
+  in
   let psg = a.Analysis.psg in
   let rname r = (Program.get program r).Routine.name in
   let ppf = Format.std_formatter in
@@ -78,4 +86,6 @@ let () =
       (ids (Psg.entry_node_list psg r))
       (ids (Psg.exit_node_list psg r))
       (ids (Psg.unknown_exit_node_list psg r))
-  done
+  done;
+  Format.fprintf ppf "phase 1: %d iterations, %d call-return updates@.phase 2: %d iterations@."
+    a.Analysis.phase1_iterations cr_updates a.Analysis.phase2_iterations
