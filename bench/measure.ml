@@ -1,6 +1,6 @@
 (* Workload measurement: generate a calibrated synthetic program, run the
-   full interprocedural analysis on it, and collect everything the paper's
-   tables and figures report. *)
+   full interprocedural analysis on it (three times, for the timings), and
+   collect everything the paper's tables and figures report. *)
 
 open Spike_support
 open Spike_isa
@@ -41,10 +41,27 @@ let is_branch = function
   | Insn.Jump_unknown _ | Insn.Call _ | Insn.Ret | Insn.Nop ->
       false
 
+(* One run's stage shares swing with the host's load: two back-to-back
+   Figure 13 runs at scale 1.0 gave acad's Phase 1 25.0% and then 11.8% of
+   the total.  So the analysis runs three times, and the run with the
+   median total supplies the time, the stage shares and the memory.  The
+   PSG, the CFGs and the iteration counts are the same in every run; they
+   are read off the last one, the only one kept. *)
+let median_of_three ?jobs program =
+  let run () = Memmeter.measure (fun () -> Analysis.run ?jobs program) in
+  let sample (a, bytes) = (Analysis.total_seconds a, Timer.stages a.Analysis.timer, bytes) in
+  let first = sample (run ()) in
+  let second = sample (run ()) in
+  let last = run () in
+  let by_total =
+    List.sort (fun (x, _, _) (y, _, _) -> Float.compare x y) [ first; second; sample last ]
+  in
+  (fst last, List.nth by_total 1)
+
 let run_benchmark ?(scale = 1.0) ?jobs (row : Calibrate.paper_row) =
   let params = Calibrate.params_of ~scale row in
   let program = Generator.generate params in
-  let analysis, bytes = Memmeter.measure (fun () -> Analysis.run ?jobs program) in
+  let analysis, (time_s, stages, bytes) = median_of_three ?jobs program in
   let nroutines = Program.routine_count program in
   let cfgs = Array.init nroutines (Analysis.cfg analysis) in
   let blocks = Array.fold_left (fun n cfg -> n + Spike_cfg.Cfg.block_count cfg) 0 cfgs in
@@ -74,9 +91,9 @@ let run_benchmark ?(scale = 1.0) ?jobs (row : Calibrate.paper_row) =
     blocks;
     instructions = Program.instruction_count program;
     supergraph_arcs = Spike_supercfg.Supercfg.arc_count super;
-    time_s = Analysis.total_seconds analysis;
+    time_s;
     memory_mb = Memmeter.megabytes bytes;
-    stages = Timer.stages analysis.Analysis.timer;
+    stages;
     psg = Psg_stats.of_psg analysis.Analysis.psg;
     psg_nodes_without_bn = Psg.node_count psg_without;
     psg_edges_without_bn = Psg.edge_count psg_without;

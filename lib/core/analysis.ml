@@ -184,8 +184,9 @@ let run_with ~reused_front ~previous ~branch_nodes ~externals ~callee_saved_filt
   (* The condensation schedule both phases share depends only on the PSG's
      topology.  A rerun that kept the previous topology carries the
      previous schedule forward; otherwise it is built on first use, as its
-     own stage, so a phase whose invalidation cone is empty never pays for
-     it.  A phase's warm plan is timed with the phase but built before the
+     own stage: {!Sched.run} forces it only for a phase with something to
+     run, so a phase whose invalidation cone is empty never pays for it.
+     A phase's warm plan is timed with the phase but built before the
      schedule is forced. *)
   let carried =
     match previous with Some (_, carried) when same_topology -> carried | _ -> None
@@ -202,39 +203,26 @@ let run_with ~reused_front ~previous ~branch_nodes ~externals ~callee_saved_filt
      this run only: planners and phases share them, the result keeps
      none. *)
   let readers = lazy (Spike_obs.Trace.with_span "psg.readers" (fun () -> Readers.make psg)) in
-  let for_cone lazy_value cone =
-    match cone with
-    | Some cone when not (Array.exists Fun.id cone) -> None
-    | _ -> Some (Lazy.force lazy_value)
-  in
   let plan_phase stage span f =
     if reuse then Some (Timer.record timer stage (fun () -> Spike_obs.Trace.with_span span f))
     else None
   in
-  let w1 =
+  let cone1 =
     plan_phase stage_phase1 "warm.phase1_plan" (fun () ->
         Warm.phase1_plan psg ~readers:(Lazy.force readers) ~sols)
   in
-  let cone1 = Option.map (fun w -> w.Phase1.cone) w1 in
-  let sched1 = for_cone sched cone1 in
   let phase1_iterations, call_classes =
     record_stage timer stage_phase1 (fun () ->
-        let iterations =
-          Phase1.run ?warm:w1 ?sched:sched1 ?readers:(for_cone readers cone1) psg
-        in
+        let iterations = Sched.run ~sched ~readers ?cone:cone1 psg (Phase1.phase psg) in
         (iterations, Summary.extract_call_classes psg))
   in
-  let w2 =
+  let cone2 =
     plan_phase stage_phase2 "warm.phase2_plan" (fun () ->
         Warm.phase2_plan psg ~readers:(Lazy.force readers) ~sols ~exit_seeds)
   in
-  let cone2 = Option.map (fun w -> w.Phase2.cone) w2 in
-  let sched2 = for_cone sched cone2 in
   let phase2_iterations, summaries =
     record_stage timer stage_phase2 (fun () ->
-        let iterations =
-          Phase2.run ?warm:w2 ?sched:sched2 ?readers:(for_cone readers cone2) psg
-        in
+        let iterations = Sched.run ~sched ~readers ?cone:cone2 psg (Phase2.phase psg) in
         (iterations, Summary.extract psg call_classes))
   in
   (* Only a rerun keeps its schedule, built or carried, for the next. *)

@@ -81,6 +81,16 @@ let routine_of_node t n = Kind.routine t.kinds.(n)
 let block t n = Kind.block t.kinds.(n)
 let return_node t c = t.call_node.(c) + 1
 let cr_edge t c = t.out_off.(t.call_node.(c))
+
+(* Calls are numbered in call-node order, each routine's contiguously. *)
+let call_of_node t n =
+  let r = routine_of_node t n in
+  let lo = ref t.first_call.(r) and hi = ref (t.first_call.(r + 1) - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.call_node.(mid) < n then lo := mid + 1 else hi := mid
+  done;
+  !lo
 let resolved t c = t.target_off.(c) < t.target_off.(c + 1)
 
 let primary_entry_node t r =

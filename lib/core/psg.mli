@@ -177,6 +177,11 @@ val return_node : t -> int -> int
 val cr_edge : t -> int -> int
 (** Call [c]'s call-return edge: its call node's only out-edge. *)
 
+val call_of_node : t -> int -> int
+(** [call_of_node psg n] is the call whose call node is [n] (the inverse
+    of [psg.call_node]), by binary search over its routine's calls.  [n]
+    must be a call node. *)
+
 val resolved : t -> int -> bool
 (** Whether call [c]'s targets are known (its target row is not empty). *)
 

@@ -43,3 +43,8 @@ let callers t r =
   List.init
     (t.callers_off.(r + 1) - t.callers_off.(r))
     (fun i -> t.callers_of.(t.callers_off.(r) + i))
+
+let iter_in t v f =
+  for j = t.in_off.(v) to t.in_off.(v + 1) - 1 do
+    f (Array.unsafe_get t.in_edge j) (Array.unsafe_get t.in_src j)
+  done

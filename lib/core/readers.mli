@@ -1,12 +1,13 @@
 (** The PSG's reverse relations, built for one run and dropped after it.
 
     A converged {!Psg.t} keeps forward lanes only.  What reads a node's
-    readers — the phase fixpoints, which re-mark the sources of a changed
-    node's in-edges and the callers of a changed entry, and the warm
-    planners, which close the invalidation cones under the same
-    relations — asks for this transpose, built once per run from the
-    forward lanes by counting sort and shared by every planner and phase
-    of that run (DESIGN.md, "PSG lanes").
+    readers — the phases' influence relations ({!Phase1.influence},
+    {!Phase2.influence}), which the driver re-marks along and the warm
+    planners close the invalidation cones under, and phase 2's exit
+    equation, which reads the return node of every caller — asks for
+    this transpose, built once per run from the forward lanes by
+    counting sort and shared by every planner and phase of that run
+    (DESIGN.md, "PSG lanes").
 
     - Node [n]'s in-edges are [in_edge.(in_off.(n)) .. in_edge.(in_off.(n + 1) - 1)],
       ascending by edge id; [in_src] is parallel to [in_edge] and holds
@@ -29,3 +30,7 @@ val make : Psg.t -> t
 
 val callers : t -> int -> int list
 (** Routine [r]'s caller row as a list. *)
+
+val iter_in : t -> int -> (int -> int -> unit) -> unit
+(** [iter_in t v f] calls [f e u] for each in-edge [e] of node [v],
+    ascending, with [u] its source. *)

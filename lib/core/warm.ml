@@ -163,11 +163,13 @@ let solutions plan ~program ~parts ~filters =
   done;
   (sols, exit_seeds)
 
-(* An invalidation cone is the closure of a seed set under an influence
-   relation: [mark] flags a node and stacks it, [expand] pops until empty.
-   The cone array doubles as the visited set. *)
-let closure n seed_into expand_node =
-  let cone = Array.make n false in
+(* An invalidation cone is the closure of a seed set under a phase's
+   influence relation ({!Phase1.influence}, {!Phase2.influence}): every
+   node that reads a cone node joins the cone.  [mark] flags a node and
+   stacks it, [drain] pops until empty; the cone array doubles as the
+   visited set. *)
+let closure (psg : Psg.t) influence seed_into =
+  let cone = Array.make (Psg.node_count psg) false in
   let stack = Vec.create () in
   let mark id =
     if not cone.(id) then begin
@@ -175,12 +177,13 @@ let closure n seed_into expand_node =
       Vec.push stack id
     end
   in
+  let mark_reader _ u = mark u in
   seed_into mark;
   let rec drain () =
     match Vec.pop stack with
     | None -> ()
     | Some id ->
-        expand_node mark id;
+        influence id mark_reader;
         drain ()
   in
   drain ();
@@ -194,14 +197,6 @@ let seed_dirty_routines (psg : Psg.t) sols mark =
           mark id
         done)
     sols
-
-(* Influence along flow and call-return edges runs against the edge
-   direction: a node's recomputation reads the sets of its out-edge
-   destinations, so a changed node influences its in-edge sources. *)
-let mark_in_edge_sources (readers : Readers.t) mark id =
-  for k = readers.in_off.(id) to readers.in_off.(id + 1) - 1 do
-    mark readers.in_src.(k)
-  done
 
 (* [f r art] for every solution-clean routine [r]. *)
 let iter_clean sols f = Array.iteri (fun r art -> Option.iter (f r) art) sols
@@ -225,22 +220,7 @@ let install ~width ~lane ~cached (psg : Psg.t) r art =
   | Rows (old, r') -> Array.blit (lane old) (width * old.Psg.first_node.(r')) (lane psg) pos len
 
 let phase1_plan (psg : Psg.t) ~readers ~sols =
-  let n = Psg.node_count psg in
-  (* Entry nodes feed the call-return edges of their callers: precompute
-     which node ids are primary entries, and of which routine. *)
-  let primary_of = Array.make n (-1) in
-  for r = 0 to Program.routine_count psg.program - 1 do
-    primary_of.(Psg.primary_entry_node psg r) <- r
-  done;
-  let cone =
-    closure n (seed_dirty_routines psg sols) (fun mark id ->
-        mark_in_edge_sources readers mark id;
-        let r = primary_of.(id) in
-        if r >= 0 then
-          for k = readers.Readers.callers_off.(r) to readers.callers_off.(r + 1) - 1 do
-            mark psg.call_node.(readers.callers_of.(k))
-          done)
-  in
+  let cone = closure psg (Phase1.influence psg readers) (seed_dirty_routines psg sols) in
   (* Install the cached solutions; dirty slots keep whatever they hold,
      as they are inside the cone, which the phase initializes itself. *)
   iter_clean sols (fun r art ->
@@ -250,19 +230,11 @@ let phase1_plan (psg : Psg.t) ~readers ~sols =
           psg.labels.(cr_slot psg r k j) <- cached_cr art k j
         done
       done);
-  { Phase1.cone }
+  cone
 
 let phase2_plan (psg : Psg.t) ~readers ~sols ~exit_seeds =
-  let n = Psg.node_count psg in
-  (* A return node's liveness is copied into the exit nodes of every
-     routine its call can target (the paper's return-to-exit links). *)
-  let ret_to_exits = Array.make n [] in
-  Psg.iter_routine_targets psg (fun c r ->
-      let ret = Psg.return_node psg c in
-      ret_to_exits.(ret) <- Psg.exit_node_list psg r @ ret_to_exits.(ret));
   let cone =
-    closure n
-      (fun mark ->
+    closure psg (Phase2.influence psg readers) (fun mark ->
         seed_dirty_routines psg sols mark;
         (* A call-return label that converged differently carries a new
            use/kill summary into its call node's liveness. *)
@@ -281,10 +253,7 @@ let phase2_plan (psg : Psg.t) ~readers ~sols ~exit_seeds =
                 mark psg.exit_nodes.(i)
               done)
           exit_seeds)
-      (fun mark id ->
-        mark_in_edge_sources readers mark id;
-        List.iter mark ret_to_exits.(id))
   in
   iter_clean sols
     (install ~width:1 ~lane:(fun p -> p.Psg.live) ~cached:(fun s -> s.a_phase2) psg);
-  { Phase2.cone }
+  cone

@@ -28,8 +28,9 @@
     while restoring converged values elsewhere.  That is bit-identical to
     a cold run only if the set of restarted nodes — the {e invalidation
     cone} — is closed under each phase's influence relation: whatever can
-    read a dirty value must itself re-converge (see {!Phase1.warm} and
-    {!Phase2.warm} for the per-phase contracts the planners establish).
+    read a dirty value must itself re-converge (see {!Sched.run} for the
+    contract the planners establish, and {!Phase1.influence} and
+    {!Phase2.influence} for the relations they close under).
     Closure is computed transitively; a frozen complement may not sit
     between two dirty regions, because a cycle through stale frozen
     values can sustain a fixpoint above the least one. *)
@@ -140,25 +141,24 @@ val solutions :
     contribution.  [parts] and [filters] are the post-rebuild arrays for
     {e all} routines; a donor's routine has a rebuilt [Local] part. *)
 
-val phase1_plan : Psg.t -> readers:Readers.t -> sols:routine_art option array -> Phase1.warm
+val phase1_plan : Psg.t -> readers:Readers.t -> sols:routine_art option array -> bool array
 (** The phase-1 invalidation cone for a stitched PSG, given
-    {!solutions}' verdict: the closure of the solution-dirty routines'
-    nodes under reversed flow/call-return edges, widened to the call
-    nodes of every caller of a routine whose primary entry enters the
-    cone (the §3.2 summary import).  [readers] is the PSG's
-    {!Readers.make}, shared with the phases of the same run.  Also installs every
-    solution-clean routine's cached phase-1 slice into {!Psg.t.sets}
-    and its call-return labels into {!Psg.t.labels}. *)
+    {!solutions}' verdict: the solution-dirty routines' nodes, closed
+    under {!Phase1.influence} (in-edge sources, and at a primary entry
+    the call nodes of its callers: the §3.2 summary import).  [readers]
+    is the PSG's {!Readers.make}, shared with the phases of the same run.
+    Also installs every solution-clean routine's cached phase-1 slice
+    into {!Psg.t.sets} and its call-return labels into {!Psg.t.labels}. *)
 
 val phase2_plan :
   Psg.t ->
   readers:Readers.t ->
   sols:routine_art option array ->
   exit_seeds:bool array ->
-  Phase2.warm
+  bool array
 (** The phase-2 cone.  Seeds: the solution-dirty routines' nodes, the
     call nodes whose just-converged call-return labels differ from the
     cached ones, and the exit nodes of [exit_seeds] routines; closed
-    under reversed edges plus the return-to-exit links.  Also installs
-    every solution-clean routine's cached liveness into
-    {!Psg.t.live}.  Call after phase 1. *)
+    under {!Phase2.influence} (in-edge sources, and at a return node the
+    exits of its call's targets).  Also installs every solution-clean
+    routine's cached liveness into {!Psg.t.live}.  Call after phase 1. *)

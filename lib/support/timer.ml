@@ -1,9 +1,10 @@
 type t = {
   totals : (string, float ref) Hashtbl.t;
   order : string Vec.t;
+  mutable recorded : float;  (** elapsed seconds of every finished outermost [record] so far *)
 }
 
-let create () = { totals = Hashtbl.create 8; order = Vec.create () }
+let create () = { totals = Hashtbl.create 8; order = Vec.create (); recorded = 0.0 }
 let now () = Spike_obs.Clock.now ()
 
 let bucket t stage =
@@ -19,10 +20,15 @@ let add t stage secs =
   let r = bucket t stage in
   r := !r +. secs
 
+(* [recorded] grows by the elapsed time of each record as it finishes,
+   so what it gained while [f] ran is the time of the records nested in
+   [f], which [stage] leaves to their own stages. *)
 let record t stage f =
-  let t0 = now () in
+  let t0 = now () and before = t.recorded in
   let result = f () in
-  add t stage (now () -. t0);
+  let elapsed = now () -. t0 in
+  add t stage (elapsed -. (t.recorded -. before));
+  t.recorded <- before +. elapsed;
   result
 
 let get t stage = match Hashtbl.find_opt t.totals stage with Some r -> !r | None -> 0.0
@@ -31,4 +37,5 @@ let stages t = Vec.to_list (Vec.map (fun s -> (s, get t s)) t.order)
 
 let reset t =
   Hashtbl.reset t.totals;
-  Vec.clear t.order
+  Vec.clear t.order;
+  t.recorded <- 0.0

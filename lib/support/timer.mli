@@ -14,7 +14,9 @@ val record : t -> string -> (unit -> 'a) -> 'a
 (** [record t stage f] runs [f ()], adding its elapsed duration to
     [stage]'s accumulated total.  Elapsed time is the right attribution
     for stages that fan out over a {!Pool}: a parallel stage reports its
-    elapsed time, not CPU time summed over domains. *)
+    elapsed time, not CPU time summed over domains.  A [record] nested in
+    [f] counts for its own stage only: [stage] gets [f]'s elapsed time
+    less the nested records', so no second counts twice in {!total}. *)
 
 val add : t -> string -> float -> unit
 (** [add t stage secs] adds [secs] to [stage] directly. *)

@@ -739,13 +739,13 @@ module Sched_oracle = struct
     done;
     Array.map (fun callees -> Array.of_list (List.sort_uniq Int.compare callees)) succs
 
-  let make (psg : Psg.t) =
-    let scc = scc_compute ~succs:(call_graph psg) in
+  (* Each phase's dependency graph, as lists: row [u] holds the nodes
+     [u]'s equation reads — its out-edge destinations in edge order, then
+     for phase 1 at a call node the primary entry of each routine target,
+     for phase 2 at an exit node the return node of each call that may
+     target its routine. *)
+  let deps (psg : Psg.t) =
     let n = Psg.node_count psg in
-    let comp_of_node = Array.make n 0 in
-    for id = 0 to n - 1 do
-      comp_of_node.(id) <- scc.Scc.comp_of.(Psg.node_routine (Psg.kind psg id))
-    done;
     let flow_deps u =
       let acc = ref [] in
       Psg.iter_out_edges psg u (fun e -> acc := psg.Psg.dst.(e) :: !acc);
@@ -770,6 +770,16 @@ module Sched_oracle = struct
             targets
     done;
     let deps extra = Array.init n (fun u -> Array.of_list (flow_deps u @ extra.(u))) in
+    (deps p1_extra, deps p2_extra)
+
+  let make (psg : Psg.t) =
+    let scc = scc_compute ~succs:(call_graph psg) in
+    let n = Psg.node_count psg in
+    let comp_of_node = Array.make n 0 in
+    for id = 0 to n - 1 do
+      comp_of_node.(id) <- scc.Scc.comp_of.(Psg.node_routine (Psg.kind psg id))
+    done;
+    let deps1, deps2 = deps psg in
     let comp_members =
       let acc = Array.make (max scc.Scc.count 1) [] in
       for id = n - 1 downto 0 do
@@ -806,8 +816,8 @@ module Sched_oracle = struct
       in
       (Array.map fst orders, Array.map snd orders)
     in
-    let comp_nodes_p1, comp_ends_p1 = split (deps p1_extra) in
-    let comp_nodes_p2, comp_ends_p2 = split (deps p2_extra) in
+    let comp_nodes_p1, comp_ends_p1 = split deps1 in
+    let comp_nodes_p2, comp_ends_p2 = split deps2 in
     let calls_acc = Array.make (max scc.Scc.count 1) [] in
     Array.iteri
       (fun i call_node ->

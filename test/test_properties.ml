@@ -373,6 +373,43 @@ let prop_readers_transpose =
       && List.for_all (fun r -> Readers.callers readers r = callers.(r)) (List.init nr Fun.id)
       && readers.in_off.(n) = Psg.edge_count psg)
 
+(* Each phase's influence relation, which the drivers re-mark and the
+   warm planners close their cones under, is exactly the transpose of the
+   dependency graph whose SCCs order the schedule
+   ([Test_helpers.Sched_oracle.deps]): the readers it names for node [v],
+   with multiplicity, are the nodes whose dependency rows list [v].  Each
+   reader comes with its link: an out-edge of the reader into [v], or a
+   call whose call node is the reader (phase 1) or whose return node is
+   [v] (phase 2). *)
+let prop_influence_transposes_deps =
+  QCheck.Test.make ~name:"influence = transposed dependency graph" ~count:40
+    arbitrary_cfg_programs (fun (_, params) ->
+      let p = Generator.generate params in
+      let psg = (Analysis.run ~jobs:1 p).Analysis.psg in
+      let readers = Readers.make psg in
+      let n = Psg.node_count psg in
+      let deps1, deps2 = Test_helpers.Sched_oracle.deps psg in
+      let edge_ok v via u =
+        psg.Psg.dst.(via) = v && psg.Psg.out_off.(u) <= via && via < psg.Psg.out_off.(u + 1)
+      in
+      let check name influence deps link_ok =
+        let want = Array.make n [] in
+        Array.iteri (fun u row -> Array.iter (fun v -> want.(v) <- u :: want.(v)) row) deps;
+        let differs v =
+          let got = ref [] and links = ref true in
+          influence psg readers v (fun via u ->
+              got := u :: !got;
+              if not (if via >= 0 then edge_ok v via u else link_ok v (-1 - via) u) then
+                links := false);
+          (not !links) || List.sort Int.compare !got <> List.sort Int.compare want.(v)
+        in
+        match List.find_opt differs (List.init n Fun.id) with
+        | None -> true
+        | Some v -> QCheck.Test.fail_reportf "%s: node %d's readers differ" name v
+      in
+      check "phase 1" Phase1.influence deps1 (fun _ c u -> psg.Psg.call_node.(c) = u)
+      && check "phase 2" Phase2.influence deps2 (fun v c _ -> Psg.return_node psg c = v))
+
 (* External-summary files must round-trip through their concrete syntax:
    the sets are rebuilt from rendered register names, so this exercises
    name/of_name agreement for every register that can carry dataflow,
@@ -456,6 +493,7 @@ let () =
             prop_calibrated_labels_match_oracle;
             prop_cfg_lanes_match_records;
             prop_readers_transpose;
+            prop_influence_transposes_deps;
             prop_callee_saved_one_pass;
             prop_sched_matches_oracle;
             prop_asm_roundtrip;
