@@ -193,11 +193,9 @@ let precision_ablation ppf =
           let total = ref 0 and looser = ref 0 and extra = ref 0 in
           Program.iter
             (fun r (_ : Routine.t) ->
-              match
-                ( (analysis.Analysis.summaries.(r)).Summary.live_at_entry,
-                  (Analysis.cfg analysis r).Spike_cfg.Cfg.entry_blocks )
-              with
-              | (_, psg_live) :: _, (_, entry_block) :: _ ->
+              match (analysis.Analysis.summaries.(r)).Summary.live_at_entry with
+              | (_, psg_live) :: _ ->
+                  let entry_block = Spike_cfg.Cfg.entry_block (Analysis.cfg analysis r) 0 in
                   incr total;
                   let super_live =
                     Regset.inter
@@ -209,7 +207,7 @@ let precision_ablation ppf =
                     incr looser;
                     extra := !extra + d
                   end
-              | _, _ -> ())
+              | [] -> ())
             program;
           Format.fprintf ppf "%-10s %10d %14d %16.1f@." name !total !looser
             (if !looser = 0 then 0.0 else float_of_int !extra /. float_of_int !looser))

@@ -41,11 +41,9 @@ let () =
   let looser = ref 0 and total = ref 0 and extra_regs = ref 0 in
   Program.iter
     (fun r (_ : Routine.t) ->
-      match
-        ((analysis.Analysis.summaries.(r)).Summary.live_at_entry,
-         cfgs.(r).Spike_cfg.Cfg.entry_blocks)
-      with
-      | (_, psg_live) :: _, (_, entry_block) :: _ ->
+      match (analysis.Analysis.summaries.(r)).Summary.live_at_entry with
+      | (_, psg_live) :: _ ->
+          let entry_block = Spike_cfg.Cfg.entry_block cfgs.(r) 0 in
           incr total;
           let super_live =
             Regset.inter
@@ -57,7 +55,7 @@ let () =
             incr looser;
             extra_regs := !extra_regs + extra
           end
-      | _, _ -> ())
+      | [] -> ())
     program;
   Format.printf
     "@.supergraph liveness is strictly looser at %d/%d entries (%.1f extra live \

@@ -7,16 +7,27 @@
     block's final instruction (branch targets, fallthrough, and the
     fallthrough of a call to its return point).
 
-    A graph is stored as flat lanes indexed by block id, like the PSG's,
-    rather than as one record per block:
+    A graph is one byte buffer, [lanes], of 32-bit native-endian words
+    followed by one byte per block, rather than one record per block or
+    one array per lane.  For [n] blocks and [a] arcs the words are, in
+    order:
 
-    - [first] has one slot per block plus an end sentinel: block [b]
-      covers instructions [first.(b) .. first.(b + 1) - 1], and
-      [first.(nblocks)] is the routine's instruction count;
-    - [endings] holds one tag byte per block ({!ending}); a call block's
-      callee is read off its final instruction ({!callee});
-    - successors are CSR: block [b]'s successors are
-      [succ_adj.(succ_off.(b)) .. succ_adj.(succ_off.(b + 1) - 1)].
+    - the block starts: [n + 1] words, word [b] being block [b]'s first
+      instruction and word [n] (the end sentinel) the routine's
+      instruction count;
+    - the successor offsets: [n + 1] words, block [b]'s successors
+      filling slots [succ_start b .. succ_stop b - 1];
+    - the successor block ids: [a] words, one per slot ({!succ_at});
+    - the entry blocks: one word per label of [routine.entries], in that
+      order ({!entry_block}).
+
+    The last [n] bytes are the blocks' {!ending} tags; a call block's
+    callee is read off its final instruction ({!callee}).
+
+    Every read is bounds-checked twice: against the index's own lane (a
+    block id, arc slot or entry position out of range raises
+    [Invalid_argument]; it never reads a neighbouring lane) and against
+    the buffer.
 
     A block's successors are deduplicated and ordered as its final
     instruction names them: branch targets in table order, then the
@@ -24,10 +35,10 @@
     is short-lived (the edge labelling's region search, two in-degree
     tests), so {!pred_rows} builds the transposed rows into a caller's
     arrays and {!preds} scans the successor lanes.  The block containing
-    an instruction is a binary search over [first] ({!block_of_insn}), so
-    no per-instruction lane is kept.  Apart from [routine] and
-    [entry_blocks], a graph is two words and a byte per block plus one
-    word per arc. *)
+    an instruction is a binary search over the block starts
+    ({!block_of_insn}), so no per-instruction lane is kept.  Apart from
+    [routine], a graph is a five-word record and one buffer of
+    [4 (2n + 2 + a + e) + n] bytes for [e] entries. *)
 
 open Spike_isa
 open Spike_ir
@@ -45,23 +56,27 @@ type ending =
 
 type t = private {
   routine : Routine.t;
-  first : int array;  (** block [->] its first instruction; length [nblocks + 1] *)
-  endings : Bytes.t;  (** block [->] its {!ending}, one byte each *)
-  succ_off : int array;  (** length [nblocks + 1] *)
-  succ_adj : int array;
-  entry_blocks : (string * int) list;  (** entry label [->] block id *)
+  lanes : Bytes.t;  (** the words and ending bytes described above *)
+  nblocks : int;
+  narcs : int;
 }
 
 val build : Routine.t -> t
-(** Partition the routine and compute arcs, in one pass over the
-    instructions and one over the blocks.  The routine must be well-formed
+(** Partition the routine and compute arcs: two passes over the
+    instructions find the leaders, then the blocks and the arcs their
+    final instructions name, which size the buffer; one pass over the
+    blocks writes the successor rows into it (a routine with duplicate
+    arcs is copied once into a buffer cut to fit).  The only other
+    allocations are scratch: a leader byte per instruction, a label
+    table and one word per block.  The routine must be well-formed
     ({!Spike_ir.Validate}).  Per-block DEF/UBD sets are a separate
     analysis stage; see {!Defuse}. *)
 
 val block_count : t -> int
 
 val first : t -> int -> int
-(** Index of the block's first instruction. *)
+(** Index of the block's first instruction.  Like every accessor taking
+    a block id, raises [Invalid_argument] unless [0 <= b < block_count]. *)
 
 val last : t -> int -> int
 (** Index of the block's final instruction (inclusive). *)
@@ -78,16 +93,34 @@ val return_block : t -> int -> int
 
 val block_of_insn : t -> int -> int
 (** The block containing an instruction index, by binary search over
-    [first]. *)
+    the block starts. *)
+
+val entry_count : t -> int
+(** The routine's entry labels, [List.length routine.entries]. *)
+
+val entry_block : t -> int -> int
+(** [entry_block g i]: the block of the [i]-th label of
+    [routine.entries] (the primary entry is [i = 0]).
+    @raise Invalid_argument unless [0 <= i < entry_count g]. *)
 
 val succ_count : t -> int -> int
 
 val pred_count : t -> int -> int
 (** A block's in-degree, by a scan of every successor row: O(arcs). *)
 
+val succ_start : t -> int -> int
+(** The first successor slot of a block's row. *)
+
+val succ_stop : t -> int -> int
+(** One past the last successor slot of a block's row: hot loops read
+    [succ_at g k] for [k] from [succ_start g b] to [succ_stop g b - 1]. *)
+
+val succ_at : t -> int -> int
+(** The successor block in an arc slot.
+    @raise Invalid_argument unless [0 <= k < arc_count g]. *)
+
 val succs : t -> int -> int array
-(** A fresh copy of a block's successor row.  Hot loops read [succ_off] and
-    [succ_adj] directly. *)
+(** A fresh copy of a block's successor row. *)
 
 val preds : t -> int -> int array
 (** A block's predecessors, ascending, by a scan of every successor row:

@@ -2,12 +2,12 @@ open Spike_support
 open Spike_isa
 open Spike_ir
 
-type t = { def : Regset.t array; ubd : Regset.t array }
+type t = Regset.t array
 
 let compute (g : Cfg.t) =
   let insns = g.Cfg.routine.Routine.insns in
   let n = Cfg.block_count g in
-  let def = Array.make n Regset.empty and ubd = Array.make n Regset.empty in
+  let sets = Array.make (2 * n) Regset.empty in
   for b = 0 to n - 1 do
     let last = Cfg.last g b in
     let upper =
@@ -21,10 +21,10 @@ let compute (g : Cfg.t) =
       u := Regset.union !u (Regset.diff (Insn.uses insn) !d);
       d := Regset.union !d (Insn.defs insn)
     done;
-    def.(b) <- !d;
-    ubd.(b) <- !u
+    sets.(2 * b) <- !d;
+    sets.((2 * b) + 1) <- !u
   done;
-  { def; ubd }
+  sets
 
-let def t b = t.def.(b)
-let ubd t b = t.ubd.(b)
+let def t b = t.(2 * b)
+let ubd t b = t.((2 * b) + 1)

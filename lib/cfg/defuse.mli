@@ -12,20 +12,23 @@
     the target register) is folded into the call-return edge so that it
     composes correctly with the callee's summary.
 
-    The sets are two lanes beside the {!Cfg}'s, indexed by block id; a
-    {!Spike_support.Regset.t} is an immediate int, so each lane is one
-    unboxed word per block. *)
+    The sets are one lane beside the {!Cfg}'s, interleaved by block id:
+    DEF of block [b] at [2b], its UBD at [2b + 1].  A
+    {!Spike_support.Regset.t} is an immediate int, so the lane is one
+    array of two unboxed words per block. *)
 
 open Spike_support
 
-type t = private {
-  def : Regset.t array;  (** indexed by block id *)
-  ubd : Regset.t array;
-}
+type t
 
 val compute : Cfg.t -> t
 (** One pass over each block's instruction range, read off the CFG's
-    [first] lane; allocates only the two lanes. *)
+    block starts; allocates only the lane. *)
 
 val def : t -> int -> Regset.t
+(** @raise Invalid_argument unless the block is one of the CFG's the
+    sets were computed from. *)
+
 val ubd : t -> int -> Regset.t
+(** @raise Invalid_argument unless the block is one of the CFG's the
+    sets were computed from. *)

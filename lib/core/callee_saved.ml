@@ -48,10 +48,13 @@ type site = {
 let sites (routine : Routine.t) (cfg : Cfg.t) =
   let insns = routine.insns in
   let exit_blocks = Cfg.exit_blocks cfg in
-  match (cfg.entry_blocks, Cfg.unknown_jump_blocks cfg) with
-  | _, _ :: _ -> [] (* may leave without restoring *)
-  | [ (_, entry_block) ], [] when Cfg.pred_count cfg entry_block = 0 && exit_blocks <> []
-    -> (
+  match Cfg.unknown_jump_blocks cfg with
+  | _ :: _ -> [] (* may leave without restoring *)
+  | []
+    when Cfg.entry_count cfg = 1
+         && Cfg.pred_count cfg (Cfg.entry_block cfg 0) = 0
+         && exit_blocks <> [] -> (
+      let entry_block = Cfg.entry_block cfg 0 in
       (* Candidate saves in the entry block: store of an unclobbered
          callee-saved register to a fresh sp slot. *)
       let candidates = ref [] (* (reg, offset, save_index) *) in
@@ -131,7 +134,7 @@ let sites (routine : Routine.t) (cfg : Cfg.t) =
             else None
           in
           List.filter_map Fun.id (Array.to_list (Array.mapi site_of candidates)))
-  | _, [] -> []
+  | [] -> []
 
 let saved_and_restored routine cfg =
   List.fold_left (fun acc site -> Regset.add site.reg acc) Regset.empty

@@ -140,7 +140,6 @@ let solve ?scratch ~cfg ~defuse ~is_cut ~sink () =
   let gen = s.gen in
   let order = s.order and position = s.position and stamp = s.stamp in
   let use_in = s.may_use_in and def_in = s.may_def_in and must_in = s.must_def_in in
-  let succ_off = cfg.Cfg.succ_off and succ_adj = cfg.Cfg.succ_adj in
   (* The sink's OUT sets are the boundary, so its IN sets are final at
      once. *)
   let top = size - 1 in
@@ -169,8 +168,8 @@ let solve ?scratch ~cfg ~defuse ~is_cut ~sink () =
       (* Every non-sink region block was collected as a predecessor of a
          region block, so the meet has at least one operand. *)
       let u = ref Regset.empty and d = ref Regset.empty and m = ref Regset.full in
-      for k = succ_off.(b) to succ_off.(b + 1) - 1 do
-        let succ = succ_adj.(k) in
+      for k = Cfg.succ_start cfg b to Cfg.succ_stop cfg b - 1 do
+        let succ = Cfg.succ_at cfg k in
         if stamp.(succ) = gen then begin
           let j = position.(succ) in
           if j <= i then read_early.(j) <- sweep;

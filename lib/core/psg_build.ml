@@ -80,11 +80,12 @@ let local_pass ~branch_nodes ~resolve_targets _ (cfg : Cfg.t) defuse =
   (* Block id -> its sink node, or -1: the cut blocks. *)
   let sink_of_block = Array.make nblocks (-1) in
   let sources = ref [] in
-  List.iteri
-    (fun position (_, block) ->
-      let node = new_node Psg.Kind.entry position in
-      sources := { src_node = node; src_block = block; mode = At_block_start } :: !sources)
-    cfg.entry_blocks;
+  for position = 0 to Cfg.entry_count cfg - 1 do
+    let node = new_node Psg.Kind.entry position in
+    sources :=
+      { src_node = node; src_block = Cfg.entry_block cfg position; mode = At_block_start }
+      :: !sources
+  done;
   for b = 0 to nblocks - 1 do
     match Cfg.ending cfg b with
     | Ends_ret -> sink_of_block.(b) <- new_node Psg.Kind.exit b
@@ -119,7 +120,6 @@ let local_pass ~branch_nodes ~resolve_targets _ (cfg : Cfg.t) defuse =
   done;
   (* --- Flow-summary edges ---------------------------------------------- *)
   let sources = Array.of_list (List.rev !sources) in
-  let succ_off = cfg.succ_off and succ_adj = cfg.succ_adj in
   let is_cut b = sink_of_block.(b) >= 0 in
   (* Forward reach from each source, stopping at cut blocks: one flow per
      sink block reached, recorded as the flow's source index and sink
@@ -146,17 +146,17 @@ let local_pass ~branch_nodes ~resolve_targets _ (cfg : Cfg.t) defuse =
   let reach_from i root =
     if discover i root then begin
       stack_block.(0) <- root;
-      stack_next.(0) <- succ_off.(root);
+      stack_next.(0) <- Cfg.succ_start cfg root;
       let sp = ref 0 in
       while !sp >= 0 do
         let k = stack_next.(!sp) in
-        if k < succ_off.(stack_block.(!sp) + 1) then begin
+        if k < Cfg.succ_stop cfg stack_block.(!sp) then begin
           stack_next.(!sp) <- k + 1;
-          let succ = succ_adj.(k) in
+          let succ = Cfg.succ_at cfg k in
           if discover i succ then begin
             incr sp;
             stack_block.(!sp) <- succ;
-            stack_next.(!sp) <- succ_off.(succ)
+            stack_next.(!sp) <- Cfg.succ_start cfg succ
           end
         end
         else decr sp

@@ -67,7 +67,8 @@ let find_dead (analysis : Analysis.t) liveness ~routine =
   | [] -> []
   | touched ->
       let defuse = Analysis.defuse analysis routine in
-      let def = Array.copy defuse.Defuse.def and ubd = Array.copy defuse.Defuse.ubd in
+      let n = Cfg.block_count cfg in
+      let def = Array.init n (Defuse.def defuse) and ubd = Array.init n (Defuse.ubd defuse) in
       let rec cascade touched =
         List.iter
           (fun id ->

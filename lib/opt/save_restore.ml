@@ -50,7 +50,9 @@ let reads_incoming (routine : Routine.t) (cfg : Cfg.t) s ~skip =
       Queue.add b worklist
     end
   in
-  List.iter (fun (_, b) -> push b) cfg.entry_blocks;
+  for i = 0 to Cfg.entry_count cfg - 1 do
+    push (Cfg.entry_block cfg i)
+  done;
   while not (Queue.is_empty worklist) do
     let b = Queue.take worklist in
     if scan_block b then Cfg.iter_succs push cfg b

@@ -183,11 +183,7 @@ let run ?(externals = fun _ -> None) program =
   let filters =
     Array.mapi (fun r cfg -> Callee_saved.saved_and_restored routines.(r) cfg) cfgs
   in
-  let primary_entry_block r =
-    match cfgs.(r).Cfg.entry_blocks with
-    | (_, b) :: _ -> b
-    | [] -> assert false
-  in
+  let primary_entry_block r = Cfg.entry_block cfgs.(r) 0 in
   (* --- Phase A: call classes to global fixpoint ----------------------- *)
   let raw = Array.make nroutines neutral in
   let stable = ref false in

@@ -53,10 +53,8 @@ let build program cfgs =
               List.iter
                 (fun callee_index ->
                   let callee_cfg = cfgs.(callee_index) in
-                  List.iter
-                    (fun (_, entry_block) ->
-                      add_arc call_arcs src (global t_partial callee_index entry_block))
-                    [ List.hd callee_cfg.entry_blocks ];
+                  add_arc call_arcs src
+                    (global t_partial callee_index (Cfg.entry_block callee_cfg 0));
                   List.iter
                     (fun exit_block ->
                       add_arc return_arcs

@@ -17,6 +17,11 @@ let check_restricted msg ~over expected actual =
 
 let rs = Regset.of_list
 
+(* A CFG's entry blocks as (label, block) pairs, in [routine.entries]
+   order, read through {!Spike_cfg.Cfg.entry_block}. *)
+let entry_blocks (g : Spike_cfg.Cfg.t) =
+  List.mapi (fun i label -> (label, Spike_cfg.Cfg.entry_block g i)) g.routine.Routine.entries
+
 (* PSG edge accessors over the flat lanes.  An edge is a call-return edge
    exactly when its source is a call node. *)
 let edge_label (psg : Spike_core.Psg.t) e =
@@ -194,7 +199,7 @@ module Label_oracle = struct
     List.iter
       (fun (label, block) ->
         sources := (Psg.Entry { routine = r; label }, block, false) :: !sources)
-      cfg.entry_blocks;
+      (entry_blocks cfg);
     for b = 0 to nblocks - 1 do
       match Cfg.ending cfg b with
       | Cfg.Ends_ret -> sink_of_block.(b) <- Some (Psg.Exit { routine = r; block = b })
@@ -1022,7 +1027,8 @@ module Record_cfg = struct
           if Cfg.block_of_insn g i <> b then fail "instruction %d's block differs" i)
         o.block_of_insn
     end;
-    if g.Cfg.entry_blocks <> o.entry_blocks then fail "entry blocks differ";
+    if Cfg.entry_count g <> List.length o.entry_blocks then fail "entry counts differ"
+    else if entry_blocks g <> o.entry_blocks then fail "entry blocks differ";
     List.rev !problems
 end
 
@@ -1113,7 +1119,7 @@ module Callee_saved_oracle = struct
   let sites (routine : Routine.t) (cfg : Cfg.t) =
     let insns = routine.insns in
     let exit_blocks = Cfg.exit_blocks cfg in
-    match (cfg.entry_blocks, Cfg.unknown_jump_blocks cfg) with
+    match (entry_blocks cfg, Cfg.unknown_jump_blocks cfg) with
     | _, _ :: _ -> [] (* may leave without restoring *)
     | [ (_, entry_block) ], [] when Cfg.pred_count cfg entry_block = 0 -> (
         match frame_discipline_ok routine cfg ~entry_block ~exit_blocks with

@@ -103,7 +103,7 @@ let check_supergraph_conservative p =
       let name = routine.Routine.name in
       let s = analysis.Analysis.summaries.(r) in
       let cfg = Analysis.cfg analysis r in
-      (match (s.Summary.live_at_entry, cfg.Spike_cfg.Cfg.entry_blocks) with
+      (match (s.Summary.live_at_entry, entry_blocks cfg) with
       | (_, psg_live) :: _, (_, entry_block) :: _ ->
           let super_live =
             Regset.inter

@@ -175,9 +175,89 @@ let test_multiple_entries () =
       [ (Some "e1", li r1 1); (Some "e2", li r2 2); (None, ret) ]
   in
   let g = Cfg.build r in
-  Alcotest.(check int) "entry blocks" 2 (List.length g.entry_blocks);
+  Alcotest.(check int) "entry blocks" 2 (Cfg.entry_count g);
   Alcotest.(check (option int)) "e2 at block 1" (Some 1)
-    (List.assoc_opt "e2" g.entry_blocks)
+    (List.assoc_opt "e2" (entry_blocks g))
+
+(* Every read names a block, arc slot or entry inside its own lane: one
+   past either end raises, even where the packed buffer holds a
+   neighbouring lane's word at that offset. *)
+let test_out_of_range () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s did not raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun r ->
+      let g = Cfg.build r in
+      let du = Defuse.compute g in
+      let n = Cfg.block_count g in
+      List.iter
+        (fun b ->
+          let at what = Printf.sprintf "%s %s B%d" r.Routine.name what b in
+          raises (at "first") (fun () -> Cfg.first g b);
+          raises (at "last") (fun () -> Cfg.last g b);
+          raises (at "ending") (fun () -> Cfg.ending g b);
+          raises (at "succs") (fun () -> Cfg.succs g b);
+          raises (at "iter_succs") (fun () -> Cfg.iter_succs ignore g b);
+          raises (at "succ_start") (fun () -> Cfg.succ_start g b);
+          raises (at "succ_stop") (fun () -> Cfg.succ_stop g b);
+          raises (at "def") (fun () -> Defuse.def du b);
+          raises (at "ubd") (fun () -> Defuse.ubd du b))
+        [ -1; n ];
+      List.iter
+        (fun i -> raises "entry_block" (fun () -> Cfg.entry_block g i))
+        [ -1; Cfg.entry_count g ];
+      List.iter
+        (fun k -> raises "succ_at" (fun () -> Cfg.succ_at g k))
+        [ -1; Cfg.arc_count g ];
+      (* The last block, arc and entry are in range. *)
+      ignore (Cfg.first g (n - 1), Cfg.last g (n - 1), Cfg.ending g (n - 1));
+      ignore (Defuse.def du (n - 1), Defuse.ubd du (n - 1));
+      ignore (Cfg.succ_at g (Cfg.arc_count g - 1));
+      ignore (Cfg.entry_block g (Cfg.entry_count g - 1)))
+    [
+      diamond_with_call ();
+      routine ~entries:[ "e1"; "e2" ] "m"
+        [ (Some "e1", li r1 1); (Some "e2", beq r2 "e1"); (None, ret) ];
+    ]
+
+(* The packed layout's size, pinned: apart from its routine a CFG is a
+   five-word record and one buffer of 32-bit words (block starts and
+   successor offsets, [n + 1] each; one per arc; one per entry) followed
+   by one ending byte per block, and a [Defuse.t] is one array of two
+   words per block.  A per-routine header or lane added back shows up
+   here. *)
+let test_packed_size () =
+  let words_of_bytes len = 1 + ((len + 8) / 8) in
+  let check_program file =
+    let program =
+      Spike_asm.Parser.program_of_file
+        (if Sys.file_exists ("../" ^ file) then "../" ^ file else file)
+    in
+    Program.iter
+      (fun _ r ->
+        let g = Cfg.build r in
+        let n = Cfg.block_count g and a = Cfg.arc_count g and e = Cfg.entry_count g in
+        let what = Printf.sprintf "%s: %s" file r.Routine.name in
+        Alcotest.(check int)
+          (what ^ " CFG words")
+          (5 + words_of_bytes ((4 * ((2 * (n + 1)) + a + e)) + n))
+          (Obj.reachable_words (Obj.repr g) - Obj.reachable_words (Obj.repr r));
+        Alcotest.(check int)
+          (what ^ " DEF/UBD words")
+          (1 + (2 * n))
+          (Obj.reachable_words (Obj.repr (Defuse.compute g))))
+      program
+  in
+  List.iter check_program
+    [
+      "examples/fact.s";
+      "examples/mutual.s";
+      "examples/libc_calls.s";
+      "test/golden/gcc_small.s";
+    ]
 
 let () =
   Alcotest.run "cfg"
@@ -190,6 +270,8 @@ let () =
           Alcotest.test_case "switch + unknown" `Quick test_switch_and_unknown_blocks;
           Alcotest.test_case "multiple entries" `Quick test_multiple_entries;
           Alcotest.test_case "duplicate arcs" `Quick test_duplicate_arcs;
+          Alcotest.test_case "out-of-range reads raise" `Quick test_out_of_range;
+          Alcotest.test_case "packed size" `Quick test_packed_size;
         ] );
       ( "defuse",
         [ Alcotest.test_case "matches naive simulation" `Quick test_defuse_matches_naive ]

@@ -47,9 +47,7 @@ let test_liveness_through_calls () =
   let live = Supercfg.liveness super (defuses_of analysis) in
   let p2 = Option.get (Spike_ir.Program.find_index p "P2") in
   let entry_block =
-    match (Analysis.cfg analysis p2).Spike_cfg.Cfg.entry_blocks with
-    | (_, b) :: _ -> b
-    | [] -> assert false
+    Spike_cfg.Cfg.entry_block (Analysis.cfg analysis p2) 0
   in
   let at_entry = Supercfg.live_in live ~routine:p2 ~block:entry_block in
   Alcotest.(check bool) "R0 live at P2 entry" true (Regset.mem r0 at_entry);
